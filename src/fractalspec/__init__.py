@@ -55,6 +55,7 @@ from .systems import (
     parse_system,
     scale_system,
     spectral_expansiveness,
+    two_digit_system,
     validate_compatibility,
     validate_system,
 )
@@ -122,6 +123,7 @@ __all__ = [
     "separation",
     "spectral_expansiveness",
     "tiling_multiplicity",
+    "two_digit_system",
     "validate_compatibility",
     "validate_system",
 ]

@@ -31,7 +31,7 @@ from .spectrum import (
     q_partial_many,
     separation,
 )
-from .systems import AffineSystem, cantor_four, load_system, make_system, validate_system
+from .systems import AffineSystem, cantor_four, load_system, two_digit_system, validate_system
 from .verify import (
     dim_one_classify,
     hardy_roundtrip,
@@ -133,12 +133,6 @@ def _load_validated(args) -> tuple[AffineSystem, dict]:
     sys_ = load_system(args.system)
     report = validate_system(sys_)
     return sys_, report.as_dict()
-
-
-def _classifier_system(R: int, a: float, L) -> AffineSystem:
-    if L is None:
-        L = [0.0, 1.0 / (2.0 * a)]
-    return make_system(float(R), [0.0, a], L)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +307,7 @@ def _cmd_classify(args) -> int:
     verdict = dim_one_classify(
         int(args.R), a, L=L, clique_window=args.window, target=args.target
     )
-    validation = validate_system(_classifier_system(args.R, a, L)).as_dict()
+    validation = validate_system(two_digit_system(args.R, a, L)).as_dict()
     payload = {
         "config": _config_block(args, "classify", R=args.R, a=args.a, window=args.window),
         "validation": validation,
@@ -326,7 +320,7 @@ def _cmd_classify(args) -> int:
 def _cmd_clique(args) -> int:
     a = _parse_number(args.a)
     L = [_parse_number(x) for x in args.L.split(",")] if args.L else None
-    sys_ = _classifier_system(args.R, a, L)
+    sys_ = two_digit_system(args.R, a, L)
     validation = validate_system(sys_).as_dict()
     m = FractalMeasure(sys_)
     size, witness = max_orthogonal_clique(m, args.window, zero_tol=args.zero_tol)

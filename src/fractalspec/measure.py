@@ -21,9 +21,9 @@ from math import comb
 
 import numpy as np
 
-from ._numeric import cis2pi, multi_indices, power_norm_tail, power_norms
+from ._numeric import cis2pi, multi_indices
 from .errors import BudgetError, ConvergenceError, ValidationError
-from .systems import AffineSystem, check_hadamard, spectral_expansiveness
+from .systems import INV_POWER_DEPTH, AffineSystem, check_hadamard, spectral_expansiveness
 
 __all__ = [
     "FractalMeasure",
@@ -110,20 +110,20 @@ class FractalMeasure:
             raise ValidationError(
                 f"digit matrix is not unitary (deviation {deviation:.3e})"
             )
+        if not 0 <= max_product_depth <= INV_POWER_DEPTH:
+            raise ValidationError(
+                f"max_product_depth must be in 0..{INV_POWER_DEPTH}, got {max_product_depth}"
+            )
         self.sys = sys
         self.product_tail_tol = float(product_tail_tol)
         self.max_product_depth = int(max_product_depth)
-        self._rinv = np.linalg.inv(sys.R)
         self._max_b = float(np.max(np.linalg.norm(sys.B, axis=1)))
-        # c_k = ||(R^T)^-k||; suffix sums give certified product tails.
-        c = power_norms(sys.R.T, self.max_product_depth)
-        geo_end = power_norm_tail(sys.R.T, self.max_product_depth)
-        if not np.isfinite(geo_end):
+        # tail_sums[K] >= sum_{k>=K} ||(R^T)^-k||: certified product tails
+        self._tail_sums = sys.inv_power_tails[: self.max_product_depth + 1]
+        if not np.isfinite(self._tail_sums[-1]):
             raise ConvergenceError(
                 "adjoint inverse powers do not decay within max_product_depth"
             )
-        suffix = np.concatenate([np.cumsum(c[::-1])[::-1] + geo_end, [geo_end]])
-        self._tail_sums = suffix  # tail_sums[K] >= sum_{k>=K} c_k
 
     def mask(self, t):
         return chi_mask(self.sys, t)
@@ -133,7 +133,7 @@ class FractalMeasure:
         scale = 2.0 * np.pi * self._max_b * max_norm
         if scale == 0.0:
             return 0
-        tails = scale * self._tail_sums[: self.max_product_depth + 1]
+        tails = scale * self._tail_sums
         ok = np.nonzero(tails <= self.product_tail_tol)[0]
         if ok.size == 0:
             raise ConvergenceError(
@@ -166,7 +166,7 @@ def fourier_mu_many(m: FractalMeasure, T) -> tuple[np.ndarray, np.ndarray]:
     pts = T
     for _ in range(depth):
         values *= np.conj(chi_mask(m.sys, pts))
-        pts = pts @ m._rinv  # row form of t -> (R^T)^-1 t
+        pts = pts @ m.sys.rinv  # row form of t -> (R^T)^-1 t
     scale = 2.0 * np.pi * m._max_b
     tails = scale * norms * m._tail_sums[depth]
     return values, tails
@@ -186,7 +186,7 @@ def atomic_approximation(
         raise ValidationError(f"depth must be >= 0, got {depth}")
     if n**depth > budget:
         raise BudgetError(f"N^K = {n}**{depth} exceeds atom budget {budget}")
-    rinv = np.linalg.inv(sys.R)
+    rinv = sys.rinv
     points = np.zeros((1, sys.d))
     contrib = sys.B.copy()  # rows R^-k b at level k
     for _ in range(depth):
@@ -245,7 +245,7 @@ def moments(m: FractalMeasure, order, max_degree: int = DEFAULT_MOMENT_DEGREE_CA
     idx = multi_indices(d, degree)
     pos = {alpha: i for i, alpha in enumerate(idx)}
     n_idx = len(idx)
-    rinv = np.linalg.inv(sys.R)
+    rinv = sys.rinv
     # linear forms y_i = (R^-1 x)_i as sparse polynomials in x
     lin = []
     for i in range(d):
@@ -293,7 +293,7 @@ def chaos_sample(
     sys = m.sys
     rng = np.random.default_rng(seed)
     digits = rng.integers(0, sys.n_digits, size=burn_in + count)
-    rinv = np.linalg.inv(sys.R)
+    rinv = sys.rinv
     out = np.empty((count, sys.d))
     x = np.zeros(sys.d)
     for step, digit in enumerate(digits):

@@ -13,10 +13,13 @@ dual maps.  Three facts drive everything here:
 * gamma < 1, together with 0 in L and L spanning, certifies that the
   enumerated exponentials form an orthonormal basis.
 
-The sup in beta is estimated from dense sampling plus a Lipschitz slack
-term, so the reported gamma is an upper bound (sound for certification);
-probe ratios, by contrast, only ever underestimate their sups, so the
-certificate and the empirical check cannot disagree by construction.
+The sup in beta is exact: over the box, (t - l).delta sweeps an interval,
+and |sin 2 pi u| on an interval is 1 when the interval holds a point of
+1/4 + Z/2 and is attained at an endpoint otherwise.  The interval is
+widened and the endpoint values are rounded upward, so the reported gamma
+is an upper bound (sound for certification); probe ratios, by contrast,
+only ever underestimate their sups, so the certificate and the empirical
+check cannot disagree by construction.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import minimize_scalar
 
-from ._numeric import cospi, hs_norm, operator_norm, power_norm_tail, sinpi
+from ._numeric import cospi, hs_norm, operator_norm, sinpi
 from .errors import ConvergenceError, DomainError, ValidationError
 from .measure import FractalMeasure, chi_mask
 from .systems import AffineSystem, check_hadamard
@@ -48,9 +51,11 @@ __all__ = [
     "basis_certificate",
 ]
 
-DEFAULT_NODES_1D = 1025
-DEFAULT_NODES_ND = 129
 BOX_TOL = 1e-9
+HULL_MAX_EXPAND = 64
+# bound on |sinpi(x) - sin(pi x)|: the reduction to r = x - round(x) is
+# exact, so only pi * r and sin round (together below 2.1 eps)
+SINPI_ERR = 4.0 * np.finfo(float).eps
 
 
 def as_box(value, d: int) -> np.ndarray:
@@ -61,10 +66,6 @@ def as_box(value, d: int) -> np.ndarray:
     if box.shape != (d, 2) or np.any(box[:, 0] > box[:, 1]):
         raise ValidationError(f"bad box {value!r} for dimension {d}")
     return box
-
-
-def _default_shape(d: int) -> tuple[int, ...]:
-    return (DEFAULT_NODES_1D,) * d if d == 1 else (DEFAULT_NODES_ND,) * d
 
 
 @dataclass(frozen=True)
@@ -124,12 +125,7 @@ class GridFunction:
         ]
 
 
-def attractor_hull(
-    sys: AffineSystem,
-    tol: float = BOX_TOL,
-    max_levels: int = 256,
-    max_expand: int = 64,
-) -> np.ndarray:
+def attractor_hull(sys: AffineSystem, tol: float = BOX_TOL) -> np.ndarray:
     """Invariant box around the attractor of the maps t -> (R^T)^-1 (t - l).
 
     Attractor points are -sum_{k>=1} (R^T)^-k l_k; the per-axis extremes of
@@ -139,28 +135,26 @@ def attractor_hull(
     within ``tol``.
     """
     d = sys.d
-    rinv = np.linalg.inv(sys.R)
+    rinv = sys.rinv
+    tails = sys.inv_power_tails
     max_l = float(np.max(np.linalg.norm(sys.L, axis=1)))
     lo = np.zeros(d)
     hi = np.zeros(d)
     contrib = sys.L @ rinv  # rows (R^T)^-k l at k = 1
-    level = 0
-    while True:
-        level += 1
+    for level in range(1, tails.size - 1):
         lo += (-contrib).min(axis=0)
         hi += (-contrib).max(axis=0)
-        tail = power_norm_tail(sys.R.T, level + 1) * max_l
+        tail = tails[level + 1] * max_l
         if tail <= tol:
             break
-        if level >= max_levels:
-            raise ConvergenceError(
-                f"attractor tail radius {tail:.3e} above {tol:.1e} "
-                f"after {max_levels} levels"
-            )
         contrib = contrib @ rinv
+    else:
+        raise ConvergenceError(
+            f"attractor tail radius {tail:.3e} above {tol:.1e} after {level} levels"
+        )
     box = np.stack([lo - tail, hi + tail], axis=1)
 
-    for _ in range(max_expand):
+    for _ in range(HULL_MAX_EXPAND):
         excess, images = _invariance_excess(sys, box)
         if excess <= tol:
             box.setflags(write=False)
@@ -186,7 +180,7 @@ def _corners(box: np.ndarray) -> np.ndarray:
 
 def _invariance_excess(sys: AffineSystem, box: np.ndarray):
     """Largest distance any mapped corner leaves the box, plus image bbox."""
-    rinv = np.linalg.inv(sys.R)
+    rinv = sys.rinv
     corners = _corners(box)
     all_imgs = []
     for l in sys.L:
@@ -233,7 +227,7 @@ def apply_ruelle(
     requires the box to be invariant under every dual map; a violation
     beyond ``domain_tol`` raises DomainError (enlarge the box).
     """
-    rinv = np.linalg.inv(sys.R)
+    rinv = sys.rinv
     nodes = q.nodes()
     out = np.zeros(nodes.shape[0])
     lo, hi = q.box[:, 0], q.box[:, 1]
@@ -312,45 +306,47 @@ class ContractionReport:
         }
 
 
-def _box_nodes(box: np.ndarray, per_axis: int) -> tuple[np.ndarray, np.ndarray]:
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    steps = (box[:, 1] - box[:, 0]) / max(per_axis - 1, 1)
-    return pts, steps
+def _sup_abs_sin(box: np.ndarray, delta: np.ndarray, l: np.ndarray) -> float:
+    """Upper bound, rounded upward, for sup |sin 2 pi (t - l).delta| over t in box.
+
+    (t - l).delta sweeps [lo, hi] with lo = sum_k min(delta_k box_k) - l.delta
+    (max for hi).  |sin 2 pi u| peaks at 1 on u in 1/4 + Z/2 and has a single
+    valley between consecutive peaks, so without a peak inside the interval
+    its sup sits at an endpoint.  The interval is first widened by the
+    rounding error of its own endpoints.
+    """
+    ends = delta[:, None] * box  # (d, 2)
+    shift = float(l @ delta)
+    scale = float(np.abs(ends).max(axis=1).sum()) + float(np.abs(l * delta).sum())
+    slack = (box.shape[0] + 2) * np.finfo(float).eps * scale
+    lo = float(ends.min(axis=1).sum()) - shift - slack
+    hi = float(ends.max(axis=1).sum()) - shift + slack
+    first_peak = 0.25 + 0.5 * np.ceil(2.0 * lo - 0.5)  # smallest peak >= lo
+    if first_peak <= hi:
+        return 1.0
+    value = max(abs(sinpi(2.0 * lo)), abs(sinpi(2.0 * hi))) + SINPI_ERR
+    return min(1.0, float(np.nextafter(value, 2.0)))
 
 
-def estimate_gamma(
-    sys: AffineSystem, box, samples_per_axis: int | None = None
-) -> ContractionReport:
+def estimate_gamma(sys: AffineSystem, box) -> ContractionReport:
     """Closed-form contraction bound for C on functions vanishing at 0.
 
-    The sine sup inside beta is taken over the box by dense sampling; a
-    Lipschitz slack (gradient of the sine is bounded by 2 pi |b - b'|)
-    is added so the reported value upper-bounds the true sup, then capped
-    at the trivial bound 1.  Larger sup, larger gamma: conservative.
+    The sine sup inside beta is computed exactly over the box (see
+    :func:`_sup_abs_sin`) and rounded upward, so the reported gamma is an
+    upper bound for the Lipschitz contraction ratio.
     """
     box = as_box(box, sys.d)
-    if samples_per_axis is None:
-        samples_per_axis = 2**15 + 1 if sys.d == 1 else 257
-    pts, _ = _box_nodes(box, samples_per_axis)
-    steps = (box[:, 1] - box[:, 0]) / max(samples_per_axis - 1, 1)
-    half_diag = 0.5 * float(np.linalg.norm(steps))
-
     n = sys.n_digits
     sup_sin = 0.0
-    for i, j in combinations(range(n), 2):
-        delta = sys.B[i] - sys.B[j]
-        lip = 2.0 * np.pi * float(np.linalg.norm(delta))
-        for l in sys.L:
-            vals = np.abs(sinpi(2.0 * ((pts - l) @ delta)))
-            sup_sin = max(sup_sin, min(1.0, float(vals.max()) + lip * half_diag))
     diam = 0.0
     for i, j in combinations(range(n), 2):
-        diam = max(diam, float(np.linalg.norm(sys.B[i] - sys.B[j])))
+        delta = sys.B[i] - sys.B[j]
+        diam = max(diam, float(np.linalg.norm(delta)))
+        for l in sys.L:
+            sup_sin = max(sup_sin, _sup_abs_sin(box, delta, l))
     beta = 2.0 * np.pi * diam * sup_sin
 
-    rinv = np.linalg.inv(sys.R)
+    rinv = sys.rinv
     op = operator_norm(rinv)
     hs = hs_norm(rinv)
     max_l = float(np.max(np.linalg.norm(sys.L, axis=1)))
@@ -405,7 +401,7 @@ class TrigPolynomial:
 
 def _transfer_gradient(sys: AffineSystem, q_value, q_grad, pts: np.ndarray) -> np.ndarray:
     """Exact gradient of Cq at pts, by the product rule."""
-    rinv = np.linalg.inv(sys.R)
+    rinv = sys.rinv
     pts = np.atleast_2d(pts)
     total = np.zeros_like(pts)
     for l in sys.L:
@@ -425,11 +421,12 @@ def _sup_norm(fn, box: np.ndarray, per_axis: int, refine: bool) -> float:
     the true sup (it only evaluates the function), which is the direction
     certificate comparisons need.
     """
-    pts, steps = _box_nodes(box, per_axis)
+    grid = GridFunction(box=box, samples=np.zeros((per_axis,) * box.shape[0]))
+    pts = grid.nodes()
     vals = fn(pts)
     best = float(vals.max())
     if refine and box.shape[0] == 1:
-        h = steps[0]
+        h = grid.steps[0]
         star = pts[int(vals.argmax()), 0]
         lo = max(box[0, 0], star - h)
         hi = min(box[0, 1], star + h)

@@ -171,9 +171,10 @@ def completeness_scan(
 
     Deepening stops once one extra depth moves min Q by less than
     ``increment_tol`` (converged), or once the word budget or ``max_depth``
-    is hit (inconclusive).  Hand-built enumerations are evaluated at their
-    fixed element set only.  Evidence labels: Q_n only ever underestimates
-    the limit, so "complete-evidence" (min Q >= target) is one-sided and
+    is hit (inconclusive; also when not even the starting depth fits).
+    Hand-built enumerations are evaluated at their fixed element set only.
+    Evidence labels: Q_n only ever underestimates the limit, so
+    "complete-evidence" (min Q >= target) is one-sided and
     "incomplete-evidence" additionally requires convergence.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1, m.sys.d)
@@ -214,7 +215,9 @@ def completeness_scan(
         else:
             exhausted = True
 
-    if min_q >= target:
+    if not depths:
+        status = "inconclusive"  # budget or max_depth left nothing to evaluate
+    elif min_q >= target:
         status = "complete-evidence"
     elif converged:
         status = "incomplete-evidence"

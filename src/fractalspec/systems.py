@@ -18,11 +18,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from ._numeric import cis2pi, power_norms
+from ._numeric import cis2pi, power_norm_tail, power_norms
 from .errors import ValidationError
 
 __all__ = [
@@ -38,11 +39,13 @@ __all__ = [
     "adjoint_power_norms",
     "scale_system",
     "validate_system",
+    "two_digit_system",
     "cantor_four",
 ]
 
 DEFAULT_INT_TOL = 1e-9
 DEFAULT_N_MAX = 12
+INV_POWER_DEPTH = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,6 +59,9 @@ class AffineSystem:
     B : (N, d) digit vectors for the measure, canonically sorted
     L : (N, d) digit vectors for the frequency set, canonically sorted
     r : cumulative integer scale applied via :func:`scale_system`
+
+    Quantities derived from R alone are computed on first use and cached
+    per instance: :attr:`rinv` and :attr:`inv_power_tails`.
     """
 
     d: int
@@ -67,6 +73,27 @@ class AffineSystem:
     @property
     def n_digits(self) -> int:
         return self.B.shape[0]
+
+    @cached_property
+    def rinv(self) -> np.ndarray:
+        """R^-1, read-only."""
+        inv = np.linalg.inv(self.R)
+        inv.setflags(write=False)
+        return inv
+
+    @cached_property
+    def inv_power_tails(self) -> np.ndarray:
+        """tails[K] >= sum_{k >= K} ||(R^T)^-k|| for K = 0..INV_POWER_DEPTH.
+
+        Suffix sums of the first INV_POWER_DEPTH norms plus a geometric
+        bound on everything beyond (:func:`power_norm_tail`); every entry is
+        inf when the inverse powers do not decay.  Read-only.
+        """
+        norms = power_norms(self.R.T, INV_POWER_DEPTH)
+        beyond = power_norm_tail(self.R.T, INV_POWER_DEPTH)
+        tails = np.concatenate([np.cumsum(norms[::-1])[::-1] + beyond, [beyond]])
+        tails.setflags(write=False)
+        return tails
 
     def __repr__(self) -> str:  # compact, deterministic
         return (
@@ -226,10 +253,11 @@ def validate_compatibility(
     tol: float = DEFAULT_INT_TOL,
     allow_shortcut: bool = True,
 ) -> ValidationReport:
-    """Check the integrality condition R^n b . l in Z for n = 1..n_max.
+    """Full structural report: integrality, unitarity, expansiveness.
 
-    When R has integer entries, R B is integral and L is integral (all
-    within ``tol``), the identity R^n b . l = (R b) . (R^T)^(n-1) l settles
+    Integrality is the condition R^n b . l in Z for n = 1..n_max.  When R
+    has integer entries, R B is integral and L is integral (all within
+    ``tol``), the identity R^n b . l = (R b) . (R^T)^(n-1) l settles
     every n at once; the report then carries ``exact_shortcut_used`` and a
     zero defect.  Otherwise the defect is the largest distance from any
     tested product to its nearest integer, which is bounded-n evidence, not
@@ -299,13 +327,20 @@ def scale_system(sys: AffineSystem, r: int) -> AffineSystem:
     return replace(sys, R=R, r=sys.r * int(r))
 
 
-def validate_system(
-    sys: AffineSystem,
-    n_max: int = DEFAULT_N_MAX,
-    tol: float = DEFAULT_INT_TOL,
-) -> ValidationReport:
-    """Full structural report: integrality, unitarity, expansiveness."""
-    return validate_compatibility(sys, n_max=n_max, tol=tol)
+validate_system = validate_compatibility  # both names are public
+
+
+def two_digit_system(R, a: float, L=None) -> AffineSystem:
+    """The d = 1 system with scale R and digits B = {0, a}.
+
+    With no L given, l = 1/(2a) is paired with 0 so that b.l = 1/2 and the
+    digit matrix is the standard 2x2 real unitary.
+    """
+    if a == 0:
+        raise ValidationError("a must be nonzero")
+    if L is None:
+        L = [0.0, 1.0 / (2.0 * a)]
+    return make_system(float(R), [0.0, a], L)
 
 
 def cantor_four() -> AffineSystem:

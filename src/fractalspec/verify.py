@@ -30,7 +30,7 @@ from .measure import FractalMeasure, atomic_approximation, fourier_mu_many
 from ._numeric import cis2pi
 from .ruelle import ContractionReport, basis_certificate
 from .spectrum import SpectrumEnumeration, completeness_scan, enumerate_spectrum
-from .systems import AffineSystem, cantor_four, make_system, scale_system
+from .systems import AffineSystem, cantor_four, scale_system, two_digit_system
 
 __all__ = [
     "DichotomyVerdict",
@@ -227,18 +227,13 @@ def dim_one_classify(
     scan over one unit cell.  |R| = 2 falls outside the dichotomy: evidence
     is computed and recorded without a claim.
 
-    With no L given, l = 1/(2a) is paired with 0 so that b.l = 1/2 and the
-    digit matrix is the standard 2x2 real unitary; even R then keeps
-    R^n b.l = R^n / 2 integral.
+    With no L given, L = {0, 1/(2a)} (see :func:`two_digit_system`); even R
+    then keeps R^n b.l = R^n / 2 integral.
     """
     R = int(R)
     if abs(R) < 2:
         raise ValidationError(f"|R| must be >= 2, got {R}")
-    if a == 0:
-        raise ValidationError("a must be nonzero")
-    if L is None:
-        L = [0.0, 1.0 / (2.0 * a)]
-    sys = make_system(float(R), [0.0, a], L)
+    sys = two_digit_system(R, a, L)
     m = FractalMeasure(sys)
 
     if R % 2 != 0:

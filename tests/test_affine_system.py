@@ -10,9 +10,11 @@ from fractalspec import (
     parse_system,
     scale_system,
     spectral_expansiveness,
+    two_digit_system,
     validate_compatibility,
+    validate_system,
 )
-from fractalspec.systems import adjoint_power_norms
+from fractalspec.systems import INV_POWER_DEPTH, adjoint_power_norms
 
 
 class TestMakeSystem:
@@ -140,6 +142,60 @@ class TestExpansiveness:
             for mm in (1, 3, 7):
                 assert c[k + mm] <= c[k] * c[mm] + 1e-12
         assert c[40] < c[20] < c[10]
+
+
+class TestDerivedFromR:
+    def test_rinv_is_cached_and_read_only(self, quad2d):
+        assert np.array_equal(quad2d.rinv, np.linalg.inv(quad2d.R))
+        assert quad2d.rinv is quad2d.rinv
+        with pytest.raises(ValueError):
+            quad2d.rinv[0, 0] = 1.0
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_scaled_system_has_its_own_cache(self, cantor4, quad2d, r):
+        for s in (cantor4, quad2d):
+            before = s.rinv.copy()
+            scaled = scale_system(s, r)
+            assert np.array_equal(scaled.rinv, s.rinv / r)
+            assert scaled.rinv is not s.rinv
+            assert scaled.inv_power_tails is not s.inv_power_tails
+            assert np.array_equal(s.rinv, before)
+
+    def test_inv_power_tails_bound_suffix_sums(self):
+        # non-normal R: ||R^-k|| is far from ||R^-1||^k
+        s = make_system([[2.0, 10.0], [0.0, 2.0]], [[0.0, 0.0]], [[0.0, 0.0]])
+        tails = s.inv_power_tails
+        assert tails.shape == (INV_POWER_DEPTH + 1,)
+        assert not tails.flags.writeable
+        c = adjoint_power_norms(s, 2 * INV_POWER_DEPTH)
+        for K in (0, 1, 5, 40, INV_POWER_DEPTH):
+            assert tails[K] >= c[K:].sum()
+        assert np.all(np.diff(tails) <= 0.0)
+
+    def test_inv_power_tails_infinite_without_decay(self):
+        s = make_system(1.0, [0.0], [0.0])
+        assert np.all(np.isinf(s.inv_power_tails))
+
+
+class TestTwoDigitSystem:
+    def test_default_frequencies(self):
+        s = two_digit_system(4, 0.25)
+        assert s.R[0, 0] == 4.0
+        assert s.B.ravel().tolist() == [0.0, 0.25]
+        assert s.L.ravel().tolist() == [0.0, 2.0]
+        assert check_hadamard(s) == 0.0
+
+    def test_explicit_frequencies(self):
+        s = two_digit_system(3, 0.5, L=[1.0, 0.0])
+        assert s.L.ravel().tolist() == [0.0, 1.0]
+
+    def test_zero_digit_rejected(self):
+        with pytest.raises(ValidationError, match="nonzero"):
+            two_digit_system(4, 0.0)
+
+
+def test_validate_system_is_validate_compatibility():
+    assert validate_system is validate_compatibility
 
 
 class TestScaling:

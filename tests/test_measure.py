@@ -88,6 +88,14 @@ class TestFourier:
         values, tails = fourier_mu_many(cantor4_measure, t)
         assert np.all(np.abs(values) <= 1.0 + tails)
 
+    def test_tails_come_from_the_system(self, cantor4):
+        m = FractalMeasure(cantor4, max_product_depth=10)
+        assert np.array_equal(m._tail_sums, cantor4.inv_power_tails[:11])
+
+    def test_product_depth_beyond_tails_rejected(self, cantor4):
+        with pytest.raises(ValidationError):
+            FractalMeasure(cantor4, max_product_depth=257)
+
     def test_convergence_error(self, cantor4):
         m = FractalMeasure(cantor4, product_tail_tol=1e-12, max_product_depth=3)
         with pytest.raises(ConvergenceError):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalspec import (
+    ConvergenceError,
     DomainError,
     FractalMeasure,
     GridFunction,
@@ -16,6 +19,7 @@ from fractalspec import (
     make_system,
     q_partial_many,
 )
+from fractalspec._numeric import sinpi
 from fractalspec.ruelle import check_box_invariance, probe_ratio
 
 
@@ -48,6 +52,11 @@ class TestAttractorHull:
         s = make_system(-4.0, [0.0, 0.5], [0.0, 1.0])
         box = attractor_hull(s)
         assert check_box_invariance(s, box) <= 1e-9
+
+    def test_no_decay_raises(self):
+        s = make_system(1.0, [0.0, 0.5], [0.0, 1.0])
+        with pytest.raises(ConvergenceError):
+            attractor_hull(s)
 
 
 class TestApplyRuelle:
@@ -165,7 +174,7 @@ class TestContractionBound:
         # independent evaluation: sup |sin(pi(y-l))| over [-1/3, 0] is sin(pi/3)
         exact = np.pi * np.sqrt(3.0) / 2.0 / 8.0 + 0.25
         assert report.gamma_bound < 1.0
-        assert exact <= report.gamma_bound <= exact + 2e-4
+        assert exact <= report.gamma_bound <= exact + 1e-12
         # assembled exactly from its own pieces
         assert report.gamma_bound == pytest.approx(
             report.beta / 8.0 + 0.25, rel=1e-15
@@ -185,6 +194,58 @@ class TestContractionBound:
         scaled = scale_system(cantor4, 2)
         g2 = estimate_gamma(scaled, attractor_hull(scaled)).gamma_bound
         assert g2 < g1
+
+
+# digit differences, frequencies and box corners: generic floats plus values
+# that put the sine's peaks and zeros exactly on interval ends
+_coord = st.one_of(
+    st.floats(-3.0, 3.0, allow_nan=False),
+    st.sampled_from([0.0, 0.25, -0.25, 0.5, -0.5, 1.0, 1.0 / 3.0, -0.75]),
+)
+
+
+@st.composite
+def _gamma_case(draw):
+    d = draw(st.sampled_from([1, 2]))
+    vec = st.lists(_coord, min_size=d, max_size=d).map(np.array)
+    delta = draw(vec.filter(lambda v: np.linalg.norm(v) > 1e-3))
+    ls = draw(st.lists(vec, min_size=2, max_size=2).filter(lambda p: np.any(p[0] != p[1])))
+    lo = draw(vec)
+    width = draw(st.lists(st.floats(0.0, 1.5), min_size=d, max_size=d).map(np.array))
+    sys = make_system(4.0 * np.eye(d), [np.zeros(d), delta], ls)
+    return sys, np.stack([lo, lo + width], axis=1)
+
+
+class TestClosedFormSup:
+    @settings(max_examples=150, deadline=None)
+    @given(_gamma_case())
+    def test_brackets_dense_sampling(self, case):
+        sys, box = case
+        sup_sin = estimate_gamma(sys, box).sup_sin
+        d = sys.d
+        per_axis = 2049 if d == 1 else 129
+        axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        delta = sys.B[1] - sys.B[0]
+        dense = max(
+            float(np.abs(sinpi(2.0 * ((pts - l) @ delta))).max()) for l in sys.L
+        )
+        # the sampling bound used before the closed form: dense max plus the
+        # sine's Lipschitz constant times half a grid-cell diagonal
+        half_diag = 0.5 * float(np.linalg.norm((box[:, 1] - box[:, 0]) / (per_axis - 1)))
+        slack = 2.0 * np.pi * float(np.linalg.norm(delta)) * half_diag
+        assert dense <= sup_sin <= 1.0
+        # 1e-12 covers the upward rounding when the box is a single point
+        assert sup_sin <= min(1.0, dense + slack) + 1e-12
+
+        # a peak u in 1/4 + Z/2 strictly inside some interval forces exactly 1
+        for l in sys.L:
+            ends = delta[:, None] * box
+            u_lo = ends.min(axis=1).sum() - l @ delta
+            u_hi = ends.max(axis=1).sum() - l @ delta
+            peak = 0.25 + 0.5 * np.ceil(2.0 * (u_lo + 1e-9) - 0.5)
+            if peak < u_hi - 1e-9:
+                assert sup_sin == 1.0
 
 
 class TestContractionProbe:

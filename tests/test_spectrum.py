@@ -172,6 +172,25 @@ class TestCompletenessScan:
         assert report.status == "inconclusive"
         assert not report.converged
 
+    @pytest.mark.parametrize(
+        "limit",
+        [
+            {"budget": 8},  # the starting depth 3 already needs 2**4 words
+            {"max_depth": 2},  # below the starting depth: no depth in range
+        ],
+    )
+    def test_nothing_evaluated_is_inconclusive(self, cantor4, cantor4_measure, limit):
+        report = completeness_scan(
+            cantor4_measure,
+            enumerate_spectrum(cantor4, 3),
+            grid1d(0.0, 1.0, 0.1),
+            0.99,
+            **limit,
+        )
+        assert report.depths == ()
+        assert report.status == "inconclusive"
+        assert not report.converged
+
     def test_empty_grid_rejected(self, cantor4, cantor4_measure):
         with pytest.raises(ValidationError):
             completeness_scan(
