@@ -25,11 +25,9 @@ check cannot disagree by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.optimize import minimize_scalar
 
 from ._numeric import cospi, hs_norm, operator_norm, sinpi
 from .errors import ConvergenceError, DomainError, ValidationError
@@ -53,6 +51,9 @@ __all__ = [
 
 BOX_TOL = 1e-9
 HULL_MAX_EXPAND = 64
+# 1-D sup polish: samples per zoom round and the bracket width that ends it
+ZOOM_POINTS = 33
+ZOOM_TOL = 1e-12
 # bound on |sinpi(x) - sin(pi x)|: the reduction to r = x - round(x) is
 # exact, so only pi * r and sin round (together below 2.1 eps)
 SINPI_ERR = 4.0 * np.finfo(float).eps
@@ -108,14 +109,38 @@ class GridFunction:
         return cls(box=box, samples=values)
 
     def interpolate(self, pts: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation at (M, d) points inside the box."""
+        """Multilinear interpolation at (M, d) points inside the box.
+
+        In d > 1 a point outside the box raises DomainError; the d = 1 path
+        is np.interp, which holds the end values outside.
+        """
         pts = np.asarray(pts, dtype=float).reshape(-1, self.d)
         if self.d == 1:
             return np.interp(pts[:, 0], self.axes()[0], self.samples)
-        interp = RegularGridInterpolator(
-            self.axes(), self.samples, method="linear", bounds_error=True
-        )
-        return interp(pts)
+        inside = (pts >= self.box[:, 0]) & (pts <= self.box[:, 1])
+        if not np.all(inside):
+            raise DomainError(
+                f"{int(np.sum(~np.all(inside, axis=1)))} interpolation points "
+                "lie outside the box"
+            )
+        ends, fracs = [], []  # per axis: cell end indices and position in cell
+        for axis, x in zip(self.axes(), pts.T):
+            lo = np.searchsorted(axis, x, side="right") - 1
+            lo = np.clip(lo, 0, max(axis.size - 2, 0))
+            hi = np.minimum(lo + 1, axis.size - 1)
+            width = axis[hi] - axis[lo]
+            ends.append((lo, hi))
+            fracs.append(
+                np.divide(x - axis[lo], width, out=np.zeros_like(x), where=width > 0)
+            )
+        out = np.zeros(pts.shape[0])
+        for corner in product((0, 1), repeat=self.d):
+            weight = np.ones(pts.shape[0])
+            for frac, upper in zip(fracs, corner):
+                weight *= frac if upper else 1.0 - frac
+            index = tuple(end[upper] for end, upper in zip(ends, corner))
+            out += weight * self.samples[index]
+        return out
 
     def rows(self):
         """(node coords..., value) tuples, ready for CSV emission."""
@@ -417,9 +442,11 @@ def _transfer_gradient(sys: AffineSystem, q_value, q_grad, pts: np.ndarray) -> n
 def _sup_norm(fn, box: np.ndarray, per_axis: int, refine: bool) -> float:
     """Sup of a smooth nonnegative function over the box via sampling.
 
-    1-D argmax cells get a bounded scalar polish; the result never exceeds
-    the true sup (it only evaluates the function), which is the direction
-    certificate comparisons need.
+    In 1-D the bracket of one grid step either side of the argmax node is
+    zoomed: each round evaluates ZOOM_POINTS points in one call and keeps one
+    sample step either side of the best, until the bracket is ZOOM_TOL wide.
+    The result never exceeds the true sup (it only evaluates the function),
+    which is the direction certificate comparisons need.
     """
     grid = GridFunction(box=box, samples=np.zeros((per_axis,) * box.shape[0]))
     pts = grid.nodes()
@@ -430,14 +457,15 @@ def _sup_norm(fn, box: np.ndarray, per_axis: int, refine: bool) -> float:
         star = pts[int(vals.argmax()), 0]
         lo = max(box[0, 0], star - h)
         hi = min(box[0, 1], star + h)
-        if hi > lo:
-            res = minimize_scalar(
-                lambda y: -float(fn(np.array([[y]]))[0]),
-                bounds=(lo, hi),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
-            best = max(best, float(-res.fun))
+        while hi - lo > ZOOM_TOL:
+            ys = np.linspace(lo, hi, ZOOM_POINTS)
+            zoom = fn(ys[:, None])
+            k = int(zoom.argmax())
+            best = max(best, float(zoom[k]))
+            width = hi - lo
+            lo, hi = ys[max(k - 1, 0)], ys[min(k + 1, ZOOM_POINTS - 1)]
+            if hi - lo >= width:  # bracket at float resolution
+                break
     return best
 
 

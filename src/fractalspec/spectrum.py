@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import BudgetError, ValidationError
 from .measure import FractalMeasure, fourier_mu_many
@@ -36,6 +35,7 @@ __all__ = [
 
 DEFAULT_WORD_BUDGET = 2**24
 DEDUP_TOL = 1e-9
+SEPARATION_BLOCK_ELEMS = 2**20  # pairwise distances held at once
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,9 @@ def enumerate_spectrum(
     """All sums sum_{k=0}^{depth} (R^T)^k l_k over words in L^(depth+1).
 
     Output rows are lexicographically sorted and deduplicated: exact
-    comparison when every element is integral, tolerance 1e-9 otherwise.
+    comparison when every element is integral, otherwise greedily within
+    DEDUP_TOL in max-norm (no two output rows that close, every word sum
+    that close to an output row).
     """
     if depth < 0:
         raise ValidationError(f"depth must be >= 0, got {depth}")
@@ -82,16 +84,63 @@ def enumerate_spectrum(
         sums = (sums[:, None, :] + contrib[None, :, :]).reshape(-1, sys.d)
         contrib = contrib @ sys.R
     sums = sums[np.lexsort(sums.T[::-1])]
-    if np.all(np.abs(sums - np.round(sums)) <= DEDUP_TOL):
+    integral = np.all(np.abs(sums - np.round(sums)) <= DEDUP_TOL)
+    if integral:
         sums = np.round(sums)
-        keep = np.ones(len(sums), dtype=bool)
-        keep[1:] = np.any(np.diff(sums, axis=0) != 0.0, axis=1)
-    else:
-        keep = np.ones(len(sums), dtype=bool)
-        keep[1:] = np.any(np.abs(np.diff(sums, axis=0)) > DEDUP_TOL, axis=1)
+    keep = np.ones(len(sums), dtype=bool)
+    keep[1:] = np.any(np.diff(sums, axis=0) != 0.0, axis=1)
     elements = sums[keep]
+    if not integral:
+        elements = _dedup_near(elements, DEDUP_TOL)
     elements.setflags(write=False)
     return SpectrumEnumeration(sys=sys, depth=depth, elements=elements)
+
+
+def _dedup_near(rows: np.ndarray, tol: float) -> np.ndarray:
+    """Greedy max-norm dedup of lexsorted rows.
+
+    The caller removes exact repeats first, so that no cell holds many
+    copies of one row (repeats are still handled correctly).  A row is kept unless it lies within ``tol`` of an earlier kept row, so
+    kept rows are pairwise more than ``tol`` apart and every dropped row is
+    within ``tol`` of a kept one.  Near pairs are found on d + 1 grids of
+    cell side 2(d+1)g, g >= tol, shifted by 2g along the diagonal: on each
+    axis a near pair straddles the cell walls of at most one grid, so at
+    least one grid holds it in a single cell.  The greedy runs in rounds,
+    each deciding every row whose earlier near neighbours are decided.
+    """
+    m, d = rows.shape
+    # rounding moves each cell wall by a few ulps; with g >= 16 ulps, walls of
+    # different grids stay more than tol apart
+    g = max(tol, 16.0 * float(np.spacing(np.abs(rows).max(initial=0.0))))
+    first, second = [], []
+    for shift in range(d + 1):
+        cells = np.floor((rows + 2.0 * g * shift) / (2.0 * (d + 1) * g))
+        i, j = _pairs_sharing(cells)
+        near = np.max(np.abs(rows[i] - rows[j]), axis=1) <= tol
+        first.append(i[near])
+        second.append(j[near])
+    early = np.concatenate(first)  # i < j: the row earlier in sort order
+    late = np.concatenate(second)
+    state = np.zeros(m, dtype=np.int8)  # 0 open, 1 kept, 2 dropped
+    while np.any(state == 0):
+        state[late[(state[early] == 1) & (state[late] == 0)]] = 2
+        waiting = np.zeros(m, dtype=bool)
+        waiting[late[state[early] == 0]] = True
+        state[(state == 0) & ~waiting] = 1
+    return rows[state == 1]
+
+
+def _pairs_sharing(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All index pairs (i, j), i < j, of rows of ``cells`` that are equal."""
+    order = np.lexsort(cells.T)  # stable: indices rise within each group
+    ordered = cells[order]
+    changes = np.any(ordered[1:] != ordered[:-1], axis=1)
+    starts = np.flatnonzero(np.r_[True, changes])
+    sizes = np.diff(np.r_[starts, len(cells)])
+    after = np.repeat(starts + sizes, sizes) - np.arange(len(cells)) - 1
+    pos = np.repeat(np.arange(len(cells)), after)  # later members of own group
+    offset = np.arange(pos.size) - np.repeat(np.cumsum(after) - after, after)
+    return order[pos], order[pos + 1 + offset]
 
 
 def orthogonality_matrix(
@@ -236,7 +285,21 @@ def completeness_scan(
 
 
 def separation(spec: SpectrumEnumeration) -> float:
-    """Smallest pairwise distance between enumerated frequencies."""
+    """Smallest pairwise Euclidean distance between enumerated frequencies."""
     if spec.size < 2:
         raise ValidationError("separation needs at least two elements")
-    return float(pdist(spec.elements).min())
+    el = spec.elements
+    if el.shape[1] == 1:
+        return float(np.diff(np.sort(el[:, 0])).min())
+    n = el.shape[0]
+    step = max(1, SEPARATION_BLOCK_ELEMS // n)
+    best = np.inf
+    for start in range(0, n - 1, step):
+        block = el[start : start + step]
+        rest = el[start + 1 :]
+        sq = np.zeros((block.shape[0], rest.shape[0]))
+        for k in range(el.shape[1]):  # summed in coordinate order
+            sq += (block[:, None, k] - rest[None, :, k]) ** 2
+        sq[np.tril_indices(block.shape[0], -1, rest.shape[0])] = np.inf  # j <= i
+        best = min(best, float(sq.min()))
+    return float(np.sqrt(best))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from fractalspec.cli import main
 
@@ -267,3 +268,32 @@ def test_entry_point_subprocess(cantor4_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["validation"]["valid"] is True
+
+
+SCIPY_BLOCKED = """
+import json, sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+sys.path.insert(0, {src!r})
+from fractalspec.cli import main
+code = main(["certify", "--system", {system!r}, "--trials", "3", "--seed", "1"])
+loaded = [name for name, mod in sys.modules.items()
+          if name.split(".")[0] == "scipy" and mod is not None]
+print(json.dumps({{"code": code, "scipy_modules": loaded}}), file=sys.stderr)
+raise SystemExit(code)
+"""
+
+
+def test_certify_runs_without_scipy():
+    root = Path(__file__).resolve().parents[1]
+    script = SCIPY_BLOCKED.format(
+        src=str(root / "src"), system=str(root / "bench" / "systems" / "cantor4.json")
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=root
+    )
+    assert proc.returncode == 0, proc.stderr
+    status = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert status == {"code": 0, "scipy_modules": []}
+    report = json.loads(proc.stdout)
+    assert report["certificate"]["basis_certified"] is True
+    assert report["certificate"]["trials"] == 3

@@ -20,7 +20,7 @@ from fractalspec import (
     q_partial_many,
 )
 from fractalspec._numeric import sinpi
-from fractalspec.ruelle import check_box_invariance, probe_ratio
+from fractalspec.ruelle import _sup_norm, check_box_invariance, probe_ratio
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +147,84 @@ class TestGridFunction:
         q = grid_fn(hull, 257, lambda p: 3.0 * p[:, 0] + 1.0)
         pts = np.linspace(hull[0, 0], hull[0, 1], 101).reshape(-1, 1)
         assert np.allclose(q.interpolate(pts), 3.0 * pts[:, 0] + 1.0, atol=1e-12)
+
+
+def multilinear(p):
+    # affine in each coordinate separately, so multilinear interpolation is exact
+    value = 1.0 + 2.0 * p[:, 0] - 3.0 * p[:, 1] + p[:, 0] * p[:, 1]
+    if p.shape[1] == 3:
+        value = value + 0.5 * p[:, 2] - p[:, 0] * p[:, 1] * p[:, 2]
+    return value
+
+
+class TestMultilinearInterpolation:
+    @pytest.fixture(params=[2, 3])
+    def grid(self, request, quad2d):
+        box = attractor_hull(quad2d)
+        if request.param == 3:
+            box = np.vstack([box, [[-0.5, 1.5]]])
+        shape = (9, 17, 5)[: request.param]
+        return GridFunction.from_callable(box, shape, multilinear)
+
+    def test_interior_points(self, grid):
+        rng = np.random.default_rng(3)
+        lo, hi = grid.box[:, 0], grid.box[:, 1]
+        pts = lo + rng.random((500, grid.d)) * (hi - lo)
+        assert np.max(np.abs(grid.interpolate(pts) - multilinear(pts))) <= 1e-12
+
+    def test_nodes(self, grid):
+        nodes = grid.nodes()
+        assert np.max(np.abs(grid.interpolate(nodes) - grid.samples.ravel())) <= 1e-12
+
+    def test_box_faces(self, grid):
+        rng = np.random.default_rng(4)
+        lo, hi = grid.box[:, 0], grid.box[:, 1]
+        pts = lo + rng.random((200, grid.d)) * (hi - lo)
+        for axis in range(grid.d):
+            for end in (lo, hi):
+                face = pts.copy()
+                face[:, axis] = end[axis]
+                err = np.abs(grid.interpolate(face) - multilinear(face))
+                assert np.max(err) <= 1e-12
+
+    def test_outside_box_raises(self, grid):
+        point = grid.box[:, 0].copy()
+        point[-1] = grid.box[-1, 1] + 1e-6
+        with pytest.raises(DomainError):
+            grid.interpolate(point)
+
+    def test_degenerate_axis(self):
+        q = GridFunction.from_callable([[0.0, 1.0], [2.0, 2.0]], (5, 3), multilinear)
+        pts = np.array([[0.3, 2.0], [1.0, 2.0]])
+        assert np.max(np.abs(q.interpolate(pts) - multilinear(pts))) <= 1e-12
+
+
+class TestSupNorm:
+    def test_polish_between_nodes(self):
+        box = np.array([[0.0, 1.0]])
+        peak = 0.3 + 1.0 / 3.0 * 1e-3  # strictly between nodes of the 129-point grid
+
+        def bump(pts):
+            return 1.0 - (pts[:, 0] - peak) ** 2  # sup 1 at the peak
+
+        grid_max = float(bump(np.linspace(0.0, 1.0, 129)[:, None]).max())
+        assert grid_max < 1.0 - 1e-9
+        polished = _sup_norm(bump, box, 129, refine=True)
+        assert grid_max <= polished <= 1.0
+        assert polished >= 1.0 - 1e-9
+        assert _sup_norm(bump, box, 129, refine=False) == grid_max
+
+    def test_polish_calls(self):
+        calls = []
+
+        def bump(pts):
+            calls.append(len(pts))
+            return np.cos(pts[:, 0] - 0.123456789)
+
+        _sup_norm(bump, np.array([[-1.0, 1.0]]), 4097, refine=True)
+        # grid, then a few 33-point zoom rounds from a 2-step bracket to 1e-12
+        assert calls[0] == 4097
+        assert 1 <= len(calls) - 1 <= 8
 
 
 class TestLipschitzNorm:

@@ -14,7 +14,34 @@ from fractalspec import (
     scale_system,
     separation,
 )
+from fractalspec.spectrum import DEDUP_TOL, _dedup_near
 from tests.conftest import grid1d
+
+
+def max_norm_gaps(a, b):
+    return np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
+
+
+def assert_tolerance_dedup(inputs, outputs):
+    gaps = max_norm_gaps(outputs, outputs)
+    np.fill_diagonal(gaps, np.inf)
+    assert gaps.min() > DEDUP_TOL  # no two output rows are near
+    assert max_norm_gaps(inputs, outputs).min(axis=1).max() <= DEDUP_TOL  # covered
+
+
+def greedy_dedup(rows):
+    # reference: keep a row unless an earlier kept row is within DEDUP_TOL
+    kept = []
+    for row in rows:
+        if all(np.max(np.abs(row - k)) > DEDUP_TOL for k in kept):
+            kept.append(row)
+    return np.array(kept)
+
+
+def brute_separation(elements):
+    el = np.asarray(elements, dtype=float)
+    dist = np.sqrt(((el[:, None, :] - el[None, :, :]) ** 2).sum(axis=2))
+    return dist[np.triu_indices(len(el), 1)].min()
 
 
 class TestEnumeration:
@@ -57,7 +84,64 @@ class TestEnumeration:
         assert spec.elements.ravel().tolist() == [0.0, 1.0, 8.0, 9.0]
 
 
+class TestNearDuplicates:
+    def test_non_adjacent_near_duplicates(self):
+        # a third row sorts between two near-duplicates of (0.3, 2.1)
+        s = make_system(
+            [[3, 0], [0, 3]],
+            [[0, 0], [1 / 3, 0], [0, 1 / 3], [1 / 3, 1 / 3]],
+            [[0, 0], [0.1, 0.7], [0.3, 2.1], [0.3, 5.0]],
+        )
+        sums = (s.L @ s.R)[:, None, :] + s.L[None, :, :]
+        spec = enumerate_spectrum(s, 1)
+        assert spec.size == 15
+        assert_tolerance_dedup(sums.reshape(-1, 2), spec.elements)
+        near = np.abs(spec.elements - [0.3, 2.1]).max(axis=1) <= DEDUP_TOL
+        assert near.sum() == 1
+
+    @pytest.mark.parametrize("base", [0.0, 0.5, 1234.5678, -42.125])
+    def test_cluster_straddling_cells(self, base):
+        # spacing 0.6 tol: a chain longer than tol that crosses cell walls
+        # wherever it starts; greedy keeps rows 0, 2, 4
+        offsets = np.arange(5) * 0.6 * DEDUP_TOL
+        rows = np.stack([base + offsets, np.full(5, 7.0)], axis=1)
+        out = _dedup_near(rows, DEDUP_TOL)
+        assert_tolerance_dedup(rows, out)
+        assert out.tolist() == rows[[0, 2, 4]].tolist()
+
+    def test_random_clusters(self):
+        rng = np.random.default_rng(11)
+        for d, shift in [(1, 0.25), (2, 0.25), (3, 0.25), (2, -3.1e6)]:
+            # at 3.1e6 the float spacing (4.7e-10) is close to the tolerance
+            centres = rng.integers(-3, 4, size=(40, d)) * 7e-10 + shift
+            rows = centres + rng.normal(scale=2e-10, size=centres.shape)
+            rows = rows[np.lexsort(rows.T[::-1])]
+            out = _dedup_near(rows, DEDUP_TOL)
+            assert_tolerance_dedup(rows, out)
+            assert np.array_equal(out, greedy_dedup(rows))
+
+
 class TestSeparation:
+    def test_quad2d_matches_brute_force(self, quad2d):
+        spec = enumerate_spectrum(quad2d, 2)
+        assert separation(spec) == brute_separation(spec.elements) == 1.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_unsorted_elements_match_brute_force(self, d):
+        rng = np.random.default_rng(5 + d)
+        s = make_system(3.0 * np.eye(d), np.zeros((1, d)), np.zeros((1, d)))
+        elements = rng.normal(scale=10.0, size=(300, d))
+        spec = SpectrumEnumeration.from_elements(s, elements)
+        assert separation(spec) == brute_separation(elements)
+
+    def test_blocked_rows(self, monkeypatch, quad2d):
+        import fractalspec.spectrum as spectrum
+
+        spec = enumerate_spectrum(quad2d, 2)
+        expected = separation(spec)
+        monkeypatch.setattr(spectrum, "SEPARATION_BLOCK_ELEMS", 100)
+        assert separation(spec) == expected
+
     def test_cantor4_depth_two(self, cantor4):
         assert separation(enumerate_spectrum(cantor4, 2)) == 1.0
 
