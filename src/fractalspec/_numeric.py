@@ -21,6 +21,9 @@ __all__ = [
     "multi_indices",
 ]
 
+CIS_BLOCK = 2**16  # elements per block of cis2pi
+_QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])  # i^k, k = 0..3
+
 
 def sinpi(x):
     """sin(pi*x), exact at integers and half-integers."""
@@ -41,10 +44,34 @@ def cospi(x):
 
 
 def cis2pi(x):
-    """exp(2*pi*i*x) with exact values at quarter-integer x."""
+    """exp(2*pi*i*x) with exact values at quarter-integer x.
+
+    x = q/4 + r with q = round(4x) and |r| <= 1/8; the subtraction is exact,
+    so exp(2 pi i x) = i^q exp(2 pi i r) takes one cos/sin pair of 2 pi r
+    and an exact quarter turn (a swap and sign changes).  At quarter-integer
+    x, r = 0 and the components are exactly 0 or +-1.  The flattened input
+    is processed in blocks of CIS_BLOCK elements so that the temporaries
+    stay small whatever the input size.
+    """
     x = np.asarray(x, dtype=float)
-    y = 2.0 * x
-    return cospi(y) + 1j * sinpi(y)
+    flat = x.reshape(-1)
+    out = np.empty(flat.size, dtype=complex)
+    for start in range(0, flat.size, CIS_BLOCK):
+        stop = start + CIS_BLOCK
+        _cis2pi_block(flat[start:stop], out[start:stop])
+    out = out.reshape(x.shape)
+    return out if out.ndim else complex(out)
+
+
+def _cis2pi_block(x: np.ndarray, out: np.ndarray) -> None:
+    with np.errstate(invalid="ignore"):  # non-finite x: nan, whatever the turn
+        q = np.round(4.0 * x)
+        r = x - 0.25 * q
+        r *= 2.0 * np.pi
+        np.cos(r, out=out.real)
+        np.sin(r, out=out.imag)
+        turns = np.mod(q, 4.0).astype(np.intp) & 3
+    out *= _QUARTER_TURNS[turns]  # products with 0 and +-1 are exact
 
 
 def operator_norm(mat) -> float:

@@ -28,7 +28,6 @@ from .spectrum import (
     completeness_scan,
     enumerate_spectrum,
     orthogonality_matrix,
-    q_partial_many,
     separation,
 )
 from .systems import AffineSystem, cantor_four, load_system, two_digit_system, validate_system
@@ -83,7 +82,8 @@ def _parse_window(spec: str) -> tuple[float, float]:
     return _parse_number(fields[0], warn=False), _parse_number(fields[1], warn=False)
 
 
-def _parse_coeffs(spec: str) -> dict:
+def _parse_coeffs(spec: str, d: int) -> dict:
+    """Parse "lambda=value,..."; in d > 1 a key is "x:y[:...]" (a tuple)."""
     out: dict = {}
     for item in spec.split(","):
         if not item.strip():
@@ -91,7 +91,14 @@ def _parse_coeffs(spec: str) -> dict:
         key, _, value = item.partition("=")
         if not value:
             raise FractalSpecError(f"bad coefficient {item!r}, want lambda=value")
-        out[_parse_number(key, warn=False)] = complex(value)
+        parts = key.split(":")
+        if len(parts) != d:
+            raise FractalSpecError(
+                f"coefficient key {key.strip()!r} has {len(parts)} components, "
+                f"system has d = {d} (separate components with ':')"
+            )
+        lam = tuple(_parse_number(x, warn=False) for x in parts)
+        out[lam[0] if d == 1 else lam] = complex(value)
     if not out:
         raise FractalSpecError("empty coefficient list")
     return out
@@ -250,14 +257,24 @@ def _cmd_completeness(args) -> int:
         _emit(args, payload, csv_header=header, csv_rows=[])
         return 0
     spec = enumerate_spectrum(sys_, args.depth)
-    report = completeness_scan(m, spec, grid, target=args.target, increment_tol=args.increment_tol)
-    final_depth = report.depths[-1]
-    final_spec = spec if final_depth < 0 else enumerate_spectrum(sys_, final_depth)
-    q_values = q_partial_many(m, final_spec, grid)
-    rows = [tuple(pt) + (q,) for pt, q in zip(grid, q_values)]
+    report = completeness_scan(
+        m,
+        spec,
+        grid,
+        target=args.target,
+        increment_tol=args.increment_tol,
+        max_depth=args.max_depth,
+    )
+    rows = [tuple(pt) + (q,) for pt, q in zip(grid, report.Q)]
     header = (["t"] if sys_.d == 1 else [f"t{i}" for i in range(sys_.d)]) + ["Q"]
     payload = {
-        "config": _config_block(args, "completeness", grid=args.grid, increment_tol=args.increment_tol),
+        "config": _config_block(
+            args,
+            "completeness",
+            grid=args.grid,
+            increment_tol=args.increment_tol,
+            max_depth=args.max_depth,
+        ),
         "validation": validation,
         "report": report.as_dict(),
     }
@@ -380,7 +397,7 @@ def _cmd_hardy(args) -> int:
     sys_, validation = _load_validated(args)
     m = FractalMeasure(sys_)
     spec = enumerate_spectrum(sys_, args.depth)
-    coeffs = _parse_coeffs(args.coeffs)
+    coeffs = _parse_coeffs(args.coeffs, sys_.d)
     report = hardy_roundtrip(m, spec, coeffs, depth=args.quadrature_depth)
     payload = {
         "config": _config_block(
@@ -451,6 +468,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="0:1:0.01")
     p.add_argument("--target", type=float, default=0.99)
     p.add_argument("--increment-tol", type=float, default=1e-4, dest="increment_tol")
+    p.add_argument(
+        "--max-depth",
+        type=int,
+        default=None,
+        dest="max_depth",
+        help="deepest enumeration to escalate to (default: starting depth + 8)",
+    )
     p.set_defaults(fn=_cmd_completeness)
 
     p = sub.add_parser("ruelle-bound", help="contraction bound plus empirical probe ratios")
@@ -501,7 +525,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hardy", help="coefficient round-trip through the atomic quadrature")
     common(p)
     p.add_argument("--depth", type=int, default=1, help="spectrum depth carrying the coefficients")
-    p.add_argument("--coeffs", required=True, help="lambda=value pairs, comma separated")
+    p.add_argument(
+        "--coeffs",
+        required=True,
+        help="lambda=value pairs, comma separated; in d > 1 lambda is x:y[:...]",
+    )
     p.add_argument("--quadrature-depth", type=int, default=10, dest="quadrature_depth")
     p.add_argument("--max-error", type=float, default=1e-6, dest="max_error")
     p.set_defaults(fn=_cmd_hardy)

@@ -157,19 +157,29 @@ def fourier_mu(m: FractalMeasure, t) -> tuple[complex, float]:
 
 
 def fourier_mu_many(m: FractalMeasure, T) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized mu-hat over rows of T (shape (M, d))."""
+    """Vectorized mu-hat over rows of T (shape (M, d)).
+
+    The product depth and the tails come from all rows; the product itself
+    runs once per distinct row (bit pattern), so repeated arguments, such as
+    the differences of a lattice spectrum, cost one evaluation each.
+    """
     T = np.asarray(T, dtype=float).reshape(-1, m.sys.d)
     norms = np.linalg.norm(T, axis=1)
     max_norm = float(norms.max(initial=0.0))
     depth = m._depth_for(max_norm)
-    values = np.ones(T.shape[0], dtype=complex)
-    pts = T
+    bits = T.view(np.int64)
+    if m.sys.d == 1:
+        distinct, inverse = np.unique(bits[:, 0], return_inverse=True)
+    else:
+        distinct, inverse = np.unique(bits, axis=0, return_inverse=True)
+    pts = distinct.view(float).reshape(-1, m.sys.d)
+    values = np.ones(pts.shape[0], dtype=complex)
     for _ in range(depth):
         values *= np.conj(chi_mask(m.sys, pts))
         pts = pts @ m.sys.rinv  # row form of t -> (R^T)^-1 t
     scale = 2.0 * np.pi * m._max_b
     tails = scale * norms * m._tail_sums[depth]
-    return values, tails
+    return values[inverse.reshape(-1)], tails
 
 
 def atomic_approximation(

@@ -111,18 +111,18 @@ class GridFunction:
     def interpolate(self, pts: np.ndarray) -> np.ndarray:
         """Multilinear interpolation at (M, d) points inside the box.
 
-        In d > 1 a point outside the box raises DomainError; the d = 1 path
-        is np.interp, which holds the end values outside.
+        A point outside the box raises DomainError; points on its faces
+        (in d = 1, its ends) are inside.
         """
         pts = np.asarray(pts, dtype=float).reshape(-1, self.d)
-        if self.d == 1:
-            return np.interp(pts[:, 0], self.axes()[0], self.samples)
         inside = (pts >= self.box[:, 0]) & (pts <= self.box[:, 1])
         if not np.all(inside):
             raise DomainError(
                 f"{int(np.sum(~np.all(inside, axis=1)))} interpolation points "
                 "lie outside the box"
             )
+        if self.d == 1:
+            return np.interp(pts[:, 0], self.axes()[0], self.samples)
         ends, fracs = [], []  # per axis: cell end indices and position in cell
         for axis, x in zip(self.axes(), pts.T):
             lo = np.searchsorted(axis, x, side="right") - 1

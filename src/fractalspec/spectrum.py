@@ -193,6 +193,7 @@ class CompletenessReport:
     target: float
     depths: tuple[int, ...]
     min_trace: tuple[float, ...]
+    Q: np.ndarray  # per grid point at the last depth (empty if none); not in as_dict
 
     def as_dict(self) -> dict:
         return {
@@ -225,6 +226,11 @@ def completeness_scan(
     Evidence labels: Q_n only ever underestimates the limit, so
     "complete-evidence" (min Q >= target) is one-sided and
     "incomplete-evidence" additionally requires convergence.
+
+    When the enumeration is integral and each depth's set holds the
+    previous one (compared exactly; 0 in L makes the sets nested), only the
+    new frequencies are summed onto the running Q; otherwise every depth is
+    summed afresh.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1, m.sys.d)
     if grid.size == 0:
@@ -233,37 +239,40 @@ def completeness_scan(
     trace: list[float] = []
     converged = False
     exhausted = False
-
-    def evaluate(s: SpectrumEnumeration):
-        values = q_partial_many(m, s, grid)
-        return float(values.min()), int(values.argmin()), float(values.max())
+    q = np.empty(0)
 
     if spec.depth is None:
         # fixed element set: single evaluation, nothing to escalate
-        min_q, arg, max_q = evaluate(spec)
+        q = q_partial_many(m, spec, grid)
+        max_q = float(q.max())
         depths.append(-1)
-        trace.append(min_q)
+        trace.append(float(q.min()))
         converged = True
     else:
         top = spec.depth + 8 if max_depth is None else max_depth
-        arg, min_q, max_q, prev = 0, np.inf, -np.inf, None
+        max_q, previous = -np.inf, None
         for depth in range(spec.depth, top + 1):
             try:
                 s = enumerate_spectrum(m.sys, depth, budget=budget)
             except BudgetError:
                 exhausted = True
                 break
-            min_q, arg, mq = evaluate(s)
-            max_q = max(max_q, mq)
+            fresh = None if previous is None else _new_rows(previous, s)
+            if fresh is None:
+                q = q_partial_many(m, s, grid)
+            else:
+                q = q + q_partial_many(m, fresh, grid)
+            previous = s
+            max_q = max(max_q, float(q.max()))
             depths.append(depth)
-            trace.append(min_q)
-            if prev is not None and abs(min_q - prev) < increment_tol:
+            trace.append(float(q.min()))
+            if len(trace) > 1 and abs(trace[-1] - trace[-2]) < increment_tol:
                 converged = True
                 break
-            prev = min_q
         else:
             exhausted = True
 
+    min_q = float(q.min(initial=np.inf))
     if not depths:
         status = "inconclusive"  # budget or max_depth left nothing to evaluate
     elif min_q >= target:
@@ -272,16 +281,41 @@ def completeness_scan(
         status = "incomplete-evidence"
     else:
         status = "inconclusive" if exhausted else "incomplete-evidence"
+    q.setflags(write=False)
     return CompletenessReport(
         min_Q=min_q,
-        argmin=grid[arg].copy(),
+        argmin=grid[int(q.argmin()) if q.size else 0].copy(),
         max_Q=max_q,
         converged=converged,
         status=status,
         target=target,
         depths=tuple(depths),
         min_trace=tuple(trace),
+        Q=q,
     )
+
+
+def _new_rows(
+    old: SpectrumEnumeration, new: SpectrumEnumeration
+) -> SpectrumEnumeration | None:
+    """The rows of ``new`` that are not rows of ``old``, compared exactly.
+
+    None unless both sets are integral and ``old`` is a subset of ``new``:
+    a non-integral set may keep other near-duplicate representatives at the
+    next depth, and summing only the new rows would then count some
+    frequencies twice.
+    """
+    both = np.concatenate([old.elements, new.elements])
+    if not np.all(both == np.round(both)):
+        return None
+    _, inverse = np.unique(both, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    seen = np.zeros(both.shape[0], dtype=bool)
+    seen[inverse[: old.size]] = True
+    fresh = ~seen[inverse[old.size :]]
+    if old.size + int(fresh.sum()) != new.size:
+        return None
+    return SpectrumEnumeration.from_elements(new.sys, new.elements[fresh])
 
 
 def separation(spec: SpectrumEnumeration) -> float:

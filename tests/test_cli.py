@@ -143,6 +143,43 @@ def test_completeness_positive(cantor4_file, capsys):
     assert payload["report"]["min_Q"] >= 0.99
 
 
+QUAD2D = {
+    "d": 2,
+    "R": [["4", "0"], ["0", "4"]],
+    "B": [["0", "0"], ["1/2", "0"], ["0", "1/2"], ["1/2", "1/2"]],
+    "L": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]],
+}
+
+
+def test_completeness_max_depth_caps_escalation(write_system, capsys):
+    argv = ["completeness", "--system", write_system(QUAD2D), "--depth", "1"]
+    argv += ["--grid", "0:1:0.1,0:1:0.1", "--max-depth", "3", "--target", "1"]
+    code, out, _ = run_cli(argv, capsys)
+    payload = json.loads(out)
+    assert code == 2
+    assert payload["config"]["max_depth"] == 3
+    assert payload["report"]["depths"] == [1, 2, 3]
+    assert payload["report"]["status"] == "inconclusive"
+
+
+def test_completeness_max_depth_below_start(cantor4_file, capsys):
+    argv = ["completeness", "--system", cantor4_file, "--depth", "3", "--max-depth", "2"]
+    code, out, err = run_cli(argv + ["--format", "csv"], capsys)
+    assert code == 2 and err == ""
+    assert [line for line in out.splitlines() if not line.startswith("#")] == ["t,Q"]
+
+
+def test_completeness_rows_are_the_scanned_q(cantor4_file, capsys):
+    argv = ["completeness", "--system", cantor4_file, "--depth", "2", "--grid", "0:1:0.05"]
+    _, out, _ = run_cli(argv, capsys)
+    report = json.loads(out)["report"]
+    _, csv_out, _ = run_cli(argv + ["--format", "csv"], capsys)
+    rows = [line.split(",") for line in csv_out.splitlines() if not line.startswith("#")][1:]
+    q = [float(row[1]) for row in rows]
+    assert len(q) == 21
+    assert min(q) == report["min_Q"] and max(q) == report["max_Q"]
+
+
 def test_orthogonality_exit_codes(cantor4_file, write_system, capsys):
     code, out, _ = run_cli(
         ["orthogonality", "--system", cantor4_file, "--depth", "2"], capsys
@@ -224,6 +261,26 @@ def test_hardy_command(cantor4_file, capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["roundtrip"]["recon_error"] <= 1e-6
+
+
+def test_hardy_two_dimensional_keys(write_system, capsys):
+    code, out, _ = run_cli(
+        ["hardy", "--system", write_system(QUAD2D), "--coeffs", "0:0=1,1:0=0.5,1:1=0.25j"],
+        capsys,
+    )
+    trip = json.loads(out)["roundtrip"]
+    assert code == 0
+    assert trip["recon_error"] <= 1e-6
+    assert len(trip["recovered"]) == 3
+
+
+def test_hardy_key_with_wrong_dimension(cantor4_file, write_system, capsys):
+    quad2d_file = write_system(QUAD2D, "quad2d.json")
+    for system, coeffs in ((quad2d_file, "0=1,1=0.5"), (cantor4_file, "0:1=1")):
+        code, out, err = run_cli(["hardy", "--system", system, "--coeffs", coeffs], capsys)
+        assert code == 1
+        assert out == ""
+        assert "d = " in err and "Traceback" not in err
 
 
 def test_ruelle_bound_command(cantor4_file, capsys):

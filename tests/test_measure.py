@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalspec import (
     BudgetError,
@@ -9,12 +11,59 @@ from fractalspec import (
     atomic_approximation,
     chaos_sample,
     chi_mask,
+    enumerate_spectrum,
     fourier_mu,
     fourier_mu_many,
     make_system,
     moments,
+    orthogonality_matrix,
 )
-from fractalspec._numeric import power_norm_tail
+from fractalspec import measure
+from fractalspec._numeric import CIS_BLOCK, _cis2pi_block, cis2pi, power_norm_tail
+
+EPS = np.finfo(float).eps
+
+
+def bits(values):
+    """Bit patterns of a complex array (tells 0.0 from -0.0)."""
+    return np.ascontiguousarray(values, dtype=complex).view(np.int64)
+
+
+class TestCis2pi:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=50))
+    def test_matches_exp(self, xs):
+        # np.exp's own argument 2 pi x carries up to pi |x| eps of rounding
+        x = np.asarray(xs)
+        err = np.abs(cis2pi(x) - np.exp(2j * np.pi * x))
+        assert np.all(err <= 4.0 * EPS * np.maximum(1.0, 2.0 * np.pi * np.abs(x)))
+
+    def test_exact_at_quarter_integers(self):
+        k = np.concatenate([np.arange(-4000, 4001), [4 * 10**9 + 1, -(4 * 10**9) - 3, 2**52 + 2]])
+        values = cis2pi(k / 4.0)
+        assert np.all(np.isin(values.real, (-1.0, 0.0, 1.0)))
+        assert np.all(np.isin(values.imag, (-1.0, 0.0, 1.0)))
+        assert np.array_equal(values, np.array([1.0, 1j, -1.0, -1j])[k % 4])
+
+    @pytest.mark.parametrize("size", [CIS_BLOCK - 1, CIS_BLOCK, CIS_BLOCK + 1, 3 * CIS_BLOCK])
+    def test_blocks_match_one_block(self, size):
+        x = np.random.default_rng(size).uniform(-1e4, 1e4, size)
+        x[::7] = np.round(4.0 * x[::7]) / 4.0
+        whole = np.empty(size, dtype=complex)
+        _cis2pi_block(x, whole)
+        assert np.array_equal(bits(cis2pi(x)), bits(whole))
+
+    def test_shapes(self):
+        x = np.linspace(-3.0, 3.0, 24).reshape(2, 3, 4)
+        assert cis2pi(x).shape == (2, 3, 4)
+        assert cis2pi(np.empty((0, 2))).shape == (0, 2)
+        value = cis2pi(0.25)
+        assert type(value) is complex and value == 1j
+        assert type(cis2pi(np.float64(0.1))) is complex
+
+    def test_non_finite_stays_non_finite(self):
+        assert np.all(np.isnan(cis2pi(np.array([np.nan, np.inf, -np.inf]))))
+
 
 
 class TestChiMask:
@@ -87,6 +136,45 @@ class TestFourier:
         t = rng.uniform(-50, 50, size=(200, 1))
         values, tails = fourier_mu_many(cantor4_measure, t)
         assert np.all(np.abs(values) <= 1.0 + tails)
+
+    @pytest.mark.parametrize("name", ["cantor4", "quad2d"])
+    def test_repeated_rows_match_per_row_product(self, request, name):
+        sys = request.getfixturevalue(name)
+        m = FractalMeasure(sys)
+        rng = np.random.default_rng(7)
+        rows = rng.uniform(-40.0, 40.0, size=(300, sys.d))
+        rows[:50] = np.round(rows[:50])
+        rows[50] = 0.0
+        rows[51] = -0.0
+        T = rows[rng.integers(0, 300, size=3000)]
+        # reference: the product over every row, repeats included
+        depth = m._depth_for(float(np.linalg.norm(T, axis=1).max()))
+        expected = np.ones(T.shape[0], dtype=complex)
+        pts = T
+        for _ in range(depth):
+            expected *= np.conj(chi_mask(sys, pts))
+            pts = pts @ sys.rinv
+        values, tails = fourier_mu_many(m, T)
+        assert np.array_equal(bits(values), bits(expected))
+        norm_tails = 2.0 * np.pi * m._max_b * np.linalg.norm(T, axis=1) * m._tail_sums[depth]
+        assert np.array_equal(tails, norm_tails)
+
+    def test_one_evaluation_per_distinct_difference(self, cantor4, cantor4_measure, monkeypatch):
+        # depth-8 cantor4 spectrum: 512^2 differences, 3^9 distinct values
+        rows = []
+
+        def counting(sys, t):
+            rows.append(np.shape(t)[0])
+            return chi_mask(sys, t)
+
+        monkeypatch.setattr(measure, "chi_mask", counting)
+        max_off, _ = orthogonality_matrix(cantor4_measure, enumerate_spectrum(cantor4, 8))
+        assert max_off == 0.0
+        assert rows and set(rows) == {19683}
+
+    def test_empty_rows(self, quad2d):
+        values, tails = fourier_mu_many(FractalMeasure(quad2d), np.empty((0, 2)))
+        assert values.shape == (0,) and tails.shape == (0,)
 
     def test_tails_come_from_the_system(self, cantor4):
         m = FractalMeasure(cantor4, max_product_depth=10)

@@ -148,6 +148,15 @@ class TestGridFunction:
         pts = np.linspace(hull[0, 0], hull[0, 1], 101).reshape(-1, 1)
         assert np.allclose(q.interpolate(pts), 3.0 * pts[:, 0] + 1.0, atol=1e-12)
 
+    def test_interpolation_outside_interval_raises(self, hull):
+        q = grid_fn(hull, 33, lambda p: 3.0 * p[:, 0] + 1.0)
+        lo, hi = hull[0]
+        ends = np.array([[lo], [hi]])
+        assert np.array_equal(q.interpolate(ends), q.samples[[0, -1]])
+        for x in (lo - 1e-9, hi + 1e-9):
+            with pytest.raises(DomainError):
+                q.interpolate([[x]])
+
 
 def multilinear(p):
     # affine in each coordinate separately, so multilinear interpolation is exact

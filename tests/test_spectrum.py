@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalspec import (
     BudgetError,
+    FractalMeasure,
     SpectrumEnumeration,
     ValidationError,
     completeness_scan,
@@ -14,6 +17,7 @@ from fractalspec import (
     scale_system,
     separation,
 )
+from fractalspec import spectrum
 from fractalspec.spectrum import DEDUP_TOL, _dedup_near
 from tests.conftest import grid1d
 
@@ -283,3 +287,103 @@ class TestCompletenessScan:
                 np.empty((0, 1)),
                 target=0.99,
             )
+
+
+def summed_sizes(monkeypatch):
+    """Record the number of frequencies of each q_partial_many call."""
+    sizes = []
+
+    def spy(m, spec, T):
+        sizes.append(spec.size)
+        return q_partial_many(m, spec, T)
+
+    monkeypatch.setattr(spectrum, "q_partial_many", spy)
+    return sizes
+
+
+class TestIncrementalScan:
+    @pytest.fixture(params=["cantor4", "quad2d"])
+    def case(self, request):
+        sys = request.getfixturevalue(request.param)
+        if sys.d == 1:
+            return sys, grid1d(0.0, 1.0, 0.01), 2, None
+        axis = np.arange(0.0, 1.05, 0.1)
+        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        return sys, grid, 1, 3
+
+    def scan(self, sys, grid, depth, max_depth):
+        m = FractalMeasure(sys)
+        return completeness_scan(
+            m, enumerate_spectrum(sys, depth), grid, target=0.99, max_depth=max_depth
+        )
+
+    def test_matches_full_resum(self, case, monkeypatch):
+        incremental = self.scan(*case)
+        monkeypatch.setattr(spectrum, "_new_rows", lambda old, new: None)
+        full = self.scan(*case)
+        assert len(incremental.depths) >= 3
+        assert incremental.depths == full.depths
+        assert incremental.status == full.status
+        assert np.max(np.abs(incremental.Q - full.Q)) <= 1e-14
+        assert np.max(np.abs(np.subtract(incremental.min_trace, full.min_trace))) <= 1e-14
+
+    def test_sums_each_frequency_once(self, case, monkeypatch):
+        sizes = summed_sizes(monkeypatch)
+        report = self.scan(*case)
+        total = [enumerate_spectrum(case[0], d).size for d in report.depths]
+        assert sizes == [total[0]] + list(np.diff(total))
+
+    @pytest.mark.parametrize(
+        "B, L",
+        [
+            ([0.0, 0.5], [1.0, 2.0]),  # 0 not in L: the sets are not nested
+            ([0.0, 1.5], [0.0, 1.0 / 3.0]),  # non-integral frequencies
+        ],
+    )
+    def test_resums_when_not_nested_or_not_integral(self, B, L, monkeypatch):
+        sys = make_system(4.0, B, L)
+        sizes = summed_sizes(monkeypatch)
+        report = completeness_scan(
+            FractalMeasure(sys), enumerate_spectrum(sys, 1), grid1d(0.0, 1.0, 0.05), 0.99,
+            max_depth=4,
+        )
+        assert len(report.depths) >= 2
+        assert sizes == [enumerate_spectrum(sys, d).size for d in report.depths]
+
+    def test_new_rows_needs_a_subset(self, cantor4):
+        deeper = enumerate_spectrum(cantor4, 2)  # {0, 1, 4, 5, 16, 17, 20, 21}
+        fresh = spectrum._new_rows(enumerate_spectrum(cantor4, 1), deeper)
+        assert fresh.elements[:, 0].tolist() == [16.0, 17.0, 20.0, 21.0]
+        stray = SpectrumEnumeration.from_elements(cantor4, [[0.0], [2.0]])
+        assert spectrum._new_rows(stray, deeper) is None
+
+    def test_report_carries_final_q(self, case):
+        report = self.scan(*case)
+        assert report.Q.shape == (case[1].shape[0],)
+        assert report.Q.min() == report.min_Q
+        assert report.Q.max() == report.max_Q
+        assert not report.Q.flags.writeable
+        assert "Q" not in report.as_dict()
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        k=st.integers(2, 3),
+        lift=st.lists(st.integers(0, 1), min_size=3, max_size=3),
+    )
+    def test_q_never_decreases_with_depth(self, n, k, lift):
+        # Hadamard triple R = N k, B = {0..N-1}/N, L = {0..N-1} + N lift, 0 in L
+        L = np.arange(n) + n * np.concatenate([[0], lift[: n - 1]])
+        sys = make_system(float(n * k), np.arange(n) / n, L)
+        m = FractalMeasure(sys)
+        grid = grid1d(-1.0, 1.0, 0.1)
+        previous = np.zeros(grid.shape[0])
+        for top in range(0, 3):
+            report = completeness_scan(
+                m, enumerate_spectrum(sys, 0), grid, 0.99, increment_tol=0.0, max_depth=top
+            )
+            assert report.depths == tuple(range(top + 1))
+            assert np.all(np.diff(report.min_trace) >= 0.0)
+            assert np.all(report.Q >= previous)
+            assert report.max_Q <= 1.0 + 1e-9  # Bessel
+            previous = report.Q
