@@ -89,37 +89,35 @@ def power_norms(mat, count: int) -> np.ndarray:
 
     Computed from accumulated powers of the explicit inverse, so non-normal
     matrices (where ||A^-k|| can differ wildly from ||A^-1||^k) are handled.
+    The stacked powers are normed by one batched SVD; a power that is not
+    finite (overflow) gets the upper bound +inf.
     """
     inv = np.linalg.inv(np.asarray(mat, dtype=float))
-    norms = np.empty(count)
-    acc = np.eye(inv.shape[0])
-    for k in range(count):
-        norms[k] = operator_norm(acc)
-        acc = acc @ inv
-    return norms
+    powers = np.empty((count,) + inv.shape)
+    powers[:1] = np.eye(inv.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, count):
+            powers[k] = powers[k - 1] @ inv
+    finite = np.isfinite(powers).all(axis=(1, 2))
+    norms = np.linalg.svd(np.where(finite[:, None, None], powers, 0.0), compute_uv=False)[:, 0]
+    return np.where(finite, norms, np.inf)
 
 
-def power_norm_tail(mat, start: int, max_depth: int = 256) -> float:
-    """Upper bound for sum_{k >= start} ||mat^-k||.
+def power_norm_tail(norms) -> float:
+    """Upper bound for sum_{k >= n} ||mat^-k|| from norms[k] = ||mat^-k||, k < n.
 
-    Finds k0 with ||mat^-k0|| <= 1/2 (exists for expansive mat) and bounds
-    the tail by a geometric series over blocks of length k0, using
-    submultiplicativity ||mat^-(k+k0)|| <= ||mat^-k|| ||mat^-k0||.  Returns
-    inf when no such k0 exists within max_depth.
+    Finds the first k0 in 1..n-1 with ||mat^-k0|| <= 1/2 (exists for
+    expansive mat) and bounds the tail by a geometric series over blocks of
+    length k0 after the last block n-k0..n-1, using submultiplicativity
+    ||mat^-(k+k0)|| <= ||mat^-k|| ||mat^-k0||.  Returns inf when no such k0
+    exists.
     """
-    probe = power_norms(mat, max_depth)
-    below = np.nonzero(probe <= 0.5)[0]
-    below = below[below > 0]
+    norms = np.asarray(norms, dtype=float)
+    below = np.nonzero(norms[1:] <= 0.5)[0]
     if below.size == 0:
         return float("inf")
-    k0 = int(below[0])
-    inv = np.linalg.inv(np.asarray(mat, dtype=float))
-    acc = np.linalg.matrix_power(inv, start)
-    block = 0.0
-    for _ in range(k0):
-        block += operator_norm(acc)
-        acc = acc @ inv
-    return float(block / (1.0 - probe[k0]))
+    k0 = int(below[0]) + 1
+    return float(norms[k0] * norms[-k0:].sum() / (1.0 - norms[k0]))
 
 
 def multi_indices(dim: int, max_degree: int) -> list[tuple[int, ...]]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._numeric import cis2pi, multi_indices
 from .errors import BudgetError, ConvergenceError, ValidationError
-from .systems import INV_POWER_DEPTH, AffineSystem, check_hadamard, spectral_expansiveness
+from .systems import INV_POWER_DEPTH, AffineSystem, check_hadamard, require_expansive
 
 __all__ = [
     "FractalMeasure",
@@ -100,11 +100,7 @@ class FractalMeasure:
         max_product_depth: int = 256,
         hadamard_tol: float = 1e-9,
     ):
-        expansive, min_mod = spectral_expansiveness(sys)
-        if not expansive:
-            raise ValidationError(
-                f"R is not expansive (min eigenvalue modulus {min_mod:.6g})"
-            )
+        require_expansive(sys)
         deviation = check_hadamard(sys)
         if deviation > hadamard_tol:
             raise ValidationError(

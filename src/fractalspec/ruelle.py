@@ -32,7 +32,7 @@ import numpy as np
 from ._numeric import cospi, hs_norm, operator_norm, sinpi
 from .errors import ConvergenceError, DomainError, ValidationError
 from .measure import FractalMeasure, chi_mask
-from .systems import AffineSystem, check_hadamard
+from .systems import AffineSystem, check_hadamard, require_expansive
 
 __all__ = [
     "GridFunction",
@@ -157,8 +157,9 @@ def attractor_hull(sys: AffineSystem, tol: float = BOX_TOL) -> np.ndarray:
     the depth-K cloud decompose level by level, so the bounding box is exact
     without enumerating words.  The box is inflated by the certified tail
     radius and then grown, if needed, until every map sends it into itself
-    within ``tol``.
+    within ``tol``.  A non-expansive R is a :class:`ValidationError`.
     """
+    require_expansive(sys)
     d = sys.d
     rinv = sys.rinv
     tails = sys.inv_power_tails
@@ -219,7 +220,7 @@ def _invariance_excess(sys: AffineSystem, box: np.ndarray):
     return excess, bbox
 
 
-def check_box_invariance(sys: AffineSystem, box, tol: float = BOX_TOL) -> float:
+def check_box_invariance(sys: AffineSystem, box) -> float:
     """Max amount by which any dual map sends a box corner outside the box."""
     box = as_box(box, sys.d)
     excess, _ = _invariance_excess(sys, box)

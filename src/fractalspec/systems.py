@@ -36,6 +36,7 @@ __all__ = [
     "check_hadamard",
     "validate_compatibility",
     "spectral_expansiveness",
+    "require_expansive",
     "adjoint_power_norms",
     "scale_system",
     "validate_system",
@@ -86,11 +87,11 @@ class AffineSystem:
         """tails[K] >= sum_{k >= K} ||(R^T)^-k|| for K = 0..INV_POWER_DEPTH.
 
         Suffix sums of the first INV_POWER_DEPTH norms plus a geometric
-        bound on everything beyond (:func:`power_norm_tail`); every entry is
-        inf when the inverse powers do not decay.  Read-only.
+        bound on everything beyond (:func:`power_norm_tail`), from one pass;
+        every entry is inf when the inverse powers do not decay.  Read-only.
         """
         norms = power_norms(self.R.T, INV_POWER_DEPTH)
-        beyond = power_norm_tail(self.R.T, INV_POWER_DEPTH)
+        beyond = power_norm_tail(norms)
         tails = np.concatenate([np.cumsum(norms[::-1])[::-1] + beyond, [beyond]])
         tails.setflags(write=False)
         return tails
@@ -235,7 +236,7 @@ def hadamard_matrix(sys: AffineSystem) -> np.ndarray:
     return cis2pi(phases) / np.sqrt(sys.n_digits)
 
 
-def check_hadamard(sys: AffineSystem, tol: float = 1e-12) -> float:
+def check_hadamard(sys: AffineSystem) -> float:
     """Operator-norm deviation of H H* from the identity.
 
     The Gram matrix is formed from the unnormalized phase matrix and divided
@@ -305,6 +306,13 @@ def spectral_expansiveness(sys: AffineSystem) -> tuple[bool, float]:
         raise ValidationError("R is singular")
     moduli = np.abs(np.linalg.eigvals(sys.R))
     return bool(np.all(moduli > 1.0)), float(np.min(moduli))
+
+
+def require_expansive(sys: AffineSystem) -> None:
+    """Raise :class:`ValidationError` unless R is expansive."""
+    expansive, min_mod = spectral_expansiveness(sys)
+    if not expansive:
+        raise ValidationError(f"R is not expansive (min eigenvalue modulus {min_mod:.6g})")
 
 
 def adjoint_power_norms(sys: AffineSystem, count: int) -> np.ndarray:

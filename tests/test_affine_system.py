@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,48 @@ from fractalspec import (
     validate_compatibility,
     validate_system,
 )
+from fractalspec._numeric import operator_norm, power_norm_tail, power_norms
 from fractalspec.systems import INV_POWER_DEPTH, adjoint_power_norms
+
+
+def per_power_norms(mat, count):
+    """Reference: ||mat^-k|| one operator_norm call per accumulated power."""
+    inv = np.linalg.inv(np.asarray(mat, dtype=float))
+    norms = np.empty(count)
+    acc = np.eye(inv.shape[0])
+    for k in range(count):
+        norms[k] = operator_norm(acc)
+        acc = acc @ inv
+    return norms
+
+
+def two_pass_tails(R):
+    """Reference: the tails as built from two separate passes over (R^T)^-k,
+    the second one restarting from matrix_power at INV_POWER_DEPTH."""
+    mat = np.asarray(R, dtype=float).T
+    norms = per_power_norms(mat, INV_POWER_DEPTH)
+    below = np.nonzero(norms <= 0.5)[0]
+    below = below[below > 0]
+    if below.size == 0:
+        beyond = float("inf")
+    else:
+        k0 = int(below[0])
+        inv = np.linalg.inv(mat)
+        acc = np.linalg.matrix_power(inv, INV_POWER_DEPTH)
+        block = 0.0
+        for _ in range(k0):
+            block += operator_norm(acc)
+            acc = acc @ inv
+        beyond = block / (1.0 - norms[k0])
+    return np.concatenate([np.cumsum(norms[::-1])[::-1] + beyond, [beyond]])
+
+
+def seeded_expansive(d, seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        mat = rng.normal(scale=2.0, size=(d, d))
+        if np.min(np.abs(np.linalg.eigvals(mat))) > 1.0:
+            return mat
 
 
 class TestMakeSystem:
@@ -173,8 +216,58 @@ class TestDerivedFromR:
         assert np.all(np.diff(tails) <= 0.0)
 
     def test_inv_power_tails_infinite_without_decay(self):
-        s = make_system(1.0, [0.0], [0.0])
-        assert np.all(np.isinf(s.inv_power_tails))
+        # no NaN, no exception and no warning, also where the powers overflow
+        for R in (1.0, 0.01, np.eye(2), np.eye(2) / 100):
+            d = np.atleast_2d(R).shape[0]
+            s = make_system(R, np.zeros((1, d)), np.zeros((1, d)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                tails = s.inv_power_tails
+            assert np.all(np.isposinf(tails))
+
+    @pytest.mark.parametrize(
+        "mat",
+        [np.array([[2.0, 10.0], [0.0, 2.0]])]
+        + [seeded_expansive(d, seed) for d in (2, 3) for seed in range(4)],
+        ids=["non-normal"] + [f"d{d}-seed{seed}" for d in (2, 3) for seed in range(4)],
+    )
+    def test_batched_power_norms_match_per_power_loop(self, mat):
+        assert np.array_equal(power_norms(mat, INV_POWER_DEPTH), per_power_norms(mat, INV_POWER_DEPTH))
+
+    def test_power_norms_mark_overflow_as_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = power_norms(np.diag([0.01, 100.0]), INV_POWER_DEPTH)
+        assert np.all(norms >= 1.0) and np.isposinf(norms[-1])
+        assert not np.any(np.isnan(norms))
+
+    @pytest.mark.parametrize("base", ["cantor4", "quad2d", 2, 3, -4, 6, 8])
+    def test_inv_power_tails_match_two_pass_construction(self, request, base):
+        if isinstance(base, str):
+            s = request.getfixturevalue(base)
+        else:
+            s = two_digit_system(base, 0.5)
+        for r in range(1, 17):
+            scaled = scale_system(s, r)
+            expected = two_pass_tails(scaled.R)
+            assert np.array_equal(scaled.inv_power_tails[:65], expected[:65])
+
+    def test_power_norm_tail_geometric_is_exact(self):
+        # ||A^-k|| = 2^-k: sum_{k >= 10} 2^-k = 2^-9
+        assert power_norm_tail(0.5 ** np.arange(10)) == 2.0**-9
+
+    def test_power_norm_tail_block_is_first_norm_at_most_half(self):
+        # k0 = 2: 0.5 * (0.5 + 0.125) / (1 - 0.5)
+        assert power_norm_tail([1.0, 0.75, 0.5, 0.125]) == 0.625
+
+    def test_power_norm_tail_bounds_the_true_tail(self):
+        # non-normal: ||A^-1|| > 1, so the block length k0 is above 1
+        c = adjoint_power_norms(
+            make_system([[2.0, 10.0], [0.0, 2.0]], [[0.0, 0.0]], [[0.0, 0.0]]), 1024
+        )
+        assert c[1] > 0.5
+        for n in (8, 20, 64):
+            assert power_norm_tail(c[:n]) >= c[n:].sum()
 
 
 class TestTwoDigitSystem:

@@ -1,7 +1,10 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+
+import pytest
 
 from fractalspec.cli import main
 
@@ -354,3 +357,22 @@ def test_certify_runs_without_scipy():
     report = json.loads(proc.stdout)
     assert report["certificate"]["basis_certified"] is True
     assert report["certificate"]["trials"] == 3
+
+
+@pytest.mark.parametrize(
+    "R, B, L, modulus",
+    [
+        ([["1/100"]], ["0", "1/2"], ["0", "1"], "0.01"),
+        ([["1/2"]], ["0", "1/2"], ["0", "1"], "0.5"),
+        ([["1/100", "0"], ["0", "1/100"]], [[0, 0], ["1/2", 0]], [[0, 0], [1, 0]], "0.01"),
+    ],
+)
+def test_ruelle_bound_rejects_non_expansive(write_system, capsys, R, B, L, modulus):
+    path = write_system({"d": len(R), "R": R, "B": B, "L": L})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["ruelle-bound", "--system", path], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: R is not expansive (min eigenvalue modulus {modulus})\n"
+    assert caught == []

@@ -19,7 +19,7 @@ from fractalspec import (
     orthogonality_matrix,
 )
 from fractalspec import measure
-from fractalspec._numeric import CIS_BLOCK, _cis2pi_block, cis2pi, power_norm_tail
+from fractalspec._numeric import CIS_BLOCK, _cis2pi_block, cis2pi
 
 EPS = np.finfo(float).eps
 
@@ -211,7 +211,7 @@ class TestAtomicApproximation:
         assert atoms.weight * len(atoms.points) == pytest.approx(1.0, abs=1e-15)
 
     def test_points_within_attractor_ball(self, cantor4, cantor4_measure):
-        radius = power_norm_tail(cantor4.R, 0) * np.max(np.abs(cantor4.B))
+        radius = cantor4.inv_power_tails[0] * np.max(np.abs(cantor4.B))
         atoms = atomic_approximation(cantor4_measure, 10)
         assert np.all(np.linalg.norm(atoms.points, axis=1) <= radius + 1e-12)
 

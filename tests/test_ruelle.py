@@ -54,9 +54,30 @@ class TestAttractorHull:
         assert check_box_invariance(s, box) <= 1e-9
 
     def test_no_decay_raises(self):
+        # R = 1 is not expansive: rejected before the tails are read
         s = make_system(1.0, [0.0, 0.5], [0.0, 1.0])
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ValidationError, match=r"^R is not expansive \(min eigenvalue modulus 1\)$"):
             attractor_hull(s)
+
+    def test_slow_decay_raises(self):
+        # expansive, but the tail radius is still ~8 after the last level
+        s = make_system(1.01, [0.0, 0.5], [0.0, 1.0])
+        with pytest.raises(ConvergenceError, match="after 255 levels"):
+            attractor_hull(s)
+
+    @pytest.mark.parametrize(
+        "R, modulus",
+        [(0.01, "0.01"), (0.5, "0.5"), (np.eye(2) / 100, "0.01"), ([[4.0, 0.0], [0.0, 0.5]], "0.5")],
+    )
+    def test_contracting_R_rejected(self, R, modulus):
+        d = np.atleast_2d(R).shape[0]
+        s = make_system(R, np.zeros((1, d)), np.zeros((1, d)))
+        message = f"R is not expansive (min eigenvalue modulus {modulus})"
+        with pytest.raises(ValidationError) as hull_error:
+            attractor_hull(s)
+        with pytest.raises(ValidationError) as measure_error:
+            FractalMeasure(s)
+        assert str(hull_error.value) == str(measure_error.value) == message
 
 
 class TestApplyRuelle:
