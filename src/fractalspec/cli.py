@@ -14,13 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import FractalSpecError
+from .errors import BudgetError, FractalSpecError
 from .measure import FractalMeasure, atomic_approximation, fourier_mu_many
 from .reports import SCHEMA_VERSION, render_csv, render_json, write_text
 from .ruelle import as_box, attractor_hull, basis_certificate, contraction_probe, estimate_gamma
@@ -30,7 +29,14 @@ from .spectrum import (
     orthogonality_matrix,
     separation,
 )
-from .systems import AffineSystem, cantor_four, load_system, two_digit_system, validate_system
+from .systems import (
+    AffineSystem,
+    cantor_four,
+    load_system,
+    parse_number,
+    two_digit_system,
+    validate_system,
+)
 from .verify import (
     dim_one_classify,
     hardy_roundtrip,
@@ -39,14 +45,14 @@ from .verify import (
     tiling_multiplicity,
 )
 
+GRID_BUDGET = 2**24  # grid points per command
+
 
 def _parse_number(text: str, warn: bool = True) -> float:
-    """Accept "p/q" exactly; plain decimals get a rounding warning."""
+    """:func:`parse_number`; non-integer decimals get a rounding warning."""
     text = text.strip()
-    if "/" in text:
-        return float(Fraction(text))
-    value = float(text)
-    if warn and not float(value).is_integer():
+    value = parse_number(text)
+    if warn and "/" not in text and not value.is_integer():
         print(
             f"warning: decimal literal {text!r} parsed as binary float; "
             "use 'p/q' for exact rationals",
@@ -56,11 +62,11 @@ def _parse_number(text: str, warn: bool = True) -> float:
 
 
 def _parse_grid(spec: str, d: int) -> np.ndarray:
-    """Parse "a:b:step[,a:b:step...]" into grid points (may be empty)."""
+    """Parse "a:b:step[,a:b:step...]" into at most GRID_BUDGET grid points (may be empty)."""
     parts = spec.split(",")
     if len(parts) != d:
         raise FractalSpecError(f"grid spec {spec!r} has {len(parts)} axes, system has {d}")
-    axes = []
+    bounds = []
     for part in parts:
         fields = part.split(":")
         if len(fields) != 3:
@@ -68,7 +74,13 @@ def _parse_grid(spec: str, d: int) -> np.ndarray:
         a, b, step = (_parse_number(f, warn=False) for f in fields)
         if step <= 0:
             raise FractalSpecError(f"grid step must be positive in {part!r}")
-        axes.append(np.arange(a, b + step / 2, step) if b >= a else np.empty(0))
+        bounds.append((a, b + step / 2 if b >= a else a, step))  # b < a: no points
+    points = np.prod([np.ceil((stop - start) / step) for start, stop, step in bounds])
+    if points > GRID_BUDGET:
+        raise BudgetError(
+            f"grid {spec!r} has {points:.3g} points, over the budget of {GRID_BUDGET}"
+        )
+    axes = [np.arange(*axis) for axis in bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
     if any(ax.size == 0 for ax in axes):
         return np.empty((0, d))
@@ -136,10 +148,18 @@ def _config_block(args, command: str, **extra) -> dict:
     return cfg
 
 
-def _load_validated(args) -> tuple[AffineSystem, dict]:
-    sys_ = load_system(args.system)
-    report = validate_system(sys_)
-    return sys_, report.as_dict()
+def _load_validated(args, **checks) -> tuple[AffineSystem, dict]:
+    """The command's system, from --system, else --R/--a/--L, else the built-in
+    example, and its validation report (``checks`` go to validate_system)."""
+    if getattr(args, "system", None):
+        sys_ = load_system(args.system)
+    elif hasattr(args, "a"):
+        a = _parse_number(args.a)
+        L = [_parse_number(x) for x in args.L.split(",")] if args.L else None
+        sys_ = two_digit_system(args.R, a, L)
+    else:
+        sys_ = cantor_four()
+    return sys_, validate_system(sys_, **checks).as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +167,7 @@ def _load_validated(args) -> tuple[AffineSystem, dict]:
 
 
 def _cmd_validate(args) -> int:
-    sys_ = load_system(args.system)
-    validation = validate_system(sys_, n_max=args.n_max, tol=args.tol).as_dict()
+    sys_, validation = _load_validated(args, n_max=args.n_max, tol=args.tol)
     payload = {
         "config": _config_block(args, "validate", n_max=args.n_max),
         "validation": validation,
@@ -319,12 +338,11 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    a = _parse_number(args.a)
-    L = [_parse_number(x) for x in args.L.split(",")] if args.L else None
+    sys_, validation = _load_validated(args)
+    a = float(sys_.B.sum())  # B = {0, a}
     verdict = dim_one_classify(
-        int(args.R), a, L=L, clique_window=args.window, target=args.target
+        args.R, a, L=sys_.L, clique_window=args.window, target=args.target
     )
-    validation = validate_system(two_digit_system(args.R, a, L)).as_dict()
     payload = {
         "config": _config_block(args, "classify", R=args.R, a=args.a, window=args.window),
         "validation": validation,
@@ -335,10 +353,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_clique(args) -> int:
-    a = _parse_number(args.a)
-    L = [_parse_number(x) for x in args.L.split(",")] if args.L else None
-    sys_ = two_digit_system(args.R, a, L)
-    validation = validate_system(sys_).as_dict()
+    sys_, validation = _load_validated(args)
     m = FractalMeasure(sys_)
     size, witness = max_orthogonal_clique(m, args.window, zero_tol=args.zero_tol)
     payload = {
@@ -367,8 +382,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_tiling(args) -> int:
-    sys_ = load_system(args.system) if args.system else cantor_four()
-    validation = validate_system(sys_).as_dict()
+    sys_, validation = _load_validated(args)
     window = _parse_window(args.window)
     report = tiling_multiplicity(
         args.depth,
@@ -542,10 +556,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FractalSpecError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (FractalSpecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

@@ -23,7 +23,14 @@ import numpy as np
 
 from ._numeric import cis2pi, multi_indices
 from .errors import BudgetError, ConvergenceError, ValidationError
-from .systems import INV_POWER_DEPTH, AffineSystem, check_hadamard, require_expansive
+from .systems import (
+    INV_POWER_DEPTH,
+    AffineSystem,
+    certified_tails,
+    check_hadamard,
+    require_expansive,
+    unitarity_tolerance,
+)
 
 __all__ = [
     "FractalMeasure",
@@ -87,10 +94,11 @@ class AtomicApproximation:
 class FractalMeasure:
     """Invariant probability measure of a validated affine system.
 
-    The constructor insists on expansiveness and on the unitarity of the
-    digit matrix (deviation <= ``hadamard_tol``); integrality of the system
-    is the caller's concern and is checked separately where orthogonality
-    claims depend on it.
+    The constructor insists on expansiveness, on certified product tails and
+    on the unitarity of the digit matrix (deviation within
+    :func:`~fractalspec.systems.unitarity_tolerance`); integrality of the
+    system is the caller's concern and is checked separately where
+    orthogonality claims depend on it.
     """
 
     def __init__(
@@ -98,11 +106,10 @@ class FractalMeasure:
         sys: AffineSystem,
         product_tail_tol: float = 1e-12,
         max_product_depth: int = 256,
-        hadamard_tol: float = 1e-9,
     ):
         require_expansive(sys)
         deviation = check_hadamard(sys)
-        if deviation > hadamard_tol:
+        if deviation > unitarity_tolerance(sys):
             raise ValidationError(
                 f"digit matrix is not unitary (deviation {deviation:.3e})"
             )
@@ -115,11 +122,7 @@ class FractalMeasure:
         self.max_product_depth = int(max_product_depth)
         self._max_b = float(np.max(np.linalg.norm(sys.B, axis=1)))
         # tail_sums[K] >= sum_{k>=K} ||(R^T)^-k||: certified product tails
-        self._tail_sums = sys.inv_power_tails[: self.max_product_depth + 1]
-        if not np.isfinite(self._tail_sums[-1]):
-            raise ConvergenceError(
-                "adjoint inverse powers do not decay within max_product_depth"
-            )
+        self._tail_sums = certified_tails(sys)[: self.max_product_depth + 1]
 
     def mask(self, t):
         return chi_mask(self.sys, t)
@@ -220,13 +223,6 @@ def _poly_mul(p: dict, q: dict, d: int) -> dict:
         for b, cb in q.items():
             key = tuple(a[i] + b[i] for i in range(d))
             out[key] = out.get(key, 0.0) + ca * cb
-    return out
-
-
-def _poly_pow(p: dict, k: int, d: int) -> dict:
-    out = {(0,) * d: 1.0}
-    for _ in range(k):
-        out = _poly_mul(out, p, d)
     return out
 
 

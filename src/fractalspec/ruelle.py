@@ -32,7 +32,7 @@ import numpy as np
 from ._numeric import cospi, hs_norm, operator_norm, sinpi
 from .errors import ConvergenceError, DomainError, ValidationError
 from .measure import FractalMeasure, chi_mask
-from .systems import AffineSystem, check_hadamard, require_expansive
+from .systems import AffineSystem, certified_tails, check_hadamard, require_expansive
 
 __all__ = [
     "GridFunction",
@@ -160,9 +160,9 @@ def attractor_hull(sys: AffineSystem, tol: float = BOX_TOL) -> np.ndarray:
     within ``tol``.  A non-expansive R is a :class:`ValidationError`.
     """
     require_expansive(sys)
+    tails = certified_tails(sys)
     d = sys.d
     rinv = sys.rinv
-    tails = sys.inv_power_tails
     max_l = float(np.max(np.linalg.norm(sys.L, axis=1)))
     lo = np.zeros(d)
     hi = np.zeros(d)
@@ -359,8 +359,10 @@ def estimate_gamma(sys: AffineSystem, box) -> ContractionReport:
 
     The sine sup inside beta is computed exactly over the box (see
     :func:`_sup_abs_sin`) and rounded upward, so the reported gamma is an
-    upper bound for the Lipschitz contraction ratio.
+    upper bound for the Lipschitz contraction ratio.  A non-expansive R is a
+    :class:`ValidationError`.
     """
+    require_expansive(sys)
     box = as_box(box, sys.d)
     n = sys.n_digits
     sup_sin = 0.0
@@ -518,8 +520,9 @@ def contraction_probe(
     Each probe vanishes at 0, the class the bound covers; gradients are
     evaluated in closed form, so ratios reflect the operator, not grid
     differentiation error.  Degenerate probes (zero Lipschitz norm) are
-    skipped and counted.
+    skipped and counted.  A non-expansive R is a :class:`ValidationError`.
     """
+    require_expansive(sys)
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     box = as_box(box, sys.d)
@@ -549,13 +552,14 @@ def basis_certificate(
     box=None,
     trials: int = 0,
     seed: int = 0,
-    hadamard_tol: float = 1e-9,
 ) -> ContractionReport:
     """Certificate that the enumerated exponentials form an orthonormal basis.
 
     Certifies when the digit matrix is unitary, 0 is in L, L spans, and the
-    contraction bound is below 1.  Failed hypotheses are recorded rather
-    than raised; optional probe trials attach empirical ratios.
+    contraction bound is below 1.  Unitarity (within
+    :func:`~fractalspec.systems.unitarity_tolerance`) already holds for every
+    :class:`FractalMeasure`; the other failed hypotheses are recorded rather
+    than raised.  Optional probe trials attach empirical ratios.
     """
     sys = m.sys
     box = attractor_hull(sys) if box is None else as_box(box, sys.d)
@@ -565,8 +569,6 @@ def basis_certificate(
     l_spans = bool(np.linalg.matrix_rank(sys.L) == sys.d)
 
     failures = []
-    if deviation > hadamard_tol:
-        failures.append("digit matrix is not unitary")
     if not zero_in_l:
         failures.append("0 not in L")
     if not l_spans:

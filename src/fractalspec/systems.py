@@ -16,6 +16,7 @@ identity covers all n at once.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ._numeric import cis2pi, power_norm_tail, power_norms
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 
 __all__ = [
     "AffineSystem",
@@ -110,19 +111,15 @@ class ValidationReport:
     compatible_up_to: int
     max_integrality_defect: float
     hadamard_deviation: float
+    hadamard_ok: bool  # deviation within unitarity_tolerance of the system
     expansive: bool
     min_eigenvalue_modulus: float
     exact_shortcut_used: bool
     int_tol: float = DEFAULT_INT_TOL
-    hadamard_tol: float = 1e-12
 
     @property
     def compatible(self) -> bool:
         return self.max_integrality_defect <= self.int_tol
-
-    @property
-    def hadamard_ok(self) -> bool:
-        return self.hadamard_deviation <= self.hadamard_tol
 
     @property
     def valid(self) -> bool:
@@ -172,7 +169,7 @@ def make_system(R, B, L, r: int = 1) -> AffineSystem:
     for name, arr in (("R", R), ("B", B), ("L", L)):
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"{name} contains NaN or Inf")
-    if not isinstance(r, (int, np.integer)) or r < 1:
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
         raise ValidationError(f"scale r must be a positive integer, got {r!r}")
     if abs(np.linalg.det(R)) == 0.0:
         raise ValidationError("R is singular")
@@ -187,38 +184,48 @@ def make_system(R, B, L, r: int = 1) -> AffineSystem:
     )
 
 
-def _parse_entry(value) -> float:
-    """Parse a system-file number: plain JSON number or exact "p/q" string."""
-    if isinstance(value, str):
-        return float(Fraction(value))
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise ValidationError(f"cannot parse numeric entry {value!r}")
+def parse_number(value) -> float:
+    """A finite float from a number or a numeric string.
+
+    Strings of the form "p/q" are exact rationals, rounded once.  Anything
+    that is not a finite number (p/0, nan, inf, beyond the float range, not
+    a number at all) is a :class:`ValidationError`.
+    """
+    try:
+        number = float(Fraction(value)) if isinstance(value, str) and "/" in value else float(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValidationError(f"not a finite number: {value!r}")
+    return number
 
 
-def _parse_array(value, label: str) -> np.ndarray:
+def _parse_array(value) -> np.ndarray:
     arr = np.asarray(value, dtype=object)
-    flat = [_parse_entry(v) for v in arr.reshape(-1)]
+    flat = [parse_number(v) for v in arr.reshape(-1)]
     return np.asarray(flat, dtype=float).reshape(arr.shape)
 
 
-def parse_system(doc: dict) -> AffineSystem:
+def parse_system(doc) -> AffineSystem:
     """Build a system from a JSON document (see the README file format).
 
     Keys: ``d``, ``R`` (scalar or row-major matrix), ``B``, ``L`` (lists of
-    scalars or of d-vectors), optional ``r``.  Entries may be strings of the
-    form ``"p/q"``; these are parsed as exact rationals.
+    scalars or of d-vectors), optional ``r``; ``d`` and ``r`` are positive
+    integers.  Entries are numbers or strings; ``"p/q"`` strings are parsed
+    as exact rationals (:func:`parse_number`).
     """
+    if not isinstance(doc, dict):
+        raise ValidationError(f"system file must hold a JSON object, got {type(doc).__name__}")
     try:
-        d = int(doc["d"])
-        R = _parse_array(doc["R"], "R")
-        B = _parse_array(doc["B"], "B")
-        L = _parse_array(doc["L"], "L")
+        d = doc["d"]
+        R, B, L = (_parse_array(doc[key]) for key in ("R", "B", "L"))
     except KeyError as missing:
         raise ValidationError(f"system file is missing key {missing}") from None
-    r = int(doc.get("r", 1))
-    R = np.asarray(R, dtype=float).reshape(d, d)
-    return make_system(R, B, L, r=r)
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ValidationError(f"d must be a positive integer, got {d!r}")
+    if R.size != d * d:
+        raise ValidationError(f"R has {R.size} entries, d = {d} needs {d * d}")
+    return make_system(R.reshape(d, d), B, L, r=doc.get("r", 1))
 
 
 def load_system(path) -> AffineSystem:
@@ -248,6 +255,19 @@ def check_hadamard(sys: AffineSystem) -> float:
     return float(np.linalg.norm(gram - np.eye(sys.n_digits), 2))
 
 
+def unitarity_tolerance(sys: AffineSystem) -> float:
+    """Largest :func:`check_hadamard` deviation that rounding alone explains.
+
+    eps N (4 pi d S + 2 N + 6) with S = max_{b,l} sum_k |b_k l_k|: the phase
+    dot products, cis2pi, the Gram entries and the operator norm (at most N
+    times the largest entry), in that order.  The validation report and the
+    measure (so also the basis certificate) judge unitarity by this bound.
+    """
+    n = sys.n_digits
+    s = float(np.max(np.abs(sys.B) @ np.abs(sys.L).T))
+    return float(np.finfo(float).eps * n * (4.0 * np.pi * sys.d * s + 2 * n + 6))
+
+
 def validate_compatibility(
     sys: AffineSystem,
     n_max: int = DEFAULT_N_MAX,
@@ -266,8 +286,6 @@ def validate_compatibility(
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
-    if abs(np.linalg.det(sys.R)) == 0.0:
-        raise ValidationError("R is singular")
 
     def integral(arr) -> bool:
         return bool(np.all(np.abs(arr - np.round(arr)) <= tol))
@@ -278,10 +296,8 @@ def validate_compatibility(
         and integral(sys.B @ sys.R.T)
         and integral(sys.L)
     )
-    if shortcut:
-        defect = 0.0
-    else:
-        defect = 0.0
+    defect = 0.0
+    if not shortcut:
         powered = sys.B.copy()
         for _ in range(n_max):
             powered = powered @ sys.R.T  # rows are R^n b
@@ -289,10 +305,12 @@ def validate_compatibility(
             defect = max(defect, float(np.max(np.abs(products - np.round(products)))))
 
     expansive, min_mod = spectral_expansiveness(sys)
+    deviation = check_hadamard(sys)
     return ValidationReport(
         compatible_up_to=n_max,
         max_integrality_defect=defect,
-        hadamard_deviation=check_hadamard(sys),
+        hadamard_deviation=deviation,
+        hadamard_ok=deviation <= unitarity_tolerance(sys),
         expansive=expansive,
         min_eigenvalue_modulus=min_mod,
         exact_shortcut_used=shortcut,
@@ -302,8 +320,6 @@ def validate_compatibility(
 
 def spectral_expansiveness(sys: AffineSystem) -> tuple[bool, float]:
     """Whether every eigenvalue of R has modulus > 1, plus the smallest modulus."""
-    if abs(np.linalg.det(sys.R)) == 0.0:
-        raise ValidationError("R is singular")
     moduli = np.abs(np.linalg.eigvals(sys.R))
     return bool(np.all(moduli > 1.0)), float(np.min(moduli))
 
@@ -313,6 +329,19 @@ def require_expansive(sys: AffineSystem) -> None:
     expansive, min_mod = spectral_expansiveness(sys)
     if not expansive:
         raise ValidationError(f"R is not expansive (min eigenvalue modulus {min_mod:.6g})")
+
+
+def certified_tails(sys: AffineSystem) -> np.ndarray:
+    """``sys.inv_power_tails``, or a :class:`ConvergenceError` when they are infinite:
+    no ||(R^T)^-k||, 0 < k < INV_POWER_DEPTH, is at most 1/2 (an eigenvalue near 1)."""
+    tails = sys.inv_power_tails
+    if not np.isfinite(tails[0]):
+        _, min_mod = spectral_expansiveness(sys)
+        raise ConvergenceError(
+            f"||(R^T)^-k|| stays above 1/2 for k < {INV_POWER_DEPTH} "
+            f"(min eigenvalue modulus {min_mod:.6g}); tails cannot be certified"
+        )
+    return tails
 
 
 def adjoint_power_norms(sys: AffineSystem, count: int) -> np.ndarray:

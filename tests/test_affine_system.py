@@ -1,10 +1,13 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from fractalspec import (
+    FractalMeasure,
     ValidationError,
+    basis_certificate,
     check_hadamard,
     hadamard_matrix,
     load_system,
@@ -17,7 +20,12 @@ from fractalspec import (
     validate_system,
 )
 from fractalspec._numeric import operator_norm, power_norm_tail, power_norms
-from fractalspec.systems import INV_POWER_DEPTH, adjoint_power_norms
+from fractalspec.systems import (
+    INV_POWER_DEPTH,
+    adjoint_power_norms,
+    parse_number,
+    unitarity_tolerance,
+)
 
 
 def per_power_norms(mat, count):
@@ -155,6 +163,41 @@ class TestHadamard:
         # shifting B by c with c.l integral leaves the matrix unchanged
         shifted = make_system(4.0, [1.0, 1.5], [0.0, 1.0])
         assert check_hadamard(shifted) == pytest.approx(0.0, abs=1e-15)
+
+
+class TestUnitarityTolerance:
+    """One tolerance, derived from the system, decides unitarity everywhere."""
+
+    def test_perturbed_digit_rejected_everywhere(self):
+        # deviation 3.14e-11: far above rounding, far below the old 1e-9
+        s = make_system(4.0, [0.0, 0.5 + 1e-11], [0.0, 1.0])
+        assert check_hadamard(s) > 1000 * unitarity_tolerance(s)
+        assert validate_system(s).hadamard_ok is False
+        with pytest.raises(ValidationError, match="digit matrix is not unitary"):
+            FractalMeasure(s)
+
+    def test_large_frequencies_still_unitary(self):
+        # exact Hadamard triple whose phases reach 4001.6: rounding alone
+        # gives a deviation above 1e-12
+        s = make_system(10.0, np.arange(5) / 5, [0.0, 1.0, 5002.0, 3.0, 4.0])
+        rep = validate_system(s)
+        assert 1e-12 < rep.hadamard_deviation <= unitarity_tolerance(s)
+        assert rep.hadamard_ok and rep.valid
+        assert basis_certificate(FractalMeasure(s)).hadamard_deviation == rep.hadamard_deviation
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8])
+    def test_lifted_triples_within_tolerance(self, n):
+        # R = N, B = {0..N-1}/N, L = {0..N-1} + N * lift: exactly unitary
+        rng = np.random.default_rng(n)
+        for scale in (1, 10, 10**3, 10**5):
+            lift = np.concatenate([[0], rng.integers(0, scale + 1, n - 1)])
+            s = make_system(float(n), np.arange(n) / n, np.arange(n) + n * lift)
+            assert check_hadamard(s) <= unitarity_tolerance(s)
+
+    def test_formula(self, quad2d):
+        # N = 4, d = 2, S = max_{b,l} sum_k |b_k l_k| = 1
+        eps = np.finfo(float).eps
+        assert unitarity_tolerance(quad2d) == eps * 4 * (8 * np.pi + 14)
 
 
 class TestExpansiveness:
@@ -327,6 +370,38 @@ class TestSpecFiles:
         bad.write_text("{not json")
         with pytest.raises(ValidationError, match="line 1"):
             load_system(str(bad))
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(3, 3.0), (0.25, 0.25), ("1/3", 1 / 3), (" -2/4 ", -0.5), ("0.1", 0.1), ("1e-400", 0.0)],
+    )
+    def test_parse_number(self, value, expected):
+        assert parse_number(value) == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        ["1/0", 10**400, "1e400", "10**400/1", "nan", "inf", float("nan"), "abc", "", None, [1], {}],
+    )
+    def test_parse_number_rejects(self, value):
+        with pytest.raises(ValidationError, match="^not a finite number: "):
+            parse_number(value)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1, 2], "must hold a JSON object, got list"),
+            ({"d": 1.7, "R": [4], "B": [0], "L": [0]}, "d must be a positive integer, got 1.7"),
+            ({"d": True, "R": [4], "B": [0], "L": [0]}, "d must be a positive integer, got True"),
+            ({"d": 0, "R": [4], "B": [0], "L": [0]}, "d must be a positive integer, got 0"),
+            ({"d": 2, "R": [4], "B": [0], "L": [0]}, "R has 1 entries, d = 2 needs 4"),
+            ({"d": 1, "R": [4], "B": [0], "L": [0], "r": 1.5}, "got 1.5"),
+            ({"d": 1, "R": [4], "B": [0], "L": [0], "r": None}, "got None"),
+            ({"d": 1, "R": [4], "B": [0], "L": [0], "r": True}, "got True"),
+        ],
+    )
+    def test_shape_rejected(self, doc, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            parse_system(doc)
 
     def test_two_dimensional_file(self, write_system):
         path = write_system(

@@ -46,12 +46,88 @@ def test_validate_loose_tolerance_flips_verdict(write_system, capsys):
     assert json.loads(out)["validation"]["compatible"] is True
 
 
-def test_parse_error_exits_one(tmp_path, capsys):
+CANTOR4_TEXT = '{"d": 1, "R": [[4]], "B": [0, "1/2"], "L": [0, 1]'
+BAD_SYSTEM_FILES = {
+    "syntax": ("{oops", "line 1"),
+    "list": ("[1, 2]", "must hold a JSON object"),
+    "string": ('"cantor4"', "must hold a JSON object"),
+    "r-null": (CANTOR4_TEXT + ', "r": null}', "scale r must be a positive integer"),
+    "r-float": (CANTOR4_TEXT + ', "r": 1.5}', "scale r must be a positive integer"),
+    "d-float": ('{"d": 1.7, "R": [[4]], "B": [0, 0.5], "L": [0, 1]}', "d must be a positive"),
+    "d-zero": ('{"d": 0, "R": [[4]], "B": [0, 0.5], "L": [0, 1]}', "d must be a positive"),
+    "d-negative": ('{"d": -1, "R": [[4]], "B": [0, 0.5], "L": [0, 1]}', "d must be a positive"),
+    "zero-denominator": ('{"d": 1, "R": [[4]], "B": [0, "1/0"], "L": [0, 1]}', "'1/0'"),
+    "overflow": ('{"d": 1, "R": [[%d]], "B": [0, 0.5], "L": [0, 1]}' % 10**400, "not a finite"),
+    "nan": ('{"d": 1, "R": [[4]], "B": [0, "nan"], "L": [0, 1]}', "'nan'"),
+}
+
+
+@pytest.mark.parametrize("text, fragment", BAD_SYSTEM_FILES.values(), ids=BAD_SYSTEM_FILES.keys())
+def test_parse_error_exits_one(tmp_path, capsys, text, fragment):
     bad = tmp_path / "bad.json"
-    bad.write_text("{oops")
-    code, _, err = run_cli(["validate", "--system", str(bad)], capsys)
+    bad.write_text(text)
+    code, out, err = run_cli(["validate", "--system", str(bad)], capsys)
     assert code == 1
-    assert "line 1" in err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["classify", "--R", "4", "--a", "1/0"], "1/0"),
+        (["clique", "--R", "3", "--a", "1/2", "--L", "0,1/0"], "1/0"),
+        (["fourier", "--system", "{cantor4}", "--grid", "0:1:1/0"], "1/0"),
+        (["fourier", "--system", "{cantor4}", "--grid", "0:nan:0.5"], "nan"),
+        (["tiling", "--window", "0:1/0"], "1/0"),
+        (["ruelle-bound", "--system", "{cantor4}", "--box", "0:1/0"], "1/0"),
+    ],
+    ids=["classify", "clique", "fourier", "fourier-nan", "tiling", "ruelle-bound"],
+)
+def test_bad_number_flag_exits_one(cantor4_file, capsys, argv, bad):
+    argv = [arg.format(cantor4=cantor4_file) for arg in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (1, "", f"error: not a finite number: '{bad}'\n")
+
+
+@pytest.mark.parametrize("grid, points", [("0:1e9:1e-9", "1e+18"), ("0:1:1,0:1e9:1e-9", "2e+18")])
+def test_grid_over_budget_exits_one(cantor4_file, write_system, capsys, grid, points):
+    system = write_system(QUAD2D, "quad2d.json") if "," in grid else cantor4_file
+    code, out, err = run_cli(["completeness", "--system", system, "--grid", grid], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: grid '{grid}' has {points} points, over the budget of 16777216\n"
+
+
+def test_unitarity_tolerance_gates_certify(write_system, capsys):
+    # deviation 3.1e-11: validate and certify now agree that it is not unitary
+    path = write_system({"d": 1, "R": [[4]], "B": [0, 0.5 + 1e-11], "L": [0, 1]})
+    code, out, _ = run_cli(["validate", "--system", path], capsys)
+    assert code == 2 and json.loads(out)["validation"]["hadamard_ok"] is False
+    code, out, err = run_cli(["certify", "--system", path], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: digit matrix is not unitary (deviation 3.")
+
+
+def test_validate_large_exact_frequencies(write_system, capsys):
+    doc = {"d": 1, "R": [[10]], "B": ["0", "1/5", "2/5", "3/5", "4/5"], "L": [0, 1, 5002, 3, 4]}
+    code, out, _ = run_cli(["validate", "--system", write_system(doc)], capsys)
+    validation = json.loads(out)["validation"]
+    assert code == 0
+    assert validation["hadamard_deviation"] > 1e-12 and validation["hadamard_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "argv", [["fourier", "--grid", "0:1:0.5"], ["sweep"], ["certify"], ["ruelle-bound"]], ids=lambda a: a[0]
+)
+def test_r_near_one_tails_cannot_be_certified(write_system, capsys, argv):
+    path = write_system({"d": 1, "R": [["1001/1000"]], "B": ["0", "1/2"], "L": ["0", "1"]})
+    code, out, err = run_cli(argv + ["--system", path], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: ||(R^T)^-k|| stays above 1/2 for k < 256 "
+        "(min eigenvalue modulus 1.001); tails cannot be certified\n"
+    )
 
 
 def test_certify_span_failure(write_system, capsys):
@@ -360,18 +436,20 @@ def test_certify_runs_without_scipy():
 
 
 @pytest.mark.parametrize(
-    "R, B, L, modulus",
+    "R, B, L, modulus, box",
     [
-        ([["1/100"]], ["0", "1/2"], ["0", "1"], "0.01"),
-        ([["1/2"]], ["0", "1/2"], ["0", "1"], "0.5"),
-        ([["1/100", "0"], ["0", "1/100"]], [[0, 0], ["1/2", 0]], [[0, 0], [1, 0]], "0.01"),
+        ([["1/100"]], ["0", "1/2"], ["0", "1"], "0.01", None),
+        ([["1/2"]], ["0", "1/2"], ["0", "1"], "0.5", None),
+        ([["1/100", "0"], ["0", "1/100"]], [[0, 0], ["1/2", 0]], [[0, 0], [1, 0]], "0.01", None),
+        ([["1/100"]], ["0", "1/2"], ["0", "1"], "0.01", "0:1"),
     ],
 )
-def test_ruelle_bound_rejects_non_expansive(write_system, capsys, R, B, L, modulus):
+def test_ruelle_bound_rejects_non_expansive(write_system, capsys, R, B, L, modulus, box):
     path = write_system({"d": len(R), "R": R, "B": B, "L": L})
+    argv = ["ruelle-bound", "--system", path] + (["--box", box] if box else [])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run_cli(["ruelle-bound", "--system", path], capsys)
+        code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""
     assert err == f"error: R is not expansive (min eigenvalue modulus {modulus})\n"

@@ -77,6 +77,25 @@ class TestAttractorHull:
             attractor_hull(s)
         with pytest.raises(ValidationError) as measure_error:
             FractalMeasure(s)
+        box = np.tile([0.0, 1.0], (d, 1))
+        with pytest.raises(ValidationError) as gamma_error:
+            estimate_gamma(s, box)
+        with pytest.raises(ValidationError) as probe_error:
+            contraction_probe(s, box, trials=1, seed=0)
+        errors = (hull_error, measure_error, gamma_error, probe_error)
+        assert {str(error.value) for error in errors} == {message}
+
+    def test_near_one_fails_before_the_levels(self):
+        # 1.001^k <= 2 for every k < 256: the tails are infinite from the start
+        s = make_system(1.001, [0.0, 0.5], [0.0, 1.0])
+        message = (
+            "||(R^T)^-k|| stays above 1/2 for k < 256 "
+            "(min eigenvalue modulus 1.001); tails cannot be certified"
+        )
+        with pytest.raises(ConvergenceError) as hull_error:
+            attractor_hull(s)
+        with pytest.raises(ConvergenceError) as measure_error:
+            FractalMeasure(s)
         assert str(hull_error.value) == str(measure_error.value) == message
 
 
