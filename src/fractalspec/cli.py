@@ -12,6 +12,7 @@ Exit status: 0 = computed with a positive verdict (or a pure computation),
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys as _sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import BudgetError, FractalSpecError
+from .errors import BudgetError, FractalSpecError, ValidationError
 from .measure import FractalMeasure, atomic_approximation, fourier_mu_many
 from .reports import SCHEMA_VERSION, render_csv, render_json, write_text
 from .ruelle import as_box, attractor_hull, basis_certificate, contraction_probe, estimate_gamma
@@ -46,6 +47,8 @@ from .verify import (
 )
 
 GRID_BUDGET = 2**24  # grid points per command
+# real-valued flags, read with parse_number before the command runs
+NUMBER_FLAGS = ("target", "tol", "increment_tol", "zero_tol", "translate_factor", "max_error")
 
 
 def _parse_number(text: str, warn: bool = True) -> float:
@@ -110,7 +113,10 @@ def _parse_coeffs(spec: str, d: int) -> dict:
                 f"system has d = {d} (separate components with ':')"
             )
         lam = tuple(_parse_number(x, warn=False) for x in parts)
-        out[lam[0] if d == 1 else lam] = complex(value)
+        coeff = complex(value)
+        if not cmath.isfinite(coeff):
+            raise ValidationError(f"coefficient {value.strip()!r} is not a finite number")
+        out[lam[0] if d == 1 else lam] = coeff
     if not out:
         raise FractalSpecError("empty coefficient list")
     return out
@@ -452,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="structural checks on a system file")
     common(p)
     p.add_argument("--n-max", type=int, default=12, dest="n_max")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", default=1e-9)
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("fourier", help="transform of the invariant measure on a grid")
@@ -473,15 +479,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orthogonality", help="pairwise inner products over the spectrum")
     common(p)
     p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--tol", type=float, default=1e-9, help="pass threshold on |inner product|")
+    p.add_argument("--tol", default=1e-9, help="pass threshold on |inner product|")
     p.set_defaults(fn=_cmd_orthogonality)
 
     p = sub.add_parser("completeness", help="grid scan of the completeness function Q")
     common(p)
     p.add_argument("--depth", type=int, default=2, help="starting enumeration depth")
     p.add_argument("--grid", default="0:1:0.01")
-    p.add_argument("--target", type=float, default=0.99)
-    p.add_argument("--increment-tol", type=float, default=1e-4, dest="increment_tol")
+    p.add_argument("--target", default=0.99)
+    p.add_argument("--increment-tol", default=1e-4, dest="increment_tol")
     p.add_argument(
         "--max-depth",
         type=int,
@@ -510,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="second digit of B = {0, a}; rationals as p/q")
     p.add_argument("--L", default=None, help="override frequency digits, comma separated")
     p.add_argument("--window", type=int, default=60)
-    p.add_argument("--target", type=float, default=0.99)
+    p.add_argument("--target", default=0.99)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("clique", help="exact maximum orthogonal clique in a window")
@@ -519,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--L", default=None)
     p.add_argument("--window", type=int, default=60)
-    p.add_argument("--zero-tol", type=float, default=1e-9, dest="zero_tol")
+    p.add_argument("--zero-tol", default=1e-9, dest="zero_tol")
     p.set_defaults(fn=_cmd_clique)
 
     p = sub.add_parser("sweep", help="certificate sweep over scales r = 1..r_max")
@@ -533,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--window", required=True, help="lo:hi")
     p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--translate-factor", type=float, default=-2.0, dest="translate_factor")
+    p.add_argument("--translate-factor", default=-2.0, dest="translate_factor")
     p.set_defaults(fn=_cmd_tiling)
 
     p = sub.add_parser("hardy", help="coefficient round-trip through the atomic quadrature")
@@ -545,16 +551,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="lambda=value pairs, comma separated; in d > 1 lambda is x:y[:...]",
     )
     p.add_argument("--quadrature-depth", type=int, default=10, dest="quadrature_depth")
-    p.add_argument("--max-error", type=float, default=1e-6, dest="max_error")
+    p.add_argument("--max-error", default=1e-6, dest="max_error")
     p.set_defaults(fn=_cmd_hardy)
 
     return parser
+
+
+def _parse_number_flags(args) -> None:
+    """Replace each NUMBER_FLAGS value by :func:`parse_number` of it."""
+    for key in NUMBER_FLAGS:
+        if hasattr(args, key):
+            try:
+                setattr(args, key, parse_number(getattr(args, key)))
+            except ValidationError as exc:
+                raise ValidationError(f"--{key.replace('_', '-')}: {exc}") from None
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _parse_number_flags(args)
         return args.fn(args)
     except (FractalSpecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

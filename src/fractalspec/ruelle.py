@@ -178,17 +178,27 @@ def attractor_hull(sys: AffineSystem, tol: float = BOX_TOL) -> np.ndarray:
         raise ConvergenceError(
             f"attractor tail radius {tail:.3e} above {tol:.1e} after {level} levels"
         )
-    box = np.stack([lo - tail, hi + tail], axis=1)
+    box = grow_invariant_box(sys, np.stack([lo - tail, hi + tail], axis=1), tol)
+    box.setflags(write=False)
+    return box
 
+
+def grow_invariant_box(
+    sys: AffineSystem, box: np.ndarray, tol: float, pad: float = 0.0
+) -> np.ndarray:
+    """Grow ``box`` by its images under the maps t -> (R^T)^-1 (t - l) until
+    no image leaves it by more than ``tol`` (a negative ``tol`` demands that
+    margin inside).  Each growth step also widens every side by ``pad``; a
+    :class:`ConvergenceError` after HULL_MAX_EXPAND steps.
+    """
     for _ in range(HULL_MAX_EXPAND):
         excess, images = _invariance_excess(sys, box)
         if excess <= tol:
-            box.setflags(write=False)
             return box
         box = np.stack(
             [
-                np.minimum(box[:, 0], images[:, 0]),
-                np.maximum(box[:, 1], images[:, 1]),
+                np.minimum(box[:, 0], images[:, 0]) - pad,
+                np.maximum(box[:, 1], images[:, 1]) + pad,
             ],
             axis=1,
         )

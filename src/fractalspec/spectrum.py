@@ -18,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from ._numeric import cis2pi
+from .errors import BudgetError, ConvergenceError, ValidationError
 from .measure import FractalMeasure, fourier_mu_many
-from .systems import AffineSystem
+from .ruelle import grow_invariant_box
+from .systems import AffineSystem, certified_tails, integral_system
 
 __all__ = [
     "SpectrumEnumeration",
@@ -36,6 +38,12 @@ __all__ = [
 DEFAULT_WORD_BUDGET = 2**24
 DEDUP_TOL = 1e-9
 SEPARATION_BLOCK_ELEMS = 2**20  # pairwise distances held at once
+Q_BLOCK = 2**16  # differences or tree nodes held at once by a Q evaluation
+BOX_MARGIN = 1e-9  # relative margin of a leaf table's box
+TABLE_POINTS = (4, 65)  # range of Chebyshev points per axis of a leaf table
+TABLE_INTERP_TOL = 1e-14  # interpolation part of a leaf table's error
+TABLE_NODE_TAIL = 1e-15  # product tail at a leaf table's nodes
+TABLE_EVAL_BLOCK = 2**11  # points per block of a table evaluation
 
 
 @dataclass(frozen=True)
@@ -173,17 +181,241 @@ def q_partial(m: FractalMeasure, spec: SpectrumEnumeration, t) -> float:
 
 
 def q_partial_many(m: FractalMeasure, spec: SpectrumEnumeration, T) -> np.ndarray:
-    """Vectorized Q_n over rows of T."""
+    """Vectorized Q_n over rows of T, summed directly over the frequencies.
+
+    Rows of T are taken in blocks so that about Q_BLOCK differences are held
+    at once; each block picks its own product depth.
+    """
     T = np.asarray(T, dtype=float).reshape(-1, m.sys.d)
     el = spec.elements
-    diffs = (T[:, None, :] - el[None, :, :]).reshape(-1, m.sys.d)
-    values, _ = fourier_mu_many(m, diffs)
-    return (np.abs(values).reshape(T.shape[0], el.shape[0]) ** 2).sum(axis=1)
+    out = np.empty(T.shape[0])
+    rows = max(1, Q_BLOCK // max(el.shape[0], 1))
+    for start in range(0, T.shape[0], rows):
+        block = T[start : start + rows]
+        diffs = (block[:, None, :] - el[None, :, :]).reshape(-1, m.sys.d)
+        values, _ = fourier_mu_many(m, diffs)
+        out[start : start + rows] = (
+            np.abs(values).reshape(block.shape[0], el.shape[0]) ** 2
+        ).sum(axis=1)
+    return out
+
+
+class _WordTree:
+    """Q_n over a grid as a walk of the dual word tree (see completeness_scan).
+
+    A node at level k holds the point s_k and the weight
+    W = prod_{j<k} |chi(s_j - l_j)|^2; its children are s_{k+1} = (R^T)^-1
+    (s_k - l) for l in L.  The deepest level whose nodes all fit in Q_BLOCK
+    is kept between depths; below it the walk is depth first, splitting the
+    grid and then the words so that at most about Q_BLOCK nodes are live.
+    """
+
+    def __init__(self, m: FractalMeasure, grid: np.ndarray, depth: int):
+        sys = m.sys
+        self.m = m
+        self.n = sys.n_digits
+        self.B = sys.B
+        self.rinv = sys.rinv
+        # chi(s - l) = N^-1 sum_b e(b.s) conj(e(b.l)): N exponentials per node
+        self.h = np.conj(cis2pi(sys.B @ sys.L.T)) / self.n
+        self.lr = sys.L @ sys.rinv  # row form of (R^T)^-1 l
+        self.pts = grid[:, None, :]  # (grid, nodes, d) at self.level
+        self.w = np.ones(self.pts.shape[:2])
+        self.level = 0
+        self.box = _leaf_box(sys, grid, depth)
+        self.points = None if self.box is None else _table_points(sys, self.box)
+        self.table = None
+
+    def _leaf(self, depth: int):
+        """Leaf evaluator for Q_depth and its certified error: the table once
+        the depth has more leaves than the table has nodes, else the product."""
+        leaves = self.pts.shape[0] * self.n ** (depth + 1)
+        if self.points is not None and leaves > self.points**self.m.sys.d:
+            if self.table is None:
+                try:
+                    self.table = _LeafTable(self.m, self.box, self.points)
+                except ConvergenceError:  # node product tail out of reach
+                    self.points = None
+                    return _direct_leaf(self.m)
+            return self.table, self.table.error
+        return _direct_leaf(self.m)
+
+    def _expand(self, pts, w):
+        g, k, d = pts.shape
+        chi = cis2pi(pts @ self.B.T) @ self.h
+        w = w[:, :, None] * (chi.real**2 + chi.imag**2)
+        pts = (pts @ self.rinv)[:, :, None, :] - self.lr
+        return pts.reshape(g, k * self.n, d), w.reshape(g, k * self.n)
+
+    def q(self, depth: int) -> tuple[np.ndarray, float]:
+        """Q_depth per grid point (sum of W |mu-hat|^2 over the level depth+1
+        nodes) and the bound on its error, for nondecreasing depths."""
+        leaf, error = self._leaf(depth)
+        while self.level <= depth and self.w.size * self.n <= Q_BLOCK:
+            self.pts, self.w = self._expand(self.pts, self.w)
+            self.level += 1
+        return self._sums(self.pts, self.w, depth + 1 - self.level, leaf), error
+
+    def _sums(self, pts, w, levels: int, leaf) -> np.ndarray:
+        g, k = w.shape
+        if levels == 0:
+            values = leaf(pts.reshape(-1, pts.shape[2])).reshape(g, k)
+            return np.sum(w * values, axis=1)
+        if w.size * self.n > Q_BLOCK:
+            if g > 1:
+                rows = max(1, Q_BLOCK // (k * self.n))
+                return np.concatenate(
+                    [
+                        self._sums(pts[i : i + rows], w[i : i + rows], levels, leaf)
+                        for i in range(0, g, rows)
+                    ]
+                )
+            cols = max(1, Q_BLOCK // self.n)
+            return sum(
+                self._sums(pts[:, j : j + cols], w[:, j : j + cols], levels, leaf)
+                for j in range(0, k, cols)
+            )
+        pts, w = self._expand(pts, w)
+        return self._sums(pts, w, levels - 1, leaf)
+
+
+def _leaf_box(sys: AffineSystem, grid: np.ndarray, depth: int) -> np.ndarray | None:
+    """A box holding the level depth+1 nodes of the word tree over ``grid``
+    that every dual map sends into itself, so it holds every deeper level.
+
+    The nodes are (R^T)^-(depth+1) t - sum_{j=1}^{depth+1} (R^T)^-j l_j,
+    whose bounding box decomposes level by level.  A margin absorbs the
+    rounding of the walk.  None when no invariant box is found.
+    """
+    mapped = grid
+    for _ in range(depth + 1):
+        mapped = mapped @ sys.rinv
+    lo, hi = mapped.min(axis=0), mapped.max(axis=0)
+    contrib = sys.L
+    for _ in range(depth + 1):
+        contrib = contrib @ sys.rinv
+        lo = lo - contrib.max(axis=0)
+        hi = hi - contrib.min(axis=0)
+    margin = BOX_MARGIN * (1.0 + max(np.abs(lo).max(), np.abs(hi).max()))
+    box = np.stack([lo - margin, hi + margin], axis=1)
+    try:
+        return grow_invariant_box(sys, box, -margin, pad=2.0 * margin)
+    except ConvergenceError:
+        return None
+
+
+def _lebesgue(p):
+    """Upper bound on the Lebesgue constant of p Chebyshev points of the
+    second kind (Trefethen, ATAP Thm 15.2)."""
+    return 2.0 / np.pi * np.log(p) + 1.0
+
+
+def _interpolation_bound(sys: AffineSystem, box: np.ndarray, p):
+    """Certified sup error of the p-point tensor Chebyshev interpolant of
+    |mu-hat|^2 on ``box`` (elementwise over an array of p).
+
+    |mu-hat|^2(z) = int int e(-z.(x - x')) dmu dmu is entire with
+    |.(s + iy)| <= exp(2 pi sum_i |y_i| D), D = sum_k ||R^-k|| max|b - b'|
+    >= every coordinate width of the support.  On the Bernstein
+    polyellipse rho of the box that is M = exp(pi (rho - 1/rho) sum_i a_i D)
+    (a_i the half-widths), the 1-D error is 4 M rho^-(p-1) / (rho - 1)
+    (Trefethen, ATAP Thm 8.2) and the tensor error sums Lambda_p^i times it
+    over i < d.  Minimized over a fixed grid of rho, every one of which is
+    a valid bound.
+    """
+    diffs = sys.B[:, None, :] - sys.B[None, :, :]
+    width = certified_tails(sys)[0] * float(np.max(np.linalg.norm(diffs, axis=2)))
+    growth = np.pi * 0.5 * float(np.sum(box[:, 1] - box[:, 0])) * width
+    p = np.asarray(p, dtype=float)
+    rho = 1.0 + np.geomspace(1e-3, 1e3, 601)
+    log_bound = (
+        np.log(4.0)
+        + growth * (rho - 1.0 / rho)
+        - (p[..., None] - 1.0) * np.log(rho)
+        - np.log(rho - 1.0)
+    )
+    stack = sum(_lebesgue(p) ** i for i in range(sys.d))
+    return np.exp(log_bound.min(axis=-1)) * stack
+
+
+def _table_points(sys: AffineSystem, box: np.ndarray) -> int | None:
+    """Smallest p in TABLE_POINTS whose interpolation bound is at most
+    TABLE_INTERP_TOL, or None."""
+    points = np.arange(*TABLE_POINTS)
+    ok = np.nonzero(_interpolation_bound(sys, box, points) <= TABLE_INTERP_TOL)[0]
+    return int(points[ok[0]]) if ok.size else None
+
+
+class _LeafTable:
+    """Tensor Chebyshev interpolant of |mu-hat|^2 on a box, with a certified
+    bound ``error`` on its distance to |mu-hat|^2 anywhere in the box.
+
+    The error adds: the interpolation bound; Lambda_p^d times the node
+    error, i.e. 2 tau + tau^2 for a product tail tau plus the rounding of the
+    K-factor products (2 eps K (N + 4)); and the rounding of the evaluation,
+    eps sum_k |c_k| (5 sum_i (k_i + 1)^2 + 2 d p + d), from the Chebyshev
+    recurrence and the sums (first-order counts).
+    """
+
+    def __init__(self, m: FractalMeasure, box: np.ndarray, p: int):
+        sys = m.sys
+        d = sys.d
+        self.center = box.mean(axis=1)
+        self.half = 0.5 * (box[:, 1] - box[:, 0])
+        self.p = p
+        n = p - 1
+        u = np.cos(np.pi * np.arange(p) / n)  # second-kind points, 1 down to -1
+        axes = self.center[:, None] + self.half[:, None] * u
+        nodes = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")], axis=1)
+        fine = FractalMeasure(sys, product_tail_tol=TABLE_NODE_TAIL)
+        values, tails = fourier_mu_many(fine, nodes)
+        coef = (np.abs(values) ** 2).reshape((p,) * d)
+        jk = np.outer(np.arange(p), np.arange(p)) % (2 * n)
+        dct = np.cos(np.pi * jk / n) * (2.0 / n)  # DCT-I: values to coefficients
+        dct[:, [0, n]] *= 0.5
+        dct[[0, n], :] *= 0.5
+        for axis in range(d):
+            coef = np.moveaxis(np.tensordot(dct, coef, axes=([1], [axis])), 0, axis)
+        self.coef = coef.reshape(p, -1)
+
+        eps = np.finfo(float).eps
+        tau = float(tails.max())
+        depth = fine._depth_for(float(np.linalg.norm(nodes, axis=1).max()))
+        node_error = 2.0 * tau + tau**2 + 2.0 * eps * depth * (sys.n_digits + 4)
+        k = np.indices((p,) * d).reshape(d, -1)
+        weights = 5.0 * np.sum((k + 1.0) ** 2, axis=0) + 2 * d * p + d
+        rounding = eps * float(np.sum(np.abs(coef).ravel() * weights))
+        self.error = float(
+            _interpolation_bound(sys, box, p) + _lebesgue(p) ** d * node_error + rounding
+        )
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        out = np.empty(pts.shape[0])
+        for start in range(0, pts.shape[0], TABLE_EVAL_BLOCK):
+            block = pts[start : start + TABLE_EVAL_BLOCK]
+            cheb = []  # per axis: T_k(u) as (p, rows)
+            for u in ((block - self.center) / self.half).T:
+                t = np.empty((self.p, u.size))
+                t[0] = 1.0
+                t[1] = u
+                for j in range(2, self.p):
+                    np.multiply(2.0 * u, t[j - 1], out=t[j])
+                    t[j] -= t[j - 2]
+                cheb.append(t)
+            acc = cheb[0].T @ self.coef
+            for t in cheb[1:]:
+                acc = np.sum(acc.reshape(u.size, self.p, -1) * t.T[:, :, None], axis=1)
+            out[start : start + TABLE_EVAL_BLOCK] = acc.reshape(-1)
+        return out
 
 
 @dataclass(frozen=True)
 class CompletenessReport:
-    """Outcome of a grid scan of Q_n with optional depth escalation."""
+    """Outcome of a grid scan of Q_n with optional depth escalation.
+
+    ``q_error`` is the certified leaf error subtracted from a tree-summed Q
+    (0 when Q is summed directly over the frequencies).
+    """
 
     min_Q: float
     argmin: np.ndarray
@@ -193,6 +425,7 @@ class CompletenessReport:
     target: float
     depths: tuple[int, ...]
     min_trace: tuple[float, ...]
+    q_error: float
     Q: np.ndarray  # per grid point at the last depth (empty if none); not in as_dict
 
     def as_dict(self) -> dict:
@@ -205,6 +438,7 @@ class CompletenessReport:
             "target": self.target,
             "depths": list(self.depths),
             "min_trace": list(self.min_trace),
+            "q_error": self.q_error,
         }
 
 
@@ -223,23 +457,40 @@ def completeness_scan(
     ``increment_tol`` (converged), or once the word budget or ``max_depth``
     is hit (inconclusive; also when not even the starting depth fits).
     Hand-built enumerations are evaluated at their fixed element set only.
-    Evidence labels: Q_n only ever underestimates the limit, so
+    Evidence labels: every reported Q underestimates the limit, so
     "complete-evidence" (min Q >= target) is one-sided and
     "incomplete-evidence" additionally requires convergence.
 
-    When the enumeration is integral and each depth's set holds the
-    previous one (compared exactly; 0 in L makes the sets nested), only the
-    new frequencies are summed onto the running Q; otherwise every depth is
-    summed afresh.
+    Transfer-operator tree.  When the system is exactly integral
+    (:func:`~fractalspec.systems.integral_system`), 0 is in L and the
+    starting set has all N^(depth+1) words distinct, |chi(t - lam)|^2 =
+    |chi(t - l_0)|^2 for lam = l_0 + R^T lam', so Q_n(t) is the sum over
+    words l_0..l_n of W |mu-hat(s_{n+1})|^2 with s_0 = t,
+    s_{k+1} = (R^T)^-1 (s_k - l_k) and W = prod_k |chi(s_k - l_k)|^2; the
+    weights sum to 1 (unitarity).  The tree is walked depth first in grid
+    blocks, with at most about Q_BLOCK nodes live.  Leaves take
+    |mu-hat|^2 from one certified tensor Chebyshev table per scan, on an
+    invariant box around the starting depth's leaves (so the table does
+    not depend on ``max_depth``), or from the product when the depth has
+    fewer leaves than the table has nodes or no table can be certified.
+    Either way every leaf is within ``q_error`` of |mu-hat|^2, so
+    Q_n - q_error is a lower bound; the report keeps the running max over
+    depths (the sets are nested) and never goes below 0.  Every other
+    enumeration is summed directly, afresh at each depth, with
+    ``q_error`` = 0.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1, m.sys.d)
     if grid.size == 0:
         raise ValidationError("completeness grid is empty")
+    sys = m.sys
+    n = sys.n_digits
     depths: list[int] = []
     trace: list[float] = []
     converged = False
     exhausted = False
     q = np.empty(0)
+    q_error = 0.0
+    max_q = -np.inf
 
     if spec.depth is None:
         # fixed element set: single evaluation, nothing to escalate
@@ -250,19 +501,25 @@ def completeness_scan(
         converged = True
     else:
         top = spec.depth + 8 if max_depth is None else max_depth
-        max_q, previous = -np.inf, None
+        tree = None
+        if (
+            integral_system(sys)
+            and np.any(np.all(sys.L == 0.0, axis=1))
+            and spec.size == n ** (spec.depth + 1)
+        ):
+            # distinct words stay distinct: unitarity puts the l in distinct
+            # classes mod R^T Z^d, so l + R^T lam = l' + R^T lam' forces l = l'
+            tree = _WordTree(m, grid, spec.depth)
+            q = np.zeros(grid.shape[0])
         for depth in range(spec.depth, top + 1):
-            try:
-                s = enumerate_spectrum(m.sys, depth, budget=budget)
-            except BudgetError:
+            if n ** (depth + 1) > budget:
                 exhausted = True
                 break
-            fresh = None if previous is None else _new_rows(previous, s)
-            if fresh is None:
-                q = q_partial_many(m, s, grid)
+            if tree is None:
+                q = q_partial_many(m, enumerate_spectrum(sys, depth, budget=budget), grid)
             else:
-                q = q + q_partial_many(m, fresh, grid)
-            previous = s
+                sums, q_error = tree.q(depth)
+                q = np.maximum(q, sums - q_error)
             max_q = max(max_q, float(q.max()))
             depths.append(depth)
             trace.append(float(q.min()))
@@ -271,6 +528,8 @@ def completeness_scan(
                 break
         else:
             exhausted = True
+        if not depths:
+            q = np.empty(0)
 
     min_q = float(q.min(initial=np.inf))
     if not depths:
@@ -291,31 +550,23 @@ def completeness_scan(
         target=target,
         depths=tuple(depths),
         min_trace=tuple(trace),
+        q_error=q_error,
         Q=q,
     )
 
 
-def _new_rows(
-    old: SpectrumEnumeration, new: SpectrumEnumeration
-) -> SpectrumEnumeration | None:
-    """The rows of ``new`` that are not rows of ``old``, compared exactly.
+def _direct_leaf(m: FractalMeasure):
+    """|mu-hat|^2 from the truncated product, and its certified error: the
+    tail tau <= product_tail_tol gives 2 tau + tau^2, plus the rounding of
+    at most max_product_depth factors (as in :class:`_LeafTable`)."""
+    tau = m.product_tail_tol
+    rounding = 2.0 * float(np.finfo(float).eps) * m.max_product_depth * (m.sys.n_digits + 4)
+    error = 2.0 * tau + tau**2 + rounding
 
-    None unless both sets are integral and ``old`` is a subset of ``new``:
-    a non-integral set may keep other near-duplicate representatives at the
-    next depth, and summing only the new rows would then count some
-    frequencies twice.
-    """
-    both = np.concatenate([old.elements, new.elements])
-    if not np.all(both == np.round(both)):
-        return None
-    _, inverse = np.unique(both, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    seen = np.zeros(both.shape[0], dtype=bool)
-    seen[inverse[: old.size]] = True
-    fresh = ~seen[inverse[old.size :]]
-    if old.size + int(fresh.sum()) != new.size:
-        return None
-    return SpectrumEnumeration.from_elements(new.sys, new.elements[fresh])
+    def leaf(pts):
+        return np.abs(fourier_mu_many(m, pts)[0]) ** 2
+
+    return leaf, error
 
 
 def separation(spec: SpectrumEnumeration) -> float:

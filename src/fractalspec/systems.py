@@ -9,8 +9,8 @@ candidate frequency set.  Two conditions make the pair workable:
 * unitarity: the N x N matrix N^(-1/2) (exp(2 pi i b.l)) is unitary.
 
 Both are checked numerically here; the integrality check upgrades to an
-exact argument when R, R B and L are integral, in which case a single matrix
-identity covers all n at once.
+exact argument when R and L are integral and R^n b . l is an integer for
+n = 1..d, in which case Cayley-Hamilton covers all n at once.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "validate_compatibility",
     "spectral_expansiveness",
     "require_expansive",
+    "integral_system",
     "adjoint_power_norms",
     "scale_system",
     "validate_system",
@@ -276,26 +277,16 @@ def validate_compatibility(
 ) -> ValidationReport:
     """Full structural report: integrality, unitarity, expansiveness.
 
-    Integrality is the condition R^n b . l in Z for n = 1..n_max.  When R
-    has integer entries, R B is integral and L is integral (all within
-    ``tol``), the identity R^n b . l = (R b) . (R^T)^(n-1) l settles
-    every n at once; the report then carries ``exact_shortcut_used`` and a
-    zero defect.  Otherwise the defect is the largest distance from any
-    tested product to its nearest integer, which is bounded-n evidence, not
-    a proof.
+    Integrality is the condition R^n b . l in Z for n = 1..n_max.  When
+    :func:`integral_system` holds within ``tol``, every n is settled at
+    once; the report then carries ``exact_shortcut_used`` and a zero
+    defect.  Otherwise the defect is the largest distance from any tested
+    product to its nearest integer, which is bounded-n evidence, not a
+    proof.
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
-
-    def integral(arr) -> bool:
-        return bool(np.all(np.abs(arr - np.round(arr)) <= tol))
-
-    shortcut = (
-        allow_shortcut
-        and integral(sys.R)
-        and integral(sys.B @ sys.R.T)
-        and integral(sys.L)
-    )
+    shortcut = allow_shortcut and integral_system(sys, tol)
     defect = 0.0
     if not shortcut:
         powered = sys.B.copy()
@@ -316,6 +307,37 @@ def validate_compatibility(
         exact_shortcut_used=shortcut,
         int_tol=tol,
     )
+
+
+def integral_system(sys: AffineSystem, tol: float = 0.0) -> bool:
+    """Whether R, L and R^n b . l for n = 1..d are integers (within ``tol``).
+
+    Then R^n b . l is an integer for every n >= 1: the characteristic
+    polynomial of R^T is monic with integer coefficients, so each
+    (R^T)^(n-1) is an integer combination of (R^T)^j, j < d, and
+    b . (R^T)^n l = sum_j a_j b . (R^T)^(j+1) l.  With ``tol`` = 0 the
+    check is exact, in rational arithmetic on the stored floats (so B =
+    {0, 1/3} with R = 3 fails: the float 1/3 times 3 is not 1), which is
+    what exact identities between masks at integral frequencies need.
+    """
+    exact = tol == 0.0
+    R, B, L = sys.R, sys.B, sys.L
+    if exact:
+        R, B, L = (np.vectorize(Fraction, otypes=[object])(a) for a in (R, B, L))
+
+    def integral(arr) -> bool:
+        if exact:
+            return all(x.denominator == 1 for x in arr.flat)
+        return bool(np.all(np.abs(arr - np.round(arr)) <= tol))
+
+    if not (integral(R) and integral(L)):
+        return False
+    powered = B
+    for _ in range(sys.d):
+        powered = powered @ R.T  # rows are R^n b
+        if not integral(powered @ L.T):
+            return False
+    return True
 
 
 def spectral_expansiveness(sys: AffineSystem) -> tuple[bool, float]:

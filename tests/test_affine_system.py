@@ -23,6 +23,7 @@ from fractalspec._numeric import operator_norm, power_norm_tail, power_norms
 from fractalspec.systems import (
     INV_POWER_DEPTH,
     adjoint_power_norms,
+    integral_system,
     parse_number,
     unitarity_tolerance,
 )
@@ -120,6 +121,24 @@ class TestCompatibility:
         assert with_shortcut.exact_shortcut_used
         assert with_shortcut.max_integrality_defect <= 1e-9
         assert without.max_integrality_defect <= 1e-9
+
+    @pytest.mark.parametrize(
+        "R, B, L, within_tol, exact",
+        [
+            (2.0, [0.0, 0.25], [0.0, 2.0], True, True),  # R B = {0, 1/2} is not integral
+            (3.0, [0.0, 1.0 / 3.0], [0.0, 1.0], True, False),  # 3 * float(1/3) != 1
+            (3.0, [0.0, 0.5], [0.0, 1.0], False, False),
+            ([[2.0, 1.0], [0.0, 2.0]], [[0.0, 0.0], [0.25, 0.0]], [[0.0, 0.0], [2.0, 0.0]], True, True),
+        ],
+    )
+    def test_integral_system(self, R, B, L, within_tol, exact):
+        # R and L integral with R^n b.l integral for n = 1..d settles every n
+        s = make_system(R, B, L)
+        assert integral_system(s, 1e-9) == within_tol
+        assert integral_system(s) == exact
+        assert validate_compatibility(s).exact_shortcut_used == within_tol
+        if within_tol:
+            assert validate_compatibility(s, n_max=12, allow_shortcut=False).max_integrality_defect <= 1e-9
 
     def test_zero_frequency_always_compatible(self):
         s = make_system(2.5, [1.0 / 3.0], [0.0])

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fractalspec import cli
 from fractalspec.cli import main
 
 
@@ -89,6 +90,39 @@ def test_bad_number_flag_exits_one(cantor4_file, capsys, argv, bad):
     argv = [arg.format(cantor4=cantor4_file) for arg in argv]
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (1, "", f"error: not a finite number: '{bad}'\n")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, bad",
+    [
+        (["completeness", "--system", "{cantor4}", "--target", "nan"], "--target", "nan"),
+        (["classify", "--R", "4", "--a", "1/2", "--target", "inf"], "--target", "inf"),
+        (["validate", "--system", "{cantor4}", "--tol", "nan"], "--tol", "nan"),
+        (["orthogonality", "--system", "{cantor4}", "--tol=-inf"], "--tol", "-inf"),
+        (["completeness", "--system", "{cantor4}", "--increment-tol", "inf"], "--increment-tol", "inf"),
+        (["clique", "--R", "3", "--a", "1/2", "--zero-tol", "nan"], "--zero-tol", "nan"),
+        (["tiling", "--window=0:1", "--translate-factor", "inf"], "--translate-factor", "inf"),
+        (["hardy", "--system", "{cantor4}", "--coeffs", "0=1", "--max-error", "nan"], "--max-error", "nan"),
+    ],
+    ids=["target", "classify-target", "tol", "orthogonality-tol", "increment-tol", "zero-tol",
+         "translate-factor", "max-error"],
+)
+def test_non_finite_flag_exits_one_before_computing(cantor4_file, capsys, monkeypatch, argv, flag, bad):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "_load_validated", unreachable)
+    argv = [arg.format(cantor4=cantor4_file) for arg in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (1, "", f"error: {flag}: not a finite number: '{bad}'\n")
+
+
+@pytest.mark.parametrize("coeffs, bad", [("0=nan,1=1", "nan"), ("0=1,1=1+infj", "1+infj")])
+def test_non_finite_hardy_coefficient_exits_one(cantor4_file, capsys, monkeypatch, coeffs, bad):
+    monkeypatch.setattr(cli, "hardy_roundtrip", lambda *a, **k: pytest.fail("round-trip ran"))
+    argv = ["hardy", "--system", cantor4_file, "--coeffs", coeffs]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (1, "", f"error: coefficient '{bad}' is not a finite number\n")
 
 
 @pytest.mark.parametrize("grid, points", [("0:1e9:1e-9", "1e+18"), ("0:1:1,0:1e9:1e-9", "2e+18")])
@@ -410,6 +444,7 @@ SCIPY_BLOCKED = """
 import json, sys
 sys.modules["scipy"] = None  # every scipy import now raises ImportError
 sys.path.insert(0, {src!r})
+from fractalspec import cli
 from fractalspec.cli import main
 code = main(["certify", "--system", {system!r}, "--trials", "3", "--seed", "1"])
 loaded = [name for name, mod in sys.modules.items()

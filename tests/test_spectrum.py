@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractalspec import (
@@ -10,6 +10,7 @@ from fractalspec import (
     ValidationError,
     completeness_scan,
     enumerate_spectrum,
+    fourier_mu_many,
     make_system,
     orthogonality_matrix,
     q_partial,
@@ -246,7 +247,8 @@ class TestCompletenessScan:
             np.array([[0.0]]),
             target=0.99,
         )
-        assert report.min_Q == 1.0
+        # Q is a certified lower bound: the exact value 1 less at most q_error
+        assert 1.0 - report.q_error <= report.min_Q <= 1.0
         assert report.status == "complete-evidence"
 
     def test_inconclusive_when_budget_runs_out(self, cantor4, cantor4_measure):
@@ -301,6 +303,45 @@ def summed_sizes(monkeypatch):
     return sizes
 
 
+def hadamard_triple(n, k, lift):
+    """1-D Hadamard triple R = N k, B = {0..N-1}/N, L = {0..N-1} + N lift, 0 in L."""
+    L = np.arange(n) + n * np.concatenate([[0], lift[: n - 1]])
+    return make_system(float(n * k), np.arange(n) / n, L)
+
+
+# Q from the tree lies within 2 q_error below the exact value; SLACK covers
+# the rounding of the walk and of the reference (measured: about 1e-16)
+SLACK = 2e-14
+
+
+def assert_certified_lower_bound(report, exact):
+    assert 0.0 <= report.q_error <= 1e-10
+    assert np.all(report.Q >= exact - 2.0 * report.q_error - SLACK)
+    assert np.all(report.Q <= exact + SLACK)
+
+
+def extended_q(sys, depth, grid, factors=96):
+    """Q_depth on a 1-D dyadic system, summed directly in extended precision.
+
+    q_partial_many rounds t - lam in double precision, which moves Q by up
+    to about 1e-12 once |lam| reaches 1e5; here every phase b (t - lam) /
+    R^k is formed and reduced mod 1 exactly in long double arithmetic.
+    """
+    two_pi = 2 * np.longdouble("3.14159265358979323846264338327950288")
+    lam = enumerate_spectrum(sys, depth).elements[:, 0].astype(np.longdouble)
+    x = grid[:, :1].astype(np.longdouble) - lam
+    value = np.ones(x.shape, dtype=np.clongdouble)
+    for _ in range(factors):
+        mask = np.zeros(x.shape, dtype=np.clongdouble)
+        for b in sys.B[:, 0].astype(np.longdouble):
+            phase = b * x
+            phase -= np.round(phase)
+            mask += np.cos(two_pi * phase) - 1j * np.sin(two_pi * phase)
+        value *= mask / sys.n_digits
+        x = x / np.longdouble(sys.R[0, 0])
+    return (np.abs(value) ** 2).sum(axis=1).astype(float)
+
+
 class TestIncrementalScan:
     @pytest.fixture(params=["cantor4", "quad2d"])
     def case(self, request):
@@ -317,21 +358,76 @@ class TestIncrementalScan:
             m, enumerate_spectrum(sys, depth), grid, target=0.99, max_depth=max_depth
         )
 
-    def test_matches_full_resum(self, case, monkeypatch):
-        incremental = self.scan(*case)
-        monkeypatch.setattr(spectrum, "_new_rows", lambda old, new: None)
-        full = self.scan(*case)
-        assert len(incremental.depths) >= 3
-        assert incremental.depths == full.depths
-        assert incremental.status == full.status
-        assert np.max(np.abs(incremental.Q - full.Q)) <= 1e-14
-        assert np.max(np.abs(np.subtract(incremental.min_trace, full.min_trace))) <= 1e-14
-
-    def test_sums_each_frequency_once(self, case, monkeypatch):
-        sizes = summed_sizes(monkeypatch)
+    def test_matches_full_resum(self, case):
         report = self.scan(*case)
-        total = [enumerate_spectrum(case[0], d).size for d in report.depths]
-        assert sizes == [total[0]] + list(np.diff(total))
+        assert len(report.depths) >= 3
+        assert report.status == "complete-evidence" and report.q_error > 0.0
+        m, grid = FractalMeasure(case[0]), case[1]
+        exact = q_partial_many(m, enumerate_spectrum(m.sys, report.depths[-1]), grid)
+        assert_certified_lower_bound(report, exact)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        k=st.integers(2, 3),
+        lift=st.lists(st.integers(0, 1), min_size=3, max_size=3),
+        depth=st.integers(0, 2),
+    )
+    @example(n=2, k=2, lift=[1, 0, 0], depth=2)  # R = 4, L = {0, 3}: not spectral
+    def test_tree_is_a_certified_lower_bound(self, n, k, lift, depth):
+        sys = hadamard_triple(n, k, lift)
+        m = FractalMeasure(sys)
+        grid = grid1d(-1.0, 1.0, 0.1)
+        report = completeness_scan(
+            m, enumerate_spectrum(sys, depth), grid, 0.99, max_depth=depth + 1
+        )
+        assert report.depths == tuple(range(depth, depth + len(report.depths)))
+        if n == 3:  # the float 1/3 is not exactly compatible: summed directly
+            assert report.q_error == 0.0
+        else:
+            assert report.q_error > 0.0
+            assert_certified_lower_bound(report, extended_q(sys, report.depths[-1], grid))
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        x=st.floats(-1.0, 1.0),
+        y=st.floats(-1.0, 1.0),
+        depth=st.integers(0, 1),
+    )
+    def test_quad2d_tree_is_a_certified_lower_bound(self, quad2d, x, y, depth):
+        m = FractalMeasure(quad2d)
+        axis = np.arange(0.0, 0.55, 0.25)
+        grid = np.stack(np.meshgrid(axis + x, axis + y, indexing="ij"), axis=-1).reshape(-1, 2)
+        report = completeness_scan(
+            m, enumerate_spectrum(quad2d, depth), grid, 0.99, max_depth=depth + 2
+        )
+        assert report.q_error > 0.0
+        # R = 4 and dyadic digits: the direct sum is accurate to about 1e-16 here
+        exact = q_partial_many(m, enumerate_spectrum(quad2d, report.depths[-1]), grid)
+        assert_certified_lower_bound(report, exact)
+
+    def test_non_spectral_witness_stays_zero(self):
+        # t = -1 is an m_B-cycle point of R = 4, L = {0, 3}: Q(-1) = 0 exactly
+        sys = hadamard_triple(2, 2, [1])
+        report = completeness_scan(
+            FractalMeasure(sys), enumerate_spectrum(sys, 2), np.array([[-1.0], [0.5]]), 0.99
+        )
+        assert report.Q[0] == 0.0
+        assert report.min_Q == 0.0 and report.status == "incomplete-evidence"
+
+    @pytest.mark.parametrize("name", ["cantor4", "quad2d", "even2"])
+    def test_leaf_table_error_bound(self, name, request):
+        sys = request.getfixturevalue(name)
+        grid = np.zeros((1, sys.d)) if sys.d > 1 else grid1d(0.0, 1.0, 0.5)
+        box = spectrum._leaf_box(sys, grid, 1)
+        table = spectrum._LeafTable(FractalMeasure(sys), box, spectrum._table_points(sys, box))
+        assert table.error <= 1e-11
+        rng = np.random.default_rng(7)
+        pts = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.uniform(size=(2000, sys.d))
+        pts = np.concatenate([pts, box.T])  # two opposite corners
+        fine = FractalMeasure(sys, product_tail_tol=1e-15)
+        direct = np.abs(fourier_mu_many(fine, pts)[0]) ** 2
+        assert np.max(np.abs(table(pts) - direct)) <= table.error
 
     @pytest.mark.parametrize(
         "B, L",
@@ -350,13 +446,6 @@ class TestIncrementalScan:
         assert len(report.depths) >= 2
         assert sizes == [enumerate_spectrum(sys, d).size for d in report.depths]
 
-    def test_new_rows_needs_a_subset(self, cantor4):
-        deeper = enumerate_spectrum(cantor4, 2)  # {0, 1, 4, 5, 16, 17, 20, 21}
-        fresh = spectrum._new_rows(enumerate_spectrum(cantor4, 1), deeper)
-        assert fresh.elements[:, 0].tolist() == [16.0, 17.0, 20.0, 21.0]
-        stray = SpectrumEnumeration.from_elements(cantor4, [[0.0], [2.0]])
-        assert spectrum._new_rows(stray, deeper) is None
-
     def test_report_carries_final_q(self, case):
         report = self.scan(*case)
         assert report.Q.shape == (case[1].shape[0],)
@@ -372,9 +461,7 @@ class TestIncrementalScan:
         lift=st.lists(st.integers(0, 1), min_size=3, max_size=3),
     )
     def test_q_never_decreases_with_depth(self, n, k, lift):
-        # Hadamard triple R = N k, B = {0..N-1}/N, L = {0..N-1} + N lift, 0 in L
-        L = np.arange(n) + n * np.concatenate([[0], lift[: n - 1]])
-        sys = make_system(float(n * k), np.arange(n) / n, L)
+        sys = hadamard_triple(n, k, lift)
         m = FractalMeasure(sys)
         grid = grid1d(-1.0, 1.0, 0.1)
         previous = np.zeros(grid.shape[0])
