@@ -20,6 +20,16 @@ widened and the endpoint values are rounded upward, so the reported gamma
 is an upper bound (sound for certification); probe ratios, by contrast,
 only ever underestimate their sups, so the certificate and the empirical
 check cannot disagree by construction.
+
+The probes are evaluated as one batch.  Every trial's trig polynomial is
+drawn first and their coefficients are folded onto the distinct wave
+vectors, so one cis2pi per point serves all trials and each trial's value
+and gradient are matmuls.  The mask |chi|^2 and its gradient come from one
+cis2pi of the digits per point and are shared by every trial.  The sup
+grid is walked in blocks that keep about PROBE_BLOCK phase elements live,
+with a running per-trial max, the trials TRIAL_CHUNK at a time, so memory
+does not grow with the number of trials; the 1-D zoom advances the
+brackets of all trials together.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from ._numeric import cospi, hs_norm, operator_norm, sinpi
+from ._numeric import cis2pi, hs_norm, operator_norm, sinpi
 from .errors import ConvergenceError, DomainError, ValidationError
 from .measure import FractalMeasure, chi_mask
 from .systems import AffineSystem, certified_tails, check_hadamard, require_expansive
@@ -54,6 +64,9 @@ HULL_MAX_EXPAND = 64
 # 1-D sup polish: samples per zoom round and the bracket width that ends it
 ZOOM_POINTS = 33
 ZOOM_TOL = 1e-12
+# probe batches: phase elements per grid block, trials per chunk
+PROBE_BLOCK = 2**14
+TRIAL_CHUNK = 16
 # bound on |sinpi(x) - sin(pi x)|: the reduction to r = x - round(x) is
 # exact, so only pi * r and sin round (together below 2.1 eps)
 SINPI_ERR = 4.0 * np.finfo(float).eps
@@ -242,16 +255,16 @@ def _mask_sq(sys: AffineSystem, pts: np.ndarray) -> np.ndarray:
     return np.abs(np.atleast_1d(values)) ** 2
 
 
-def _mask_sq_grad(sys: AffineSystem, pts: np.ndarray) -> np.ndarray:
-    """Gradient of |chi|^2 = N^-2 sum_{b,b'} cos(2 pi (b-b').s)."""
-    pts = np.atleast_2d(pts)
-    n = sys.n_digits
-    grad = np.zeros_like(pts)
-    for i, j in combinations(range(n), 2):
-        delta = sys.B[i] - sys.B[j]
-        s = sinpi(2.0 * (pts @ delta))
-        grad -= (4.0 * np.pi / n**2) * np.outer(s, delta)
-    return grad
+def _mask_sq_grad(sys: AffineSystem, pts: np.ndarray):
+    """|chi|^2 and its gradient at points (..., d), from one cis2pi.
+
+    With E = exp(2 pi i pts.b) per digit, chi = mean(E) and
+    grad |chi|^2 = 2 Re(conj(chi) grad chi) = -4 pi Im(conj(chi) (E @ B)) / N.
+    """
+    e = cis2pi(pts @ sys.B.T)
+    chi = e.mean(axis=-1)
+    grad = (-4.0 * np.pi / sys.n_digits) * np.imag(np.conj(chi)[..., None] * (e @ sys.B))
+    return np.abs(chi) ** 2, grad
 
 
 def apply_ruelle(
@@ -408,18 +421,12 @@ class TrigPolynomial:
         self.sin_coeff = np.asarray(sin_coeff, dtype=float)
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        phases = pts @ self.waves.T  # (M, n_terms)
-        return (cospi(2.0 * phases) - 1.0) @ self.cos_coeff + sinpi(
-            2.0 * phases
-        ) @ self.sin_coeff
+        batch = _WaveBatch([self])
+        return batch.value(batch.prepare(np.atleast_2d(pts)[None]), _ONE)[0]
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        phases = pts @ self.waves.T
-        dcos = -sinpi(2.0 * phases) * self.cos_coeff
-        dsin = cospi(2.0 * phases) * self.sin_coeff
-        return 2.0 * np.pi * (dcos + dsin) @ self.waves
+        batch = _WaveBatch([self])
+        return batch.gradient(batch.prepare(np.atleast_2d(pts)[None]), _ONE)[0]
 
     @classmethod
     def random(cls, rng: np.random.Generator, d: int, degree: int = 4) -> "TrigPolynomial":
@@ -437,49 +444,204 @@ class TrigPolynomial:
         )
 
 
-def _transfer_gradient(sys: AffineSystem, q_value, q_grad, pts: np.ndarray) -> np.ndarray:
-    """Exact gradient of Cq at pts, by the product rule."""
+_ONE = np.zeros(1, dtype=np.intp)  # the trial index of a batch of one
+
+
+class _WaveBatch:
+    """Trig polynomials of a batch of trials, folded onto their distinct waves.
+
+    Row t of ``coeff`` holds trial t's cosine then sine coefficients, summed
+    over repeated waves, so one cis2pi of ``pts @ waves.T`` serves every
+    trial and each trial's value and gradient are matmuls.  Points come as
+    (P, K, d): P = 1 is shared by every trial, P = len(trials) gives trial i
+    its own points pts[i].
+    """
+
+    def __init__(self, polys: list[TrigPolynomial]):
+        waves, where = np.unique(
+            np.concatenate([p.waves for p in polys]), axis=0, return_inverse=True
+        )
+        n = waves.shape[0]
+        owner = np.repeat(np.arange(len(polys)), [p.waves.shape[0] for p in polys])
+        coeff = np.zeros((len(polys), 2 * n))
+        np.add.at(coeff, (owner, where.ravel()), np.concatenate([p.cos_coeff for p in polys]))
+        np.add.at(coeff, (owner, n + where.ravel()), np.concatenate([p.sin_coeff for p in polys]))
+        self.size = len(polys)
+        self.waves = waves
+        self.coeff = coeff
+        # d/dt [cos, sin](2 pi w.t) = 2 pi w [-sin, cos]: gradients are
+        # [cos, sin] @ ([sin_coeff, -cos_coeff] 2 pi w)
+        self._dcoeff = np.concatenate([coeff[:, n:], -coeff[:, :n]], axis=1)
+        self._dwaves = 2.0 * np.pi * np.concatenate([waves, waves])
+
+    def block_rows(self, maps: int) -> int:
+        """Grid nodes per block when ``maps`` point sets are prepared at once:
+        about PROBE_BLOCK phase elements, and as many (trial, node) pairs."""
+        return max(1, PROBE_BLOCK // (maps * max(self.waves.shape[0], TRIAL_CHUNK)))
+
+    def prepare(self, pts: np.ndarray) -> np.ndarray:
+        """[cos, sin] of 2 pi pts.waves, from one cis2pi."""
+        e = cis2pi(pts @ self.waves.T)
+        return np.concatenate([e.real, e.imag], axis=-1)
+
+    def value(self, trig: np.ndarray, trials: np.ndarray) -> np.ndarray:
+        """(len(trials), K) values; cos - 1 keeps them exactly 0 at the origin."""
+        n = self.waves.shape[0]
+        coeff = self.coeff[trials, :, None]
+        return ((trig[..., :n] - 1.0) @ coeff[:, :n] + trig[..., n:] @ coeff[:, n:])[..., 0]
+
+    def gradient(self, trig: np.ndarray, trials: np.ndarray) -> np.ndarray:
+        """(len(trials), K, d) gradients."""
+        return trig @ (self._dcoeff[trials, :, None] * self._dwaves)
+
+
+class _CallableProbe:
+    """One probe given as value and gradient callables: a batch of one."""
+
+    size = 1
+
+    def __init__(self, q_value, q_grad):
+        self.q_value = q_value
+        self.q_grad = q_grad
+
+    def block_rows(self, maps: int) -> None:
+        return None  # the callables see the whole grid in one call
+
+    def prepare(self, pts: np.ndarray) -> np.ndarray:
+        return pts[0]
+
+    def value(self, pts, trials) -> np.ndarray:
+        return np.asarray(self.q_value(pts), dtype=float)[None]
+
+    def gradient(self, pts, trials) -> np.ndarray:
+        return np.asarray(self.q_grad(pts), dtype=float)[None]
+
+
+def _transfer_gradient(sys: AffineSystem, probe, pts: np.ndarray):
+    """Exact gradient of Cq at (P, K, d) points, by the product rule.
+
+    The masks and the probe's state at the mapped points are computed once
+    for every trial; the returned function of a trial index array gives the
+    (len(trials), K, d) gradients.
+    """
     rinv = sys.rinv
-    pts = np.atleast_2d(pts)
-    total = np.zeros_like(pts)
+    terms = []
     for l in sys.L:
         shifted = pts - l
-        mapped = shifted @ rinv
-        w = _mask_sq(sys, shifted)
-        gw = _mask_sq_grad(sys, shifted)
-        total += gw * q_value(mapped)[:, None]
-        total += w[:, None] * (q_grad(mapped) @ rinv.T)
-    return total
+        w, gw = _mask_sq_grad(sys, shifted)
+        terms.append((w[..., None], gw, probe.prepare(shifted @ rinv)))
+
+    def gradient(trials: np.ndarray) -> np.ndarray:
+        total = 0.0
+        for w, gw, state in terms:
+            total = total + gw * probe.value(state, trials)[..., None]
+            total = total + w * (probe.gradient(state, trials) @ rinv.T)
+        return total
+
+    return gradient
+
+
+def _chunks(n: int):
+    return (slice(start, start + TRIAL_CHUNK) for start in range(0, n, TRIAL_CHUNK))
+
+
+def _batch_sup(
+    prepare, trials: np.ndarray, box: np.ndarray, per_axis: int, refine: bool, rows=None
+) -> np.ndarray:
+    """Sups over the box of smooth nonnegative functions, one per trial.
+
+    ``prepare(pts)`` takes (P, K, d) points (P = 1: shared by all trials;
+    P = len(trials): trial i at pts[i]) and returns a function of a trial
+    index array that gives the (len(trials), K) values.  The grid is walked
+    in blocks of ``rows`` nodes (None: all at once) with a running max and
+    argmax per trial, the trials TRIAL_CHUNK at a time, so no array grows
+    with both the grid and the number of trials.
+
+    In 1-D the bracket of one grid step either side of each trial's argmax
+    node is zoomed, all trials together: each round evaluates ZOOM_POINTS
+    points per trial and keeps one sample step either side of the best,
+    until the bracket is ZOOM_TOL wide or stops shrinking.  The result never
+    exceeds the true sup (it only evaluates the function), which is the
+    direction certificate comparisons need.
+    """
+    d = box.shape[0]
+    grid = GridFunction(box=box, samples=np.zeros((per_axis,) * d))
+    nodes = grid.nodes()
+    rows = rows or nodes.shape[0]
+    best = np.full(trials.size, -np.inf)
+    argmax = np.zeros(trials.size, dtype=np.intp)
+    for start in range(0, nodes.shape[0], rows):
+        evaluate = prepare(nodes[None, start : start + rows])
+        for chunk in _chunks(trials.size):
+            vals = evaluate(trials[chunk])
+            k = vals.argmax(axis=1)
+            top = vals[np.arange(k.size), k]
+            better = top > best[chunk]
+            best[chunk] = np.where(better, top, best[chunk])
+            argmax[chunk] = np.where(better, start + k, argmax[chunk])
+    if not (refine and d == 1):
+        return best
+    h = grid.steps[0]
+    star = nodes[argmax, 0]
+    lo = np.maximum(box[0, 0], star - h)
+    hi = np.minimum(box[0, 1], star + h)
+    live = np.flatnonzero(hi - lo > ZOOM_TOL)
+    while live.size:
+        ys = np.linspace(lo[live], hi[live], ZOOM_POINTS, axis=1)
+        zoom = np.concatenate(
+            [prepare(ys[chunk, :, None])(trials[live[chunk]]) for chunk in _chunks(live.size)]
+        )
+        k = zoom.argmax(axis=1)
+        at = np.arange(live.size)
+        best[live] = np.maximum(best[live], zoom[at, k])
+        width = hi[live] - lo[live]
+        lo[live] = ys[at, np.maximum(k - 1, 0)]
+        hi[live] = ys[at, np.minimum(k + 1, ZOOM_POINTS - 1)]
+        narrowed = hi[live] - lo[live]
+        # a bracket that no longer shrinks is at float resolution
+        live = live[(narrowed < width) & (narrowed > ZOOM_TOL)]
+    return best
 
 
 def _sup_norm(fn, box: np.ndarray, per_axis: int, refine: bool) -> float:
-    """Sup of a smooth nonnegative function over the box via sampling.
+    """Sup of one smooth nonnegative function fn((M, d) points) over the box."""
+    sups = _batch_sup(lambda pts: lambda trials: fn(pts[0])[None], _ONE, box, per_axis, refine)
+    return float(sups[0])
 
-    In 1-D the bracket of one grid step either side of the argmax node is
-    zoomed: each round evaluates ZOOM_POINTS points in one call and keeps one
-    sample step either side of the best, until the bracket is ZOOM_TOL wide.
-    The result never exceeds the true sup (it only evaluates the function),
-    which is the direction certificate comparisons need.
+
+def _probe_ratios(
+    sys: AffineSystem, box: np.ndarray, probe, per_axis: int, refine: bool
+) -> np.ndarray:
+    """Lipschitz-norm ratios ||Cq|| / ||q|| of every trial of a probe batch.
+
+    A trial with ||q|| < 1e-12 gets nan and its ||Cq|| is not evaluated.
     """
-    grid = GridFunction(box=box, samples=np.zeros((per_axis,) * box.shape[0]))
-    pts = grid.nodes()
-    vals = fn(pts)
-    best = float(vals.max())
-    if refine and box.shape[0] == 1:
-        h = grid.steps[0]
-        star = pts[int(vals.argmax()), 0]
-        lo = max(box[0, 0], star - h)
-        hi = min(box[0, 1], star + h)
-        while hi - lo > ZOOM_TOL:
-            ys = np.linspace(lo, hi, ZOOM_POINTS)
-            zoom = fn(ys[:, None])
-            k = int(zoom.argmax())
-            best = max(best, float(zoom[k]))
-            width = hi - lo
-            lo, hi = ys[max(k - 1, 0)], ys[min(k + 1, ZOOM_POINTS - 1)]
-            if hi - lo >= width:  # bracket at float resolution
-                break
-    return best
+
+    def grad_q_norm(pts):
+        state = probe.prepare(pts)
+        return lambda trials: np.linalg.norm(probe.gradient(state, trials), axis=-1)
+
+    def grad_cq_norm(pts):
+        gradient = _transfer_gradient(sys, probe, pts)
+        return lambda trials: np.linalg.norm(gradient(trials), axis=-1)
+
+    everyone = np.arange(probe.size)
+    denom = _batch_sup(grad_q_norm, everyone, box, per_axis, refine, probe.block_rows(1))
+    ratios = np.full(probe.size, np.nan)
+    kept = np.flatnonzero(~(denom < 1e-12))
+    if kept.size:
+        rows = probe.block_rows(len(sys.L))
+        numer = _batch_sup(grad_cq_norm, kept, box, per_axis, refine, rows)
+        ratios[kept] = numer / denom[kept]
+    return ratios
+
+
+def _probe_grid(sys: AffineSystem, per_axis: int | None) -> int:
+    if per_axis is None:
+        return 4097 if sys.d == 1 else 65
+    if per_axis < 2:
+        raise ValidationError(f"per_axis must be >= 2, got {per_axis}")
+    return per_axis
 
 
 def probe_ratio(
@@ -490,22 +652,16 @@ def probe_ratio(
     per_axis: int | None = None,
     refine: bool = True,
 ) -> float:
-    """Lipschitz-norm ratio ||Cq|| / ||q|| for one C^1 test function."""
+    """Lipschitz-norm ratio ||Cq|| / ||q|| for one C^1 test function.
+
+    nan when ||q|| < 1e-12.  A non-expansive R or ``per_axis`` below 2 is
+    a :class:`ValidationError`.
+    """
+    require_expansive(sys)
     box = as_box(box, sys.d)
-    if per_axis is None:
-        per_axis = 4097 if sys.d == 1 else 65
-
-    def grad_q_norm(pts):
-        return np.linalg.norm(q_grad(pts), axis=1)
-
-    def grad_cq_norm(pts):
-        return np.linalg.norm(_transfer_gradient(sys, q_value, q_grad, pts), axis=1)
-
-    denom = _sup_norm(grad_q_norm, box, per_axis, refine)
-    if denom < 1e-12:
-        return float("nan")
-    numer = _sup_norm(grad_cq_norm, box, per_axis, refine)
-    return numer / denom
+    per_axis = _probe_grid(sys, per_axis)
+    probe = _CallableProbe(q_value, q_grad)
+    return float(_probe_ratios(sys, box, probe, per_axis, refine)[0])
 
 
 @dataclass(frozen=True)
@@ -529,33 +685,32 @@ def contraction_probe(
 
     Each probe vanishes at 0, the class the bound covers; gradients are
     evaluated in closed form, so ratios reflect the operator, not grid
-    differentiation error.  Degenerate probes (zero Lipschitz norm) are
-    skipped and counted.  A non-expansive R is a :class:`ValidationError`.
+    differentiation error.  Every trial is drawn first and all are
+    evaluated as one batch (:class:`_WaveBatch`).  Degenerate probes (zero
+    Lipschitz norm) are skipped and counted.  A non-expansive R, trials
+    below 1, degree below 1 or per_axis below 2 is a
+    :class:`ValidationError`.
     """
     require_expansive(sys)
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    if degree < 1:
+        raise ValidationError(f"degree must be >= 1, got {degree}")
+    per_axis = _probe_grid(sys, per_axis)
     box = as_box(box, sys.d)
     rng = np.random.default_rng(seed)
-    ratios = []
-    skipped = 0
-    for _ in range(trials):
-        poly = TrigPolynomial.random(rng, sys.d, degree)
-        ratio = probe_ratio(sys, box, poly.value, poly.gradient, per_axis=per_axis)
-        if np.isnan(ratio):
-            skipped += 1
-        else:
-            ratios.append(float(ratio))
-    if not ratios:
+    polys = [TrigPolynomial.random(rng, sys.d, degree) for _ in range(trials)]
+    ratios = _probe_ratios(sys, box, _WaveBatch(polys), per_axis, refine=True)
+    kept = ratios[~np.isnan(ratios)]
+    if not kept.size:
         raise ValidationError("all probe functions were degenerate")
     return ProbeResult(
-        max_ratio=max(ratios),
-        ratios=tuple(ratios),
-        skipped=skipped,
+        max_ratio=float(kept.max()),
+        ratios=tuple(kept.tolist()),
+        skipped=trials - kept.size,
         trials=trials,
         seed=seed,
     )
-
 
 def basis_certificate(
     m: FractalMeasure,
@@ -569,8 +724,11 @@ def basis_certificate(
     contraction bound is below 1.  Unitarity (within
     :func:`~fractalspec.systems.unitarity_tolerance`) already holds for every
     :class:`FractalMeasure`; the other failed hypotheses are recorded rather
-    than raised.  Optional probe trials attach empirical ratios.
+    than raised.  Optional probe trials attach empirical ratios; trials
+    below 0 is a :class:`ValidationError`.
     """
+    if trials < 0:
+        raise ValidationError(f"trials must be >= 0, got {trials}")
     sys = m.sys
     box = attractor_hull(sys) if box is None else as_box(box, sys.d)
     report = estimate_gamma(sys, box)

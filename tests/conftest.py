@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from fractalspec import FractalMeasure, cantor_four, make_system
 
@@ -60,3 +61,18 @@ def cantor4_file(write_system):
 
 def grid1d(a, b, step):
     return np.arange(a, b + step / 2, step).reshape(-1, 1)
+
+
+def hadamard_triple(n, k, lift):
+    """1-D Hadamard triple R = N k, B = {0..N-1}/N, L = {0..N-1} + N lift, 0 in L."""
+    L = np.arange(n) + n * np.concatenate([[0], lift[: n - 1]])
+    return make_system(float(n * k), np.arange(n) / n, L)
+
+
+# (N, k, lift) for hadamard_triple: N <= 4 digits, R = N k with k in {2, 3},
+# and each nonzero frequency lifted by 0 or N
+triple_params = st.tuples(
+    st.integers(2, 4),
+    st.integers(2, 3),
+    st.lists(st.integers(0, 1), min_size=3, max_size=3),
+)

@@ -407,6 +407,14 @@ def test_ruelle_bound_command(cantor4_file, capsys):
     assert payload["gamma_bound"] < 1.0
 
 
+@pytest.mark.parametrize("command", ["certify", "ruelle-bound"])
+def test_negative_trials_exit_one(cantor4_file, capsys, command):
+    argv = [command, "--system", cantor4_file, "--trials", "-3"]
+    code, out, err = run_cli(argv, capsys)
+    expected = "0" if command == "certify" else "1"
+    assert (code, out, err) == (1, "", f"error: trials must be >= {expected}, got -3\n")
+
+
 def test_repeat_runs_byte_identical(cantor4_file, tmp_path, capsys):
     out_path = tmp_path / "artifact.json"
     blobs = []

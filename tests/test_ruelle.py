@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +22,18 @@ from fractalspec import (
     make_system,
     q_partial_many,
 )
-from fractalspec._numeric import sinpi
-from fractalspec.ruelle import _sup_norm, check_box_invariance, probe_ratio
+from fractalspec._numeric import cospi, sinpi
+from fractalspec.measure import chi_mask
+from fractalspec.ruelle import (
+    TRIAL_CHUNK,
+    TrigPolynomial,
+    _probe_ratios,
+    _sup_norm,
+    _WaveBatch,
+    check_box_invariance,
+    probe_ratio,
+)
+from tests.conftest import hadamard_triple, triple_params
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +95,9 @@ class TestAttractorHull:
             estimate_gamma(s, box)
         with pytest.raises(ValidationError) as probe_error:
             contraction_probe(s, box, trials=1, seed=0)
-        errors = (hull_error, measure_error, gamma_error, probe_error)
+        with pytest.raises(ValidationError) as ratio_error:
+            probe_ratio(s, box, lambda p: p[:, 0], lambda p: np.ones_like(p))
+        errors = (hull_error, measure_error, gamma_error, probe_error, ratio_error)
         assert {str(error.value) for error in errors} == {message}
 
     def test_near_one_fails_before_the_levels(self):
@@ -407,6 +422,215 @@ class TestContractionProbe:
         with pytest.raises(ValidationError):
             contraction_probe(cantor4, hull, trials=0, seed=1)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"degree": 0}, "degree must be >= 1, got 0"),
+            ({"degree": -1}, "degree must be >= 1, got -1"),
+            ({"per_axis": 1}, "per_axis must be >= 2, got 1"),
+            ({"per_axis": 0}, "per_axis must be >= 2, got 0"),
+        ],
+    )
+    def test_bad_probe_arguments(self, cantor4, hull, quad2d, kwargs, message):
+        for sys, box in ((cantor4, hull), (quad2d, attractor_hull(quad2d))):
+            with pytest.raises(ValidationError) as error:
+                contraction_probe(sys, box, trials=2, seed=0, **kwargs)
+            assert str(error.value) == message
+
+    @pytest.mark.parametrize("per_axis", [1, 0, -5])
+    def test_probe_ratio_rejects_coarse_grid(self, cantor4, hull, per_axis):
+        with pytest.raises(ValidationError, match=f"^per_axis must be >= 2, got {per_axis}$"):
+            probe_ratio(
+                cantor4, hull, lambda p: p[:, 0], lambda p: np.ones_like(p), per_axis=per_axis
+            )
+
+
+# The per-trial evaluation that the batched probes replaced, kept as their
+# oracle: sinpi/cospi per term, the pairwise-sine mask gradient, the grid
+# argmax and its zoom, one trial and one function at a time.
+
+
+def reference_value(poly, pts):
+    phases = pts @ poly.waves.T
+    return (cospi(2.0 * phases) - 1.0) @ poly.cos_coeff + sinpi(2.0 * phases) @ poly.sin_coeff
+
+
+def reference_gradient(poly, pts):
+    phases = pts @ poly.waves.T
+    dcos = -sinpi(2.0 * phases) * poly.cos_coeff
+    dsin = cospi(2.0 * phases) * poly.sin_coeff
+    return 2.0 * np.pi * (dcos + dsin) @ poly.waves
+
+
+def reference_mask_sq_grad(sys, pts):
+    n = sys.n_digits
+    grad = np.zeros_like(pts)
+    for i, j in combinations(range(n), 2):
+        delta = sys.B[i] - sys.B[j]
+        grad -= (4.0 * np.pi / n**2) * np.outer(sinpi(2.0 * (pts @ delta)), delta)
+    return grad
+
+
+def reference_transfer_gradient(sys, q_value, q_grad, pts):
+    total = np.zeros_like(pts)
+    for l in sys.L:
+        shifted = pts - l
+        mapped = shifted @ sys.rinv
+        total += reference_mask_sq_grad(sys, shifted) * q_value(mapped)[:, None]
+        weight = np.abs(chi_mask(sys, shifted)) ** 2
+        total += weight[:, None] * (q_grad(mapped) @ sys.rinv.T)
+    return total
+
+
+def reference_sup(fn, box, per_axis):
+    grid = GridFunction(box=box, samples=np.zeros((per_axis,) * box.shape[0]))
+    pts = grid.nodes()
+    vals = fn(pts)
+    best = float(vals.max())
+    if box.shape[0] == 1:
+        h = grid.steps[0]
+        star = pts[int(vals.argmax()), 0]
+        lo, hi = max(box[0, 0], star - h), min(box[0, 1], star + h)
+        while hi - lo > 1e-12:
+            ys = np.linspace(lo, hi, 33)
+            zoom = fn(ys[:, None])
+            k = int(zoom.argmax())
+            best = max(best, float(zoom[k]))
+            width = hi - lo
+            lo, hi = ys[max(k - 1, 0)], ys[min(k + 1, 32)]
+            if hi - lo >= width:
+                break
+    return best
+
+
+def reference_ratio(sys, box, q_value, q_grad, per_axis):
+    denom = reference_sup(lambda p: np.linalg.norm(q_grad(p), axis=1), box, per_axis)
+    if denom < 1e-12:
+        return float("nan")
+    numer = reference_sup(
+        lambda p: np.linalg.norm(reference_transfer_gradient(sys, q_value, q_grad, p), axis=1),
+        box,
+        per_axis,
+    )
+    return numer / denom
+
+
+def reference_probe(sys, box, trials, seed, degree=4, per_axis=None):
+    """(ratios, skipped) of contraction_probe, one trial at a time."""
+    per_axis = per_axis or (4097 if sys.d == 1 else 65)
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(trials):
+        poly = TrigPolynomial.random(rng, sys.d, degree)
+        ratios.append(
+            reference_ratio(
+                sys,
+                box,
+                lambda p, poly=poly: reference_value(poly, p),
+                lambda p, poly=poly: reference_gradient(poly, p),
+                per_axis,
+            )
+        )
+    ratios = np.array(ratios)
+    return ratios[~np.isnan(ratios)], int(np.isnan(ratios).sum())
+
+
+def assert_matches_reference(sys, box, trials, seed, per_axis=None, degree=4):
+    probe = contraction_probe(sys, box, trials, seed, degree=degree, per_axis=per_axis)
+    ratios, skipped = reference_probe(sys, box, trials, seed, degree, per_axis)
+    assert probe.skipped == skipped
+    assert len(probe.ratios) == ratios.size == trials - skipped
+    np.testing.assert_allclose(probe.ratios, ratios, rtol=1e-14, atol=0.0)
+    return probe
+
+
+class TestBatchedProbes:
+    @pytest.mark.parametrize(
+        "name, trials, seed", [("cantor4", 20, 1), ("quad2d", 5, 0)]
+    )
+    def test_matches_reference(self, name, trials, seed, request):
+        sys = request.getfixturevalue(name)
+        assert_matches_reference(sys, attractor_hull(sys), trials, seed)
+
+    def test_more_trials_than_a_chunk(self, cantor4, hull):
+        # three chunks, the last one partial
+        probe = assert_matches_reference(cantor4, hull, 2 * TRIAL_CHUNK + 3, 5, per_axis=513)
+        assert len(probe.ratios) == 2 * TRIAL_CHUNK + 3
+
+    def test_degree_one_folds_repeated_waves(self, quad2d):
+        # degree 1 in 2-D: 8 distinct waves for 6 trials of 2 terms each
+        assert_matches_reference(quad2d, attractor_hull(quad2d), 6, 11, per_axis=17, degree=1)
+
+    def test_degenerate_trial_skipped_inside_a_batch(self, cantor4, hull):
+        polys = [TrigPolynomial.random(np.random.default_rng(s), 1) for s in range(3)]
+        polys.insert(1, TrigPolynomial([[2.0], [3.0]], [0.0, 0.0], [0.0, 0.0]))
+        ratios = _probe_ratios(cantor4, hull, _WaveBatch(polys), 513, refine=True)
+        assert np.isnan(ratios[1]) and not np.isnan(ratios[[0, 2, 3]]).any()
+        for poly, ratio in zip(polys, ratios):
+            if poly is not polys[1]:
+                expected = reference_ratio(
+                    cantor4, hull,
+                    lambda p: reference_value(poly, p), lambda p: reference_gradient(poly, p),
+                    513,
+                )
+                assert ratio == pytest.approx(expected, rel=1e-14, abs=0.0)
+        # the same rule for a probe given as callables
+        flat = probe_ratio(cantor4, hull, lambda p: np.zeros(len(p)), lambda p: np.zeros_like(p))
+        assert np.isnan(flat)
+
+    @settings(max_examples=12, deadline=None)
+    @given(params=triple_params, seed=st.integers(0, 2**16))
+    def test_hadamard_triples_match_reference_below_gamma(self, params, seed):
+        sys = hadamard_triple(*params)
+        box = attractor_hull(sys)
+        probe = assert_matches_reference(sys, box, 3, seed, per_axis=257)
+        gamma = estimate_gamma(sys, box).gamma_bound
+        assert all(r <= gamma + 1e-6 for r in probe.ratios)
+
+    @pytest.mark.parametrize("name", ["cantor4", "quad2d"])
+    def test_trig_polynomial_callables(self, name, request):
+        # a probe given as callables runs as a batch of one: same ratio as
+        # the reference, and scaling the probe leaves the ratio bit-identical
+        sys = request.getfixturevalue(name)
+        box = attractor_hull(sys)
+        poly = TrigPolynomial.random(np.random.default_rng(4), sys.d)
+        per_axis = 1025 if sys.d == 1 else 33
+        r1 = probe_ratio(sys, box, poly.value, poly.gradient, per_axis=per_axis)
+        r2 = probe_ratio(
+            sys, box, lambda p: 2.0 * poly.value(p), lambda p: 2.0 * poly.gradient(p),
+            per_axis=per_axis,
+        )
+        expected = reference_ratio(
+            sys, box, lambda p: reference_value(poly, p), lambda p: reference_gradient(poly, p),
+            per_axis,
+        )
+        assert r1 == r2
+        assert r1 == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["cantor4", "quad2d"])
+    def test_trig_polynomial_matches_reference(self, name, request):
+        sys = request.getfixturevalue(name)
+        poly = TrigPolynomial.random(np.random.default_rng(9), sys.d)
+        pts = np.random.default_rng(10).uniform(-2.0, 2.0, size=(200, sys.d))
+        pts[0] = 0.0
+        assert poly.value(pts)[0] == 0.0  # vanishes exactly at the origin
+        np.testing.assert_allclose(poly.value(pts), reference_value(poly, pts), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(
+            poly.gradient(pts), reference_gradient(poly, pts), rtol=0, atol=1e-12
+        )
+
+    def test_memory_does_not_grow_with_trials(self, cantor4, hull):
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                contraction_probe(cantor4, hull, trials=trials, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # one-time set-up (cached system matrices, numpy internals)
+        assert peak(200) <= 1.5 * peak(20)
+
 
 class TestBasisCertificate:
     def test_cantor4_certified(self, cantor4_measure):
@@ -433,6 +657,15 @@ class TestBasisCertificate:
             if cert.basis_certified:
                 assert cert.gamma_bound < 1.0
                 assert cert.zero_in_l and cert.l_spans
+
+    @pytest.mark.parametrize("trials", [-1, -3])
+    def test_negative_trials_rejected(self, cantor4_measure, trials):
+        with pytest.raises(ValidationError, match=f"^trials must be >= 0, got {trials}$"):
+            basis_certificate(cantor4_measure, trials=trials)
+
+    def test_zero_trials_attach_no_probe(self, cantor4_measure):
+        cert = basis_certificate(cantor4_measure, trials=0)
+        assert cert.trials == 0 and cert.empirical_max_ratio is None
 
     def test_probe_trials_attached(self, cantor4_measure):
         cert = basis_certificate(cantor4_measure, trials=3, seed=1)

@@ -20,7 +20,7 @@ from fractalspec import (
 )
 from fractalspec import spectrum
 from fractalspec.spectrum import DEDUP_TOL, _dedup_near
-from tests.conftest import grid1d
+from tests.conftest import grid1d, hadamard_triple, triple_params
 
 
 def max_norm_gaps(a, b):
@@ -303,12 +303,6 @@ def summed_sizes(monkeypatch):
     return sizes
 
 
-def hadamard_triple(n, k, lift):
-    """1-D Hadamard triple R = N k, B = {0..N-1}/N, L = {0..N-1} + N lift, 0 in L."""
-    L = np.arange(n) + n * np.concatenate([[0], lift[: n - 1]])
-    return make_system(float(n * k), np.arange(n) / n, L)
-
-
 # Q from the tree lies within 2 q_error below the exact value; SLACK covers
 # the rounding of the walk and of the reference (measured: about 1e-16)
 SLACK = 2e-14
@@ -367,22 +361,17 @@ class TestIncrementalScan:
         assert_certified_lower_bound(report, exact)
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        n=st.integers(2, 4),
-        k=st.integers(2, 3),
-        lift=st.lists(st.integers(0, 1), min_size=3, max_size=3),
-        depth=st.integers(0, 2),
-    )
-    @example(n=2, k=2, lift=[1, 0, 0], depth=2)  # R = 4, L = {0, 3}: not spectral
-    def test_tree_is_a_certified_lower_bound(self, n, k, lift, depth):
-        sys = hadamard_triple(n, k, lift)
+    @given(params=triple_params, depth=st.integers(0, 2))
+    @example(params=(2, 2, [1, 0, 0]), depth=2)  # R = 4, L = {0, 3}: not spectral
+    def test_tree_is_a_certified_lower_bound(self, params, depth):
+        sys = hadamard_triple(*params)
         m = FractalMeasure(sys)
         grid = grid1d(-1.0, 1.0, 0.1)
         report = completeness_scan(
             m, enumerate_spectrum(sys, depth), grid, 0.99, max_depth=depth + 1
         )
         assert report.depths == tuple(range(depth, depth + len(report.depths)))
-        if n == 3:  # the float 1/3 is not exactly compatible: summed directly
+        if params[0] == 3:  # the float 1/3 is not exactly compatible: summed directly
             assert report.q_error == 0.0
         else:
             assert report.q_error > 0.0
@@ -455,13 +444,9 @@ class TestIncrementalScan:
         assert "Q" not in report.as_dict()
 
     @settings(max_examples=15, deadline=None)
-    @given(
-        n=st.integers(2, 4),
-        k=st.integers(2, 3),
-        lift=st.lists(st.integers(0, 1), min_size=3, max_size=3),
-    )
-    def test_q_never_decreases_with_depth(self, n, k, lift):
-        sys = hadamard_triple(n, k, lift)
+    @given(params=triple_params)
+    def test_q_never_decreases_with_depth(self, params):
+        sys = hadamard_triple(*params)
         m = FractalMeasure(sys)
         grid = grid1d(-1.0, 1.0, 0.1)
         previous = np.zeros(grid.shape[0])
