@@ -1,18 +1,21 @@
 """Command-line front-end.
 
 Every subcommand reads a system (from a JSON file or from flags), runs one
-analysis, and emits a deterministic JSON or CSV artifact that embeds the
-resolved configuration and the system's validation report.
+analysis, and emits a deterministic JSON artifact, or a CSV table on the
+commands that have one, that embeds the resolved configuration and the
+system's validation report.
 
 Exit status: 0 = computed with a positive verdict (or a pure computation),
 2 = computed with a negative verdict (not certified, not orthogonal, ...),
-1 = failure to compute (bad input, convergence error, budget).
+1 = failure to compute (bad input, usage errors included, convergence
+error, budget).
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import gc
 import json
 import sys as _sys
 from pathlib import Path
@@ -122,17 +125,16 @@ def _parse_coeffs(spec: str, d: int) -> dict:
     return out
 
 
-def _emit(args, payload: dict, csv_header=None, csv_rows=None) -> None:
-    """Write the artifact (JSON by default, CSV when requested)."""
+def _emit(args, payload: dict, csv_header=None, csv_columns=()) -> None:
+    """Write the artifact: JSON by default, CSV (one array per header field)
+    when requested."""
     if args.format == "csv":
-        if csv_header is None:
-            raise FractalSpecError("this command has no CSV form")
         comments = [
             f"config: {render_json(payload.get('config', {}), compact=True)}",
             f"validation: {render_json(payload.get('validation'), compact=True)}",
             f"schema_version: {SCHEMA_VERSION}",
         ]
-        text = render_csv(csv_header, csv_rows or [], comments)
+        text = render_csv(csv_header, csv_columns, comments)
     else:
         text = render_json(payload) + "\n"
     if args.out:
@@ -190,19 +192,17 @@ def _cmd_fourier(args) -> int:
     values, tails = (
         fourier_mu_many(m, grid) if grid.size else (np.empty(0, complex), np.empty(0))
     )
-    rows = [
-        tuple(pt) + (v.real, v.imag, abs(v), tb)
-        for pt, v, tb in zip(grid, values, tails)
-    ]
+    # hypot, not np.abs: it equals abs(complex) bit for bit
+    columns = (*grid.T, values.real, values.imag, np.hypot(values.real, values.imag), tails)
     header = [f"t{i}" for i in range(sys_.d)] if sys_.d > 1 else ["t"]
     header += ["re", "im", "abs", "tail_bound"]
     payload = {
         "config": _config_block(args, "fourier", grid=args.grid),
         "validation": validation,
-        "rows": [list(r) for r in rows],
+        "rows": np.column_stack(columns),
         "columns": header,
     }
-    _emit(args, payload, csv_header=header, csv_rows=rows)
+    _emit(args, payload, csv_header=header, csv_columns=columns)
     return 0
 
 
@@ -210,7 +210,8 @@ def _cmd_atoms(args) -> int:
     sys_, validation = _load_validated(args)
     m = FractalMeasure(sys_)
     atoms = atomic_approximation(m, args.depth)
-    rows = [(i,) + tuple(pt) + (atoms.weight,) for i, pt in enumerate(atoms.points)]
+    n = atoms.points.shape[0]
+    columns = (np.arange(n), *atoms.points.T, np.full(n, atoms.weight))
     header = (
         ["index"]
         + ([f"x{i}" for i in range(sys_.d)] if sys_.d > 1 else ["x"])
@@ -221,25 +222,25 @@ def _cmd_atoms(args) -> int:
         "validation": validation,
         "depth": atoms.depth,
         "weight": atoms.weight,
-        "points": atoms.points.tolist(),
+        "points": atoms.points,
     }
-    _emit(args, payload, csv_header=header, csv_rows=rows)
+    _emit(args, payload, csv_header=header, csv_columns=columns)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     sys_, validation = _load_validated(args)
     spec = enumerate_spectrum(sys_, args.depth)
-    rows = [(i,) + tuple(el) for i, el in enumerate(spec.elements)]
+    columns = (np.arange(spec.size), *spec.elements.T)
     header = ["index"] + [f"lambda{i}" for i in range(sys_.d)]
     payload = {
         "config": _config_block(args, "spectrum"),
         "validation": validation,
         "size": spec.size,
         "separation": separation(spec) if spec.size >= 2 else None,
-        "elements": spec.elements.tolist(),
+        "elements": spec.elements,
     }
-    _emit(args, payload, csv_header=header, csv_rows=rows)
+    _emit(args, payload, csv_header=header, csv_columns=columns)
     return 0
 
 
@@ -248,10 +249,8 @@ def _cmd_orthogonality(args) -> int:
     m = FractalMeasure(sys_)
     spec = enumerate_spectrum(sys_, args.depth)
     max_off, table = orthogonality_matrix(m, spec)
-    rows = []
-    for i in range(spec.size):
-        for j in range(i + 1, spec.size):
-            rows.append((i, j) + tuple(spec.elements[i]) + tuple(spec.elements[j]) + (table[i, j],))
+    i, j = np.triu_indices(spec.size, 1)  # pairs i < j, row by row
+    columns = (i, j, *spec.elements[i].T, *spec.elements[j].T, table[i, j])
     lam_i = [f"lambda_i{k}" for k in range(sys_.d)] if sys_.d > 1 else ["lambda_i"]
     lam_j = [f"lambda_j{k}" for k in range(sys_.d)] if sys_.d > 1 else ["lambda_j"]
     header = ["i", "j"] + lam_i + lam_j + ["abs_inner_product"]
@@ -263,7 +262,7 @@ def _cmd_orthogonality(args) -> int:
         "max_offdiag": max_off,
         "orthogonal": ok,
     }
-    _emit(args, payload, csv_header=header, csv_rows=rows)
+    _emit(args, payload, csv_header=header, csv_columns=columns)
     return 0 if ok else 2
 
 
@@ -279,7 +278,7 @@ def _cmd_completeness(args) -> int:
             "rows": [],
         }
         header = (["t"] if sys_.d == 1 else [f"t{i}" for i in range(sys_.d)]) + ["Q"]
-        _emit(args, payload, csv_header=header, csv_rows=[])
+        _emit(args, payload, csv_header=header, csv_columns=(*grid.T, np.empty(0)))
         return 0
     spec = enumerate_spectrum(sys_, args.depth)
     report = completeness_scan(
@@ -290,7 +289,6 @@ def _cmd_completeness(args) -> int:
         increment_tol=args.increment_tol,
         max_depth=args.max_depth,
     )
-    rows = [tuple(pt) + (q,) for pt, q in zip(grid, report.Q)]
     header = (["t"] if sys_.d == 1 else [f"t{i}" for i in range(sys_.d)]) + ["Q"]
     payload = {
         "config": _config_block(
@@ -303,7 +301,8 @@ def _cmd_completeness(args) -> int:
         "validation": validation,
         "report": report.as_dict(),
     }
-    _emit(args, payload, csv_header=header, csv_rows=rows)
+    scanned = grid if report.Q.size else grid[:0]  # no depth evaluated: no Q, no rows
+    _emit(args, payload, csv_header=header, csv_columns=(*scanned.T, report.Q))
     return 0 if report.status == "complete-evidence" else 2
 
 
@@ -377,13 +376,13 @@ def _cmd_clique(args) -> int:
 def _cmd_sweep(args) -> int:
     sys_, validation = _load_validated(args)
     report = scaling_sweep(sys_, args.r_max)
-    rows = [(r, g, c) for r, g, c in report.rows]
+    columns = tuple(map(np.array, zip(*report.rows)))
     payload = {
         "config": _config_block(args, "sweep", r_max=args.r_max),
         "validation": validation,
         "sweep": report.as_dict(),
     }
-    _emit(args, payload, csv_header=["r", "gamma_bound", "certified"], csv_rows=rows)
+    _emit(args, payload, csv_header=["r", "gamma_bound", "certified"], csv_columns=columns)
     return 0 if report.first_certified is not None else 2
 
 
@@ -397,7 +396,6 @@ def _cmd_tiling(args) -> int:
         sys=sys_,
         translate_factor=args.translate_factor,
     )
-    rows = list(zip(report.sample_points, report.multiplicities))
     payload = {
         "config": _config_block(
             args,
@@ -409,7 +407,8 @@ def _cmd_tiling(args) -> int:
         "validation": validation,
         "tiling": report.as_dict(),
     }
-    _emit(args, payload, csv_header=["x", "multiplicity"], csv_rows=rows)
+    columns = (report.sample_points, report.multiplicities)
+    _emit(args, payload, csv_header=["x", "multiplicity"], csv_columns=columns)
     return 0 if report.uniform else 2
 
 
@@ -435,8 +434,17 @@ def _cmd_hardy(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit 1, like every other bad input (2
+    means a negative verdict); subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(_sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fractalspec",
         description="Self-similar measures: orthogonality, completeness, contraction certificates.",
         epilog=(
@@ -449,14 +457,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, system=True):
+    def common(p, system=True, csv=True):
         if system:
             p.add_argument("--system", required=True, help="JSON system file")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=("json", "csv") if csv else ("json",), default="json")
 
     p = sub.add_parser("validate", help="structural checks on a system file")
-    common(p)
+    common(p, csv=False)
     p.add_argument("--n-max", type=int, default=12, dest="n_max")
     p.add_argument("--tol", default=1e-9)
     p.set_defaults(fn=_cmd_validate)
@@ -498,20 +506,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_completeness)
 
     p = sub.add_parser("ruelle-bound", help="contraction bound plus empirical probe ratios")
-    common(p)
+    common(p, csv=False)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--box", default=None, help="lo:hi per axis (default: attractor hull)")
     p.set_defaults(fn=_cmd_ruelle_bound)
 
     p = sub.add_parser("certify", help="orthonormal-basis certificate")
-    common(p)
+    common(p, csv=False)
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("classify", help="1-D odd/even dichotomy verdict")
-    common(p, system=False)
+    common(p, system=False, csv=False)
     p.add_argument("--R", required=True, type=int)
     p.add_argument("--a", required=True, help="second digit of B = {0, a}; rationals as p/q")
     p.add_argument("--L", default=None, help="override frequency digits, comma separated")
@@ -520,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("clique", help="exact maximum orthogonal clique in a window")
-    common(p, system=False)
+    common(p, system=False, csv=False)
     p.add_argument("--R", required=True, type=int)
     p.add_argument("--a", required=True)
     p.add_argument("--L", default=None)
@@ -543,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_tiling)
 
     p = sub.add_parser("hardy", help="coefficient round-trip through the atomic quadrature")
-    common(p)
+    common(p, csv=False)
     p.add_argument("--depth", type=int, default=1, help="spectrum depth carrying the coefficients")
     p.add_argument(
         "--coeffs",
@@ -578,5 +586,18 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry point (``fractalspec`` and ``python -m fractalspec.cli``).
+
+    The modules imported by now live until exit, so they are frozen out of
+    the garbage collector: neither the collections during the command nor
+    the one at interpreter shutdown walk numpy's and fractalspec's import
+    graph again.  :func:`main` leaves the collector alone, so in-process
+    callers see no change.
+    """
+    gc.freeze()
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -4,11 +4,23 @@ Identical inputs must produce byte-identical artifacts, so no timestamps or
 environment data are ever written, keys are sorted, and floats are rendered
 with 17 significant digits (full round-trip precision), which the stock
 json encoder does not guarantee.
+
+Numbers are formatted a column at a time: :func:`_cells` checks a whole
+numpy array for non-finite values once and formats it in one C-level pass
+(``"%.17g"`` over ``tolist()``), so the cost of an artifact is a few calls
+per column, not per cell.  CSV tables arrive as a tuple of 1-D columns and
+JSON payloads carry ndarrays, which are nested by shape here; the bytes are
+those of rendering the same values one by one.  A derived column must be
+computed as the scalar code would compute it: ``|z|`` is
+``np.hypot(re, im)``, which equals ``abs(complex)`` bit for bit, while
+``np.abs`` on a complex array differs in the last digit on about a third of
+a Fourier table.
 """
 
 from __future__ import annotations
 
 import json
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +29,51 @@ SCHEMA_VERSION = "1"
 
 __all__ = ["SCHEMA_VERSION", "fmt_float", "render_json", "write_text", "render_csv"]
 
+_BOOL_TEXT = ("false", "true")
+
+
+def _non_finite(value) -> ValueError:
+    return ValueError(f"refusing to serialize non-finite float {float(value)!r}")
+
 
 def fmt_float(x: float) -> str:
     if not np.isfinite(x):
-        raise ValueError(f"refusing to serialize non-finite float {x!r}")
+        raise _non_finite(x)
     return format(float(x), ".17g")
+
+
+def _cells(column: np.ndarray) -> list[str]:
+    """One JSON/CSV cell per value of a 1-D bool, integer or float array."""
+    kind = column.dtype.kind
+    if kind == "b":
+        return list(map(_BOOL_TEXT.__getitem__, column.tolist()))
+    if kind in "iu":
+        return list(map(str, column.tolist()))
+    if kind == "f":
+        finite = np.isfinite(column)
+        if not finite.all():
+            raise _non_finite(column[np.argmin(finite)])
+        return list(map("%.17g".__mod__, column.tolist()))
+    raise TypeError(f"cannot serialize {column.dtype} values")
+
+
+def _nest(cells: list[str], shape: tuple, indent: int, compact: bool) -> str:
+    """Join row-major cells into nested lists of ``shape``, laid out as
+    :func:`render_json` lays out the equivalent Python lists at ``indent``."""
+    if not shape:
+        return cells[0]
+    for axis in range(len(shape) - 1, -1, -1):
+        n = shape[axis]
+        if n == 0:
+            cells = ["[]"] * prod(shape[:axis])
+            continue
+        if compact:
+            head, sep, tail = "[", ", ", "]"
+        else:
+            pad = "  " * (indent + axis)
+            head, sep, tail = f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]"
+        cells = [head + sep.join(cells[k : k + n]) + tail for k in range(0, len(cells), n)]
+    return cells[0]
 
 
 def _coerce(obj):
@@ -36,6 +88,8 @@ def _coerce(obj):
 
 def render_json(obj, indent: int = 0, compact: bool = False) -> str:
     """Render with sorted keys and 17-significant-digit floats."""
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "biuf":
+        return _nest(_cells(obj.ravel()), obj.shape, indent, compact)
     obj = _coerce(obj)
     if obj is None:
         return "null"
@@ -71,23 +125,21 @@ def render_json(obj, indent: int = 0, compact: bool = False) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def render_csv(header: list[str], rows, comments: list[str] | None = None) -> str:
-    """Fixed-header CSV preceded by '#' comment lines (config echo)."""
+def render_csv(header: list[str], columns, comments: list[str] | None = None) -> str:
+    """Fixed-header CSV preceded by '#' comment lines (config echo).
+
+    ``columns`` holds one 1-D numpy array per header field, all of one
+    length.
+    """
+    try:
+        cells = [_cells(column) for column in columns]
+    except ValueError:
+        # name the first non-finite value in row order, as a row-wise pass would
+        _cells(np.column_stack(columns).ravel())
+        raise
     lines = [f"# {c}" for c in (comments or [])]
     lines.append(",".join(header))
-    for row in rows:
-        cells = []
-        for value in row:
-            value = _coerce(value)
-            if isinstance(value, bool):
-                cells.append("true" if value else "false")
-            elif isinstance(value, (int, np.integer)):
-                cells.append(str(int(value)))
-            elif isinstance(value, float):
-                cells.append(fmt_float(value))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
+    lines += map(",".join, zip(*cells, strict=True))
     return "\n".join(lines) + "\n"
 
 

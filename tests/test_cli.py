@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -497,3 +498,153 @@ def test_ruelle_bound_rejects_non_expansive(write_system, capsys, R, B, L, modul
     assert out == ""
     assert err == f"error: R is not expansive (min eigenvalue modulus {modulus})\n"
     assert caught == []
+
+
+# ---------------------------------------------------------------------------
+# usage errors, CSV forms and the process entry point
+
+
+def _table(out):
+    """The CSV lines after the '#' comments: the header, then the rows."""
+    return [line for line in out.splitlines() if not line.startswith("#")]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["certify", "--system", "{cantor4}", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (["certify", "--system", "{cantor4}", "--trials", "abc"], "argument --trials: invalid int value: 'abc'"),
+        (["nosuch"], "argument command: invalid choice: 'nosuch'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["format", "trials", "command", "no-command"],
+)
+def test_usage_error_exits_one(cantor4_file, capsys, argv, message):
+    # exit 2 would read as a computed negative verdict
+    with pytest.raises(SystemExit) as exit_:
+        main([arg.format(cantor4=cantor4_file) for arg in argv])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 1 and out == ""
+    assert err.startswith("usage: fractalspec")
+    assert err.splitlines()[-1].startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["certify", "--help"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_usage_error_subprocess_exits_one():
+    proc = subprocess.run(
+        [sys.executable, "-m", "fractalspec.cli", "nosuch"], capture_output=True, text=True
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].startswith("error: argument command: invalid choice: 'nosuch'")
+
+
+JSON_ONLY = {
+    "validate": (["validate", "--system", "{cantor4}"], "validate_system"),
+    "ruelle-bound": (["ruelle-bound", "--system", "{cantor4}"], "estimate_gamma"),
+    "certify": (["certify", "--system", "{cantor4}"], "basis_certificate"),
+    "classify": (["classify", "--R", "2", "--a", "1/4"], "dim_one_classify"),
+    "clique": (["clique", "--R", "3", "--a", "1/2"], "max_orthogonal_clique"),
+    "hardy": (["hardy", "--system", "{cantor4}", "--coeffs", "0=1"], "hardy_roundtrip"),
+}
+
+
+@pytest.mark.parametrize("argv, analysis", JSON_ONLY.values(), ids=JSON_ONLY.keys())
+def test_csv_refused_before_computing(cantor4_file, capsys, monkeypatch, argv, analysis):
+    monkeypatch.setattr(cli, analysis, lambda *a, **k: pytest.fail("the analysis ran"))
+    argv = [arg.format(cantor4=cantor4_file) for arg in argv]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--format", "csv"])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 1 and out == ""
+    assert err.splitlines()[-1].startswith("error: argument --format: invalid choice: 'csv'")
+
+
+def test_json_only_command_echoes_json_format(cantor4_file, capsys):
+    code, out, _ = run_cli(["certify", "--system", cantor4_file, "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["config"]["format"] == "json"
+
+
+def test_fourier_abs_column_is_scalar_abs(cantor4_file, capsys):
+    # np.abs on the complex array differs from abs(complex) in the last bit
+    # on thousands of these rows; the column must keep the scalar value
+    argv = ["fourier", "--system", cantor4_file, "--grid", "0:64:0.005", "--format", "csv"]
+    code, out, _ = run_cli(argv, capsys)
+    rows = [line.split(",") for line in _table(out)[1:]]
+    assert code == 0 and len(rows) == 12_801
+    for _, re, im, mag, _ in rows:
+        assert float(mag) == abs(complex(float(re), float(im)))
+
+
+@pytest.mark.parametrize("system, depth", [("cantor4", 4), ("quad2d", 2)])
+def test_orthogonality_pairs_in_nested_loop_order(cantor4_file, write_system, capsys, system, depth):
+    from fractalspec import FractalMeasure, enumerate_spectrum, load_system, orthogonality_matrix
+    from fractalspec.reports import fmt_float
+
+    path = cantor4_file if system == "cantor4" else write_system(QUAD2D)
+    argv = ["orthogonality", "--system", path, "--depth", str(depth), "--format", "csv"]
+    code, out, _ = run_cli(argv, capsys)
+    sys_ = load_system(path)
+    spec = enumerate_spectrum(sys_, depth)
+    _, table = orthogonality_matrix(FractalMeasure(sys_), spec)
+    el = spec.elements
+    expected = [
+        ",".join([str(i), str(j), *map(fmt_float, el[i]), *map(fmt_float, el[j]), fmt_float(table[i, j])])
+        for i in range(spec.size)
+        for j in range(i + 1, spec.size)
+    ]
+    assert code == 0
+    assert _table(out)[1:] == expected
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["fourier", "--grid", "1:0:0.1"], ["t,re,im,abs,tail_bound"]),
+        (["orthogonality", "--depth", "0"], ["i,j,lambda_i,lambda_j,abs_inner_product", "0,1,0,1,0"]),
+        (["spectrum", "--depth", "0"], ["index,lambda0", "0,0", "1,1"]),
+        (["atoms", "--depth", "0"], ["index,x,weight", "0,0,1"]),
+    ],
+    ids=["fourier-empty", "orthogonality-d0", "spectrum-d0", "atoms-d0"],
+)
+def test_degenerate_tables(cantor4_file, capsys, argv, lines):
+    argv = argv[:1] + ["--system", cantor4_file] + argv[1:]
+    code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+    assert code == 0 and _table(out) == lines
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    if argv[0] == "fourier":
+        assert json.loads(out)["rows"] == []
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["spectrum", "--depth", "3", "--format", "csv"]])
+def test_process_entry_matches_main(cantor4_file, capsys, argv):
+    argv = argv[:1] + ["--system", cantor4_file] + argv[1:]
+    code, out, err = run_cli(argv, capsys)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fractalspec.cli", *argv], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_only_the_process_entry_freezes_the_heap(cantor4_file, capsys, monkeypatch):
+    probe = "import gc, fractalspec.cli; print(gc.get_freeze_count(), gc.isenabled())"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.stdout == "0 True\n"
+    before = gc.get_freeze_count()
+    run_cli(["validate", "--system", cantor4_file], capsys)
+    assert gc.get_freeze_count() == before
+    monkeypatch.setattr(cli, "main", lambda: 2)
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            cli.run()
+        assert exit_.value.code == 2
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
