@@ -1,14 +1,20 @@
 """Command-line front-end.
 
 Every subcommand reads a system (from a JSON file or from flags), runs one
-analysis, and emits a deterministic JSON artifact, or a CSV table on the
-commands that have one, that embeds the resolved configuration and the
-system's validation report.
+analysis and returns ``(body, table, ok)``:
 
-Exit status: 0 = computed with a positive verdict (or a pure computation),
-2 = computed with a negative verdict (not certified, not orthogonal, ...),
-1 = failure to compute (bad input, usage errors included, convergence
-error, budget).
+- ``body``: the artifact's payload, the system's validation report
+  included, without the configuration;
+- ``table``: ``(header, columns)`` for the CSV form, or None on the
+  commands that emit JSON only (their parser refuses ``--format csv``);
+- ``ok``: the verdict, True for a pure computation.
+
+:func:`main` alone turns that into an artifact and an exit status.  It adds
+``config``, which is every parsed argument (the command included) plus the
+schema and package versions, emits a deterministic JSON artifact or the CSV
+table, and returns 0 when ``ok`` holds, else 2 (computed, negative verdict:
+not certified, not orthogonal, ...).  Exit 1 is a failure to compute (bad
+input, usage errors included, convergence error, budget).
 """
 
 from __future__ import annotations
@@ -50,8 +56,6 @@ from .verify import (
 )
 
 GRID_BUDGET = 2**24  # grid points per command
-# real-valued flags, read with parse_number before the command runs
-NUMBER_FLAGS = ("target", "tol", "increment_tol", "zero_tol", "translate_factor", "max_error")
 
 
 def _parse_number(text: str, warn: bool = True) -> float:
@@ -125,16 +129,16 @@ def _parse_coeffs(spec: str, d: int) -> dict:
     return out
 
 
-def _emit(args, payload: dict, csv_header=None, csv_columns=()) -> None:
-    """Write the artifact: JSON by default, CSV (one array per header field)
+def _emit(args, payload: dict, table) -> None:
+    """Write the artifact: JSON by default, CSV (one column per header field)
     when requested."""
     if args.format == "csv":
         comments = [
-            f"config: {render_json(payload.get('config', {}), compact=True)}",
+            f"config: {render_json(payload['config'], compact=True)}",
             f"validation: {render_json(payload.get('validation'), compact=True)}",
             f"schema_version: {SCHEMA_VERSION}",
         ]
-        text = render_csv(csv_header, csv_columns, comments)
+        text = render_csv(*table, comments)
     else:
         text = render_json(payload) + "\n"
     if args.out:
@@ -143,17 +147,10 @@ def _emit(args, payload: dict, csv_header=None, csv_columns=()) -> None:
         _sys.stdout.write(text)
 
 
-def _config_block(args, command: str, **extra) -> dict:
-    cfg = {
-        "command": command,
-        "schema_version": SCHEMA_VERSION,
-        "package_version": __version__,
-    }
-    for key in ("system", "depth", "tol", "seed", "target", "out", "format"):
-        if hasattr(args, key):
-            cfg[key] = getattr(args, key)
-    cfg.update(extra)
-    return cfg
+def _config(args) -> dict:
+    """Every parsed argument, the command included, and the two versions."""
+    config = {key: value for key, value in vars(args).items() if key != "fn"}
+    return {**config, "schema_version": SCHEMA_VERSION, "package_version": __version__}
 
 
 def _load_validated(args, **checks) -> tuple[AffineSystem, dict]:
@@ -170,22 +167,22 @@ def _load_validated(args, **checks) -> tuple[AffineSystem, dict]:
     return sys_, validate_system(sys_, **checks).as_dict()
 
 
+def _axes(name: str, d: int) -> list[str]:
+    """Column names of a d-vector: ``name`` in 1-D, ``name0, name1, ...`` above."""
+    return [name] if d == 1 else [f"{name}{i}" for i in range(d)]
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (body, table, ok), see the module docstring
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     sys_, validation = _load_validated(args, n_max=args.n_max, tol=args.tol)
-    payload = {
-        "config": _config_block(args, "validate", n_max=args.n_max),
-        "validation": validation,
-        "system": {"d": sys_.d, "N": sys_.n_digits, "r": sys_.r},
-    }
-    _emit(args, payload)
-    return 0 if validation["valid"] else 2
+    body = {"validation": validation, "system": {"d": sys_.d, "N": sys_.n_digits, "r": sys_.r}}
+    return body, None, validation["valid"]
 
 
-def _cmd_fourier(args) -> int:
+def _cmd_fourier(args):
     sys_, validation = _load_validated(args)
     m = FractalMeasure(sys_)
     grid = _parse_grid(args.grid, sys_.d)
@@ -194,92 +191,61 @@ def _cmd_fourier(args) -> int:
     )
     # hypot, not np.abs: it equals abs(complex) bit for bit
     columns = (*grid.T, values.real, values.imag, np.hypot(values.real, values.imag), tails)
-    header = [f"t{i}" for i in range(sys_.d)] if sys_.d > 1 else ["t"]
-    header += ["re", "im", "abs", "tail_bound"]
-    payload = {
-        "config": _config_block(args, "fourier", grid=args.grid),
-        "validation": validation,
-        "rows": np.column_stack(columns),
-        "columns": header,
-    }
-    _emit(args, payload, csv_header=header, csv_columns=columns)
-    return 0
+    header = _axes("t", sys_.d) + ["re", "im", "abs", "tail_bound"]
+    body = {"validation": validation, "rows": np.column_stack(columns), "columns": header}
+    return body, (header, columns), True
 
 
-def _cmd_atoms(args) -> int:
+def _cmd_atoms(args):
     sys_, validation = _load_validated(args)
-    m = FractalMeasure(sys_)
-    atoms = atomic_approximation(m, args.depth)
+    atoms = atomic_approximation(FractalMeasure(sys_), args.depth)
     n = atoms.points.shape[0]
     columns = (np.arange(n), *atoms.points.T, np.full(n, atoms.weight))
-    header = (
-        ["index"]
-        + ([f"x{i}" for i in range(sys_.d)] if sys_.d > 1 else ["x"])
-        + ["weight"]
-    )
-    payload = {
-        "config": _config_block(args, "atoms"),
+    header = ["index", *_axes("x", sys_.d), "weight"]
+    body = {
         "validation": validation,
         "depth": atoms.depth,
         "weight": atoms.weight,
         "points": atoms.points,
     }
-    _emit(args, payload, csv_header=header, csv_columns=columns)
-    return 0
+    return body, (header, columns), True
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args):
     sys_, validation = _load_validated(args)
     spec = enumerate_spectrum(sys_, args.depth)
     columns = (np.arange(spec.size), *spec.elements.T)
     header = ["index"] + [f"lambda{i}" for i in range(sys_.d)]
-    payload = {
-        "config": _config_block(args, "spectrum"),
+    body = {
         "validation": validation,
         "size": spec.size,
         "separation": separation(spec) if spec.size >= 2 else None,
         "elements": spec.elements,
     }
-    _emit(args, payload, csv_header=header, csv_columns=columns)
-    return 0
+    return body, (header, columns), True
 
 
-def _cmd_orthogonality(args) -> int:
+def _cmd_orthogonality(args):
     sys_, validation = _load_validated(args)
     m = FractalMeasure(sys_)
     spec = enumerate_spectrum(sys_, args.depth)
     max_off, table = orthogonality_matrix(m, spec)
     i, j = np.triu_indices(spec.size, 1)  # pairs i < j, row by row
     columns = (i, j, *spec.elements[i].T, *spec.elements[j].T, table[i, j])
-    lam_i = [f"lambda_i{k}" for k in range(sys_.d)] if sys_.d > 1 else ["lambda_i"]
-    lam_j = [f"lambda_j{k}" for k in range(sys_.d)] if sys_.d > 1 else ["lambda_j"]
-    header = ["i", "j"] + lam_i + lam_j + ["abs_inner_product"]
+    header = ["i", "j", *_axes("lambda_i", sys_.d), *_axes("lambda_j", sys_.d), "abs_inner_product"]
     ok = max_off <= args.tol
-    payload = {
-        "config": _config_block(args, "orthogonality"),
-        "validation": validation,
-        "size": spec.size,
-        "max_offdiag": max_off,
-        "orthogonal": ok,
-    }
-    _emit(args, payload, csv_header=header, csv_columns=columns)
-    return 0 if ok else 2
+    body = {"validation": validation, "size": spec.size, "max_offdiag": max_off, "orthogonal": ok}
+    return body, (header, columns), ok
 
 
-def _cmd_completeness(args) -> int:
+def _cmd_completeness(args):
     sys_, validation = _load_validated(args)
     m = FractalMeasure(sys_)
     grid = _parse_grid(args.grid, sys_.d)
+    header = _axes("t", sys_.d) + ["Q"]
     if grid.size == 0:
-        payload = {
-            "config": _config_block(args, "completeness", grid=args.grid),
-            "validation": validation,
-            "status": "empty-grid",
-            "rows": [],
-        }
-        header = (["t"] if sys_.d == 1 else [f"t{i}" for i in range(sys_.d)]) + ["Q"]
-        _emit(args, payload, csv_header=header, csv_columns=(*grid.T, np.empty(0)))
-        return 0
+        body = {"validation": validation, "status": "empty-grid", "rows": []}
+        return body, (header, (*grid.T, np.empty(0))), True
     spec = enumerate_spectrum(sys_, args.depth)
     report = completeness_scan(
         m,
@@ -289,32 +255,19 @@ def _cmd_completeness(args) -> int:
         increment_tol=args.increment_tol,
         max_depth=args.max_depth,
     )
-    header = (["t"] if sys_.d == 1 else [f"t{i}" for i in range(sys_.d)]) + ["Q"]
-    payload = {
-        "config": _config_block(
-            args,
-            "completeness",
-            grid=args.grid,
-            increment_tol=args.increment_tol,
-            max_depth=args.max_depth,
-        ),
-        "validation": validation,
-        "report": report.as_dict(),
-    }
     scanned = grid if report.Q.size else grid[:0]  # no depth evaluated: no Q, no rows
-    _emit(args, payload, csv_header=header, csv_columns=(*scanned.T, report.Q))
-    return 0 if report.status == "complete-evidence" else 2
+    body = {"validation": validation, "report": report.as_dict()}
+    return body, (header, (*scanned.T, report.Q)), report.status == "complete-evidence"
 
 
-def _cmd_ruelle_bound(args) -> int:
+def _cmd_ruelle_bound(args):
     sys_, validation = _load_validated(args)
     box = attractor_hull(sys_) if args.box is None else as_box(
         [_parse_window(part) for part in args.box.split(",")], sys_.d
     )
     bound = estimate_gamma(sys_, box)
     probe = contraction_probe(sys_, box, trials=args.trials, seed=args.seed)
-    payload = {
-        "config": _config_block(args, "ruelle-bound", trials=args.trials, box=args.box),
+    body = {
         "validation": validation,
         "gamma_bound": bound.gamma_bound,
         "beta": bound.beta,
@@ -324,114 +277,79 @@ def _cmd_ruelle_bound(args) -> int:
         "skipped": probe.skipped,
         "ratio_within_bound": probe.max_ratio <= bound.gamma_bound + 1e-6,
     }
-    _emit(args, payload)
-    return 0 if bound.gamma_bound < 1.0 else 2
+    return body, None, bound.gamma_bound < 1.0
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args):
     sys_, validation = _load_validated(args)
-    m = FractalMeasure(sys_)
-    cert = basis_certificate(m, trials=args.trials, seed=args.seed)
-    payload = {
-        "config": _config_block(args, "certify", trials=args.trials),
+    cert = basis_certificate(FractalMeasure(sys_), trials=args.trials, seed=args.seed)
+    body = {
         "validation": validation,
         "certificate": cert.as_dict(),
         "reason": "; ".join(cert.failures) if cert.failures else None,
     }
-    _emit(args, payload)
-    return 0 if cert.basis_certified else 2
+    return body, None, cert.basis_certified
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     sys_, validation = _load_validated(args)
     a = float(sys_.B.sum())  # B = {0, a}
     verdict = dim_one_classify(
         args.R, a, L=sys_.L, clique_window=args.window, target=args.target
     )
-    payload = {
-        "config": _config_block(args, "classify", R=args.R, a=args.a, window=args.window),
-        "validation": validation,
-        "verdict": verdict.as_dict(),
-    }
-    _emit(args, payload)
-    return 0 if verdict.consistent else 2
+    return {"validation": validation, "verdict": verdict.as_dict()}, None, verdict.consistent
 
 
-def _cmd_clique(args) -> int:
+def _cmd_clique(args):
     sys_, validation = _load_validated(args)
-    m = FractalMeasure(sys_)
-    size, witness = max_orthogonal_clique(m, args.window, zero_tol=args.zero_tol)
-    payload = {
-        "config": _config_block(
-            args, "clique", R=args.R, a=args.a, window=args.window, zero_tol=args.zero_tol
-        ),
-        "validation": validation,
-        "size": size,
-        "witness": list(witness),
-    }
-    _emit(args, payload)
-    return 0
+    size, witness = max_orthogonal_clique(FractalMeasure(sys_), args.window, zero_tol=args.zero_tol)
+    return {"validation": validation, "size": size, "witness": list(witness)}, None, True
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     sys_, validation = _load_validated(args)
     report = scaling_sweep(sys_, args.r_max)
     columns = tuple(map(np.array, zip(*report.rows)))
-    payload = {
-        "config": _config_block(args, "sweep", r_max=args.r_max),
-        "validation": validation,
-        "sweep": report.as_dict(),
-    }
-    _emit(args, payload, csv_header=["r", "gamma_bound", "certified"], csv_columns=columns)
-    return 0 if report.first_certified is not None else 2
+    body = {"validation": validation, "sweep": report.as_dict()}
+    return body, (["r", "gamma_bound", "certified"], columns), report.first_certified is not None
 
 
-def _cmd_tiling(args) -> int:
+def _cmd_tiling(args):
     sys_, validation = _load_validated(args)
-    window = _parse_window(args.window)
     report = tiling_multiplicity(
         args.depth,
-        window,
+        _parse_window(args.window),
         samples=args.samples,
         sys=sys_,
         translate_factor=args.translate_factor,
     )
-    payload = {
-        "config": _config_block(
-            args,
-            "tiling",
-            window=args.window,
-            samples=args.samples,
-            translate_factor=args.translate_factor,
-        ),
-        "validation": validation,
-        "tiling": report.as_dict(),
-    }
+    body = {"validation": validation, "tiling": report.as_dict()}
     columns = (report.sample_points, report.multiplicities)
-    _emit(args, payload, csv_header=["x", "multiplicity"], csv_columns=columns)
-    return 0 if report.uniform else 2
+    return body, (["x", "multiplicity"], columns), report.uniform
 
 
-def _cmd_hardy(args) -> int:
+def _cmd_hardy(args):
     sys_, validation = _load_validated(args)
     m = FractalMeasure(sys_)
     spec = enumerate_spectrum(sys_, args.depth)
     coeffs = _parse_coeffs(args.coeffs, sys_.d)
     report = hardy_roundtrip(m, spec, coeffs, depth=args.quadrature_depth)
-    payload = {
-        "config": _config_block(
-            args, "hardy", coeffs=args.coeffs, quadrature_depth=args.quadrature_depth
-        ),
-        "validation": validation,
-        "roundtrip": report.as_dict(),
-    }
-    _emit(args, payload)
     ok = report.recon_error <= args.max_error and report.parseval_defect <= args.max_error
-    return 0 if ok else 2
+    return {"validation": validation, "roundtrip": report.as_dict()}, None, ok
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+class _Number(argparse.Action):
+    """A real-valued flag, read with :func:`parse_number` as it is parsed."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        try:
+            setattr(namespace, self.dest, parse_number(value))
+        except ValidationError as exc:
+            raise ValidationError(f"{option_string}: {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -466,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="structural checks on a system file")
     common(p, csv=False)
     p.add_argument("--n-max", type=int, default=12, dest="n_max")
-    p.add_argument("--tol", default=1e-9)
+    p.add_argument("--tol", action=_Number, default=1e-9)
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("fourier", help="transform of the invariant measure on a grid")
@@ -487,15 +405,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orthogonality", help="pairwise inner products over the spectrum")
     common(p)
     p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--tol", default=1e-9, help="pass threshold on |inner product|")
+    p.add_argument("--tol", action=_Number, default=1e-9, help="pass threshold on |inner product|")
     p.set_defaults(fn=_cmd_orthogonality)
 
     p = sub.add_parser("completeness", help="grid scan of the completeness function Q")
     common(p)
     p.add_argument("--depth", type=int, default=2, help="starting enumeration depth")
     p.add_argument("--grid", default="0:1:0.01")
-    p.add_argument("--target", default=0.99)
-    p.add_argument("--increment-tol", default=1e-4, dest="increment_tol")
+    p.add_argument("--target", action=_Number, default=0.99)
+    p.add_argument("--increment-tol", action=_Number, default=1e-4, dest="increment_tol")
     p.add_argument(
         "--max-depth",
         type=int,
@@ -524,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="second digit of B = {0, a}; rationals as p/q")
     p.add_argument("--L", default=None, help="override frequency digits, comma separated")
     p.add_argument("--window", type=int, default=60)
-    p.add_argument("--target", default=0.99)
+    p.add_argument("--target", action=_Number, default=0.99)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("clique", help="exact maximum orthogonal clique in a window")
@@ -533,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--L", default=None)
     p.add_argument("--window", type=int, default=60)
-    p.add_argument("--zero-tol", default=1e-9, dest="zero_tol")
+    p.add_argument("--zero-tol", action=_Number, default=1e-9, dest="zero_tol")
     p.set_defaults(fn=_cmd_clique)
 
     p = sub.add_parser("sweep", help="certificate sweep over scales r = 1..r_max")
@@ -547,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--window", required=True, help="lo:hi")
     p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--translate-factor", default=-2.0, dest="translate_factor")
+    p.add_argument("--translate-factor", action=_Number, default=-2.0, dest="translate_factor")
     p.set_defaults(fn=_cmd_tiling)
 
     p = sub.add_parser("hardy", help="coefficient round-trip through the atomic quadrature")
@@ -559,31 +477,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="lambda=value pairs, comma separated; in d > 1 lambda is x:y[:...]",
     )
     p.add_argument("--quadrature-depth", type=int, default=10, dest="quadrature_depth")
-    p.add_argument("--max-error", default=1e-6, dest="max_error")
+    p.add_argument("--max-error", action=_Number, default=1e-6, dest="max_error")
     p.set_defaults(fn=_cmd_hardy)
 
     return parser
 
 
-def _parse_number_flags(args) -> None:
-    """Replace each NUMBER_FLAGS value by :func:`parse_number` of it."""
-    for key in NUMBER_FLAGS:
-        if hasattr(args, key):
-            try:
-                setattr(args, key, parse_number(getattr(args, key)))
-            except ValidationError as exc:
-                raise ValidationError(f"--{key.replace('_', '-')}: {exc}") from None
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _parse_number_flags(args)
-        return args.fn(args)
+        args = build_parser().parse_args(argv)
+        body, table, ok = args.fn(args)
+        _emit(args, {"config": _config(args), **body}, table)
     except (FractalSpecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
+    return 0 if ok else 2
 
 
 def run() -> None:

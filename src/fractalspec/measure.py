@@ -45,6 +45,7 @@ __all__ = [
 
 DEFAULT_ATOM_BUDGET = 2**24
 DEFAULT_MOMENT_DEGREE_CAP = 8
+CHAOS_BURN_IN = 100  # random-iteration steps discarded before sampling
 
 
 def chi_mask(sys: AffineSystem, t) -> complex | np.ndarray:
@@ -226,7 +227,7 @@ def _poly_mul(p: dict, q: dict, d: int) -> dict:
     return out
 
 
-def moments(m: FractalMeasure, order, max_degree: int = DEFAULT_MOMENT_DEGREE_CAP) -> float:
+def moments(m: FractalMeasure, order) -> float:
     """Raw moment int x^order dmu via the invariance equation.
 
     Integrating x^alpha against both sides and expanding (R^-1 x + b)^alpha
@@ -239,8 +240,8 @@ def moments(m: FractalMeasure, order, max_degree: int = DEFAULT_MOMENT_DEGREE_CA
     d = sys.d
     order = _as_multi_index(order, d)
     degree = sum(order)
-    if degree > max_degree:
-        raise BudgetError(f"moment degree {degree} exceeds cap {max_degree}")
+    if degree > DEFAULT_MOMENT_DEGREE_CAP:
+        raise BudgetError(f"moment degree {degree} exceeds cap {DEFAULT_MOMENT_DEGREE_CAP}")
     if degree == 0:
         return 1.0
 
@@ -286,20 +287,18 @@ def moments(m: FractalMeasure, order, max_degree: int = DEFAULT_MOMENT_DEGREE_CA
     return float(solved[pos[order] - 1])
 
 
-def chaos_sample(
-    m: FractalMeasure, count: int, burn_in: int = 100, seed: int = 0
-) -> np.ndarray:
+def chaos_sample(m: FractalMeasure, count: int, seed: int = 0) -> np.ndarray:
     """Random-iteration samples of the attractor, deterministic per seed."""
     if count < 0:
         raise ValidationError(f"count must be >= 0, got {count}")
     sys = m.sys
     rng = np.random.default_rng(seed)
-    digits = rng.integers(0, sys.n_digits, size=burn_in + count)
+    digits = rng.integers(0, sys.n_digits, size=CHAOS_BURN_IN + count)
     rinv = sys.rinv
     out = np.empty((count, sys.d))
     x = np.zeros(sys.d)
     for step, digit in enumerate(digits):
         x = rinv @ x + sys.B[digit]
-        if step >= burn_in:
-            out[step - burn_in] = x
+        if step >= CHAOS_BURN_IN:
+            out[step - CHAOS_BURN_IN] = x
     return out

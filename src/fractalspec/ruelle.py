@@ -267,14 +267,12 @@ def _mask_sq_grad(sys: AffineSystem, pts: np.ndarray):
     return np.abs(chi) ** 2, grad
 
 
-def apply_ruelle(
-    sys: AffineSystem, q: GridFunction, domain_tol: float = BOX_TOL
-) -> GridFunction:
+def apply_ruelle(sys: AffineSystem, q: GridFunction) -> GridFunction:
     """One application of the transfer operator, sampled on q's own grid.
 
     q is evaluated at the mapped nodes by multilinear interpolation, which
     requires the box to be invariant under every dual map; a violation
-    beyond ``domain_tol`` raises DomainError (enlarge the box).
+    beyond ``BOX_TOL`` raises DomainError (enlarge the box).
     """
     rinv = sys.rinv
     nodes = q.nodes()
@@ -288,7 +286,7 @@ def apply_ruelle(
             float(np.max(lo - mapped.min(axis=0), initial=0.0)),
             float(np.max(mapped.max(axis=0) - hi, initial=0.0)),
         )
-        if excess > domain_tol:
+        if excess > BOX_TOL:
             raise DomainError(
                 f"dual map with l={l.tolist()} leaves the box by {excess:.3e}; "
                 "enlarge the box"

@@ -45,6 +45,9 @@ __all__ = [
 ]
 
 MAX_EXACT_CLIQUE_WINDOW = 200
+CLASSIFY_SCAN_DEPTH = 2  # spectrum depth of the even-R completeness scan
+CLASSIFY_SCAN_STEP = 0.01  # its grid step over one unit cell
+TILING_BUDGET = 2**24  # sample points, and tile pairs |Lambda|^2, per tiling check
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +141,6 @@ def max_orthogonal_clique(
     m: FractalMeasure,
     window: int,
     zero_tol: float = 1e-9,
-    max_exact: int = MAX_EXACT_CLIQUE_WINDOW,
 ) -> tuple[int, tuple[int, ...]]:
     """Exact maximum set of pairwise-orthogonal integer frequencies.
 
@@ -152,9 +154,9 @@ def max_orthogonal_clique(
         raise ValidationError("clique search is defined for dimension 1 only")
     if window < 1:
         raise ValidationError(f"window must be >= 1, got {window}")
-    if window > max_exact:
+    if window > MAX_EXACT_CLIQUE_WINDOW:
         raise BudgetError(
-            f"window {window} too large for exact search (max {max_exact}); "
+            f"window {window} too large for exact search (max {MAX_EXACT_CLIQUE_WINDOW}); "
             "restrict the window"
         )
     freqs = [0]
@@ -215,8 +217,6 @@ def dim_one_classify(
     L=None,
     clique_window: int = 60,
     zero_tol: float = 1e-9,
-    scan_depth: int = 2,
-    scan_step: float = 0.01,
     target: float = 0.99,
 ) -> DichotomyVerdict:
     """Classify the d=1, two-digit system B = {0, a} by the parity of R.
@@ -250,8 +250,8 @@ def dim_one_classify(
 
     predicted = "basis" if abs(R) >= 4 else "outside-theorem"
     cert = basis_certificate(m)
-    spec = enumerate_spectrum(sys, scan_depth)
-    grid = np.arange(0.0, 1.0 + scan_step / 2, scan_step).reshape(-1, 1)
+    spec = enumerate_spectrum(sys, CLASSIFY_SCAN_DEPTH)
+    grid = np.arange(0.0, 1.0 + CLASSIFY_SCAN_STEP / 2, CLASSIFY_SCAN_STEP).reshape(-1, 1)
     scan = completeness_scan(m, spec, grid, target=target)
     consistent = True
     if predicted == "basis":
@@ -349,11 +349,10 @@ def tiling_multiplicity(
     samples: int = 10_000,
     sys: AffineSystem | None = None,
     translate_factor: float = -2.0,
-    tile_length: float = 1.0,
 ) -> TilingReport:
     """Count how many translated tiles cover each sample point.
 
-    Tiles are half-open intervals [lam, lam + tile_length) over the depth-n
+    Tiles are half-open unit intervals [lam, lam + 1) over the depth-n
     frequency set, translated by ``translate_factor`` times the same set.
     Sampling is restricted to the largest covered run intersected with the
     requested window (endpoints excluded by the half-open convention); a
@@ -365,10 +364,17 @@ def tiling_multiplicity(
         raise ValidationError("tiling check is defined for dimension 1 only")
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
+    if samples > TILING_BUDGET:
+        raise BudgetError(f"{samples} samples exceed the tiling budget of {TILING_BUDGET}")
     lam = enumerate_spectrum(sys, depth).elements[:, 0]
+    if lam.size**2 > TILING_BUDGET:  # the translated tiles, |Lambda|^2 of them
+        raise BudgetError(
+            f"depth {depth} gives {lam.size}^2 translated tiles, "
+            f"over the tiling budget of {TILING_BUDGET}"
+        )
     translates = translate_factor * lam
     starts = np.sort((lam[:, None] + translates[None, :]).ravel())
-    ends = starts + tile_length
+    ends = starts + 1.0
 
     # piecewise-constant coverage; maximal run with count >= 1 near the window
     points = np.unique(np.concatenate([starts, ends]))

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import subprocess
@@ -648,3 +649,98 @@ def test_only_the_process_entry_freezes_the_heap(cantor4_file, capsys, monkeypat
         assert gc.get_freeze_count() > before
     finally:
         gc.unfreeze()
+
+
+# ---------------------------------------------------------------------------
+# the command contract: main() builds the config and maps the verdict
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# one small run of every command
+SMALL = {
+    "validate": ["validate", "--system", "{cantor4}"],
+    "fourier": ["fourier", "--system", "{cantor4}", "--grid", "0:1:0.5"],
+    "atoms": ["atoms", "--system", "{cantor4}", "--depth", "2"],
+    "spectrum": ["spectrum", "--system", "{cantor4}", "--depth", "1"],
+    "orthogonality": ["orthogonality", "--system", "{cantor4}", "--depth", "1"],
+    "completeness": ["completeness", "--system", "{cantor4}", "--grid", "0:1:0.5"],
+    "ruelle-bound": ["ruelle-bound", "--system", "{cantor4}", "--trials", "2"],
+    "certify": ["certify", "--system", "{cantor4}"],
+    "classify": ["classify", "--R", "3", "--a", "1/2", "--window", "5"],
+    "clique": ["clique", "--R", "3", "--a", "1/2", "--window", "5"],
+    "sweep": ["sweep", "--system", "{cantor4}", "--r-max", "2"],
+    "tiling": ["tiling", "--window=-10:6", "--samples", "20"],
+    "hardy": ["hardy", "--system", "{cantor4}", "--coeffs", "0=1"],
+}
+
+
+def test_every_command_has_a_small_run():
+    assert set(SMALL) == set(_subcommands())
+
+
+@pytest.mark.parametrize("command", SMALL)
+def test_config_is_every_parsed_argument(cantor4_file, capsys, command):
+    argv = [arg.format(cantor4=cantor4_file) for arg in SMALL[command]]
+    code, out, _ = run_cli(argv, capsys)
+    parsed = vars(cli.build_parser().parse_args(argv))
+    del parsed["fn"]
+    assert code in (0, 2)
+    assert json.loads(out)["config"] == {
+        **parsed,
+        "schema_version": "1",
+        "package_version": cli.__version__,
+    }
+
+
+@pytest.mark.parametrize("command", SMALL)
+def test_csv_offered_exactly_when_a_table_is_returned(cantor4_file, command):
+    argv = [arg.format(cantor4=cantor4_file) for arg in SMALL[command]]
+    args = cli.build_parser().parse_args(argv)
+    _, table, _ = args.fn(args)
+    fmt = next(a for a in _subcommands()[command]._actions if a.dest == "format")
+    assert ("csv" in fmt.choices) == (table is not None)
+
+
+def test_clique_records_its_frequency_digits(capsys):
+    argv = ["clique", "--R", "3", "--a", "1/2", "--window", "20"]
+    _, plain, _ = run_cli(argv, capsys)
+    _, overridden, _ = run_cli(argv + ["--L", "0,3"], capsys)
+    assert plain != overridden
+    assert json.loads(plain)["config"]["L"] is None
+    assert json.loads(overridden)["config"]["L"] == "0,3"
+
+
+def test_hardy_records_its_error_bound(cantor4_file, capsys):
+    argv = ["hardy", "--system", cantor4_file, "--coeffs", "0=1", "--max-error", "1/1000"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["config"]["max_error"] == 0.001
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_empty_grid_completeness_records_the_scan_settings(cantor4_file, capsys, fmt):
+    argv = ["completeness", "--system", cantor4_file, "--grid", "1:0:0.01", "--format", fmt]
+    code, out, _ = run_cli(argv + ["--max-depth", "5"], capsys)
+    if fmt == "json":
+        config = json.loads(out)["config"]
+    else:
+        config = json.loads(next(ln for ln in out.splitlines() if ln.startswith("# config: "))[10:])
+    assert code == 0
+    assert (config["increment_tol"], config["max_depth"]) == (1e-4, 5)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--samples", "100000000000"], "100000000000 samples exceed the tiling budget of 16777216"),
+        (["--depth", "12"], "depth 12 gives 8192^2 translated tiles, over the tiling budget of 16777216"),
+    ],
+    ids=["samples", "tiles"],
+)
+def test_tiling_over_budget_exits_one(capsys, argv, message):
+    code, out, err = run_cli(["tiling", "--window=0:1", *argv], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
