@@ -23,6 +23,19 @@ __all__ = [
 
 CIS_BLOCK = 2**16  # elements per block of cis2pi
 _QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])  # i^k, k = 0..3
+# |n| >= 2^62 is a multiple of 4 in float64, so clipping there keeps n mod 4
+_TURN_CLIP = 2.0**62
+
+
+def _mod4(n: np.ndarray) -> np.ndarray:
+    """n mod 4 in 0..3 for an array of integral floats, in integer arithmetic.
+
+    Float np.mod costs about 45 ns per element; clipping to +-2^62 and
+    masking the int64 is exact for every finite n.  Non-finite n give an
+    arbitrary residue (their callers produce nan whatever it is).
+    """
+    with np.errstate(invalid="ignore"):  # nan has no int64 value
+        return np.clip(n, -_TURN_CLIP, _TURN_CLIP).astype(np.int64) & 3
 
 
 def sinpi(x):
@@ -33,7 +46,7 @@ def sinpi(x):
     s = np.sin(np.pi * r)
     # |r| == 0.5 would round either way; pin the exact value.
     s = np.where(np.abs(r) == 0.5, np.sign(r), s)
-    out = np.where(np.mod(n, 2.0) == 1.0, -s, s)
+    out = np.where((_mod4(n) & 1) == 1, -s, s)
     return out if out.ndim else float(out)
 
 
@@ -48,7 +61,8 @@ def cis2pi(x):
 
     x = q/4 + r with q = round(4x) and |r| <= 1/8; the subtraction is exact,
     so exp(2 pi i x) = i^q exp(2 pi i r) takes one cos/sin pair of 2 pi r
-    and an exact quarter turn (a swap and sign changes).  At quarter-integer
+    and an exact quarter turn (a swap and sign changes), indexed by q mod 4
+    in integer arithmetic.  At quarter-integer
     x, r = 0 and the components are exactly 0 or +-1.  The flattened input
     is processed in blocks of CIS_BLOCK elements so that the temporaries
     stay small whatever the input size.
@@ -70,8 +84,7 @@ def _cis2pi_block(x: np.ndarray, out: np.ndarray) -> None:
         r *= 2.0 * np.pi
         np.cos(r, out=out.real)
         np.sin(r, out=out.imag)
-        turns = np.mod(q, 4.0).astype(np.intp) & 3
-    out *= _QUARTER_TURNS[turns]  # products with 0 and +-1 are exact
+    out *= _QUARTER_TURNS[_mod4(q)]  # products with 0 and +-1 are exact
 
 
 def operator_norm(mat) -> float:

@@ -36,6 +36,7 @@ __all__ = [
     "FractalMeasure",
     "AtomicApproximation",
     "chi_mask",
+    "digit_exponentials",
     "fourier_mu",
     "fourier_mu_many",
     "atomic_approximation",
@@ -46,6 +47,9 @@ __all__ = [
 DEFAULT_ATOM_BUDGET = 2**24
 DEFAULT_MOMENT_DEGREE_CAP = 8
 CHAOS_BURN_IN = 100  # random-iteration steps discarded before sampling
+# numpy's complex mean(axis=1) adds this many terms or fewer one by one from +0
+SEQUENTIAL_DIGITS = 3
+FOURIER_BLOCK = 8192  # distinct rows per block of fourier_mu_many's product
 
 
 def chi_mask(sys: AffineSystem, t) -> complex | np.ndarray:
@@ -54,14 +58,49 @@ def chi_mask(sys: AffineSystem, t) -> complex | np.ndarray:
     Accepts a single d-vector (returns a scalar) or an (M, d) array of
     frequencies (returns an (M,) array).  Values at points where every
     phase is a quarter integer are exact; in particular the mask vanishes
-    exactly where it should.
+    exactly where it should.  The values are those of
+    ``cis2pi(t @ B.T).mean(axis=1)`` bit for bit: numpy's mean adds up to
+    SEQUENTIAL_DIGITS complex terms one by one from +0, so small digit sets
+    are summed a column at a time in that order, and larger ones go through
+    the mean itself.
     """
     t = np.asarray(t, dtype=float)
     single = t.ndim <= 1
     pts = np.atleast_2d(t).reshape(-1, sys.d)
     phases = pts @ sys.B.T
-    values = cis2pi(phases).mean(axis=1)
+    if sys.n_digits > SEQUENTIAL_DIGITS:
+        values = digit_exponentials(sys, phases).mean(axis=1)
+    else:
+        values = np.zeros(pts.shape[0], dtype=complex)
+        for column, zero in zip(phases.T, sys.zero_digits):
+            values += _zero_digit_exponentials(column) if zero else cis2pi(column)
+        values /= sys.n_digits
     return complex(values[0]) if single else values
+
+
+def digit_exponentials(sys: AffineSystem, phases: np.ndarray) -> np.ndarray:
+    """cis2pi over an (..., N) array of digit phases b.t, bit for bit.
+
+    The columns of zero digits (``sys.zero_digits``) skip the trig kernel:
+    their phases are +-0 at every finite t, where cis2pi is exactly 1 + 0j.
+    """
+    zero = sys.zero_digits
+    if not zero.any():
+        return cis2pi(phases)
+    out = np.empty(phases.shape, dtype=complex)
+    out[..., ~zero] = cis2pi(phases[..., ~zero])
+    out[..., zero] = _zero_digit_exponentials(phases[..., zero])
+    return out
+
+
+def _zero_digit_exponentials(phases: np.ndarray) -> np.ndarray:
+    """cis2pi of the phases of a zero digit: 1 + 0j where finite, and
+    cis2pi's own nan where t was not finite."""
+    out = np.ones(phases.shape, dtype=complex)
+    bad = ~np.isfinite(phases)
+    if bad.any():
+        out[bad] = cis2pi(phases[bad])
+    return out
 
 
 @dataclass(frozen=True)
@@ -161,7 +200,10 @@ def fourier_mu_many(m: FractalMeasure, T) -> tuple[np.ndarray, np.ndarray]:
 
     The product depth and the tails come from all rows; the product itself
     runs once per distinct row (bit pattern), so repeated arguments, such as
-    the differences of a lattice spectrum, cost one evaluation each.
+    the differences of a lattice spectrum, cost one evaluation each.  The
+    distinct rows go through every depth in blocks of FOURIER_BLOCK, so the
+    temporaries of a block stay in cache; each row's factors are multiplied
+    in the same order as by one pass over all rows.
     """
     T = np.asarray(T, dtype=float).reshape(-1, m.sys.d)
     norms = np.linalg.norm(T, axis=1)
@@ -172,11 +214,14 @@ def fourier_mu_many(m: FractalMeasure, T) -> tuple[np.ndarray, np.ndarray]:
         distinct, inverse = np.unique(bits[:, 0], return_inverse=True)
     else:
         distinct, inverse = np.unique(bits, axis=0, return_inverse=True)
-    pts = distinct.view(float).reshape(-1, m.sys.d)
-    values = np.ones(pts.shape[0], dtype=complex)
-    for _ in range(depth):
-        values *= np.conj(chi_mask(m.sys, pts))
-        pts = pts @ m.sys.rinv  # row form of t -> (R^T)^-1 t
+    rows = distinct.view(float).reshape(-1, m.sys.d)
+    values = np.ones(rows.shape[0], dtype=complex)
+    for start in range(0, rows.shape[0], FOURIER_BLOCK):
+        pts = rows[start : start + FOURIER_BLOCK]
+        block = values[start : start + FOURIER_BLOCK]
+        for _ in range(depth):
+            block *= np.conj(chi_mask(m.sys, pts))
+            pts = pts @ m.sys.rinv  # row form of t -> (R^T)^-1 t
     scale = 2.0 * np.pi * m._max_b
     tails = scale * norms * m._tail_sums[depth]
     return values[inverse.reshape(-1)], tails

@@ -30,6 +30,7 @@ SCHEMA_VERSION = "1"
 __all__ = ["SCHEMA_VERSION", "fmt_float", "render_json", "write_text", "render_csv"]
 
 _BOOL_TEXT = ("false", "true")
+CSV_BLOCK = 4096  # rows per formatting block of render_csv
 
 
 def _non_finite(value) -> ValueError:
@@ -129,17 +130,23 @@ def render_csv(header: list[str], columns, comments: list[str] | None = None) ->
     """Fixed-header CSV preceded by '#' comment lines (config echo).
 
     ``columns`` holds one 1-D numpy array per header field, all of one
-    length.
+    length.  Rows are formatted CSV_BLOCK at a time, so only one block's
+    cell strings are alive next to the text.
     """
-    try:
-        cells = [_cells(column) for column in columns]
-    except ValueError:
-        # name the first non-finite value in row order, as a row-wise pass would
-        _cells(np.column_stack(columns).ravel())
-        raise
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError("CSV columns differ in length")
     lines = [f"# {c}" for c in (comments or [])]
     lines.append(",".join(header))
-    lines += map(",".join, zip(*cells, strict=True))
+    rows = len(columns[0]) if columns else 0
+    for start in range(0, rows, CSV_BLOCK):
+        block = [column[start : start + CSV_BLOCK] for column in columns]
+        try:
+            cells = [_cells(column) for column in block]
+        except ValueError:
+            # name the first non-finite value in row order, as a row-wise pass would
+            _cells(np.column_stack(block).ravel())
+            raise
+        lines.append("\n".join(map(",".join, zip(*cells))))
     return "\n".join(lines) + "\n"
 
 

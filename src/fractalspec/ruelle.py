@@ -41,7 +41,7 @@ import numpy as np
 
 from ._numeric import cis2pi, hs_norm, operator_norm, sinpi
 from .errors import ConvergenceError, DomainError, ValidationError
-from .measure import FractalMeasure, chi_mask
+from .measure import FractalMeasure, chi_mask, digit_exponentials
 from .systems import AffineSystem, certified_tails, check_hadamard, require_expansive
 
 __all__ = [
@@ -261,7 +261,7 @@ def _mask_sq_grad(sys: AffineSystem, pts: np.ndarray):
     With E = exp(2 pi i pts.b) per digit, chi = mean(E) and
     grad |chi|^2 = 2 Re(conj(chi) grad chi) = -4 pi Im(conj(chi) (E @ B)) / N.
     """
-    e = cis2pi(pts @ sys.B.T)
+    e = digit_exponentials(sys, pts @ sys.B.T)
     chi = e.mean(axis=-1)
     grad = (-4.0 * np.pi / sys.n_digits) * np.imag(np.conj(chi)[..., None] * (e @ sys.B))
     return np.abs(chi) ** 2, grad

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._numeric import cis2pi
 from .errors import BudgetError, ConvergenceError, ValidationError
-from .measure import FractalMeasure, fourier_mu_many
+from .measure import FractalMeasure, digit_exponentials, fourier_mu_many
 from .ruelle import grow_invariant_box
 from .systems import AffineSystem, certified_tails, integral_system
 
@@ -214,7 +214,6 @@ class _WordTree:
         sys = m.sys
         self.m = m
         self.n = sys.n_digits
-        self.B = sys.B
         self.rinv = sys.rinv
         # chi(s - l) = N^-1 sum_b e(b.s) conj(e(b.l)): N exponentials per node
         self.h = np.conj(cis2pi(sys.B @ sys.L.T)) / self.n
@@ -242,7 +241,8 @@ class _WordTree:
 
     def _expand(self, pts, w):
         g, k, d = pts.shape
-        chi = cis2pi(pts @ self.B.T) @ self.h
+        sys = self.m.sys
+        chi = digit_exponentials(sys, pts @ sys.B.T) @ self.h
         w = w[:, :, None] * (chi.real**2 + chi.imag**2)
         pts = (pts @ self.rinv)[:, :, None, :] - self.lr
         return pts.reshape(g, k * self.n, d), w.reshape(g, k * self.n)

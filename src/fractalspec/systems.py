@@ -63,8 +63,9 @@ class AffineSystem:
     L : (N, d) digit vectors for the frequency set, canonically sorted
     r : cumulative integer scale applied via :func:`scale_system`
 
-    Quantities derived from R alone are computed on first use and cached
-    per instance: :attr:`rinv` and :attr:`inv_power_tails`.
+    Derived quantities are computed on first use and cached per instance:
+    :attr:`rinv` and :attr:`inv_power_tails` from R, :attr:`zero_digits`
+    from B.
     """
 
     d: int
@@ -97,6 +98,14 @@ class AffineSystem:
         tails = np.concatenate([np.cumsum(norms[::-1])[::-1] + beyond, [beyond]])
         tails.setflags(write=False)
         return tails
+
+    @cached_property
+    def zero_digits(self) -> np.ndarray:
+        """Boolean N-vector marking the rows of B equal to the zero vector,
+        whose exponential exp(2 pi i b.t) is exactly 1.  Read-only."""
+        zero = ~self.B.any(axis=1)
+        zero.setflags(write=False)
+        return zero
 
     def __repr__(self) -> str:  # compact, deterministic
         return (

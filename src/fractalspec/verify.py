@@ -376,30 +376,18 @@ def tiling_multiplicity(
     starts = np.sort((lam[:, None] + translates[None, :]).ravel())
     ends = starts + 1.0
 
-    # piecewise-constant coverage; maximal run with count >= 1 near the window
-    points = np.unique(np.concatenate([starts, ends]))
-    counts = np.searchsorted(starts, points, side="right") - np.searchsorted(
-        ends, points, side="right"
-    )
-    covered = counts >= 1
-    runs: list[tuple[float, float]] = []
-    run_start = None
-    for point, is_covered in zip(points, covered):
-        if is_covered and run_start is None:
-            run_start = point
-        elif not is_covered and run_start is not None:
-            runs.append((float(run_start), float(point)))
-            run_start = None
-    # coverage always drops to zero at the final breakpoint (max tile end)
+    # maximal run with count >= 1 that meets the window most
+    run_los, run_his = _covered_runs(starts, ends)
     lo, hi = float(window[0]), float(window[1])
-    if not runs:
+    if run_los.size == 0:
         raise ValidationError("translate set covers nothing")
-    overlap = [(min(b, hi) - max(a, lo), (a, b)) for a, b in runs]
-    gain, (run_lo, run_hi) = max(overlap, key=lambda t: t[0])
-    if gain <= 0:
+    gains = np.minimum(run_his, hi) - np.maximum(run_los, lo)
+    best = int(np.argmax(gains))  # the first of equal runs
+    if gains[best] <= 0:
         raise ValidationError(
             f"window [{lo}, {hi}) does not meet the covered region"
         )
+    run_lo, run_hi = float(run_los[best]), float(run_his[best])
     safe = (max(lo, run_lo), min(hi, run_hi))
     truncated = safe != (lo, hi)
 
@@ -419,6 +407,22 @@ def tiling_multiplicity(
         min_mult=int(mult.min()),
         max_mult=int(mult.max()),
     )
+
+
+def _covered_runs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs [lo, hi) covered by at least one of the half-open tiles
+    [starts, ends), from the sorted starts and ends.
+
+    Coverage is constant between consecutive breakpoints and counted at
+    each; a run opens where the count becomes positive and closes where it
+    returns to zero, which it always does at the last breakpoint (the
+    largest tile end), so the changes pair up.
+    """
+    points = np.unique(np.concatenate([starts, ends]))
+    covered = np.searchsorted(starts, points, side="right")
+    covered -= np.searchsorted(ends, points, side="right")
+    changes = np.flatnonzero(np.diff(covered >= 1, prepend=False))
+    return points[changes[0::2]], points[changes[1::2]]
 
 
 # ---------------------------------------------------------------------------

@@ -168,9 +168,14 @@ class TestFourier:
             return chi_mask(sys, t)
 
         monkeypatch.setattr(measure, "chi_mask", counting)
-        max_off, _ = orthogonality_matrix(cantor4_measure, enumerate_spectrum(cantor4, 8))
+        spec = enumerate_spectrum(cantor4, 8)
+        max_off, _ = orthogonality_matrix(cantor4_measure, spec)
         assert max_off == 0.0
-        assert rows and set(rows) == {19683}
+        # the distinct rows go through the product in blocks, each at every depth
+        lam = spec.elements[:, 0]
+        depth = cantor4_measure._depth_for(float(lam.max() - lam.min()))
+        assert depth > 0 and sum(rows) == depth * 19683
+        assert max(rows) <= measure.FOURIER_BLOCK
 
     def test_empty_rows(self, quad2d):
         values, tails = fourier_mu_many(FractalMeasure(quad2d), np.empty((0, 2)))
@@ -188,6 +193,28 @@ class TestFourier:
         m = FractalMeasure(cantor4, product_tail_tol=1e-12, max_product_depth=3)
         with pytest.raises(ConvergenceError):
             fourier_mu(m, [1000.0])
+
+
+class TestAtomicOracle:
+    """fourier_mu against the depth-K atomic transform for K <= 10.
+
+    The transform is the K-term truncated product, which differs from
+    mu-hat(t) by at most 2 pi max|b| |t| sum_{k>=K} ||(R^T)^-k||; fourier_mu
+    is within its reported tail of mu-hat(t).  Both sums round, which the
+    slack of a few hundred ulps absorbs.
+    """
+
+    @pytest.mark.parametrize("name", ["cantor4", "quad2d"])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 4, 7, 10])
+    def test_within_tail_plus_truncation(self, request, name, depth):
+        sys = request.getfixturevalue(name)
+        m = FractalMeasure(sys)
+        atoms = atomic_approximation(m, depth)
+        rng = np.random.default_rng(100 * depth + sys.d)
+        for t in rng.uniform(-20.0, 20.0, size=(3, sys.d)):
+            value, tail = fourier_mu(m, t)
+            truncation = 2.0 * np.pi * m._max_b * np.linalg.norm(t) * m._tail_sums[depth]
+            assert abs(value - atoms.transform(t)) <= tail + truncation + 256 * EPS
 
 
 class TestAtomicApproximation:

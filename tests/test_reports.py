@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fractalspec.reports import fmt_float, render_csv, render_json
+from fractalspec.reports import CSV_BLOCK, fmt_float, render_csv, render_json
 
 
 def _oracle_coerce(obj):
@@ -198,3 +198,21 @@ class TestCsv:
     def test_ragged_columns_rejected(self):
         with pytest.raises(ValueError):
             render_csv(["a", "b"], (np.zeros(2), np.zeros(3)))
+
+    @pytest.mark.parametrize("rows", [CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 2 * CSV_BLOCK + 3])
+    def test_blocks_match_oracle(self, rows):
+        rng = np.random.default_rng(rows)
+        columns = (rng.normal(size=rows), rng.integers(-9, 9, size=rows), rng.random(rows) < 0.5)
+        expected = oracle_csv(["x", "n", "b"], list(zip(*columns)), ["c"])
+        assert render_csv(["x", "n", "b"], columns, ["c"]) == expected
+
+    def test_non_finite_named_across_blocks(self):
+        # the first non-finite value in row order sits in the second block
+        a, b = np.zeros(2 * CSV_BLOCK), np.zeros(2 * CSV_BLOCK)
+        a[CSV_BLOCK + 5], b[CSV_BLOCK + 2], a[-1] = np.nan, -np.inf, np.inf
+        with pytest.raises(ValueError, match="non-finite float -inf$"):
+            render_csv(["a", "b"], (a, b))
+
+    def test_ragged_last_block_rejected(self):
+        with pytest.raises(ValueError):
+            render_csv(["a", "b"], (np.zeros(CSV_BLOCK + 1), np.zeros(CSV_BLOCK + 2)))

@@ -4,6 +4,7 @@ import pytest
 from fractalspec import (
     BudgetError,
     FractalMeasure,
+    TilingReport,
     ValidationError,
     basis_certificate,
     dim_one_classify,
@@ -14,6 +15,7 @@ from fractalspec import (
     scaling_sweep,
     tiling_multiplicity,
 )
+from fractalspec.verify import _covered_runs
 
 
 def three_free_part_is_odd(delta: int) -> bool:
@@ -210,6 +212,72 @@ class TestTiling:
     def test_disjoint_window_rejected(self):
         with pytest.raises(ValidationError):
             tiling_multiplicity(1, (100.0, 200.0), samples=10)
+
+
+def covered_runs_loop(starts, ends):
+    """Reference: walk the breakpoints one by one (the earlier implementation)."""
+    points = np.unique(np.concatenate([starts, ends]))
+    counts = np.searchsorted(starts, points, side="right") - np.searchsorted(
+        ends, points, side="right"
+    )
+    runs, run_start = [], None
+    for point, is_covered in zip(points, counts >= 1):
+        if is_covered and run_start is None:
+            run_start = point
+        elif not is_covered and run_start is not None:
+            runs.append((float(run_start), float(point)))
+            run_start = None
+    return runs
+
+
+def tiling_loop(depth, window, samples, translate_factor):
+    """Reference tiling report built on covered_runs_loop."""
+    lam = enumerate_spectrum(make_system(4.0, [0.0, 0.5], [0.0, 1.0]), depth).elements[:, 0]
+    starts = np.sort((lam[:, None] + translate_factor * lam[None, :]).ravel())
+    ends = starts + 1.0
+    lo, hi = float(window[0]), float(window[1])
+    overlap = [(min(b, hi) - max(a, lo), (a, b)) for a, b in covered_runs_loop(starts, ends)]
+    gain, (run_lo, run_hi) = max(overlap, key=lambda t: t[0])
+    if gain <= 0:
+        return None
+    safe = (max(lo, run_lo), min(hi, run_hi))
+    xs = np.linspace(safe[0], safe[1], samples, endpoint=False)
+    mult = np.searchsorted(starts, xs, side="right") - np.searchsorted(ends, xs, side="right")
+    return safe, safe != (lo, hi), xs, mult.astype(int)
+
+
+class TestCoveredRuns:
+    @pytest.mark.parametrize("depth", range(1, 7))
+    @pytest.mark.parametrize("factor", [-2.0, -1.0, -3.0, 0.5, 2.5])
+    def test_matches_loop(self, depth, factor):
+        lam = enumerate_spectrum(make_system(4.0, [0.0, 0.5], [0.0, 1.0]), depth).elements[:, 0]
+        starts = np.sort((lam[:, None] + factor * lam[None, :]).ravel())
+        ends = starts + 1.0
+        run_lo, run_hi = _covered_runs(starts, ends)
+        assert list(zip(run_lo.tolist(), run_hi.tolist())) == covered_runs_loop(starts, ends)
+
+    def test_separate_tiles(self):
+        starts = np.array([0.0, 0.5, 3.0, 10.0])
+        run_lo, run_hi = _covered_runs(starts, starts + 1.0)
+        assert run_lo.tolist() == [0.0, 3.0, 10.0] and run_hi.tolist() == [1.5, 4.0, 11.0]
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    @pytest.mark.parametrize(
+        "window", [(-10.0, 6.0), (-50.0, 30.0), (0.2, 0.8), (-1e4, 1e4), (-3.5, -3.25)]
+    )
+    @pytest.mark.parametrize("factor", [-2.0, -1.0, 0.5])
+    def test_report_matches_loop(self, depth, window, factor):
+        expected = tiling_loop(depth, window, 97, factor)
+        if expected is None:
+            with pytest.raises(ValidationError):
+                tiling_multiplicity(depth, window, samples=97, translate_factor=factor)
+            return
+        report = tiling_multiplicity(depth, window, samples=97, translate_factor=factor)
+        assert isinstance(report, TilingReport)
+        safe, truncated, xs, mult = expected
+        assert report.safe_window == safe and report.truncated == truncated
+        assert np.array_equal(report.sample_points, xs)
+        assert np.array_equal(report.multiplicities, mult)
 
 
 class TestHardyRoundtrip:
