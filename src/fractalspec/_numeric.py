@@ -46,7 +46,8 @@ def sinpi(x):
     s = np.sin(np.pi * r)
     # |r| == 0.5 would round either way; pin the exact value.
     s = np.where(np.abs(r) == 0.5, np.sign(r), s)
-    out = np.where((_mod4(n) & 1) == 1, -s, s)
+    # parity is the low bit of n mod 4; _mod4's clip keeps |n| >= 2^63 in int64
+    out = np.where(_mod4(n) & 1, -s, s)
     return out if out.ndim else float(out)
 
 

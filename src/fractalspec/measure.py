@@ -36,7 +36,6 @@ __all__ = [
     "FractalMeasure",
     "AtomicApproximation",
     "chi_mask",
-    "digit_exponentials",
     "fourier_mu",
     "fourier_mu_many",
     "atomic_approximation",
@@ -47,7 +46,10 @@ __all__ = [
 DEFAULT_ATOM_BUDGET = 2**24
 DEFAULT_MOMENT_DEGREE_CAP = 8
 CHAOS_BURN_IN = 100  # random-iteration steps discarded before sampling
-# numpy's complex mean(axis=1) adds this many terms or fewer one by one from +0
+# numpy's complex mean(axis=1) adds this many terms or fewer one by one from +0,
+# so chi_mask sums such digit sets a column at a time, with the same bits and
+# faster than the mean over an (M, N) array; tests/test_phase_kernel.py checks
+# the bits against the live mean(axis=1), so another summation order fails there
 SEQUENTIAL_DIGITS = 3
 FOURIER_BLOCK = 8192  # distinct rows per block of fourier_mu_many's product
 
