@@ -39,10 +39,11 @@ def _mod4(n: np.ndarray) -> np.ndarray:
 
 
 def sinpi(x):
-    """sin(pi*x), exact at integers and half-integers."""
+    """sin(pi*x), exact at integers and half-integers; nan at +-inf and nan."""
     x = np.asarray(x, dtype=float)
     n = np.round(x)
-    r = x - n
+    with np.errstate(invalid="ignore"):  # inf - inf: nan, as from np.sin(inf)
+        r = x - n
     s = np.sin(np.pi * r)
     # |r| == 0.5 would round either way; pin the exact value.
     s = np.where(np.abs(r) == 0.5, np.sign(r), s)
@@ -52,7 +53,7 @@ def sinpi(x):
 
 
 def cospi(x):
-    """cos(pi*x), exact at integers and half-integers."""
+    """cos(pi*x), exact at integers and half-integers; nan at +-inf and nan."""
     x = np.asarray(x, dtype=float)
     return sinpi(x + 0.5) if x.ndim else sinpi(float(x) + 0.5)
 

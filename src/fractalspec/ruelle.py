@@ -35,7 +35,7 @@ brackets of all trials together.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -353,26 +353,31 @@ class ContractionReport:
         }
 
 
-def _sup_abs_sin(box: np.ndarray, delta: np.ndarray, l: np.ndarray) -> float:
-    """Upper bound, rounded upward, for sup |sin 2 pi (t - l).delta| over t in box.
+def _sup_abs_sin(box: np.ndarray, deltas: np.ndarray, L: np.ndarray) -> float:
+    """Upper bound, rounded upward, for sup |sin 2 pi (t - l).delta| over t in
+    box, every row delta of deltas and every row l of L.
 
     (t - l).delta sweeps [lo, hi] with lo = sum_k min(delta_k box_k) - l.delta
     (max for hi).  |sin 2 pi u| peaks at 1 on u in 1/4 + Z/2 and has a single
     valley between consecutive peaks, so without a peak inside the interval
-    its sup sits at an endpoint.  The interval is first widened by the
-    rounding error of its own endpoints.
+    its sup sits at an endpoint.  Each interval is first widened by the
+    rounding error of its own endpoints; the ends of the intervals without
+    a peak go through one sinpi.
     """
-    ends = delta[:, None] * box  # (d, 2)
-    shift = float(l @ delta)
-    scale = float(np.abs(ends).max(axis=1).sum()) + float(np.abs(l * delta).sum())
+    ends = deltas[:, :, None] * box  # (P, d, 2)
+    terms = deltas[:, None, :] * L[None, :, :]  # (P, |L|, d): the terms of l.delta
+    shift = terms.sum(axis=2)
+    scale = np.abs(ends).max(axis=2).sum(axis=1)[:, None] + np.abs(terms).sum(axis=2)
     slack = (box.shape[0] + 2) * np.finfo(float).eps * scale
-    lo = float(ends.min(axis=1).sum()) - shift - slack
-    hi = float(ends.max(axis=1).sum()) - shift + slack
+    lo = ends.min(axis=2).sum(axis=1)[:, None] - shift - slack
+    hi = ends.max(axis=2).sum(axis=1)[:, None] - shift + slack
     first_peak = 0.25 + 0.5 * np.ceil(2.0 * lo - 0.5)  # smallest peak >= lo
-    if first_peak <= hi:
-        return 1.0
-    value = max(abs(sinpi(2.0 * lo)), abs(sinpi(2.0 * hi))) + SINPI_ERR
-    return min(1.0, float(np.nextafter(value, 2.0)))
+    ends_only = first_peak > hi
+    value = np.ones(lo.shape)
+    sines = np.abs(sinpi(2.0 * np.stack([lo[ends_only], hi[ends_only]])))
+    sines = sines.max(axis=0, initial=0.0)
+    value[ends_only] = np.minimum(1.0, np.nextafter(sines + SINPI_ERR, 2.0))
+    return float(value.max(initial=0.0))
 
 
 def estimate_gamma(sys: AffineSystem, box) -> ContractionReport:
@@ -386,13 +391,10 @@ def estimate_gamma(sys: AffineSystem, box) -> ContractionReport:
     require_expansive(sys)
     box = as_box(box, sys.d)
     n = sys.n_digits
-    sup_sin = 0.0
-    diam = 0.0
-    for i, j in combinations(range(n), 2):
-        delta = sys.B[i] - sys.B[j]
-        diam = max(diam, float(np.linalg.norm(delta)))
-        for l in sys.L:
-            sup_sin = max(sup_sin, _sup_abs_sin(box, delta, l))
+    first, second = np.triu_indices(n, 1)  # the pairs i < j, in lexicographic order
+    deltas = sys.B[first] - sys.B[second]
+    diam = max((float(np.linalg.norm(delta)) for delta in deltas), default=0.0)
+    sup_sin = _sup_abs_sin(box, deltas, sys.L)
     beta = 2.0 * np.pi * diam * sup_sin
 
     rinv = sys.rinv

@@ -26,8 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .measure import FractalMeasure, atomic_approximation, fourier_mu_many
-from ._numeric import cis2pi
+from .measure import (
+    DEFAULT_ATOM_BUDGET,
+    FractalMeasure,
+    atomic_approximation,
+    cis2pi_outer,
+    fourier_mu_many,
+)
 from .ruelle import ContractionReport, basis_certificate
 from .spectrum import SpectrumEnumeration, completeness_scan, enumerate_spectrum
 from .systems import AffineSystem, cantor_four, scale_system, two_digit_system
@@ -411,18 +416,21 @@ def tiling_multiplicity(
 
 def _covered_runs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Maximal runs [lo, hi) covered by at least one of the half-open tiles
-    [starts, ends), from the sorted starts and ends.
+    [starts[i], ends[i]), with starts sorted and ends non-decreasing (as for
+    ends = starts + 1).
 
-    Coverage is constant between consecutive breakpoints and counted at
-    each; a run opens where the count becomes positive and closes where it
-    returns to zero, which it always does at the last breakpoint (the
-    largest tile end), so the changes pair up.
+    Empty tiles cover nothing and are dropped.  Among the rest, the tiles up
+    to i cover up to ends[i] (the largest end so far), so a run closes after
+    tile i exactly when the next tile starts past it: starts[i+1] > ends[i];
+    tiles that touch or overlap stay in one run.
     """
-    points = np.unique(np.concatenate([starts, ends]))
-    covered = np.searchsorted(starts, points, side="right")
-    covered -= np.searchsorted(ends, points, side="right")
-    changes = np.flatnonzero(np.diff(covered >= 1, prepend=False))
-    return points[changes[0::2]], points[changes[1::2]]
+    keep = ends > starts
+    if not keep.all():
+        starts, ends = starts[keep], ends[keep]
+    if starts.size == 0:
+        return starts, ends
+    gaps = np.flatnonzero(starts[1:] > ends[:-1])
+    return starts[np.r_[0, gaps + 1]], ends[np.r_[gaps, ends.size - 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +470,11 @@ def hardy_roundtrip(
     independent route; both the worst coefficient error and the defect in
     sum |c|^2 = ||f||^2 shrink as K grows.  Coefficient keys must lie on the
     enumerated spectrum (within ``tol``).
+
+    The basis e_lam(x_w) is one complex N^K x |coeffs| array (16 bytes an
+    entry), built in place and conjugated in place; more than
+    DEFAULT_ATOM_BUDGET entries is a :class:`BudgetError`, raised before
+    anything is allocated.
     """
     d = m.sys.d
     lam_list = []
@@ -478,10 +491,17 @@ def hardy_roundtrip(
     lam = np.asarray(lam_list).reshape(-1, d)
     c = np.asarray(c_list, dtype=complex)
 
+    n, budget = m.sys.n_digits, DEFAULT_ATOM_BUDGET
+    # past budget.bit_length() levels N^K > budget for N >= 2: no huge powers
+    if n ** min(depth, budget.bit_length()) * max(1, len(c)) > budget:
+        raise BudgetError(
+            f"round-trip basis of {n}**{depth} atoms x {len(c)} frequencies "
+            f"exceeds the budget of {budget} entries"
+        )
     atoms = atomic_approximation(m, depth)
-    basis = cis2pi(atoms.points @ lam.T)  # e_lam at each atom
+    basis = cis2pi_outer(atoms.points, lam)  # e_lam at each atom
     f = basis @ c
-    recovered = np.conj(basis).T @ f * atoms.weight
+    recovered = np.conj(basis, out=basis).T @ f * atoms.weight
     norm_sq = float(np.sum(np.abs(f) ** 2) * atoms.weight)
 
     recon_error = float(np.max(np.abs(recovered - c))) if len(c) else 0.0

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fractalspec import cli
+from fractalspec import cli, verify
 from fractalspec.cli import main
 
 
@@ -389,6 +389,15 @@ def test_hardy_two_dimensional_keys(write_system, capsys):
     assert len(trip["recovered"]) == 3
 
 
+def test_hardy_basis_over_budget_exits_one(cantor4_file, capsys, monkeypatch):
+    monkeypatch.setattr(verify, "atomic_approximation", lambda *a: pytest.fail("allocated"))
+    argv = ["hardy", "--system", cantor4_file, "--coeffs", "0=1,1=0.5", "--quadrature-depth", "24"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "exceeds the budget" in err and "Traceback" not in err
+
+
 def test_hardy_key_with_wrong_dimension(cantor4_file, write_system, capsys):
     quad2d_file = write_system(QUAD2D, "quad2d.json")
     for system, coeffs in ((quad2d_file, "0=1,1=0.5"), (cantor4_file, "0:1=1")):
@@ -454,7 +463,7 @@ SCIPY_BLOCKED = """
 import json, sys
 sys.modules["scipy"] = None  # every scipy import now raises ImportError
 sys.path.insert(0, {src!r})
-from fractalspec import cli
+from fractalspec import cli, verify
 from fractalspec.cli import main
 code = main(["certify", "--system", {system!r}, "--trials", "3", "--seed", "1"])
 loaded = [name for name, mod in sys.modules.items()

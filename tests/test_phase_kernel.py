@@ -9,13 +9,15 @@ for small digit sets, the blocked product) must return their bits, signed
 zeros and nan included.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from fractalspec import FractalMeasure, chi_mask, fourier_mu_many, make_system
 from fractalspec import measure
 from fractalspec._numeric import cis2pi, cospi, sinpi
-from fractalspec.measure import digit_exponentials
+from fractalspec.measure import _unique_rows, cis2pi_outer, digit_exponentials
 from tests.conftest import hadamard_triple
 
 QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
@@ -127,9 +129,16 @@ class TestTurns:
     @pytest.mark.parametrize("name", sorted(PHASES))
     def test_sinpi_cospi_match_reference(self, name):
         x = np.concatenate([PHASES[name], np.arange(-2001, 2002) / 2.0])
-        with np.errstate(invalid="ignore"):  # inf - inf in the reduction
-            assert np.array_equal(bits(sinpi(x)), bits(sinpi_reference(x)))
-            assert np.array_equal(bits(cospi(x)), bits(sinpi_reference(x + 0.5)))
+        assert np.array_equal(bits(sinpi(x)), bits(sinpi_reference(x)))
+        assert np.array_equal(bits(cospi(x)), bits(sinpi_reference(x + 0.5)))
+
+    def test_sinpi_cospi_non_finite_are_nan_without_warning(self):
+        x = np.array([np.inf, -np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (sinpi, cospi):
+                assert np.isnan(fn(x)).all()
+                assert all(np.isnan(fn(v)) for v in x.tolist())
 
     def test_scalars_match_reference(self):
         for x in (0.25, -0.0, 2.0**62 + 2048.0, -(2.0**63), 1e300, 0.1):
@@ -186,3 +195,32 @@ class TestProduct:
         m = FractalMeasure(system)
         values, _ = fourier_mu_many(m, T)
         assert np.array_equal(bits(values), bits(fourier_reference(m, T)))
+
+    def test_unique_rows_match_numpy(self):
+        # duplicates, negative values, +-0.0 (distinct bit patterns) and nan
+        rng = np.random.default_rng(6)
+        rows = rng.choice([-2.5, -0.0, 0.0, 0.25, 3.0, 1e300, -1e-300, np.nan], size=(3000, 3))
+        for d in (2, 3):
+            b = np.ascontiguousarray(rows[:, :d]).view(np.int64)
+            distinct, inverse = _unique_rows(b)
+            expected, expected_inverse = np.unique(b, axis=0, return_inverse=True)
+            assert np.array_equal(distinct, expected)
+            assert np.array_equal(inverse, expected_inverse.reshape(-1))
+            assert np.array_equal(distinct[inverse], b)
+        empty = np.empty((0, 2), dtype=np.int64)
+        distinct, inverse = _unique_rows(empty)
+        assert distinct.shape == (0, 2) and inverse.shape == (0,)
+
+
+class TestOuterExponentials:
+    @pytest.mark.parametrize(
+        "rows, cols, d",
+        [(5000, 8, 1), (3000, 37, 2), (3, measure.CIS_BLOCK + 5, 1), (0, 4, 1), (7, 0, 2)],
+    )
+    def test_matches_one_phase_matrix(self, rows, cols, d):
+        rng = np.random.default_rng(rows + cols)
+        a = rng.uniform(-40.0, 40.0, size=(rows, d))
+        b = np.round(4.0 * rng.uniform(-40.0, 40.0, size=(cols, d))) / 4.0
+        out = cis2pi_outer(a, b)
+        assert out.shape == (rows, cols) and out.flags.c_contiguous
+        assert np.array_equal(bits(out), bits(cis2pi_reference(a @ b.T)))

@@ -21,15 +21,18 @@ from fractalspec import (
     lipschitz_norm,
     make_system,
     q_partial_many,
+    scale_system,
 )
-from fractalspec._numeric import cospi, sinpi
+from fractalspec._numeric import cospi, hs_norm, operator_norm, sinpi
 from fractalspec.measure import chi_mask
 from fractalspec.ruelle import (
+    SINPI_ERR,
     TRIAL_CHUNK,
     TrigPolynomial,
     _probe_ratios,
     _sup_norm,
     _WaveBatch,
+    as_box,
     check_box_invariance,
     probe_ratio,
 )
@@ -388,6 +391,77 @@ class TestClosedFormSup:
             peak = 0.25 + 0.5 * np.ceil(2.0 * (u_lo + 1e-9) - 0.5)
             if peak < u_hi - 1e-9:
                 assert sup_sin == 1.0
+
+
+def sup_abs_sin_scalar(box, delta, l):
+    """Reference: the sine sup for one (digit difference, l) interval, one
+    scalar sinpi per end (the implementation before the vectorised one)."""
+    ends = delta[:, None] * box
+    shift = float(l @ delta)
+    scale = float(np.abs(ends).max(axis=1).sum()) + float(np.abs(l * delta).sum())
+    slack = (box.shape[0] + 2) * np.finfo(float).eps * scale
+    lo = float(ends.min(axis=1).sum()) - shift - slack
+    hi = float(ends.max(axis=1).sum()) - shift + slack
+    first_peak = 0.25 + 0.5 * np.ceil(2.0 * lo - 0.5)
+    if first_peak <= hi:
+        return 1.0
+    value = max(abs(sinpi(2.0 * lo)), abs(sinpi(2.0 * hi))) + SINPI_ERR
+    return min(1.0, float(np.nextafter(value, 2.0)))
+
+
+def gamma_scalar(sys, box):
+    """Reference (gamma_bound, beta, sup_sin) from the per-pair scalar loop."""
+    box = as_box(box, sys.d)
+    sup_sin, diam = 0.0, 0.0
+    for i, j in combinations(range(sys.n_digits), 2):
+        delta = sys.B[i] - sys.B[j]
+        diam = max(diam, float(np.linalg.norm(delta)))
+        for l in sys.L:
+            sup_sin = max(sup_sin, sup_abs_sin_scalar(box, delta, l))
+    beta = 2.0 * np.pi * diam * sup_sin
+    n = sys.n_digits
+    max_l = float(np.max(np.linalg.norm(sys.L, axis=1)))
+    gamma = (n - 1) ** 2 / n * beta * operator_norm(sys.rinv) * max_l + hs_norm(sys.rinv)
+    return float(gamma), float(beta), float(sup_sin)
+
+
+def gamma_fields(report):
+    return report.gamma_bound, report.beta, report.sup_sin
+
+
+class TestVectorisedSup:
+    """estimate_gamma's one-call sine sup against the scalar loop, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["cantor4", "quad2d"])
+    @pytest.mark.parametrize("r", range(1, 17))
+    def test_scaled_systems_match_scalar(self, name, r, request):
+        sys = scale_system(request.getfixturevalue(name), r)
+        box = attractor_hull(sys)
+        assert gamma_fields(estimate_gamma(sys, box)) == gamma_scalar(sys, box)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        params=triple_params,
+        lo=st.floats(-4.0, 4.0, allow_nan=False),
+        width=st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, 0.125, 0.25, 0.5])),
+    )
+    def test_hadamard_triples_match_scalar(self, params, lo, width):
+        sys = hadamard_triple(*params)
+        for box in (attractor_hull(sys), np.array([[lo, lo + width]])):
+            assert gamma_fields(estimate_gamma(sys, box)) == gamma_scalar(sys, box)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_gamma_case())
+    def test_generic_intervals_match_scalar(self, case):
+        sys, box = case
+        fields = gamma_fields(estimate_gamma(sys, box))
+        if sys.d == 1:
+            assert fields == gamma_scalar(sys, box)
+        else:
+            # l.delta is summed term by term; the reference's BLAS dot may fuse
+            # the multiply-add and round it one ulp apart (both are covered by
+            # the slack), so the sines agree to rounding only
+            assert fields == pytest.approx(gamma_scalar(sys, box), rel=1e-13, abs=0.0)
 
 
 class TestContractionProbe:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from fractalspec import (
     FractalMeasure,
     TilingReport,
     ValidationError,
+    atomic_approximation,
     basis_certificate,
     dim_one_classify,
     enumerate_spectrum,
@@ -15,6 +18,8 @@ from fractalspec import (
     scaling_sweep,
     tiling_multiplicity,
 )
+from fractalspec import verify
+from fractalspec._numeric import cis2pi
 from fractalspec.verify import _covered_runs
 
 
@@ -230,6 +235,28 @@ def covered_runs_loop(starts, ends):
     return runs
 
 
+def covered_runs_breakpoints(starts, ends):
+    """Reference: coverage counted at every breakpoint by searchsorted (the
+    vectorised implementation before the gap test)."""
+    points = np.unique(np.concatenate([starts, ends]))
+    covered = np.searchsorted(starts, points, side="right")
+    covered -= np.searchsorted(ends, points, side="right")
+    changes = np.flatnonzero(np.diff(covered >= 1, prepend=False))
+    return points[changes[0::2]], points[changes[1::2]]
+
+
+def random_tiles(rng):
+    """Sorted tiles [s, s + w) with a shared width w: integer and half-integer
+    starts, so tiles touch and repeat, and starts near 2^53 where s + 1 == s
+    leaves empty tiles."""
+    count = int(rng.integers(0, 40))
+    starts = rng.integers(-30, 30, size=count) / rng.choice([1.0, 2.0])
+    huge = rng.random(count) < 0.1
+    starts[huge] = 2.0**53 + 2.0 * rng.integers(0, 4, size=int(huge.sum()))
+    starts = np.sort(starts)
+    return starts, starts + rng.choice([0.0, 0.5, 1.0, 2.0])
+
+
 def tiling_loop(depth, window, samples, translate_factor):
     """Reference tiling report built on covered_runs_loop."""
     lam = enumerate_spectrum(make_system(4.0, [0.0, 0.5], [0.0, 1.0]), depth).elements[:, 0]
@@ -255,6 +282,31 @@ class TestCoveredRuns:
         ends = starts + 1.0
         run_lo, run_hi = _covered_runs(starts, ends)
         assert list(zip(run_lo.tolist(), run_hi.tolist())) == covered_runs_loop(starts, ends)
+
+    def test_matches_breakpoints_on_random_tiles(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            starts, ends = random_tiles(rng)
+            got = _covered_runs(starts, ends)
+            expected = covered_runs_breakpoints(starts, ends)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    def test_touching_duplicate_and_empty_tiles(self):
+        starts = np.array([0.0, 0.0, 1.0, 3.0, 3.5, 3.5, 6.0, 2.0**53])
+        ends = np.concatenate([starts[:-1] + 1.0, [2.0**53]])  # the last tile is empty
+        run_lo, run_hi = _covered_runs(starts, ends)
+        assert run_lo.tolist() == [0.0, 3.0, 6.0] and run_hi.tolist() == [2.0, 4.5, 7.0]
+        empty = np.array([5.0])
+        assert [r.size for r in _covered_runs(empty, empty)] == [0, 0]
+        assert [r.size for r in _covered_runs(empty[:0], empty[:0])] == [0, 0]
+
+    @pytest.mark.parametrize("depth", range(1, 10))
+    def test_multiplicities_match_breakpoints(self, depth, monkeypatch):
+        report = tiling_multiplicity(depth, (-40.0, 30.0), samples=1000)
+        monkeypatch.setattr(verify, "_covered_runs", covered_runs_breakpoints)
+        expected = tiling_multiplicity(depth, (-40.0, 30.0), samples=1000)
+        assert report.safe_window == expected.safe_window
+        assert np.array_equal(report.multiplicities, expected.multiplicities)
 
     def test_separate_tiles(self):
         starts = np.array([0.0, 0.5, 3.0, 10.0])
@@ -319,3 +371,55 @@ class TestHardyRoundtrip:
         spec = enumerate_spectrum(cantor4, 1)
         with pytest.raises(ValidationError):
             hardy_roundtrip(cantor4_measure, spec, {2.5: 1.0}, depth=4)
+
+    def test_basis_over_budget_raises_before_allocating(self, cantor4, monkeypatch):
+        monkeypatch.setattr(verify, "atomic_approximation", lambda *a: pytest.fail("allocated"))
+        m = FractalMeasure(cantor4)
+        spec = enumerate_spectrum(cantor4, 1)
+        coeffs = {0.0: 1.0, 1.0: 0.5, 4.0: 0.25, 5.0: 0.125}
+        # 2^23 atoms alone fit the atom budget; times four coefficients they do not
+        with pytest.raises(BudgetError, match="budget"):
+            hardy_roundtrip(m, spec, coeffs, depth=23)
+        with pytest.raises(BudgetError):
+            hardy_roundtrip(m, spec, coeffs, depth=10**9)  # no 2**(10**9) is formed
+
+    def test_budget_counts_atoms_times_coefficients(self, cantor4, cantor4_measure, monkeypatch):
+        monkeypatch.setattr(verify, "DEFAULT_ATOM_BUDGET", 64)
+        spec = enumerate_spectrum(cantor4, 1)
+        report = hardy_roundtrip(cantor4_measure, spec, {0.0: 1.0, 1.0: 0.5}, depth=5)
+        assert report.recon_error <= 1e-12  # 2^5 x 2 = 64 entries fit
+        with pytest.raises(BudgetError):
+            hardy_roundtrip(cantor4_measure, spec, {0.0: 1.0, 1.0: 0.5, 4.0: 0.25}, depth=5)
+
+    @pytest.mark.parametrize(
+        "name, spec_depth, depth", [("cantor4", 2, 12), ("cantor4", 3, 9), ("quad2d", 1, 5)]
+    )
+    def test_matches_full_phase_matrix(self, name, spec_depth, depth, request):
+        sys = request.getfixturevalue(name)
+        m = FractalMeasure(sys)
+        spec = enumerate_spectrum(sys, spec_depth)
+        rng = np.random.default_rng(depth)
+        keys = [float(e[0]) if sys.d == 1 else tuple(e) for e in spec.elements]
+        coeffs = {key: complex(*rng.normal(size=2)) for key in keys}
+        report = hardy_roundtrip(m, spec, coeffs, depth=depth)
+        # the earlier route: the phase matrix, cis2pi of it, a conjugate copy
+        atoms = atomic_approximation(m, depth)
+        basis = cis2pi(atoms.points @ spec.elements.T)
+        c = np.array(list(coeffs.values()))
+        recovered = np.conj(basis).T @ (basis @ c) * atoms.weight
+        assert np.array_equal(np.array(list(report.recovered.values())), recovered)
+        assert report.recon_error == float(np.max(np.abs(recovered - c)))
+
+    def test_traced_peak_is_about_the_basis(self, cantor4, cantor4_measure):
+        spec = enumerate_spectrum(cantor4, 2)
+        coeffs = {float(lam): 1.0 + 0.5j for lam in spec.elements[:, 0]}
+        depth = 18
+        basis_bytes = 16 * 2**depth * len(coeffs)
+        tracemalloc.start()
+        try:
+            hardy_roundtrip(cantor4_measure, spec, coeffs, depth=depth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # basis, f, the atoms and the |f|^2 temporaries: about 1.3 x the basis
+        assert peak <= 1.5 * basis_bytes
