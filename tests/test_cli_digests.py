@@ -46,6 +46,27 @@ COMMANDS = {
     "sweep.quad2d": (["sweep", "--system", Q2, "--r-max", "8"], 0),
     "hardy.cantor4": (["hardy", "--system", C4, "--coeffs", "0=1,1=0.5-0.25j,4=0.125j"], 0),
     "atoms.cantor4": (["atoms", "--system", C4, "--depth", "10"], 0),
+    "validate.cantor4": (["validate", "--system", C4], 0),
+    "validate.quad2d": (["validate", "--system", Q2], 0),
+    "spectrum.cantor4": (["spectrum", "--system", C4, "--depth", "4"], 0),
+    "spectrum.quad2d.csv": (["spectrum", "--system", Q2, "--depth", "2", "--format", "csv"], 0),
+    "tiling.cantor4": (["tiling", "--depth", "3", "--samples", "1000", "--window=-40:20"], 0),
+    "tiling.cantor4.csv": (
+        ["tiling", "--depth", "3", "--samples", "1000", "--window=-40:20", "--format", "csv"],
+        0,
+    ),
+    "tiling.truncated": (["tiling", "--depth", "1", "--samples", "50", "--window=-100:100"], 0),
+    "clique.R3": (["clique", "--R", "3", "--a", "1/2", "--window", "40"], 0),
+    "classify.R3": (["classify", "--R", "3", "--a", "1/2", "--window", "30"], 0),
+    "classify.R2": (["classify", "--R", "2", "--a", "1/4"], 0),
+    "sweep.cantor4.csv": (["sweep", "--system", C4, "--r-max", "4", "--format", "csv"], 0),
+    "completeness.cantor4.csv": (["completeness", "--system", C4, "--format", "csv"], 0),
+    "completeness.empty-grid": (["completeness", "--system", C4, "--grid", "1:0:0.1"], 0),
+    "hardy.quad2d": (
+        ["hardy", "--system", Q2, "--coeffs", "0:0=1,1:0=0.5", "--quadrature-depth", "5"],
+        0,
+    ),
+    "ruelle-bound.quad2d": (["ruelle-bound", "--system", Q2], 2),
 }
 
 
