@@ -41,6 +41,7 @@ from .spectrum import (
 )
 from .systems import (
     AffineSystem,
+    ValidationReport,
     cantor_four,
     load_system,
     parse_number,
@@ -153,7 +154,7 @@ def _config(args) -> dict:
     return {**config, "schema_version": SCHEMA_VERSION, "package_version": __version__}
 
 
-def _load_validated(args, **checks) -> tuple[AffineSystem, dict]:
+def _load_validated(args, **checks) -> tuple[AffineSystem, ValidationReport]:
     """The command's system, from --system, else --R/--a/--L, else the built-in
     example, and its validation report (``checks`` go to validate_system)."""
     if getattr(args, "system", None):
@@ -164,7 +165,7 @@ def _load_validated(args, **checks) -> tuple[AffineSystem, dict]:
         sys_ = two_digit_system(args.R, a, L)
     else:
         sys_ = cantor_four()
-    return sys_, validate_system(sys_, **checks).as_dict()
+    return sys_, validate_system(sys_, **checks)
 
 
 def _axes(name: str, d: int) -> list[str]:
@@ -179,7 +180,7 @@ def _axes(name: str, d: int) -> list[str]:
 def _cmd_validate(args):
     sys_, validation = _load_validated(args, n_max=args.n_max, tol=args.tol)
     body = {"validation": validation, "system": {"d": sys_.d, "N": sys_.n_digits, "r": sys_.r}}
-    return body, None, validation["valid"]
+    return body, None, validation.valid
 
 
 def _cmd_fourier(args):
@@ -256,7 +257,7 @@ def _cmd_completeness(args):
         max_depth=args.max_depth,
     )
     scanned = grid if report.Q.size else grid[:0]  # no depth evaluated: no Q, no rows
-    body = {"validation": validation, "report": report.as_dict()}
+    body = {"validation": validation, "report": report}
     return body, (header, (*scanned.T, report.Q)), report.status == "complete-evidence"
 
 
@@ -285,7 +286,7 @@ def _cmd_certify(args):
     cert = basis_certificate(FractalMeasure(sys_), trials=args.trials, seed=args.seed)
     body = {
         "validation": validation,
-        "certificate": cert.as_dict(),
+        "certificate": cert,
         "reason": "; ".join(cert.failures) if cert.failures else None,
     }
     return body, None, cert.basis_certified
@@ -297,7 +298,7 @@ def _cmd_classify(args):
     verdict = dim_one_classify(
         args.R, a, L=sys_.L, clique_window=args.window, target=args.target
     )
-    return {"validation": validation, "verdict": verdict.as_dict()}, None, verdict.consistent
+    return {"validation": validation, "verdict": verdict}, None, verdict.consistent
 
 
 def _cmd_clique(args):
@@ -310,7 +311,7 @@ def _cmd_sweep(args):
     sys_, validation = _load_validated(args)
     report = scaling_sweep(sys_, args.r_max)
     columns = tuple(map(np.array, zip(*report.rows)))
-    body = {"validation": validation, "sweep": report.as_dict()}
+    body = {"validation": validation, "sweep": report}
     return body, (["r", "gamma_bound", "certified"], columns), report.first_certified is not None
 
 
@@ -323,7 +324,7 @@ def _cmd_tiling(args):
         sys=sys_,
         translate_factor=args.translate_factor,
     )
-    body = {"validation": validation, "tiling": report.as_dict()}
+    body = {"validation": validation, "tiling": report}
     columns = (report.sample_points, report.multiplicities)
     return body, (["x", "multiplicity"], columns), report.uniform
 
@@ -335,7 +336,7 @@ def _cmd_hardy(args):
     coeffs = _parse_coeffs(args.coeffs, sys_.d)
     report = hardy_roundtrip(m, spec, coeffs, depth=args.quadrature_depth)
     ok = report.recon_error <= args.max_error and report.parseval_defect <= args.max_error
-    return {"validation": validation, "roundtrip": report.as_dict()}, None, ok
+    return {"validation": validation, "roundtrip": report}, None, ok
 
 
 # ---------------------------------------------------------------------------

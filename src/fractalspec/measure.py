@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from ._numeric import CIS_BLOCK, cis2pi, multi_indices
+from ._numeric import CIS_BLOCK, _cis2pi_block, cis2pi, multi_indices
 from .errors import BudgetError, ConvergenceError, ValidationError
 from .systems import (
     INV_POWER_DEPTH,
@@ -83,14 +83,16 @@ def chi_mask(sys: AffineSystem, t) -> complex | np.ndarray:
 def cis2pi_outer(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """cis2pi(rows @ cols.T) as a complex (M, n) array, bit for bit.
 
-    The array is allocated once and filled in blocks of rows holding about
-    CIS_BLOCK elements, so the (M, n) phase matrix never exists; callers
-    that want the conjugate take it in place with ``np.conj(out, out=out)``.
+    The array is allocated once and the kernel writes each block of rows
+    holding about CIS_BLOCK elements straight into it, so neither the
+    (M, n) phase matrix nor a copy of a block ever exists; callers that
+    want the conjugate take it in place with ``np.conj(out, out=out)``.
     """
     out = np.empty((rows.shape[0], cols.shape[0]), dtype=complex)
     step = max(1, CIS_BLOCK // max(1, cols.shape[0]))
     for start in range(0, rows.shape[0], step):
-        out[start : start + step] = cis2pi(rows[start : start + step] @ cols.T)
+        block = slice(start, start + step)
+        _cis2pi_block((rows[block] @ cols.T).reshape(-1), out[block].reshape(-1))
     return out
 
 

@@ -15,11 +15,17 @@ computed as the scalar code would compute it: ``|z|`` is
 ``np.hypot(re, im)``, which equals ``abs(complex)`` bit for bit, while
 ``np.abs`` on a complex array differs in the last digit on about a third of
 a Fourier table.
+
+A report is its artifact: a dataclass renders as ``{field: value}`` over
+its fields, except those declared with ``field(metadata={"artifact":
+False})`` (bulk arrays that go out as CSV rows), and a named tuple as its
+``_asdict()``; each value is then rendered by the rules above.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from math import prod
 from pathlib import Path
 
@@ -78,6 +84,11 @@ def _nest(cells: list[str], shape: tuple, indent: int, compact: bool) -> str:
 
 
 def _coerce(obj):
+    if is_dataclass(obj) and not isinstance(obj, type):
+        shown = (f.name for f in fields(obj) if f.metadata.get("artifact", True))
+        return {name: getattr(obj, name) for name in shown}
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
+        return obj._asdict()
     if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, np.ndarray):

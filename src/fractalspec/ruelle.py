@@ -334,24 +334,6 @@ class ContractionReport:
     basis_certified: bool = False
     failures: tuple[str, ...] = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "gamma_bound": self.gamma_bound,
-            "beta": self.beta,
-            "sup_sin": self.sup_sin,
-            "op_norm_inv": self.op_norm_inv,
-            "hs_norm_inv": self.hs_norm_inv,
-            "box": self.box.tolist(),
-            "hadamard_deviation": self.hadamard_deviation,
-            "zero_in_l": self.zero_in_l,
-            "l_spans": self.l_spans,
-            "empirical_max_ratio": self.empirical_max_ratio,
-            "trials": self.trials,
-            "skipped": self.skipped,
-            "basis_certified": self.basis_certified,
-            "failures": list(self.failures),
-        }
-
 
 def _sup_abs_sin(box: np.ndarray, deltas: np.ndarray, L: np.ndarray) -> float:
     """Upper bound, rounded upward, for sup |sin 2 pi (t - l).delta| over t in

@@ -14,7 +14,7 @@ together with the two quantities that decide the question at desk scale:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -414,32 +414,21 @@ class CompletenessReport:
     """Outcome of a grid scan of Q_n with optional depth escalation.
 
     ``q_error`` is the certified leaf error subtracted from a tree-summed Q
-    (0 when Q is summed directly over the frequencies).
+    (0 when Q is summed directly over the frequencies).  A scan that
+    evaluated no depth has no ``min_Q``, ``max_Q`` or ``argmin`` (None).
     """
 
-    min_Q: float
-    argmin: np.ndarray
-    max_Q: float
+    min_Q: float | None
+    argmin: np.ndarray | None
+    max_Q: float | None
     converged: bool
     status: str  # complete-evidence | incomplete-evidence | inconclusive
     target: float
     depths: tuple[int, ...]
     min_trace: tuple[float, ...]
     q_error: float
-    Q: np.ndarray  # per grid point at the last depth (empty if none); not in as_dict
-
-    def as_dict(self) -> dict:
-        return {
-            "min_Q": self.min_Q,
-            "argmin": self.argmin.tolist(),
-            "max_Q": self.max_Q,
-            "converged": self.converged,
-            "status": self.status,
-            "target": self.target,
-            "depths": list(self.depths),
-            "min_trace": list(self.min_trace),
-            "q_error": self.q_error,
-        }
+    # per grid point at the last depth (empty if none); the CSV rows
+    Q: np.ndarray = field(metadata={"artifact": False})
 
 
 def completeness_scan(
@@ -487,7 +476,6 @@ def completeness_scan(
     depths: list[int] = []
     trace: list[float] = []
     converged = False
-    exhausted = False
     q = np.empty(0)
     q_error = 0.0
     max_q = -np.inf
@@ -513,7 +501,6 @@ def completeness_scan(
             q = np.zeros(grid.shape[0])
         for depth in range(spec.depth, top + 1):
             if n ** (depth + 1) > budget:
-                exhausted = True
                 break
             if tree is None:
                 q = q_partial_many(m, enumerate_spectrum(sys, depth, budget=budget), grid)
@@ -526,25 +513,21 @@ def completeness_scan(
             if len(trace) > 1 and abs(trace[-1] - trace[-2]) < increment_tol:
                 converged = True
                 break
-        else:
-            exhausted = True
         if not depths:
             q = np.empty(0)
 
-    min_q = float(q.min(initial=np.inf))
-    if not depths:
-        status = "inconclusive"  # budget or max_depth left nothing to evaluate
-    elif min_q >= target:
+    min_q = float(q.min()) if depths else None
+    if depths and min_q >= target:
         status = "complete-evidence"
     elif converged:
         status = "incomplete-evidence"
     else:
-        status = "inconclusive" if exhausted else "incomplete-evidence"
+        status = "inconclusive"  # budget or max_depth hit first, maybe before any depth
     q.setflags(write=False)
     return CompletenessReport(
         min_Q=min_q,
-        argmin=grid[int(q.argmin()) if q.size else 0].copy(),
-        max_Q=max_q,
+        argmin=grid[int(q.argmin())].copy() if depths else None,
+        max_Q=max_q if depths else None,
         converged=converged,
         status=status,
         target=target,

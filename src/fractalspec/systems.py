@@ -120,33 +120,13 @@ class ValidationReport:
 
     compatible_up_to: int
     max_integrality_defect: float
+    compatible: bool  # defect within the integrality tolerance
     hadamard_deviation: float
     hadamard_ok: bool  # deviation within unitarity_tolerance of the system
     expansive: bool
     min_eigenvalue_modulus: float
     exact_shortcut_used: bool
-    int_tol: float = DEFAULT_INT_TOL
-
-    @property
-    def compatible(self) -> bool:
-        return self.max_integrality_defect <= self.int_tol
-
-    @property
-    def valid(self) -> bool:
-        return self.compatible and self.hadamard_ok and self.expansive
-
-    def as_dict(self) -> dict:
-        return {
-            "compatible_up_to": self.compatible_up_to,
-            "max_integrality_defect": self.max_integrality_defect,
-            "hadamard_deviation": self.hadamard_deviation,
-            "expansive": self.expansive,
-            "min_eigenvalue_modulus": self.min_eigenvalue_modulus,
-            "exact_shortcut_used": self.exact_shortcut_used,
-            "compatible": self.compatible,
-            "hadamard_ok": self.hadamard_ok,
-            "valid": self.valid,
-        }
+    valid: bool  # compatible, unitary and expansive
 
 
 def _canonical_rows(arr: np.ndarray, label: str) -> np.ndarray:
@@ -287,15 +267,15 @@ def validate_compatibility(
     """Full structural report: integrality, unitarity, expansiveness.
 
     Integrality is the condition R^n b . l in Z for n = 1..n_max.  When
-    :func:`integral_system` holds within ``tol``, every n is settled at
-    once; the report then carries ``exact_shortcut_used`` and a zero
-    defect.  Otherwise the defect is the largest distance from any tested
-    product to its nearest integer, which is bounded-n evidence, not a
-    proof.
+    :func:`integral_system` holds (exactly), every n is settled at once;
+    the report then carries ``exact_shortcut_used`` and a zero defect.
+    Otherwise the defect is the largest distance from any tested product to
+    its nearest integer, which is bounded-n evidence, not a proof; the
+    system is compatible when the defect is within ``tol``.
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
-    shortcut = allow_shortcut and integral_system(sys, tol)
+    shortcut = allow_shortcut and integral_system(sys)
     defect = 0.0
     if not shortcut:
         powered = sys.B.copy()
@@ -306,38 +286,37 @@ def validate_compatibility(
 
     expansive, min_mod = spectral_expansiveness(sys)
     deviation = check_hadamard(sys)
+    compatible = defect <= tol
+    hadamard_ok = deviation <= unitarity_tolerance(sys)
     return ValidationReport(
         compatible_up_to=n_max,
         max_integrality_defect=defect,
+        compatible=compatible,
         hadamard_deviation=deviation,
-        hadamard_ok=deviation <= unitarity_tolerance(sys),
+        hadamard_ok=hadamard_ok,
         expansive=expansive,
         min_eigenvalue_modulus=min_mod,
         exact_shortcut_used=shortcut,
-        int_tol=tol,
+        valid=compatible and hadamard_ok and expansive,
     )
 
 
-def integral_system(sys: AffineSystem, tol: float = 0.0) -> bool:
-    """Whether R, L and R^n b . l for n = 1..d are integers (within ``tol``).
+def integral_system(sys: AffineSystem) -> bool:
+    """Whether R, L and R^n b . l for n = 1..d are integers, exactly.
 
     Then R^n b . l is an integer for every n >= 1: the characteristic
     polynomial of R^T is monic with integer coefficients, so each
     (R^T)^(n-1) is an integer combination of (R^T)^j, j < d, and
-    b . (R^T)^n l = sum_j a_j b . (R^T)^(j+1) l.  With ``tol`` = 0 the
-    check is exact, in rational arithmetic on the stored floats (so B =
-    {0, 1/3} with R = 3 fails: the float 1/3 times 3 is not 1), which is
-    what exact identities between masks at integral frequencies need.
+    b . (R^T)^n l = sum_j a_j b . (R^T)^(j+1) l.  The check is in rational
+    arithmetic on the stored floats (so B = {0, 1/3} with R = 3 fails: the
+    float 1/3 times 3 is not 1), because the argument needs exact integers:
+    a near-integral R such as 4 + 1e-10 passes every test within 1e-9 up
+    to n = d but drifts off the integers as n grows.
     """
-    exact = tol == 0.0
-    R, B, L = sys.R, sys.B, sys.L
-    if exact:
-        R, B, L = (np.vectorize(Fraction, otypes=[object])(a) for a in (R, B, L))
+    R, B, L = (np.vectorize(Fraction, otypes=[object])(a) for a in (sys.R, sys.B, sys.L))
 
     def integral(arr) -> bool:
-        if exact:
-            return all(x.denominator == 1 for x in arr.flat)
-        return bool(np.all(np.abs(arr - np.round(arr)) <= tol))
+        return all(x.denominator == 1 for x in arr.flat)
 
     if not (integral(R) and integral(L)):
         return False

@@ -21,7 +21,8 @@ window and orthogonality is decided numerically at a zero tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "TilingReport",
     "HardyReport",
     "SweepReport",
+    "SweepRow",
     "dim_one_classify",
     "max_orthogonal_clique",
     "scaling_sweep",
@@ -201,20 +203,6 @@ class DichotomyVerdict:
     certificate: ContractionReport | None = None
     consistent: bool = True
 
-    def as_dict(self) -> dict:
-        return {
-            "R": self.R,
-            "a": self.a,
-            "predicted": self.predicted,
-            "max_clique_size": self.max_clique_size,
-            "clique_witness": list(self.clique_witness)
-            if self.clique_witness is not None
-            else None,
-            "completeness_min_Q": self.completeness_min_Q,
-            "certificate": self.certificate.as_dict() if self.certificate else None,
-            "consistent": self.consistent,
-        }
-
 
 def dim_one_classify(
     R: int,
@@ -275,20 +263,18 @@ def dim_one_classify(
 # rescaling sweep
 
 
+class SweepRow(NamedTuple):
+    r: int
+    gamma_bound: float
+    certified: bool
+
+
 @dataclass(frozen=True)
 class SweepReport:
     """Certificate outcomes for scales r = 1..r_max."""
 
-    rows: tuple[tuple[int, float, bool], ...]  # (r, gamma_bound, certified)
+    rows: tuple[SweepRow, ...]
     first_certified: int | None
-
-    def as_dict(self) -> dict:
-        return {
-            "rows": [
-                {"r": r, "gamma_bound": g, "certified": c} for r, g, c in self.rows
-            ],
-            "first_certified": self.first_certified,
-        }
 
 
 def scaling_sweep(sys: AffineSystem, r_max: int) -> SweepReport:
@@ -304,7 +290,7 @@ def scaling_sweep(sys: AffineSystem, r_max: int) -> SweepReport:
     for r in range(1, r_max + 1):
         scaled = scale_system(sys, r)
         cert = basis_certificate(FractalMeasure(scaled))
-        rows.append((r, cert.gamma_bound, cert.basis_certified))
+        rows.append(SweepRow(r, cert.gamma_bound, cert.basis_certified))
         if first is None and cert.basis_certified:
             first = r
     return SweepReport(rows=tuple(rows), first_certified=first)
@@ -316,36 +302,24 @@ def scaling_sweep(sys: AffineSystem, r_max: int) -> SweepReport:
 
 @dataclass(frozen=True)
 class TilingReport:
-    """Covering multiplicity of translated unit tiles over a 1-D window."""
+    """Covering multiplicity of translated unit tiles over a 1-D window.
+
+    The samples and their multiplicities are the CSV rows; the JSON
+    artifact carries their count and histogram.
+    """
 
     depth: int
     translate_factor: float
     window: tuple[float, float]
     safe_window: tuple[float, float]
     truncated: bool
-    sample_points: np.ndarray
-    multiplicities: np.ndarray  # nonnegative integers
+    sample_points: np.ndarray = field(metadata={"artifact": False})
+    multiplicities: np.ndarray = field(metadata={"artifact": False})  # nonnegative integers
+    n_samples: int
     min_mult: int
     max_mult: int
-
-    @property
-    def uniform(self) -> bool:
-        return self.min_mult == 1 and self.max_mult == 1
-
-    def as_dict(self) -> dict:
-        values, counts = np.unique(self.multiplicities, return_counts=True)
-        return {
-            "depth": self.depth,
-            "translate_factor": self.translate_factor,
-            "window": list(self.window),
-            "safe_window": list(self.safe_window),
-            "truncated": self.truncated,
-            "n_samples": int(self.multiplicities.size),
-            "min_mult": self.min_mult,
-            "max_mult": self.max_mult,
-            "uniform": self.uniform,
-            "histogram": {int(v): int(c) for v, c in zip(values, counts)},
-        }
+    uniform: bool  # every sample covered exactly once
+    histogram: dict  # multiplicity -> number of samples
 
 
 def tiling_multiplicity(
@@ -401,6 +375,8 @@ def tiling_multiplicity(
         ends, xs, side="right"
     )
     mult = mult.astype(int)
+    min_mult, max_mult = int(mult.min()), int(mult.max())
+    values, counts = np.unique(mult, return_counts=True)
     return TilingReport(
         depth=depth,
         translate_factor=translate_factor,
@@ -409,8 +385,11 @@ def tiling_multiplicity(
         truncated=truncated,
         sample_points=xs,
         multiplicities=mult,
-        min_mult=int(mult.min()),
-        max_mult=int(mult.max()),
+        n_samples=int(mult.size),
+        min_mult=min_mult,
+        max_mult=max_mult,
+        uniform=min_mult == max_mult == 1,
+        histogram=dict(zip(values.tolist(), counts.tolist())),
     )
 
 
@@ -445,16 +424,6 @@ class HardyReport:
     recon_error: float
     parseval_defect: float
     recovered: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "recon_error": self.recon_error,
-            "parseval_defect": self.parseval_defect,
-            "recovered": {
-                key: [value.real, value.imag] for key, value in self.recovered.items()
-            },
-        }
 
 
 def hardy_roundtrip(

@@ -123,7 +123,7 @@ class TestCompatibility:
         assert without.max_integrality_defect <= 1e-9
 
     @pytest.mark.parametrize(
-        "R, B, L, within_tol, exact",
+        "R, B, L, bounded, exact",
         [
             (2.0, [0.0, 0.25], [0.0, 2.0], True, True),  # R B = {0, 1/2} is not integral
             (3.0, [0.0, 1.0 / 3.0], [0.0, 1.0], True, False),  # 3 * float(1/3) != 1
@@ -131,14 +131,23 @@ class TestCompatibility:
             ([[2.0, 1.0], [0.0, 2.0]], [[0.0, 0.0], [0.25, 0.0]], [[0.0, 0.0], [2.0, 0.0]], True, True),
         ],
     )
-    def test_integral_system(self, R, B, L, within_tol, exact):
-        # R and L integral with R^n b.l integral for n = 1..d settles every n
+    def test_integral_system(self, R, B, L, bounded, exact):
+        # R and L integral with R^n b.l integral for n = 1..d settles every n;
+        # the shortcut needs exact integers, the bounded check a small defect
         s = make_system(R, B, L)
-        assert integral_system(s, 1e-9) == within_tol
         assert integral_system(s) == exact
-        assert validate_compatibility(s).exact_shortcut_used == within_tol
-        if within_tol:
-            assert validate_compatibility(s, n_max=12, allow_shortcut=False).max_integrality_defect <= 1e-9
+        assert validate_compatibility(s).exact_shortcut_used == exact
+        rep = validate_compatibility(s, n_max=12, allow_shortcut=False)
+        assert (rep.max_integrality_defect <= 1e-9) == bounded
+
+    def test_near_integral_scale_takes_no_shortcut(self):
+        # R = 4 + 1e-10 is integral within 1e-9 up to n = d, but R^n b.l
+        # drifts: 4^12 * (1 + 12 * 2.5e-11) / 2 is 0.0025 off an integer
+        s = make_system(4.0 + 1e-10, [0.0, 0.5], [0.0, 1.0])
+        rep = validate_compatibility(s)
+        assert not rep.exact_shortcut_used
+        assert rep.max_integrality_defect == pytest.approx(0.0025, rel=0.01)
+        assert not rep.compatible and not rep.valid
 
     def test_zero_frequency_always_compatible(self):
         s = make_system(2.5, [1.0 / 3.0], [0.0])

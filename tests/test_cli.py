@@ -284,6 +284,20 @@ def test_completeness_max_depth_below_start(cantor4_file, capsys):
     assert [line for line in out.splitlines() if not line.startswith("#")] == ["t,Q"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_completeness_no_depth_evaluated(cantor4_file, capsys, fmt):
+    # --max-depth 1 is below the starting depth 2: nothing is evaluated
+    argv = ["completeness", "--system", cantor4_file, "--max-depth", "1", "--format", fmt]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and err == ""
+    if fmt == "csv":
+        assert [line for line in out.splitlines() if not line.startswith("#")] == ["t,Q"]
+    else:
+        report = json.loads(out)["report"]
+        assert report["status"] == "inconclusive" and report["depths"] == []
+        assert report["min_Q"] is None and report["max_Q"] is None and report["argmin"] is None
+
+
 def test_completeness_rows_are_the_scanned_q(cantor4_file, capsys):
     argv = ["completeness", "--system", cantor4_file, "--depth", "2", "--grid", "0:1:0.05"]
     _, out, _ = run_cli(argv, capsys)

@@ -62,6 +62,7 @@ COMMANDS = {
     "sweep.cantor4.csv": (["sweep", "--system", C4, "--r-max", "4", "--format", "csv"], 0),
     "completeness.cantor4.csv": (["completeness", "--system", C4, "--format", "csv"], 0),
     "completeness.empty-grid": (["completeness", "--system", C4, "--grid", "1:0:0.1"], 0),
+    "completeness.no-depth": (["completeness", "--system", C4, "--max-depth", "1"], 2),
     "hardy.quad2d": (
         ["hardy", "--system", Q2, "--coeffs", "0:0=1,1:0=0.5", "--quadrature-depth", "5"],
         0,

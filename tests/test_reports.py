@@ -6,6 +6,8 @@ value must raise their message, naming the first one in row-major order.
 """
 
 import json
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -168,6 +170,42 @@ class TestJson:
         assert fmt_float(0.1) == "0.10000000000000001"
         with pytest.raises(ValueError, match="non-finite float -inf"):
             fmt_float(-np.inf)
+
+
+class Row(NamedTuple):
+    r: int
+    gamma: float
+
+
+@dataclass(frozen=True)
+class Report:
+    name: str
+    rows: tuple[Row, ...]
+    table: np.ndarray = field(metadata={"artifact": False})
+    inner: Row | None = None
+
+
+class TestReports:
+    def test_fields_render_as_their_dict(self):
+        report = Report("x", (Row(1, 0.5), Row(2, 0.25)), np.arange(3.0), Row(3, 1e-3))
+        expected = {
+            "name": "x",
+            "rows": [{"r": 1, "gamma": 0.5}, {"r": 2, "gamma": 0.25}],
+            "inner": {"r": 3, "gamma": 1e-3},
+        }
+        for compact in (False, True):
+            assert render_json(report, compact=compact) == oracle_json(expected, compact=compact)
+
+    def test_nested_in_payload(self):
+        payload = {"report": Report("y", (), np.zeros(0)), "n": 1}
+        assert json.loads(render_json(payload)) == {
+            "report": {"name": "y", "rows": [], "inner": None},
+            "n": 1,
+        }
+
+    def test_report_class_is_not_rendered(self):
+        with pytest.raises(TypeError):
+            render_json(Report)
 
 
 class TestCsv:

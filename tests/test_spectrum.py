@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from fractalspec import (
     separation,
 )
 from fractalspec import spectrum
+from fractalspec.reports import render_json
 from fractalspec.spectrum import DEDUP_TOL, _dedup_near
 from tests.conftest import grid1d, hadamard_triple, triple_params
 
@@ -280,6 +283,8 @@ class TestCompletenessScan:
         assert report.depths == ()
         assert report.status == "inconclusive"
         assert not report.converged
+        assert report.min_Q is None and report.max_Q is None and report.argmin is None
+        assert report.Q.size == 0
 
     def test_empty_grid_rejected(self, cantor4, cantor4_measure):
         with pytest.raises(ValidationError):
@@ -441,7 +446,7 @@ class TestIncrementalScan:
         assert report.Q.min() == report.min_Q
         assert report.Q.max() == report.max_Q
         assert not report.Q.flags.writeable
-        assert "Q" not in report.as_dict()
+        assert "Q" not in json.loads(render_json(report))
 
     @settings(max_examples=15, deadline=None)
     @given(params=triple_params)
