@@ -104,15 +104,22 @@ def power_norms(mat, count: int) -> np.ndarray:
 
     Computed from accumulated powers of the explicit inverse, so non-normal
     matrices (where ||A^-k|| can differ wildly from ||A^-1||^k) are handled.
-    The stacked powers are normed by one batched SVD; a power that is not
-    finite (overflow) gets the upper bound +inf.
+    In d = 1 the powers are a cumulative product of the scalar inverse, the
+    same multiplications in the same order as the 1 x 1 matmul chain.  The
+    stacked powers are normed by one batched SVD (in d = 1 too: abs() of a
+    power is not always LAPACK's singular value, bit for bit); a power that
+    is not finite (overflow) gets the upper bound +inf.
     """
     inv = np.linalg.inv(np.asarray(mat, dtype=float))
     powers = np.empty((count,) + inv.shape)
     powers[:1] = np.eye(inv.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, count):
-            powers[k] = powers[k - 1] @ inv
+        if inv.shape == (1, 1):
+            powers[1:, 0, 0] = inv[0, 0]
+            np.cumprod(powers[:, 0, 0], out=powers[:, 0, 0])
+        else:
+            for k in range(1, count):
+                np.matmul(powers[k - 1], inv, out=powers[k])
     finite = np.isfinite(powers).all(axis=(1, 2))
     norms = np.linalg.svd(np.where(finite[:, None, None], powers, 0.0), compute_uv=False)[:, 0]
     return np.where(finite, norms, np.inf)

@@ -326,7 +326,8 @@ def _cmd_tiling(args):
     )
     body = {"validation": validation, "tiling": report}
     columns = (report.sample_points, report.multiplicities)
-    return body, (["x", "multiplicity"], columns), report.uniform
+    # samples from a truncated window cover only part of it: no verdict
+    return body, (["x", "multiplicity"], columns), report.uniform and not report.truncated
 
 
 def _cmd_hardy(args):

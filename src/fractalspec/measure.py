@@ -220,8 +220,12 @@ def fourier_mu_many(m: FractalMeasure, T) -> tuple[np.ndarray, np.ndarray]:
     runs once per distinct row (bit pattern), so repeated arguments, such as
     the differences of a lattice spectrum, cost one evaluation each.  The
     distinct rows go through every depth in blocks of FOURIER_BLOCK, so the
-    temporaries of a block stay in cache; each row's factors are multiplied
-    in the same order as by one pass over all rows.
+    temporaries of a block stay in cache.  A block of n rows stacks the
+    points of max(1, FOURIER_BLOCK // n) consecutive depths into one
+    chi_mask call, so few rows do not pay a call per depth, while a full
+    block keeps one depth per call.  Each depth's points still come from
+    the previous depth's by the same matmul, and each row's factors are
+    multiplied in the same depth order as by one pass over all rows.
     """
     T = np.asarray(T, dtype=float).reshape(-1, m.sys.d)
     norms = np.linalg.norm(T, axis=1)
@@ -237,9 +241,16 @@ def fourier_mu_many(m: FractalMeasure, T) -> tuple[np.ndarray, np.ndarray]:
     for start in range(0, rows.shape[0], FOURIER_BLOCK):
         pts = rows[start : start + FOURIER_BLOCK]
         block = values[start : start + FOURIER_BLOCK]
-        for _ in range(depth):
-            block *= np.conj(chi_mask(m.sys, pts))
-            pts = pts @ m.sys.rinv  # row form of t -> (R^T)^-1 t
+        levels = max(1, FOURIER_BLOCK // pts.shape[0])
+        for first in range(0, depth, levels):
+            stack = []
+            for _ in range(min(levels, depth - first)):
+                stack.append(pts)
+                pts = pts @ m.sys.rinv  # row form of t -> (R^T)^-1 t
+            stacked = np.concatenate(stack) if len(stack) > 1 else stack[0]  # one depth: no copy
+            masks = chi_mask(m.sys, stacked).reshape(len(stack), -1)
+            for factor in np.conj(masks, out=masks):
+                block *= factor
     scale = 2.0 * np.pi * m._max_b
     tails = scale * norms * m._tail_sums[depth]
     return values[inverse.reshape(-1)], tails

@@ -63,9 +63,12 @@ class AffineSystem:
     L : (N, d) digit vectors for the frequency set, canonically sorted
     r : cumulative integer scale applied via :func:`scale_system`
 
-    Derived quantities are computed on first use and cached per instance:
-    :attr:`rinv` and :attr:`inv_power_tails` from R, :attr:`zero_digits`
-    from B.
+    Derived quantities are computed on first use and cached per instance,
+    so every check on one system runs once however many callers ask:
+    :attr:`rinv`, :attr:`inv_power_tails` and :attr:`expansiveness` from R,
+    :attr:`zero_digits` from B, :attr:`hadamard_deviation` from B and L, and
+    :attr:`is_integral` from all three.  The arrays are read-only and a
+    system is never mutated (:func:`scale_system` builds a new one).
     """
 
     d: int
@@ -106,6 +109,47 @@ class AffineSystem:
         zero = ~self.B.any(axis=1)
         zero.setflags(write=False)
         return zero
+
+    @cached_property
+    def expansiveness(self) -> tuple[bool, float]:
+        """Whether every eigenvalue of R has modulus > 1, plus the smallest modulus."""
+        moduli = np.abs(np.linalg.eigvals(self.R))
+        return bool(np.all(moduli > 1.0)), float(np.min(moduli))
+
+    @cached_property
+    def hadamard_deviation(self) -> float:
+        """Operator-norm deviation of H H* from the identity (:func:`check_hadamard`).
+
+        The Gram matrix is formed from the unnormalized phase matrix and
+        divided by N afterwards, so systems whose phases are exact
+        half-integers yield a deviation of exactly zero.
+        """
+        phases = cis2pi(self.B @ self.L.T)
+        gram = (phases @ phases.conj().T) / self.n_digits
+        return float(np.linalg.norm(gram - np.eye(self.n_digits), 2))
+
+    @cached_property
+    def is_integral(self) -> bool:
+        """Whether R, L and R^n b . l for n = 1..d are integers, exactly
+        (:func:`integral_system`).
+
+        R and L are tested with x == round(x), exact for floats.  Each entry
+        of B is the rational its float stores, a dyadic p / 2^k, so B is held
+        as Python-int numerators over their largest denominator, and the
+        products are exact integers tested for divisibility by it.
+        """
+        if not (np.all(self.R == np.round(self.R)) and np.all(self.L == np.round(self.L))):
+            return False
+        ratios = [b.as_integer_ratio() for b in self.B.flat]
+        den = max(q for _, q in ratios)  # a power of two: every other q divides it
+        powered = np.array([p * (den // q) for p, q in ratios], dtype=object).reshape(self.B.shape)
+        R, L = (np.array([int(x) for x in a.flat], dtype=object).reshape(a.shape)
+                for a in (self.R, self.L))
+        for _ in range(self.d):
+            powered = powered @ R.T  # rows are den R^n b
+            if any(x % den for x in (powered @ L.T).flat):
+                return False
+        return True
 
     def __repr__(self) -> str:  # compact, deterministic
         return (
@@ -234,15 +278,9 @@ def hadamard_matrix(sys: AffineSystem) -> np.ndarray:
 
 
 def check_hadamard(sys: AffineSystem) -> float:
-    """Operator-norm deviation of H H* from the identity.
-
-    The Gram matrix is formed from the unnormalized phase matrix and divided
-    by N afterwards, so systems whose phases are exact half-integers yield a
-    deviation of exactly zero.
-    """
-    phases = cis2pi(sys.B @ sys.L.T)
-    gram = (phases @ phases.conj().T) / sys.n_digits
-    return float(np.linalg.norm(gram - np.eye(sys.n_digits), 2))
+    """Operator-norm deviation of H H* from the identity, computed once per
+    system (:attr:`AffineSystem.hadamard_deviation`)."""
+    return sys.hadamard_deviation
 
 
 def unitarity_tolerance(sys: AffineSystem) -> float:
@@ -302,36 +340,25 @@ def validate_compatibility(
 
 
 def integral_system(sys: AffineSystem) -> bool:
-    """Whether R, L and R^n b . l for n = 1..d are integers, exactly.
+    """Whether R, L and R^n b . l for n = 1..d are integers, exactly;
+    computed once per system (:attr:`AffineSystem.is_integral`).
 
     Then R^n b . l is an integer for every n >= 1: the characteristic
     polynomial of R^T is monic with integer coefficients, so each
     (R^T)^(n-1) is an integer combination of (R^T)^j, j < d, and
-    b . (R^T)^n l = sum_j a_j b . (R^T)^(j+1) l.  The check is in rational
-    arithmetic on the stored floats (so B = {0, 1/3} with R = 3 fails: the
-    float 1/3 times 3 is not 1), because the argument needs exact integers:
-    a near-integral R such as 4 + 1e-10 passes every test within 1e-9 up
-    to n = d but drifts off the integers as n grows.
+    b . (R^T)^n l = sum_j a_j b . (R^T)^(j+1) l.  The check is exact on the
+    stored floats (so B = {0, 1/3} with R = 3 fails: the float 1/3 times 3
+    is not 1), because the argument needs exact integers: a near-integral R
+    such as 4 + 1e-10 passes every test within 1e-9 up to n = d but drifts
+    off the integers as n grows.
     """
-    R, B, L = (np.vectorize(Fraction, otypes=[object])(a) for a in (sys.R, sys.B, sys.L))
-
-    def integral(arr) -> bool:
-        return all(x.denominator == 1 for x in arr.flat)
-
-    if not (integral(R) and integral(L)):
-        return False
-    powered = B
-    for _ in range(sys.d):
-        powered = powered @ R.T  # rows are R^n b
-        if not integral(powered @ L.T):
-            return False
-    return True
+    return sys.is_integral
 
 
 def spectral_expansiveness(sys: AffineSystem) -> tuple[bool, float]:
-    """Whether every eigenvalue of R has modulus > 1, plus the smallest modulus."""
-    moduli = np.abs(np.linalg.eigvals(sys.R))
-    return bool(np.all(moduli > 1.0)), float(np.min(moduli))
+    """Whether every eigenvalue of R has modulus > 1, plus the smallest
+    modulus; computed once per system (:attr:`AffineSystem.expansiveness`)."""
+    return sys.expansiveness
 
 
 def require_expansive(sys: AffineSystem) -> None:

@@ -172,15 +172,13 @@ def max_orthogonal_clique(
     values, _ = fourier_mu_many(
         m, np.arange(1, 2 * window + 1, dtype=float).reshape(-1, 1)
     )
-    orthogonal = np.abs(values) <= zero_tol
-    n = len(freqs)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if orthogonal[abs(freqs[i] - freqs[j]) - 1]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    solver = _CliqueSolver(adj)
+    # orthogonal[g]: |mu-hat(g)| <= zero_tol for the gap g = |f_i - f_j|;
+    # the gap 0 is the diagonal, no edge
+    orthogonal = np.concatenate([[False], np.abs(values) <= zero_tol])
+    gaps = np.abs(np.subtract.outer(freqs, freqs))
+    # row i as an int whose bit j marks the edge {i, j}
+    rows = np.packbits(orthogonal[gaps], axis=1, bitorder="little")
+    solver = _CliqueSolver([int.from_bytes(row.tobytes(), "little") for row in rows])
     size = len(solver.max_clique())
     witness = solver.canonical_witness(size)
     return size, tuple(sorted(freqs[v] for v in witness))

@@ -367,6 +367,19 @@ def test_tiling_exit_codes(capsys):
     assert json.loads(out)["tiling"]["max_mult"] == 2
 
 
+def test_truncated_tiling_window_exits_two(write_system, capsys):
+    # L = {0, 3}: the depth-5 covered set is 4096 separate unit runs, so the
+    # largest run meeting the window is one tile; every sample on it has
+    # multiplicity 1, but it stands for 1 of 13000 units of the window
+    path = write_system({"d": 1, "R": [[4]], "B": ["0", "1/2"], "L": [0, 3]})
+    argv = ["tiling", "--system", path, "--depth", "5", "--samples", "1000", "--window=-10000:3000"]
+    code, out, _ = run_cli(argv, capsys)
+    tiling = json.loads(out)["tiling"]
+    assert tiling["uniform"] is True and tiling["truncated"] is True
+    assert tiling["safe_window"][1] - tiling["safe_window"][0] == 1
+    assert code == 2
+
+
 def test_sweep_command(cantor4_file, capsys):
     code, out, _ = run_cli(
         ["sweep", "--system", cantor4_file, "--r-max", "2"], capsys

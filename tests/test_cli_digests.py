@@ -55,7 +55,7 @@ COMMANDS = {
         ["tiling", "--depth", "3", "--samples", "1000", "--window=-40:20", "--format", "csv"],
         0,
     ),
-    "tiling.truncated": (["tiling", "--depth", "1", "--samples", "50", "--window=-100:100"], 0),
+    "tiling.truncated": (["tiling", "--depth", "1", "--samples", "50", "--window=-100:100"], 2),
     "clique.R3": (["clique", "--R", "3", "--a", "1/2", "--window", "40"], 0),
     "classify.R3": (["classify", "--R", "3", "--a", "1/2", "--window", "30"], 0),
     "classify.R2": (["classify", "--R", "2", "--a", "1/4"], 0),
