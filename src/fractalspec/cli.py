@@ -15,6 +15,11 @@ schema and package versions, emits a deterministic JSON artifact or the CSV
 table, and returns 0 when ``ok`` holds, else 2 (computed, negative verdict:
 not certified, not orthogonal, ...).  Exit 1 is a failure to compute (bad
 input, usage errors included, convergence error, budget).
+
+Only numpy and the modules every command needs (errors, systems, reports)
+are imported with this module; each subcommand imports its analysis
+modules (measure, ruelle, spectrum, verify) itself, so a process loads
+only what its command runs.
 """
 
 from __future__ import annotations
@@ -22,23 +27,13 @@ from __future__ import annotations
 import argparse
 import cmath
 import gc
-import json
 import sys as _sys
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import BudgetError, FractalSpecError, ValidationError
-from .measure import FractalMeasure, atomic_approximation, fourier_mu_many
 from .reports import SCHEMA_VERSION, render_csv, render_json, write_text
-from .ruelle import as_box, attractor_hull, basis_certificate, contraction_probe, estimate_gamma
-from .spectrum import (
-    completeness_scan,
-    enumerate_spectrum,
-    orthogonality_matrix,
-    separation,
-)
 from .systems import (
     AffineSystem,
     ValidationReport,
@@ -47,13 +42,6 @@ from .systems import (
     parse_number,
     two_digit_system,
     validate_system,
-)
-from .verify import (
-    dim_one_classify,
-    hardy_roundtrip,
-    max_orthogonal_clique,
-    scaling_sweep,
-    tiling_multiplicity,
 )
 
 GRID_BUDGET = 2**24  # grid points per command
@@ -184,6 +172,8 @@ def _cmd_validate(args):
 
 
 def _cmd_fourier(args):
+    from .measure import FractalMeasure, fourier_mu_many
+
     sys_, validation = _load_validated(args)
     m = FractalMeasure(sys_)
     grid = _parse_grid(args.grid, sys_.d)
@@ -198,6 +188,8 @@ def _cmd_fourier(args):
 
 
 def _cmd_atoms(args):
+    from .measure import FractalMeasure, atomic_approximation
+
     sys_, validation = _load_validated(args)
     atoms = atomic_approximation(FractalMeasure(sys_), args.depth)
     n = atoms.points.shape[0]
@@ -213,6 +205,8 @@ def _cmd_atoms(args):
 
 
 def _cmd_spectrum(args):
+    from .spectrum import enumerate_spectrum, separation
+
     sys_, validation = _load_validated(args)
     spec = enumerate_spectrum(sys_, args.depth)
     columns = (np.arange(spec.size), *spec.elements.T)
@@ -227,6 +221,9 @@ def _cmd_spectrum(args):
 
 
 def _cmd_orthogonality(args):
+    from .measure import FractalMeasure
+    from .spectrum import enumerate_spectrum, orthogonality_matrix
+
     sys_, validation = _load_validated(args)
     m = FractalMeasure(sys_)
     spec = enumerate_spectrum(sys_, args.depth)
@@ -240,6 +237,9 @@ def _cmd_orthogonality(args):
 
 
 def _cmd_completeness(args):
+    from .measure import FractalMeasure
+    from .spectrum import completeness_scan, enumerate_spectrum
+
     sys_, validation = _load_validated(args)
     m = FractalMeasure(sys_)
     grid = _parse_grid(args.grid, sys_.d)
@@ -262,6 +262,8 @@ def _cmd_completeness(args):
 
 
 def _cmd_ruelle_bound(args):
+    from .ruelle import as_box, attractor_hull, contraction_probe, estimate_gamma
+
     sys_, validation = _load_validated(args)
     box = attractor_hull(sys_) if args.box is None else as_box(
         [_parse_window(part) for part in args.box.split(",")], sys_.d
@@ -282,6 +284,9 @@ def _cmd_ruelle_bound(args):
 
 
 def _cmd_certify(args):
+    from .measure import FractalMeasure
+    from .ruelle import basis_certificate
+
     sys_, validation = _load_validated(args)
     cert = basis_certificate(FractalMeasure(sys_), trials=args.trials, seed=args.seed)
     body = {
@@ -293,6 +298,8 @@ def _cmd_certify(args):
 
 
 def _cmd_classify(args):
+    from .verify import dim_one_classify
+
     sys_, validation = _load_validated(args)
     a = float(sys_.B.sum())  # B = {0, a}
     verdict = dim_one_classify(
@@ -302,12 +309,17 @@ def _cmd_classify(args):
 
 
 def _cmd_clique(args):
+    from .measure import FractalMeasure
+    from .verify import max_orthogonal_clique
+
     sys_, validation = _load_validated(args)
     size, witness = max_orthogonal_clique(FractalMeasure(sys_), args.window, zero_tol=args.zero_tol)
     return {"validation": validation, "size": size, "witness": list(witness)}, None, True
 
 
 def _cmd_sweep(args):
+    from .verify import scaling_sweep
+
     sys_, validation = _load_validated(args)
     report = scaling_sweep(sys_, args.r_max)
     columns = tuple(map(np.array, zip(*report.rows)))
@@ -316,6 +328,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_tiling(args):
+    from .verify import tiling_multiplicity
+
     sys_, validation = _load_validated(args)
     report = tiling_multiplicity(
         args.depth,
@@ -331,6 +345,10 @@ def _cmd_tiling(args):
 
 
 def _cmd_hardy(args):
+    from .measure import FractalMeasure
+    from .spectrum import enumerate_spectrum
+    from .verify import hardy_roundtrip
+
     sys_, validation = _load_validated(args)
     m = FractalMeasure(sys_)
     spec = enumerate_spectrum(sys_, args.depth)
@@ -499,11 +517,12 @@ def main(argv=None) -> int:
 def run() -> None:
     """Process entry point (``fractalspec`` and ``python -m fractalspec.cli``).
 
-    The modules imported by now live until exit, so they are frozen out of
-    the garbage collector: neither the collections during the command nor
-    the one at interpreter shutdown walk numpy's and fractalspec's import
-    graph again.  :func:`main` leaves the collector alone, so in-process
-    callers see no change.
+    The modules imported by now (numpy and the ones every command needs)
+    live until exit, so they are frozen out of the garbage collector:
+    neither the collections during the command nor the one at interpreter
+    shutdown walk their import graph again.  A command's own analysis
+    modules load after the freeze, when the command runs.  :func:`main`
+    leaves the collector alone, so in-process callers see no change.
     """
     gc.freeze()
     raise SystemExit(main())

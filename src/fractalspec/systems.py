@@ -222,14 +222,15 @@ def parse_number(value) -> float:
     """A finite float from a number or a numeric string.
 
     Strings of the form "p/q" are exact rationals, rounded once.  Anything
-    that is not a finite number (p/0, nan, inf, beyond the float range, not
-    a number at all) is a :class:`ValidationError`.
+    that is not a finite number (p/0, nan, inf, beyond the float range, a
+    boolean such as JSON ``true``, not a number at all) is a
+    :class:`ValidationError`.
     """
     try:
         number = float(Fraction(value)) if isinstance(value, str) and "/" in value else float(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         number = math.nan
-    if not math.isfinite(number):
+    if isinstance(value, (bool, np.bool_)) or not math.isfinite(number):
         raise ValidationError(f"not a finite number: {value!r}")
     return number
 

@@ -408,7 +408,9 @@ class TestSpecFiles:
 
     @pytest.mark.parametrize(
         "value",
-        ["1/0", 10**400, "1e400", "10**400/1", "nan", "inf", float("nan"), "abc", "", None, [1], {}],
+        # float() takes booleans, but JSON true/false are not numbers
+        ["1/0", 10**400, "1e400", "10**400/1", "nan", "inf", float("nan"), "abc", "", None, [1], {},
+         True, False, np.True_, np.False_],
     )
     def test_parse_number_rejects(self, value):
         with pytest.raises(ValidationError, match="^not a finite number: "):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fractalspec import cli, verify
+from fractalspec import cli, ruelle, verify
 from fractalspec.cli import main
 
 
@@ -62,6 +62,19 @@ BAD_SYSTEM_FILES = {
     "zero-denominator": ('{"d": 1, "R": [[4]], "B": [0, "1/0"], "L": [0, 1]}', "'1/0'"),
     "overflow": ('{"d": 1, "R": [[%d]], "B": [0, 0.5], "L": [0, 1]}' % 10**400, "not a finite"),
     "nan": ('{"d": 1, "R": [[4]], "B": [0, "nan"], "L": [0, 1]}', "'nan'"),
+    "missing-d": ('{"R": [[4]], "B": [0, 0.5], "L": [0, 1]}', "missing key 'd'"),
+    "missing-L": ('{"d": 1, "R": [[4]], "B": [0, 0.5]}', "missing key 'L'"),
+    "R-string": ('{"d": 1, "R": "x", "B": [0, 0.5], "L": [0, 1]}', "not a finite number: 'x'"),
+    "list-entry": ('{"d": 1, "R": [[4]], "B": [0, [0.5, 1]], "L": [0, 1]}', "[0.5, 1]"),
+    "null-entry": ('{"d": 1, "R": [[4]], "B": [0, null], "L": [0, 1]}', "not a finite number: None"),
+    "B-object": ('{"d": 1, "R": [[4]], "B": {"a": 1}, "L": [0, 1]}', "{'a': 1}"),
+    "overflow-string": ('{"d": 1, "R": [[4]], "B": [0, "1e999"], "L": [0, 1]}', "'1e999'"),
+    "overflow-literal": ('{"d": 1, "R": [[4]], "B": [0, 1e400], "L": [0, 1]}', "not a finite number: inf"),
+    "d-string": ('{"d": "1", "R": [[4]], "B": [0, 0.5], "L": [0, 1]}', "d must be a positive"),
+    "d-two-one-entry": ('{"d": 2, "R": [[4]], "B": [[0, 0]], "L": [[0, 0]]}', "d = 2 needs 4"),
+    "empty-digits": ('{"d": 1, "R": [[4]], "B": [], "L": []}', "must be nonempty"),
+    # JSON false/true once read as 0/1: B = {0, 1/2}, L = {0, 1}, a certified basis
+    "booleans": ('{"d": 1, "R": [["4"]], "B": [false, "1/2"], "L": [false, true]}', "number: False"),
 }
 
 
@@ -69,11 +82,12 @@ BAD_SYSTEM_FILES = {
 def test_parse_error_exits_one(tmp_path, capsys, text, fragment):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
-    code, out, err = run_cli(["validate", "--system", str(bad)], capsys)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert fragment in err
+    for command in ("validate", "certify"):
+        code, out, err = run_cli([command, "--system", str(bad)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fragment in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -121,7 +135,7 @@ def test_non_finite_flag_exits_one_before_computing(cantor4_file, capsys, monkey
 
 @pytest.mark.parametrize("coeffs, bad", [("0=nan,1=1", "nan"), ("0=1,1=1+infj", "1+infj")])
 def test_non_finite_hardy_coefficient_exits_one(cantor4_file, capsys, monkeypatch, coeffs, bad):
-    monkeypatch.setattr(cli, "hardy_roundtrip", lambda *a, **k: pytest.fail("round-trip ran"))
+    monkeypatch.setattr(verify, "hardy_roundtrip", lambda *a, **k: pytest.fail("round-trip ran"))
     argv = ["hardy", "--system", cantor4_file, "--coeffs", coeffs]
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (1, "", f"error: coefficient '{bad}' is not a finite number\n")
@@ -582,19 +596,21 @@ def test_usage_error_subprocess_exits_one():
     assert proc.stderr.splitlines()[-1].startswith("error: argument command: invalid choice: 'nosuch'")
 
 
+# (argv, home module, analysis): a command imports its analysis from the
+# home module when it runs, so the patch goes there
 JSON_ONLY = {
-    "validate": (["validate", "--system", "{cantor4}"], "validate_system"),
-    "ruelle-bound": (["ruelle-bound", "--system", "{cantor4}"], "estimate_gamma"),
-    "certify": (["certify", "--system", "{cantor4}"], "basis_certificate"),
-    "classify": (["classify", "--R", "2", "--a", "1/4"], "dim_one_classify"),
-    "clique": (["clique", "--R", "3", "--a", "1/2"], "max_orthogonal_clique"),
-    "hardy": (["hardy", "--system", "{cantor4}", "--coeffs", "0=1"], "hardy_roundtrip"),
+    "validate": (["validate", "--system", "{cantor4}"], cli, "validate_system"),
+    "ruelle-bound": (["ruelle-bound", "--system", "{cantor4}"], ruelle, "estimate_gamma"),
+    "certify": (["certify", "--system", "{cantor4}"], ruelle, "basis_certificate"),
+    "classify": (["classify", "--R", "2", "--a", "1/4"], verify, "dim_one_classify"),
+    "clique": (["clique", "--R", "3", "--a", "1/2"], verify, "max_orthogonal_clique"),
+    "hardy": (["hardy", "--system", "{cantor4}", "--coeffs", "0=1"], verify, "hardy_roundtrip"),
 }
 
 
-@pytest.mark.parametrize("argv, analysis", JSON_ONLY.values(), ids=JSON_ONLY.keys())
-def test_csv_refused_before_computing(cantor4_file, capsys, monkeypatch, argv, analysis):
-    monkeypatch.setattr(cli, analysis, lambda *a, **k: pytest.fail("the analysis ran"))
+@pytest.mark.parametrize("argv, module, analysis", JSON_ONLY.values(), ids=JSON_ONLY.keys())
+def test_csv_refused_before_computing(cantor4_file, capsys, monkeypatch, argv, module, analysis):
+    monkeypatch.setattr(module, analysis, lambda *a, **k: pytest.fail("the analysis ran"))
     argv = [arg.format(cantor4=cantor4_file) for arg in argv]
     with pytest.raises(SystemExit) as exit_:
         main(argv + ["--format", "csv"])
