@@ -30,6 +30,7 @@ from .systems import (
     check_hadamard,
     require_expansive,
     unitarity_tolerance,
+    word_sums,
 )
 
 __all__ = [
@@ -182,9 +183,6 @@ class FractalMeasure:
         # tail_sums[K] >= sum_{k>=K} ||(R^T)^-k||: certified product tails
         self._tail_sums = certified_tails(sys)[: self.max_product_depth + 1]
 
-    def mask(self, t):
-        return chi_mask(self.sys, t)
-
     def _depth_for(self, max_norm: float) -> int:
         """Smallest K whose tail bound is below product_tail_tol."""
         scale = 2.0 * np.pi * self._max_b * max_norm
@@ -287,13 +285,7 @@ def atomic_approximation(
         raise ValidationError(f"depth must be >= 0, got {depth}")
     if n**depth > budget:
         raise BudgetError(f"N^K = {n}**{depth} exceeds atom budget {budget}")
-    rinv = sys.rinv
-    points = np.zeros((1, sys.d))
-    contrib = sys.B.copy()  # rows R^-k b at level k
-    for _ in range(depth):
-        # earlier letters vary slowest: lexicographic word order
-        points = (points[:, None, :] + contrib[None, :, :]).reshape(-1, sys.d)
-        contrib = contrib @ rinv.T
+    points = word_sums(sys.B, sys.rinv.T, depth)
     points.setflags(write=False)
     return AtomicApproximation(depth=depth, points=points, weight=float(n) ** -depth)
 

@@ -42,7 +42,16 @@ import numpy as np
 from ._numeric import cis2pi, hs_norm, operator_norm, sinpi
 from .errors import ConvergenceError, DomainError, ValidationError
 from .measure import FractalMeasure, chi_mask, digit_exponentials
-from .systems import AffineSystem, certified_tails, check_hadamard, require_expansive
+from .systems import (
+    AffineSystem,
+    _invariance_excess,
+    box_exit,
+    certified_tails,
+    check_hadamard,
+    dual_box,
+    grow_invariant_box,
+    require_expansive,
+)
 
 __all__ = [
     "GridFunction",
@@ -60,7 +69,6 @@ __all__ = [
 ]
 
 BOX_TOL = 1e-9
-HULL_MAX_EXPAND = 64
 # 1-D sup polish: samples per zoom round and the bracket width that ends it
 ZOOM_POINTS = 33
 ZOOM_TOL = 1e-12
@@ -166,93 +174,30 @@ class GridFunction:
 def attractor_hull(sys: AffineSystem, tol: float = BOX_TOL) -> np.ndarray:
     """Invariant box around the attractor of the maps t -> (R^T)^-1 (t - l).
 
-    Attractor points are -sum_{k>=1} (R^T)^-k l_k; the per-axis extremes of
-    the depth-K cloud decompose level by level, so the bounding box is exact
-    without enumerating words.  The box is inflated by the certified tail
-    radius and then grown, if needed, until every map sends it into itself
-    within ``tol``.  A non-expansive R is a :class:`ValidationError`.
+    Attractor points are -sum_{k>=1} (R^T)^-k l_k.  Their depth-K box
+    (:func:`~fractalspec.systems.dual_box`), K the first depth whose
+    certified tail radius tails[K+1] max|l| is within ``tol``, is inflated
+    by that radius and grown until every map sends it into itself within
+    ``tol``.  A non-expansive R is a :class:`ValidationError`.
     """
     require_expansive(sys)
     tails = certified_tails(sys)
-    d = sys.d
-    rinv = sys.rinv
-    max_l = float(np.max(np.linalg.norm(sys.L, axis=1)))
-    lo = np.zeros(d)
-    hi = np.zeros(d)
-    contrib = sys.L @ rinv  # rows (R^T)^-k l at k = 1
-    for level in range(1, tails.size - 1):
-        lo += (-contrib).min(axis=0)
-        hi += (-contrib).max(axis=0)
-        tail = tails[level + 1] * max_l
-        if tail <= tol:
-            break
-        contrib = contrib @ rinv
-    else:
+    radii = tails[2:] * float(np.max(np.linalg.norm(sys.L, axis=1)))  # at K = 1, 2, ...
+    within = np.flatnonzero(radii <= tol)
+    if not within.size:
         raise ConvergenceError(
-            f"attractor tail radius {tail:.3e} above {tol:.1e} after {level} levels"
+            f"attractor tail radius {radii[-1]:.3e} above {tol:.1e} after {radii.size} levels"
         )
-    box = grow_invariant_box(sys, np.stack([lo - tail, hi + tail], axis=1), tol)
+    tail = radii[within[0]]
+    box = dual_box(sys, np.zeros((1, sys.d)), int(within[0]) + 1) + np.array([-tail, tail])
+    box = grow_invariant_box(sys, box, tol)
     box.setflags(write=False)
     return box
 
 
-def grow_invariant_box(
-    sys: AffineSystem, box: np.ndarray, tol: float, pad: float = 0.0
-) -> np.ndarray:
-    """Grow ``box`` by its images under the maps t -> (R^T)^-1 (t - l) until
-    no image leaves it by more than ``tol`` (a negative ``tol`` demands that
-    margin inside).  Each growth step also widens every side by ``pad``; a
-    :class:`ConvergenceError` after HULL_MAX_EXPAND steps.
-    """
-    for _ in range(HULL_MAX_EXPAND):
-        excess, images = _invariance_excess(sys, box)
-        if excess <= tol:
-            return box
-        box = np.stack(
-            [
-                np.minimum(box[:, 0], images[:, 0]) - pad,
-                np.maximum(box[:, 1], images[:, 1]) + pad,
-            ],
-            axis=1,
-        )
-    raise ConvergenceError(
-        "could not grow the box to absorb its own images; "
-        "the dual maps expand too strongly along some axis"
-    )
-
-
-def _corners(box: np.ndarray) -> np.ndarray:
-    d = box.shape[0]
-    idx = np.indices((2,) * d).reshape(d, -1).T
-    return box[np.arange(d), idx]
-
-
-def _invariance_excess(sys: AffineSystem, box: np.ndarray):
-    """Largest distance any mapped corner leaves the box, plus image bbox."""
-    rinv = sys.rinv
-    corners = _corners(box)
-    all_imgs = []
-    for l in sys.L:
-        all_imgs.append((corners - l) @ rinv)
-    imgs = np.concatenate(all_imgs, axis=0)
-    excess = max(
-        float(np.max(box[:, 0] - imgs.min(axis=0))),
-        float(np.max(imgs.max(axis=0) - box[:, 1])),
-    )
-    bbox = np.stack([imgs.min(axis=0), imgs.max(axis=0)], axis=1)
-    return excess, bbox
-
-
 def check_box_invariance(sys: AffineSystem, box) -> float:
     """Max amount by which any dual map sends a box corner outside the box."""
-    box = as_box(box, sys.d)
-    excess, _ = _invariance_excess(sys, box)
-    return max(excess, 0.0)
-
-
-def _mask_sq(sys: AffineSystem, pts: np.ndarray) -> np.ndarray:
-    values = chi_mask(sys, pts)
-    return np.abs(np.atleast_1d(values)) ** 2
+    return max(_invariance_excess(sys, as_box(box, sys.d))[0], 0.0)
 
 
 def _mask_sq_grad(sys: AffineSystem, pts: np.ndarray):
@@ -277,21 +222,17 @@ def apply_ruelle(sys: AffineSystem, q: GridFunction) -> GridFunction:
     rinv = sys.rinv
     nodes = q.nodes()
     out = np.zeros(nodes.shape[0])
-    lo, hi = q.box[:, 0], q.box[:, 1]
     for l in sys.L:
         shifted = nodes - l
-        weights = _mask_sq(sys, shifted)
+        weights = np.abs(chi_mask(sys, shifted)) ** 2
         mapped = shifted @ rinv
-        excess = max(
-            float(np.max(lo - mapped.min(axis=0), initial=0.0)),
-            float(np.max(mapped.max(axis=0) - hi, initial=0.0)),
-        )
+        excess = box_exit(q.box, mapped)
         if excess > BOX_TOL:
             raise DomainError(
                 f"dual map with l={l.tolist()} leaves the box by {excess:.3e}; "
                 "enlarge the box"
             )
-        mapped = np.clip(mapped, lo, hi)
+        mapped = np.clip(mapped, q.box[:, 0], q.box[:, 1])
         out += weights * q.interpolate(mapped)
     samples = out.reshape(q.shape)
     samples.setflags(write=False)

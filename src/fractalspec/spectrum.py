@@ -21,8 +21,14 @@ import numpy as np
 from ._numeric import cis2pi
 from .errors import BudgetError, ConvergenceError, ValidationError
 from .measure import FractalMeasure, digit_exponentials, fourier_mu_many
-from .ruelle import grow_invariant_box
-from .systems import AffineSystem, certified_tails, integral_system
+from .systems import (
+    AffineSystem,
+    certified_tails,
+    dual_box,
+    grow_invariant_box,
+    integral_system,
+    word_sums,
+)
 
 __all__ = [
     "SpectrumEnumeration",
@@ -86,11 +92,7 @@ def enumerate_spectrum(
         raise BudgetError(
             f"N^(depth+1) = {n}**{depth + 1} exceeds word budget {budget}"
         )
-    sums = np.zeros((1, sys.d))
-    contrib = sys.L.copy()  # rows (R^T)^k l at level k
-    for _ in range(depth + 1):
-        sums = (sums[:, None, :] + contrib[None, :, :]).reshape(-1, sys.d)
-        contrib = contrib @ sys.R
+    sums = word_sums(sys.L, sys.R, depth + 1)
     sums = sums[np.lexsort(sums.T[::-1])]
     integral = np.all(np.abs(sums - np.round(sums)) <= DEDUP_TOL)
     if integral:
@@ -281,25 +283,14 @@ class _WordTree:
 
 def _leaf_box(sys: AffineSystem, grid: np.ndarray, depth: int) -> np.ndarray | None:
     """A box holding the level depth+1 nodes of the word tree over ``grid``
-    that every dual map sends into itself, so it holds every deeper level.
-
-    The nodes are (R^T)^-(depth+1) t - sum_{j=1}^{depth+1} (R^T)^-j l_j,
-    whose bounding box decomposes level by level.  A margin absorbs the
-    rounding of the walk.  None when no invariant box is found.
+    (:func:`~fractalspec.systems.dual_box`) that every dual map sends into
+    itself, so it holds every deeper level.  A margin absorbs the rounding
+    of the walk.  None when no invariant box is found.
     """
-    mapped = grid
-    for _ in range(depth + 1):
-        mapped = mapped @ sys.rinv
-    lo, hi = mapped.min(axis=0), mapped.max(axis=0)
-    contrib = sys.L
-    for _ in range(depth + 1):
-        contrib = contrib @ sys.rinv
-        lo = lo - contrib.max(axis=0)
-        hi = hi - contrib.min(axis=0)
-    margin = BOX_MARGIN * (1.0 + max(np.abs(lo).max(), np.abs(hi).max()))
-    box = np.stack([lo - margin, hi + margin], axis=1)
+    box = dual_box(sys, grid, depth + 1)
+    margin = BOX_MARGIN * (1.0 + np.abs(box).max())
     try:
-        return grow_invariant_box(sys, box, -margin, pad=2.0 * margin)
+        return grow_invariant_box(sys, box + np.array([-margin, margin]), -margin, pad=2.0 * margin)
     except ConvergenceError:
         return None
 
@@ -351,8 +342,7 @@ class _LeafTable:
     bound ``error`` on its distance to |mu-hat|^2 anywhere in the box.
 
     The error adds: the interpolation bound; Lambda_p^d times the node
-    error, i.e. 2 tau + tau^2 for a product tail tau plus the rounding of the
-    K-factor products (2 eps K (N + 4)); and the rounding of the evaluation,
+    error (:func:`_product_error`); and the rounding of the evaluation,
     eps sum_k |c_k| (5 sum_i (k_i + 1)^2 + 2 d p + d), from the Chebyshev
     recurrence and the sums (first-order counts).
     """
@@ -378,13 +368,11 @@ class _LeafTable:
             coef = np.moveaxis(np.tensordot(dct, coef, axes=([1], [axis])), 0, axis)
         self.coef = coef.reshape(p, -1)
 
-        eps = np.finfo(float).eps
-        tau = float(tails.max())
         depth = fine._depth_for(float(np.linalg.norm(nodes, axis=1).max()))
-        node_error = 2.0 * tau + tau**2 + 2.0 * eps * depth * (sys.n_digits + 4)
+        node_error = _product_error(float(tails.max()), depth, sys.n_digits)
         k = np.indices((p,) * d).reshape(d, -1)
         weights = 5.0 * np.sum((k + 1.0) ** 2, axis=0) + 2 * d * p + d
-        rounding = eps * float(np.sum(np.abs(coef).ravel() * weights))
+        rounding = np.finfo(float).eps * float(np.sum(np.abs(coef).ravel() * weights))
         self.error = float(
             _interpolation_bound(sys, box, p) + _lebesgue(p) ** d * node_error + rounding
         )
@@ -413,9 +401,11 @@ class _LeafTable:
 class CompletenessReport:
     """Outcome of a grid scan of Q_n with optional depth escalation.
 
-    ``q_error`` is the certified leaf error subtracted from a tree-summed Q
-    (0 when Q is summed directly over the frequencies).  A scan that
-    evaluated no depth has no ``min_Q``, ``max_Q`` or ``argmin`` (None).
+    ``q_error`` is the certified leaf error subtracted from a tree-summed Q.
+    It is 0 for a direct sum over the frequencies, which is not exact: each
+    t - lam is rounded, so with |lam| up to 1.6e5 (R = 12, B = {0, 1/4, 1/2,
+    3/4}, L = {0, 1, 2, 7}, depth 4) Q is up to about 1e-12 off either way.
+    A scan that evaluated no depth has no ``min_Q``, ``max_Q`` or ``argmin``.
     """
 
     min_Q: float | None
@@ -446,7 +436,8 @@ def completeness_scan(
     ``increment_tol`` (converged), or once the word budget or ``max_depth``
     is hit (inconclusive; also when not even the starting depth fits).
     Hand-built enumerations are evaluated at their fixed element set only.
-    Evidence labels: every reported Q underestimates the limit, so
+    Evidence labels: every reported Q underestimates the limit (up to the
+    rounding of a direct sum, see :class:`CompletenessReport`), so
     "complete-evidence" (min Q >= target) is one-sided and
     "incomplete-evidence" additionally requires convergence.
 
@@ -466,7 +457,7 @@ def completeness_scan(
     Q_n - q_error is a lower bound; the report keeps the running max over
     depths (the sets are nested) and never goes below 0.  Every other
     enumeration is summed directly, afresh at each depth, with
-    ``q_error`` = 0.
+    ``q_error`` = 0 and the rounding of t - lam left uncounted.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1, m.sys.d)
     if grid.size == 0:
@@ -538,18 +529,21 @@ def completeness_scan(
     )
 
 
+def _product_error(tau: float, depth: int, n: int) -> float:
+    """Certified error of |mu-hat|^2 from a truncated product of at most
+    ``depth`` N-digit factors whose tail is at most ``tau``: 2 tau + tau^2
+    for the tail, plus 2 eps K (N + 4) for the rounding of the products."""
+    return 2.0 * tau + tau**2 + 2.0 * np.finfo(float).eps * depth * (n + 4)
+
+
 def _direct_leaf(m: FractalMeasure):
-    """|mu-hat|^2 from the truncated product, and its certified error: the
-    tail tau <= product_tail_tol gives 2 tau + tau^2, plus the rounding of
-    at most max_product_depth factors (as in :class:`_LeafTable`)."""
-    tau = m.product_tail_tol
-    rounding = 2.0 * float(np.finfo(float).eps) * m.max_product_depth * (m.sys.n_digits + 4)
-    error = 2.0 * tau + tau**2 + rounding
+    """|mu-hat|^2 from the truncated product, and its certified error for
+    the tail tau <= product_tail_tol and at most max_product_depth factors."""
 
     def leaf(pts):
         return np.abs(fourier_mu_many(m, pts)[0]) ** 2
 
-    return leaf, error
+    return leaf, _product_error(m.product_tail_tol, m.max_product_depth, m.sys.n_digits)
 
 
 def separation(spec: SpectrumEnumeration) -> float:

@@ -11,6 +11,10 @@ candidate frequency set.  Two conditions make the pair workable:
 Both are checked numerically here; the integrality check upgrades to an
 exact argument when R and L are integral and R^n b . l is an integer for
 n = 1..d, in which case Cayley-Hamilton covers all n at once.
+
+The word geometry lives here too: sums over words of digits
+(:func:`word_sums`), the box of the dual maps' images (:func:`dual_box`)
+and a box they send into itself (:func:`grow_invariant_box`).
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ __all__ = [
 DEFAULT_INT_TOL = 1e-9
 DEFAULT_N_MAX = 12
 INV_POWER_DEPTH = 256
+HULL_MAX_EXPAND = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,6 +385,71 @@ def certified_tails(sys: AffineSystem) -> np.ndarray:
             f"(min eigenvalue modulus {min_mod:.6g}); tails cannot be certified"
         )
     return tails
+
+
+def word_sums(digits: np.ndarray, step: np.ndarray, levels: int) -> np.ndarray:
+    """All sums sum_{k<levels} digits[w_k] @ step^k over words w, earlier
+    letters varying slowest (levels = 0: the single sum 0).  In row form,
+    step = R gives sum_k (R^T)^k l_k and step = R^-T gives sum_k R^-k b_k.
+    """
+    sums = np.zeros((1, digits.shape[1]))
+    for _ in range(levels):
+        sums = (sums[:, None, :] + digits[None, :, :]).reshape(-1, digits.shape[1])
+        digits = digits @ step  # the rows of the next level
+    return sums
+
+
+def dual_box(sys: AffineSystem, points: np.ndarray, levels: int) -> np.ndarray:
+    """Bounding (d, 2) box of the images (R^T)^-K t - sum_{k=1}^K (R^T)^-k l_k
+    of the rows t of ``points`` under the words of K = ``levels`` dual maps,
+    in the row form t @ R^-1 - l @ R^-1.  The per-axis extremes decompose
+    level by level, so no word is enumerated."""
+    rinv = sys.rinv
+    for _ in range(levels):
+        points = points @ rinv
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    contrib = sys.L
+    for _ in range(levels):
+        contrib = contrib @ rinv
+        lo = lo - contrib.max(axis=0)
+        hi = hi - contrib.min(axis=0)
+    return np.stack([lo, hi], axis=1)
+
+
+def grow_invariant_box(
+    sys: AffineSystem, box: np.ndarray, tol: float, pad: float = 0.0
+) -> np.ndarray:
+    """Grow ``box`` by its images under the maps t -> (R^T)^-1 (t - l) until
+    no image leaves it by more than ``tol`` (a negative ``tol`` demands that
+    margin inside).  Each growth step also widens every side by ``pad``; a
+    :class:`ConvergenceError` after HULL_MAX_EXPAND steps.
+    """
+    for _ in range(HULL_MAX_EXPAND):
+        excess, images = _invariance_excess(sys, box)
+        if excess <= tol:
+            return box
+        lo = np.minimum(box[:, 0], images[:, 0]) - pad
+        hi = np.maximum(box[:, 1], images[:, 1]) + pad
+        box = np.stack([lo, hi], axis=1)
+    raise ConvergenceError(
+        "could not grow the box to absorb its own images; "
+        "the dual maps expand too strongly along some axis"
+    )
+
+
+def _invariance_excess(sys: AffineSystem, box: np.ndarray) -> tuple[float, np.ndarray]:
+    """:func:`box_exit` of the box's corners mapped by every dual map, in the
+    form (t - l) @ R^-1, plus the bounding box of those images."""
+    d = box.shape[0]
+    corners = box[np.arange(d), np.indices((2,) * d).reshape(d, -1).T]
+    images = np.concatenate([(corners - l) @ sys.rinv for l in sys.L])
+    return box_exit(box, images), np.stack([images.min(axis=0), images.max(axis=0)], axis=1)
+
+
+def box_exit(box: np.ndarray, pts: np.ndarray) -> float:
+    """Largest distance by which a row of ``pts`` lies outside the (d, 2)
+    ``box`` along some axis; negative when every row is that far inside."""
+    return float(max(np.max(box[:, 0] - pts.min(axis=0)), np.max(pts.max(axis=0) - box[:, 1])))
 
 
 def adjoint_power_norms(sys: AffineSystem, count: int) -> np.ndarray:

@@ -1,11 +1,14 @@
-"""The lazy package namespace and the modules each CLI command loads.
+"""The lazy package namespace, the package's import layers and the modules
+each CLI command loads.
 
 Which modules a process loads is checked on ``sys.modules`` in a fresh
 interpreter: the test process itself has imported everything long ago.
 """
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,11 +140,65 @@ def test_cli_import_loads_only_what_every_command_needs():
         (["validate"], set()),
         (["fourier", "--grid", "0:1:0.5"], {"measure"}),
         (["certify"], {"measure", "ruelle"}),
-        (["spectrum", "--depth", "1"], {"measure", "ruelle", "spectrum"}),
+        (["spectrum", "--depth", "1"], {"measure", "spectrum"}),
+        (["orthogonality", "--depth", "1"], {"measure", "spectrum"}),
+        (["completeness", "--depth", "1", "--grid", "0:1:0.5"], {"measure", "spectrum"}),
         (["hardy", "--coeffs", "0=1", "--quadrature-depth", "4"], ANALYSIS),
     ],
-    ids=["validate", "fourier", "certify", "spectrum", "hardy"],
+    ids=["validate", "fourier", "certify", "spectrum", "orthogonality", "completeness", "hardy"],
 )
 def test_command_loads_only_its_modules(cantor4_file, argv, analysis):
     argv = [argv[0], "--system", cantor4_file, *argv[1:]]
     assert loaded_submodules(RUN_CLI, *argv) == COMMON | analysis
+
+
+# the intra-package imports each module may make, function-level ones
+# included: systems <- measure <- {ruelle, spectrum} <- verify <- cli, with
+# errors, _numeric and reports below them all; __init__ imports lazily
+BASE = {"errors", "_numeric"}
+ALLOWED_IMPORTS = {
+    "__init__": set(),
+    "errors": set(),
+    "_numeric": set(),
+    "reports": set(),
+    "systems": BASE,
+    "measure": BASE | {"systems"},
+    "ruelle": BASE | {"systems", "measure"},
+    "spectrum": BASE | {"systems", "measure"},
+    "verify": BASE | {"systems", "measure", "ruelle", "spectrum"},
+    "cli": BASE | {"__init__", "reports", "systems", "measure", "ruelle", "spectrum", "verify"},
+}
+PACKAGE_DIR = Path(fractalspec.__file__).parent
+
+
+def package_imports(module: str) -> set[str]:
+    """The fractalspec modules that ``module``'s source imports anywhere;
+    a name of the package itself counts as ``__init__``."""
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            head = ("fractalspec." if node.level else "") + (node.module or "")
+            names = [f"{head}.{alias.name}".replace("..", ".") for alias in node.names]
+        else:
+            continue
+        for parts in (name.split(".") for name in names):
+            if parts[0] == "fractalspec":
+                sub = parts[1] if len(parts) > 1 else ""
+                found.add(sub if (PACKAGE_DIR / f"{sub}.py").is_file() else "__init__")
+    return found
+
+
+def test_every_module_has_a_layer():
+    assert {path.stem for path in PACKAGE_DIR.glob("*.py")} == set(ALLOWED_IMPORTS)
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED_IMPORTS))
+def test_imports_stay_in_their_layer(module):
+    assert package_imports(module) <= ALLOWED_IMPORTS[module]
+
+
+def test_spectrum_does_not_import_ruelle():
+    assert "ruelle" not in package_imports("spectrum")
