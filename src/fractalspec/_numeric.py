@@ -100,7 +100,8 @@ def hs_norm(mat) -> float:
 
 
 def power_norms(mat, count: int) -> np.ndarray:
-    """Operator norms of mat^-k for k = 0..count-1.
+    """Operator norms of mat^-k for k = 0..count-1, one row per matrix of a
+    stack: a (d, d) mat gives a (count,) array, an (S, d, d) stack (S, count).
 
     Computed from accumulated powers of the explicit inverse, so non-normal
     matrices (where ||A^-k|| can differ wildly from ||A^-1||^k) are handled.
@@ -108,20 +109,24 @@ def power_norms(mat, count: int) -> np.ndarray:
     same multiplications in the same order as the 1 x 1 matmul chain.  The
     stacked powers are normed by one batched SVD (in d = 1 too: abs() of a
     power is not always LAPACK's singular value, bit for bit); a power that
-    is not finite (overflow) gets the upper bound +inf.
+    is not finite (overflow) gets the upper bound +inf.  Every matrix of a
+    stack gets the bits it gets alone: the inverse, each matmul and each SVD
+    act matrix by matrix.
     """
     inv = np.linalg.inv(np.asarray(mat, dtype=float))
-    powers = np.empty((count,) + inv.shape)
-    powers[:1] = np.eye(inv.shape[0])
+    d = inv.shape[-1]
+    powers = np.empty(inv.shape[:-2] + (count, d, d))
+    powers[..., :1, :, :] = np.eye(d)
     with np.errstate(over="ignore", invalid="ignore"):
-        if inv.shape == (1, 1):
-            powers[1:, 0, 0] = inv[0, 0]
-            np.cumprod(powers[:, 0, 0], out=powers[:, 0, 0])
+        if d == 1:
+            chain = powers[..., 0, 0]
+            chain[..., 1:] = inv[..., None, 0, 0]
+            np.cumprod(chain, axis=-1, out=chain)
         else:
             for k in range(1, count):
-                np.matmul(powers[k - 1], inv, out=powers[k])
-    finite = np.isfinite(powers).all(axis=(1, 2))
-    norms = np.linalg.svd(np.where(finite[:, None, None], powers, 0.0), compute_uv=False)[:, 0]
+                np.matmul(powers[..., k - 1, :, :], inv, out=powers[..., k, :, :])
+    finite = np.isfinite(powers).all(axis=(-2, -1))
+    norms = np.linalg.svd(np.where(finite[..., None, None], powers, 0.0), compute_uv=False)[..., 0]
     return np.where(finite, norms, np.inf)
 
 

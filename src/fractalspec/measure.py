@@ -81,6 +81,18 @@ def chi_mask(sys: AffineSystem, t) -> complex | np.ndarray:
     return complex(values[0]) if single else values
 
 
+def shifted_masks(sys: AffineSystem, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """chi(t - l) for every row l of L at (..., d) points t, as (..., |L|),
+    and the (..., N) digit exponentials e(b.t) they come from.
+
+    One digit exponential serves every shift:
+    chi(t - l) = N^-1 sum_b e(b.t) conj(e(b.l)) = e(t @ B^T) @ h[:, l] with
+    h = ``sys.chi_shifts``.
+    """
+    e = digit_exponentials(sys, pts @ sys.B.T)
+    return e @ sys.chi_shifts, e
+
+
 def cis2pi_outer(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """cis2pi(rows @ cols.T) as a complex (M, n) array, bit for bit.
 

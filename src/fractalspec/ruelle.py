@@ -24,12 +24,18 @@ check cannot disagree by construction.
 The probes are evaluated as one batch.  Every trial's trig polynomial is
 drawn first and their coefficients are folded onto the distinct wave
 vectors, so one cis2pi per point serves all trials and each trial's value
-and gradient are matmuls.  The mask |chi|^2 and its gradient come from one
-cis2pi of the digits per point and are shared by every trial.  The sup
-grid is walked in blocks that keep about PROBE_BLOCK phase elements live,
-with a running per-trial max, the trials TRIAL_CHUNK at a time, so memory
-does not grow with the number of trials; the 1-D zoom advances the
-brackets of all trials together.
+and gradient are matmuls.  The numerator ||Cq|| needs q at the |L| mapped
+points (t - l) R^-1 and the masks chi(t - l); neither takes a trig
+evaluation per map.  Since e(w.(t - l) R^-1) = e(w.t R^-1) conj(e(w.l R^-1)),
+the waves are evaluated once, at t R^-1, and each map's phase is folded
+into per-(trial, l) coefficients; since chi(t - l) = e(t @ B^T) @ h[:, l]
+(``AffineSystem.chi_shifts``), the masks and their gradients at every
+shift come from one digit exponential.  A grid block thus costs
+n_waves + N phase elements per node for all |L| maps.  The sup grid is
+walked in blocks of about PROBE_BLOCK phase elements and as many live
+(node, trial, map) elements, with a running per-trial max, the trials
+TRIAL_CHUNK at a time, so memory does not grow with the number of trials;
+the 1-D zoom advances the brackets of all trials together.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import numpy as np
 
 from ._numeric import cis2pi, hs_norm, operator_norm, sinpi
 from .errors import ConvergenceError, DomainError, ValidationError
-from .measure import FractalMeasure, chi_mask, digit_exponentials
+from .measure import FractalMeasure, shifted_masks
 from .systems import (
     AffineSystem,
     _invariance_excess,
@@ -200,18 +206,6 @@ def check_box_invariance(sys: AffineSystem, box) -> float:
     return max(_invariance_excess(sys, as_box(box, sys.d))[0], 0.0)
 
 
-def _mask_sq_grad(sys: AffineSystem, pts: np.ndarray):
-    """|chi|^2 and its gradient at points (..., d), from one cis2pi.
-
-    With E = exp(2 pi i pts.b) per digit, chi = mean(E) and
-    grad |chi|^2 = 2 Re(conj(chi) grad chi) = -4 pi Im(conj(chi) (E @ B)) / N.
-    """
-    e = digit_exponentials(sys, pts @ sys.B.T)
-    chi = e.mean(axis=-1)
-    grad = (-4.0 * np.pi / sys.n_digits) * np.imag(np.conj(chi)[..., None] * (e @ sys.B))
-    return np.abs(chi) ** 2, grad
-
-
 def apply_ruelle(sys: AffineSystem, q: GridFunction) -> GridFunction:
     """One application of the transfer operator, sampled on q's own grid.
 
@@ -221,10 +215,10 @@ def apply_ruelle(sys: AffineSystem, q: GridFunction) -> GridFunction:
     """
     rinv = sys.rinv
     nodes = q.nodes()
+    chi, _ = shifted_masks(sys, nodes)
     out = np.zeros(nodes.shape[0])
-    for l in sys.L:
+    for l, weights in zip(sys.L, (chi.real**2 + chi.imag**2).T):
         shifted = nodes - l
-        weights = np.abs(chi_mask(sys, shifted)) ** 2
         mapped = shifted @ rinv
         excess = box_exit(q.box, mapped)
         if excess > BOX_TOL:
@@ -393,29 +387,83 @@ class _WaveBatch:
         self.waves = waves
         self.coeff = coeff
         # d/dt [cos, sin](2 pi w.t) = 2 pi w [-sin, cos]: gradients are
-        # [cos, sin] @ ([sin_coeff, -cos_coeff] 2 pi w)
-        self._dcoeff = np.concatenate([coeff[:, n:], -coeff[:, :n]], axis=1)
-        self._dwaves = 2.0 * np.pi * np.concatenate([waves, waves])
+        # [cos, sin] @ ([sin_coeff, -cos_coeff] 2 pi w), rows interleaved
+        # per wave as in :meth:`prepare`
+        self._dcoeff = np.stack([coeff[:, n:], -coeff[:, :n]], axis=2).reshape(len(polys), 2 * n)
+        self._dwaves = 2.0 * np.pi * np.repeat(waves, 2, axis=0)
 
-    def block_rows(self, maps: int) -> int:
-        """Grid nodes per block when ``maps`` point sets are prepared at once:
-        about PROBE_BLOCK phase elements, and as many (trial, node) pairs."""
-        return max(1, PROBE_BLOCK // (maps * max(self.waves.shape[0], TRIAL_CHUNK)))
+    def block_rows(self, maps: int, digits: int = 0) -> int:
+        """Grid nodes per block when each node feeds ``maps`` point sets and
+        ``digits`` digit exponentials: about PROBE_BLOCK phase elements
+        (waves plus digits per node), and as many live (node, trial, map)
+        elements."""
+        phases = self.waves.shape[0] + digits
+        return max(1, PROBE_BLOCK // max(phases, maps * TRIAL_CHUNK))
 
     def prepare(self, pts: np.ndarray) -> np.ndarray:
-        """[cos, sin] of 2 pi pts.waves, from one cis2pi."""
-        e = cis2pi(pts @ self.waves.T)
-        return np.concatenate([e.real, e.imag], axis=-1)
+        """cos and sin of 2 pi pts.waves, interleaved per wave: one cis2pi,
+        viewed as floats."""
+        return cis2pi(pts @ self.waves.T).view(float)
 
     def value(self, trig: np.ndarray, trials: np.ndarray) -> np.ndarray:
         """(len(trials), K) values; cos - 1 keeps them exactly 0 at the origin."""
         n = self.waves.shape[0]
         coeff = self.coeff[trials, :, None]
-        return ((trig[..., :n] - 1.0) @ coeff[:, :n] + trig[..., n:] @ coeff[:, n:])[..., 0]
+        return ((trig[..., 0::2] - 1.0) @ coeff[:, :n] + trig[..., 1::2] @ coeff[:, n:])[..., 0]
 
     def gradient(self, trig: np.ndarray, trials: np.ndarray) -> np.ndarray:
         """(len(trials), K, d) gradients."""
         return trig @ (self._dcoeff[trials, :, None] * self._dwaves)
+
+    def at_maps(self, sys: AffineSystem):
+        """Values and gradients of q at the points (t - l) R^-1, every l in L.
+
+        Returns prepare(pts) for (P, K, d) points t, whose result maps a
+        trial index array to the (len(trials), K, |L|) values and the
+        (len(trials), K, |L|, d) gradients.  With u = t R^-1 and the map's
+        phase beta = 2 pi w.(l R^-1), theta - beta = 2 pi w.(t - l) R^-1 for
+        theta = 2 pi w.u, so the waves are evaluated once, at u, and beta is
+        folded into per-(trial, l) coefficients, built here once per batch:
+        for cosine and sine coefficients c and s,
+        A = c cos beta - s sin beta and B = c sin beta + s cos beta give
+        the value [cos theta, sin theta] @ [A, B] - sum_w c and the
+        gradient [cos theta, sin theta] @ [B, -A] 2 pi w, all from one
+        matmul.  At l = 0, A = c and B = s exactly.
+        """
+        n, maps, d = self.waves.shape[0], sys.L.shape[0], sys.d
+        rot = cis2pi((sys.L @ sys.rinv) @ self.waves.T)  # (|L|, n)
+        c, s = self.coeff[:, None, :n], self.coeff[:, None, n:]
+        a = c * rot.real - s * rot.imag  # (trials, |L|, n)
+        b = c * rot.imag + s * rot.real
+        # rows for cos and sin theta interleaved per wave, as in prepare
+        grads = np.stack([b, -a], axis=3)[..., None] * (2.0 * np.pi * self.waves)[:, None]
+        # per trial, the |L| value rows, then the |L| d gradient rows
+        coeff = np.concatenate(
+            [
+                np.stack([a, b], axis=3).reshape(self.size, maps, 2 * n),
+                grads.transpose(0, 1, 4, 2, 3).reshape(self.size, maps * d, 2 * n),
+            ],
+            axis=1,
+        )
+        shift = self.coeff[:, :n].sum(axis=1)
+
+        def prepare(pts: np.ndarray):
+            trig = self.prepare(pts @ sys.rinv)
+            p, k = trig.shape[:2]
+
+            def evaluate(trials: np.ndarray):
+                if p == 1:  # one matmul for every trial and map
+                    out = coeff[trials].reshape(-1, 2 * n) @ trig[0].T
+                    out = out.reshape(trials.size, -1, k)
+                else:  # trial i at its own points
+                    out = coeff[trials] @ trig.transpose(0, 2, 1)
+                out = out.transpose(0, 2, 1)  # (trials, K, rows)
+                values = out[..., :maps] - shift[trials, None, None]
+                return values, out[..., maps:].reshape(trials.size, k, maps, d)
+
+            return evaluate
+
+        return prepare
 
 
 class _CallableProbe:
@@ -427,41 +475,69 @@ class _CallableProbe:
         self.q_value = q_value
         self.q_grad = q_grad
 
-    def block_rows(self, maps: int) -> None:
+    def block_rows(self, maps: int, digits: int = 0) -> None:
         return None  # the callables see the whole grid in one call
 
     def prepare(self, pts: np.ndarray) -> np.ndarray:
         return pts[0]
 
-    def value(self, pts, trials) -> np.ndarray:
-        return np.asarray(self.q_value(pts), dtype=float)[None]
-
     def gradient(self, pts, trials) -> np.ndarray:
         return np.asarray(self.q_grad(pts), dtype=float)[None]
 
+    def at_maps(self, sys: AffineSystem):
+        """As :meth:`_WaveBatch.at_maps`: the callables are called once, at
+        the stacked points (t - l) R^-1 of every l."""
+        rinv, maps, d = sys.rinv, sys.L.shape[0], sys.d
 
-def _transfer_gradient(sys: AffineSystem, probe, pts: np.ndarray):
-    """Exact gradient of Cq at (P, K, d) points, by the product rule.
+        def prepare(pts: np.ndarray):
+            k = pts.shape[1]
+            mapped = ((pts[0][:, None, :] - sys.L) @ rinv).reshape(-1, d)
+            values = np.asarray(self.q_value(mapped), dtype=float).reshape(1, k, maps)
+            grads = np.asarray(self.q_grad(mapped), dtype=float).reshape(1, k, maps, d)
+            return lambda trials: (values, grads)
 
-    The masks and the probe's state at the mapped points are computed once
-    for every trial; the returned function of a trial index array gives the
-    (len(trials), K, d) gradients.
+        return prepare
+
+
+def _transfer_gradient(sys: AffineSystem, probe):
+    """Exact gradient of Cq by the product rule, as ``prepare`` for
+    :func:`_batch_sup`.
+
+    (Cq)(t) = sum_l |chi(t - l)|^2 q((t - l) R^-1).  At (P, K, d) points the
+    masks at every shift and their gradients come from one digit
+    exponential (:func:`~fractalspec.measure.shifted_masks`), and q and its
+    gradient at every mapped point set from ``probe.at_maps``; both are
+    shared by every trial.  The chain rule's R^-T is applied once, to the
+    weighted sum of q's gradients over l.  The function of a trial index
+    array it returns gives the (len(trials), K, d) gradients.
     """
-    rinv = sys.rinv
-    terms = []
-    for l in sys.L:
-        shifted = pts - l
-        w, gw = _mask_sq_grad(sys, shifted)
-        terms.append((w[..., None], gw, probe.prepare(shifted @ rinv)))
+    n, maps, d, rinv = sys.n_digits, sys.L.shape[0], sys.d, sys.rinv
+    # grad chi(t - l) = 2 pi i e(t @ B^T) @ hb[:, l], hb[b, l] = h[b, l] b
+    hb = (sys.chi_shifts[:, :, None] * sys.B[:, None, :]).reshape(n, maps * d)
+    at_maps = probe.at_maps(sys)
 
-    def gradient(trials: np.ndarray) -> np.ndarray:
-        total = 0.0
-        for w, gw, state in terms:
-            total = total + gw * probe.value(state, trials)[..., None]
-            total = total + w * (probe.gradient(state, trials) @ rinv.T)
-        return total
+    def prepare(pts: np.ndarray):
+        chi, e = shifted_masks(sys, pts)
+        dchi = (e @ hb).reshape(chi.shape + (d,))
+        # grad |chi|^2 = 2 Re(conj(chi) grad chi) = -4 pi Im(conj(chi) (e @ hb))
+        grad_w = (-4.0 * np.pi) * (
+            chi.real[..., None] * dchi.imag - chi.imag[..., None] * dchi.real
+        )
+        w = (chi.real**2 + chi.imag**2)[..., None]
+        evaluate = at_maps(pts)
 
-    return gradient
+        def gradient(trials: np.ndarray) -> np.ndarray:
+            values, grads = evaluate(trials)
+            by_mask = grad_w[:, :, 0] * values[..., :1]
+            by_probe = w[:, :, 0] * grads[:, :, 0]
+            for l in range(1, maps):
+                by_mask += grad_w[:, :, l] * values[..., l, None]
+                by_probe += w[:, :, l] * grads[:, :, l]
+            return by_mask + by_probe @ rinv.T
+
+        return gradient
+
+    return prepare
 
 
 def _chunks(n: int):
@@ -544,16 +620,18 @@ def _probe_ratios(
         state = probe.prepare(pts)
         return lambda trials: np.linalg.norm(probe.gradient(state, trials), axis=-1)
 
-    def grad_cq_norm(pts):
-        gradient = _transfer_gradient(sys, probe, pts)
-        return lambda trials: np.linalg.norm(gradient(trials), axis=-1)
-
     everyone = np.arange(probe.size)
     denom = _batch_sup(grad_q_norm, everyone, box, per_axis, refine, probe.block_rows(1))
     ratios = np.full(probe.size, np.nan)
     kept = np.flatnonzero(~(denom < 1e-12))
     if kept.size:
-        rows = probe.block_rows(len(sys.L))
+        transfer = _transfer_gradient(sys, probe)
+
+        def grad_cq_norm(pts):
+            gradient = transfer(pts)
+            return lambda trials: np.linalg.norm(gradient(trials), axis=-1)
+
+        rows = probe.block_rows(len(sys.L), sys.n_digits)
         numer = _batch_sup(grad_cq_norm, kept, box, per_axis, refine, rows)
         ratios[kept] = numer / denom[kept]
     return ratios

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numeric import cis2pi
 from .errors import BudgetError, ConvergenceError, ValidationError
-from .measure import FractalMeasure, digit_exponentials, fourier_mu_many
+from .measure import FractalMeasure, fourier_mu_many, shifted_masks
 from .systems import (
     AffineSystem,
     certified_tails,
@@ -217,8 +216,6 @@ class _WordTree:
         self.m = m
         self.n = sys.n_digits
         self.rinv = sys.rinv
-        # chi(s - l) = N^-1 sum_b e(b.s) conj(e(b.l)): N exponentials per node
-        self.h = np.conj(cis2pi(sys.B @ sys.L.T)) / self.n
         self.lr = sys.L @ sys.rinv  # row form of (R^T)^-1 l
         self.pts = grid[:, None, :]  # (grid, nodes, d) at self.level
         self.w = np.ones(self.pts.shape[:2])
@@ -243,8 +240,7 @@ class _WordTree:
 
     def _expand(self, pts, w):
         g, k, d = pts.shape
-        sys = self.m.sys
-        chi = digit_exponentials(sys, pts @ sys.B.T) @ self.h
+        chi, _ = shifted_masks(self.m.sys, pts)  # N exponentials per node
         w = w[:, :, None] * (chi.real**2 + chi.imag**2)
         pts = (pts @ self.rinv)[:, :, None, :] - self.lr
         return pts.reshape(g, k * self.n, d), w.reshape(g, k * self.n)

@@ -71,7 +71,8 @@ class AffineSystem:
     Derived quantities are computed on first use and cached per instance,
     so every check on one system runs once however many callers ask:
     :attr:`rinv`, :attr:`inv_power_tails` and :attr:`expansiveness` from R,
-    :attr:`zero_digits` from B, :attr:`hadamard_deviation` from B and L, and
+    :attr:`zero_digits` from B, :attr:`chi_shifts` and
+    :attr:`hadamard_deviation` from B and L, and
     :attr:`is_integral` from all three.  The arrays are read-only and a
     system is never mutated (:func:`scale_system` builds a new one).
     """
@@ -101,11 +102,7 @@ class AffineSystem:
         bound on everything beyond (:func:`power_norm_tail`), from one pass;
         every entry is inf when the inverse powers do not decay.  Read-only.
         """
-        norms = power_norms(self.R.T, INV_POWER_DEPTH)
-        beyond = power_norm_tail(norms)
-        tails = np.concatenate([np.cumsum(norms[::-1])[::-1] + beyond, [beyond]])
-        tails.setflags(write=False)
-        return tails
+        return _power_tails(power_norms(self.R.T, INV_POWER_DEPTH))
 
     @cached_property
     def zero_digits(self) -> np.ndarray:
@@ -114,6 +111,18 @@ class AffineSystem:
         zero = ~self.B.any(axis=1)
         zero.setflags(write=False)
         return zero
+
+    @cached_property
+    def chi_shifts(self) -> np.ndarray:
+        """The (N, |L|) matrix h = conj(e(B @ L^T)) / N, e(x) = exp(2 pi i x).
+
+        The mask at every shift comes from one digit exponential of t:
+        chi(t - l) = N^-1 sum_b e(b.t) conj(e(b.l)) = e(t @ B^T) @ h[:, l]
+        (:func:`~fractalspec.measure.shifted_masks`).  Read-only.
+        """
+        shifts = np.conj(cis2pi(self.B @ self.L.T)) / self.n_digits
+        shifts.setflags(write=False)
+        return shifts
 
     @cached_property
     def expansiveness(self) -> tuple[bool, float]:
@@ -161,6 +170,14 @@ class AffineSystem:
             f"AffineSystem(d={self.d}, N={self.n_digits}, r={self.r}, "
             f"R={self.R.tolist()}, B={self.B.tolist()}, L={self.L.tolist()})"
         )
+
+
+def _power_tails(norms: np.ndarray) -> np.ndarray:
+    """:attr:`AffineSystem.inv_power_tails` from the INV_POWER_DEPTH norms."""
+    beyond = power_norm_tail(norms)
+    tails = np.concatenate([np.cumsum(norms[::-1])[::-1] + beyond, [beyond]])
+    tails.setflags(write=False)
+    return tails
 
 
 @dataclass(frozen=True)
@@ -470,6 +487,19 @@ def scale_system(sys: AffineSystem, r: int) -> AffineSystem:
     R = np.asarray(sys.R) * float(r)
     R.setflags(write=False)
     return replace(sys, R=R, r=sys.r * int(r))
+
+
+def scale_systems(sys: AffineSystem, scales) -> list[AffineSystem]:
+    """:func:`scale_system` for each r of ``scales``, with the inverse-power
+    tails of every new system from one stacked :func:`power_norms` call
+    (the same bits as each system's own :attr:`AffineSystem.inv_power_tails`)."""
+    scaled = [scale_system(sys, r) for r in scales]
+    fresh = [s for s in scaled if "inv_power_tails" not in vars(s)]
+    if fresh:
+        norms = power_norms(np.stack([s.R.T for s in fresh]), INV_POWER_DEPTH)
+        for s, row in zip(fresh, norms):
+            vars(s)["inv_power_tails"] = _power_tails(row)  # the cached_property's slot
+    return scaled
 
 
 validate_system = validate_compatibility  # both names are public

@@ -36,7 +36,7 @@ from .measure import (
 )
 from .ruelle import ContractionReport, basis_certificate
 from .spectrum import SpectrumEnumeration, completeness_scan, enumerate_spectrum
-from .systems import AffineSystem, cantor_four, scale_system, two_digit_system
+from .systems import AffineSystem, cantor_four, scale_systems, two_digit_system
 
 __all__ = [
     "DichotomyVerdict",
@@ -285,8 +285,7 @@ def scaling_sweep(sys: AffineSystem, r_max: int) -> SweepReport:
         raise ValidationError(f"r_max must be >= 1, got {r_max}")
     rows = []
     first = None
-    for r in range(1, r_max + 1):
-        scaled = scale_system(sys, r)
+    for r, scaled in enumerate(scale_systems(sys, range(1, r_max + 1)), start=1):
         cert = basis_certificate(FractalMeasure(scaled))
         rows.append(SweepRow(r, cert.gamma_bound, cert.basis_certified))
         if first is None and cert.basis_certified:

@@ -1,4 +1,5 @@
 import json
+from math import gcd
 
 import numpy as np
 import pytest
@@ -75,4 +76,24 @@ triple_params = st.tuples(
     st.integers(2, 4),
     st.integers(2, 3),
     st.lists(st.integers(0, 1), min_size=3, max_size=3),
+)
+
+
+def multiplier_triple(n, k, p):
+    """1-D Hadamard triple R = N k, B = {0..N-1}/N, L = p {0..N-1} with
+    gcd(p, N) = 1: its digit matrix (e(p i j / N)) is the Fourier matrix
+    with permuted columns."""
+    return make_system(float(n * k), np.arange(n) / n, p * np.arange(n))
+
+
+# (N, k, p) for multiplier_triple: N <= 4 digits, R = N k with k in {2, 3}
+# and a multiplier 1 <= p <= 7 prime to N
+multiplier_params = st.tuples(st.integers(2, 4), st.integers(2, 3), st.integers(1, 7)).filter(
+    lambda params: gcd(params[0], params[2]) == 1
+)
+
+# systems of both generated families
+generated_triples = st.one_of(
+    triple_params.map(lambda params: hadamard_triple(*params)),
+    multiplier_params.map(lambda params: multiplier_triple(*params)),
 )

@@ -304,6 +304,12 @@ class TestDerivedFromR:
     )
     def test_batched_power_norms_match_per_power_loop(self, mat):
         assert np.array_equal(power_norms(mat, INV_POWER_DEPTH), per_power_norms(mat, INV_POWER_DEPTH))
+        # a stack, as a scaling sweep builds it: each row has its own matrix's bits
+        stack = np.stack([r * mat for r in (1.0, 2.0, 3.0, 16.0)] + [mat.T])
+        rows = power_norms(stack, INV_POWER_DEPTH)
+        assert rows.shape == (stack.shape[0], INV_POWER_DEPTH)
+        for row, one in zip(rows, stack):
+            assert row.tobytes() == per_power_norms(one, INV_POWER_DEPTH).tobytes()
 
     def test_power_norms_mark_overflow_as_inf(self):
         with warnings.catch_warnings():

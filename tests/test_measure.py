@@ -19,6 +19,7 @@ from fractalspec import (
     orthogonality_matrix,
 )
 from fractalspec import measure
+from fractalspec.measure import shifted_masks
 from fractalspec._numeric import CIS_BLOCK, _cis2pi_block, cis2pi
 
 EPS = np.finfo(float).eps
@@ -85,6 +86,24 @@ class TestChiMask:
         rng = np.random.default_rng(5)
         t = rng.uniform(-20, 20, size=(500, 2))
         assert np.all(np.abs(chi_mask(quad2d, t)) <= 1.0 + 1e-12)
+
+
+class TestShiftedMasks:
+    @pytest.mark.parametrize("name", ["cantor4", "quad2d"])
+    def test_every_shift_from_one_exponential(self, name, request):
+        sys = request.getfixturevalue(name)
+        t = np.random.default_rng(5).uniform(-2.0, 2.0, size=(50, sys.d))
+        chi, e = shifted_masks(sys, t)
+        assert chi.shape == (50, sys.L.shape[0]) and e.shape == (50, sys.n_digits)
+        for column, l in zip(chi.T, sys.L):
+            np.testing.assert_allclose(column, chi_mask(sys, t - l), rtol=0.0, atol=1e-15)
+
+    def test_shift_matrix_cached_and_read_only(self, quad2d):
+        assert quad2d.chi_shifts is quad2d.chi_shifts
+        assert not quad2d.chi_shifts.flags.writeable
+        np.testing.assert_array_equal(
+            quad2d.chi_shifts, np.conj(cis2pi(quad2d.B @ quad2d.L.T)) / quad2d.n_digits
+        )
 
 
 class TestFourier:

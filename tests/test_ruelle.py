@@ -15,6 +15,7 @@ from fractalspec import (
     apply_ruelle,
     attractor_hull,
     basis_certificate,
+    cantor_four,
     contraction_probe,
     enumerate_spectrum,
     estimate_gamma,
@@ -23,6 +24,7 @@ from fractalspec import (
     q_partial_many,
     scale_system,
 )
+from fractalspec import measure, ruelle
 from fractalspec._numeric import cospi, hs_norm, operator_norm, sinpi
 from fractalspec.measure import chi_mask
 from fractalspec.ruelle import (
@@ -31,12 +33,13 @@ from fractalspec.ruelle import (
     TrigPolynomial,
     _probe_ratios,
     _sup_norm,
+    _transfer_gradient,
     _WaveBatch,
     as_box,
     check_box_invariance,
     probe_ratio,
 )
-from tests.conftest import hadamard_triple, triple_params
+from tests.conftest import generated_triples, hadamard_triple, triple_params
 
 
 @pytest.fixture(scope="module")
@@ -704,6 +707,123 @@ class TestBatchedProbes:
 
         peak(1)  # one-time set-up (cached system matrices, numpy internals)
         assert peak(200) <= 1.5 * peak(20)
+
+
+def fused_gradients(sys, probe, pts):
+    """(trials, K, d) gradients of Cq at (K, d) points, from one numerator block."""
+    return _transfer_gradient(sys, probe)(pts[None])(np.arange(probe.size))
+
+
+def assert_fused_matches_reference(sys, polys, pts):
+    got = fused_gradients(sys, _WaveBatch(polys), pts)
+    for poly, grad in zip(polys, got):
+        expected = reference_transfer_gradient(
+            sys, lambda p: reference_value(poly, p), lambda p: reference_gradient(poly, p), pts
+        )
+        # 1e-14 relative to the gradient's scale, times the reach of the
+        # shifted points: the reference rounds t - l and its phases, so its
+        # own error grows with max |t - l|; a component that cancels to near
+        # 0 keeps the absolute rounding of its terms
+        reach = 1.0 + np.abs(pts[:, None, :] - sys.L).max()
+        np.testing.assert_allclose(
+            grad, expected, rtol=0.0, atol=1e-14 * reach * np.abs(expected).max()
+        )
+
+
+def sample_points(box, count, seed):
+    pts = np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], size=(count, box.shape[0]))
+    pts[0] = 0.0  # the origin, where every probe vanishes
+    return pts
+
+
+def non_diagonal_2d():
+    # non-normal R; R b is integral for every b, so the triple stays integral
+    return make_system(
+        [[4.0, 2.0], [0.0, 4.0]],
+        [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]],
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+    )
+
+
+def one_digit():
+    return make_system(3.0, [0.0], [0.0])
+
+
+class TestFusedNumerator:
+    """The numerator evaluates every dual map from one trig evaluation per
+    block: its gradients and ratios against the per-map reference."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(sys=generated_triples, seed=st.integers(0, 2**16))
+    def test_generated_triples_match_reference_below_gamma(self, sys, seed):
+        box = attractor_hull(sys)
+        rng = np.random.default_rng(seed)
+        polys = [TrigPolynomial.random(rng, sys.d) for _ in range(3)]
+        assert_fused_matches_reference(sys, polys, sample_points(box, 64, seed))
+        gamma = estimate_gamma(sys, box).gamma_bound
+        probe = contraction_probe(sys, box, 3, seed, per_axis=257)
+        assert all(r <= gamma for r in probe.ratios)
+
+    @pytest.mark.parametrize(
+        "make, box, per_axis",
+        [(non_diagonal_2d, None, 17), (one_digit, [[-1.0, 1.0]], 513)],
+        ids=["non-diagonal-2d", "one-digit"],
+    )
+    def test_fixed_systems_match_reference(self, make, box, per_axis):
+        sys = make()
+        box = attractor_hull(sys) if box is None else as_box(box, sys.d)
+        polys = [TrigPolynomial.random(np.random.default_rng(s), sys.d) for s in range(4)]
+        assert_fused_matches_reference(sys, polys, sample_points(box, 128, 1))
+        probe = assert_matches_reference(sys, box, 4, 2, per_axis=per_axis)
+        assert all(r <= estimate_gamma(sys, box).gamma_bound for r in probe.ratios)
+
+    @pytest.mark.parametrize("make", [cantor_four, non_diagonal_2d], ids=["cantor4", "non-diagonal-2d"])
+    def test_non_integer_waves_match_reference(self, make):
+        sys = make()
+        box = attractor_hull(sys)
+        rng = np.random.default_rng(6)
+        polys = [
+            TrigPolynomial(
+                rng.uniform(-2.5, 2.5, size=(3, sys.d)), rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+            )
+            for _ in range(2)
+        ]
+        assert_fused_matches_reference(sys, polys, sample_points(box, 128, 7))
+        per_axis = 513 if sys.d == 1 else 17
+        ratios = _probe_ratios(sys, box, _WaveBatch(polys), per_axis, refine=True)
+        for poly, ratio in zip(polys, ratios):
+            expected = reference_ratio(
+                sys, box, lambda p: reference_value(poly, p), lambda p: reference_gradient(poly, p),
+                per_axis,
+            )
+            assert ratio == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("name, trials", [("cantor4", 20), ("quad2d", 5)])
+    def test_one_trig_evaluation_per_block(self, name, trials, request, monkeypatch):
+        # a numerator block takes K (n_waves + N) phase elements through
+        # cis2pi, whatever |L| (zero digits skip the kernel), not K |L| (...)
+        sys = request.getfixturevalue(name)
+        rng = np.random.default_rng(0)
+        batch = _WaveBatch([TrigPolynomial.random(rng, sys.d) for _ in range(trials)])
+        counted = []
+
+        def counting(x):
+            counted.append(np.size(x))
+            return kernel(x)
+
+        kernel = ruelle.cis2pi
+        monkeypatch.setattr(ruelle, "cis2pi", counting)
+        monkeypatch.setattr(measure, "cis2pi", counting)
+        prepare = _transfer_gradient(sys, batch)
+        n_waves, maps = batch.waves.shape[0], sys.L.shape[0]
+        assert sum(counted) == maps * n_waves  # each map's phases, once per batch
+        rows = batch.block_rows(maps, sys.n_digits)
+        nodes = sample_points(attractor_hull(sys), rows, 3)
+        counted.clear()
+        prepare(nodes[None])(np.arange(trials))
+        nonzero = sys.n_digits - int(sys.zero_digits.sum())
+        assert sum(counted) == rows * (n_waves + nonzero)
+        assert sum(counted) < rows * maps * (n_waves + nonzero)
 
 
 class TestBasisCertificate:

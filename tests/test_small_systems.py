@@ -87,6 +87,30 @@ def test_one_dimensional_power_norms_match_matmul_chain():
     assert mismatched == []
 
 
+def test_one_dimensional_power_norm_stack_matches_each_matrix():
+    stack = np.array(SCALES, dtype=float)[:, None, None]
+    with np.errstate(over="ignore", divide="ignore"):
+        rows = power_norms(stack, INV_POWER_DEPTH)
+        assert [bits(row).tolist() for row in rows] == [
+            bits(power_norms(mat, INV_POWER_DEPTH)).tolist() for mat in stack
+        ]
+
+
+@pytest.mark.parametrize("name", ["cantor4", "quad2d"])
+def test_scaled_systems_share_one_power_norm_call(name, request, monkeypatch):
+    base = request.getfixturevalue(name)
+    calls = []
+    original = systems.power_norms
+    monkeypatch.setattr(systems, "power_norms", lambda *a: calls.append(a) or original(*a))
+    scaled = systems.scale_systems(base, range(1, 17))
+    assert len(calls) == 1 and [s.r for s in scaled] == list(range(1, 17))
+    monkeypatch.setattr(systems, "power_norms", original)
+    for r, s in zip(range(1, 17), scaled):
+        alone = systems.scale_system(base, r) if r > 1 else make_system(base.R, base.B, base.L)
+        assert s.inv_power_tails.tobytes() == alone.inv_power_tails.tobytes()
+        assert not s.inv_power_tails.flags.writeable
+
+
 def test_one_dimensional_power_norms_cover_overflow_and_underflow():
     with np.errstate(over="ignore"):
         overflow = power_norms(np.array([[1e-3]]), INV_POWER_DEPTH)
