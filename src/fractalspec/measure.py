@@ -28,6 +28,7 @@ from .systems import (
     AffineSystem,
     certified_tails,
     check_hadamard,
+    dual_points,
     require_expansive,
     unitarity_tolerance,
     word_sums,
@@ -91,6 +92,16 @@ def shifted_masks(sys: AffineSystem, pts: np.ndarray) -> tuple[np.ndarray, np.nd
     """
     e = digit_exponentials(sys, pts @ sys.B.T)
     return e @ sys.chi_shifts, e
+
+
+def dual_step(sys: AffineSystem, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One step of the transfer operator (Cq)(t) = sum_l |chi(t - l)|^2
+    q(sigma_l(t)) at (..., d) points t: the weights |chi(t - l)|^2 as
+    (..., |L|), which sum to 1 by unitarity, and the images sigma_l(t)
+    (:func:`~fractalspec.systems.dual_points`) as (..., |L|, d).
+    """
+    chi, _ = shifted_masks(sys, pts)
+    return chi.real**2 + chi.imag**2, dual_points(sys, pts)
 
 
 def cis2pi_outer(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -13,6 +13,13 @@ dual maps.  Three facts drive everything here:
 * gamma < 1, together with 0 in L and L spanning, certifies that the
   enumerated exponentials form an orthonormal basis.
 
+One step of C, the weights |chi(t - l)|^2 and the images (t - l) R^-1 in
+row form, comes from :func:`~fractalspec.measure.dual_step`, the images
+from :func:`~fractalspec.systems.dual_points`; ``apply_ruelle``, probes
+given as callables, the box-invariance check and the Q tree of
+``spectrum`` all take it there.  Only the wave batch below writes the
+step another way, on purpose.
+
 The sup in beta is exact: over the box, (t - l).delta sweeps an interval,
 and |sin 2 pi u| on an interval is 1 when the interval holds a point of
 1/4 + Z/2 and is attained at an endpoint otherwise.  The interval is
@@ -47,7 +54,7 @@ import numpy as np
 
 from ._numeric import cis2pi, hs_norm, operator_norm, sinpi
 from .errors import ConvergenceError, DomainError, ValidationError
-from .measure import FractalMeasure, shifted_masks
+from .measure import FractalMeasure, dual_step, shifted_masks
 from .systems import (
     AffineSystem,
     _invariance_excess,
@@ -55,6 +62,7 @@ from .systems import (
     certified_tails,
     check_hadamard,
     dual_box,
+    dual_points,
     grow_invariant_box,
     require_expansive,
 )
@@ -209,26 +217,19 @@ def check_box_invariance(sys: AffineSystem, box) -> float:
 def apply_ruelle(sys: AffineSystem, q: GridFunction) -> GridFunction:
     """One application of the transfer operator, sampled on q's own grid.
 
-    q is evaluated at the mapped nodes by multilinear interpolation, which
-    requires the box to be invariant under every dual map; a violation
-    beyond ``BOX_TOL`` raises DomainError (enlarge the box).
+    One :func:`~fractalspec.measure.dual_step` gives the weights and the
+    mapped nodes of every dual map; q is evaluated at all of them by one
+    multilinear interpolation, which requires the box to be invariant under
+    every dual map; a violation beyond ``BOX_TOL`` raises DomainError
+    (enlarge the box).
     """
-    rinv = sys.rinv
-    nodes = q.nodes()
-    chi, _ = shifted_masks(sys, nodes)
-    out = np.zeros(nodes.shape[0])
-    for l, weights in zip(sys.L, (chi.real**2 + chi.imag**2).T):
-        shifted = nodes - l
-        mapped = shifted @ rinv
-        excess = box_exit(q.box, mapped)
-        if excess > BOX_TOL:
-            raise DomainError(
-                f"dual map with l={l.tolist()} leaves the box by {excess:.3e}; "
-                "enlarge the box"
-            )
-        mapped = np.clip(mapped, q.box[:, 0], q.box[:, 1])
-        out += weights * q.interpolate(mapped)
-    samples = out.reshape(q.shape)
+    weights, mapped = dual_step(sys, q.nodes())
+    mapped = mapped.reshape(-1, sys.d)
+    excess = box_exit(q.box, mapped)
+    if excess > BOX_TOL:
+        raise DomainError(f"a dual map leaves the box by {excess:.3e}; enlarge the box")
+    values = q.interpolate(np.clip(mapped, q.box[:, 0], q.box[:, 1], out=mapped))
+    samples = np.sum(weights * values.reshape(weights.shape), axis=1).reshape(q.shape)
     samples.setflags(write=False)
     return GridFunction(box=q.box, samples=samples)
 
@@ -428,7 +429,9 @@ class _WaveBatch:
         A = c cos beta - s sin beta and B = c sin beta + s cos beta give
         the value [cos theta, sin theta] @ [A, B] - sum_w c and the
         gradient [cos theta, sin theta] @ [B, -A] 2 pi w, all from one
-        matmul.  At l = 0, A = c and B = s exactly.
+        matmul.  At l = 0, A = c and B = s exactly.  So this form, t R^-1
+        with l R^-1 folded into the phases, is on purpose the one map step
+        not taken through :func:`~fractalspec.systems.dual_points`.
         """
         n, maps, d = self.waves.shape[0], sys.L.shape[0], sys.d
         rot = cis2pi((sys.L @ sys.rinv) @ self.waves.T)  # (|L|, n)
@@ -486,12 +489,12 @@ class _CallableProbe:
 
     def at_maps(self, sys: AffineSystem):
         """As :meth:`_WaveBatch.at_maps`: the callables are called once, at
-        the stacked points (t - l) R^-1 of every l."""
-        rinv, maps, d = sys.rinv, sys.L.shape[0], sys.d
+        the stacked points (t - l) R^-1 of every l (:func:`dual_points`)."""
+        maps, d = sys.L.shape[0], sys.d
 
         def prepare(pts: np.ndarray):
             k = pts.shape[1]
-            mapped = ((pts[0][:, None, :] - sys.L) @ rinv).reshape(-1, d)
+            mapped = dual_points(sys, pts[0]).reshape(-1, d)
             values = np.asarray(self.q_value(mapped), dtype=float).reshape(1, k, maps)
             grads = np.asarray(self.q_grad(mapped), dtype=float).reshape(1, k, maps, d)
             return lambda trials: (values, grads)

@@ -15,11 +15,12 @@ together with the two quantities that decide the question at desk scale:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import BudgetError, ConvergenceError, ValidationError
-from .measure import FractalMeasure, fourier_mu_many, shifted_masks
+from .measure import FractalMeasure, dual_step, fourier_mu_many
 from .systems import (
     AffineSystem,
     certified_tails,
@@ -49,6 +50,7 @@ TABLE_POINTS = (4, 65)  # range of Chebyshev points per axis of a leaf table
 TABLE_INTERP_TOL = 1e-14  # interpolation part of a leaf table's error
 TABLE_NODE_TAIL = 1e-15  # product tail at a leaf table's nodes
 TABLE_EVAL_BLOCK = 2**11  # points per block of a table evaluation
+CYCLE_WALK_STEPS = 1024  # dual steps a cycle witness walk takes at most
 
 
 @dataclass(frozen=True)
@@ -206,17 +208,17 @@ class _WordTree:
 
     A node at level k holds the point s_k and the weight
     W = prod_{j<k} |chi(s_j - l_j)|^2; its children are s_{k+1} = (R^T)^-1
-    (s_k - l) for l in L.  The deepest level whose nodes all fit in Q_BLOCK
-    is kept between depths; below it the walk is depth first, splitting the
-    grid and then the words so that at most about Q_BLOCK nodes are live.
+    (s_k - l) for l in L, with W times |chi(s_k - l)|^2, one transfer
+    operator step (:func:`~fractalspec.measure.dual_step`) per node.  The
+    deepest level whose nodes all fit in Q_BLOCK is kept between depths;
+    below it the walk is depth first, splitting the grid and then the words
+    so that at most about Q_BLOCK nodes are live.
     """
 
     def __init__(self, m: FractalMeasure, grid: np.ndarray, depth: int):
         sys = m.sys
         self.m = m
         self.n = sys.n_digits
-        self.rinv = sys.rinv
-        self.lr = sys.L @ sys.rinv  # row form of (R^T)^-1 l
         self.pts = grid[:, None, :]  # (grid, nodes, d) at self.level
         self.w = np.ones(self.pts.shape[:2])
         self.level = 0
@@ -240,10 +242,8 @@ class _WordTree:
 
     def _expand(self, pts, w):
         g, k, d = pts.shape
-        chi, _ = shifted_masks(self.m.sys, pts)  # N exponentials per node
-        w = w[:, :, None] * (chi.real**2 + chi.imag**2)
-        pts = (pts @ self.rinv)[:, :, None, :] - self.lr
-        return pts.reshape(g, k * self.n, d), w.reshape(g, k * self.n)
+        weights, images = dual_step(self.m.sys, pts)  # N exponentials per node
+        return images.reshape(g, k * self.n, d), (w[:, :, None] * weights).reshape(g, k * self.n)
 
     def q(self, depth: int) -> tuple[np.ndarray, float]:
         """Q_depth per grid point (sum of W |mu-hat|^2 over the level depth+1
@@ -402,6 +402,10 @@ class CompletenessReport:
     t - lam is rounded, so with |lam| up to 1.6e5 (R = 12, B = {0, 1/4, 1/2,
     3/4}, L = {0, 1, 2, 7}, depth 4) Q is up to about 1e-12 off either way.
     A scan that evaluated no depth has no ``min_Q``, ``max_Q`` or ``argmin``.
+    ``status`` is "incomplete-evidence" only for a converged scan of a
+    hand-built set, or of a tree-gated set with a grid point where Q = 0
+    that is a nonzero m_B-cycle point (see :func:`completeness_scan`); a
+    converged scan without either reads "inconclusive", ``converged`` kept.
     """
 
     min_Q: float | None
@@ -432,10 +436,23 @@ def completeness_scan(
     ``increment_tol`` (converged), or once the word budget or ``max_depth``
     is hit (inconclusive; also when not even the starting depth fits).
     Hand-built enumerations are evaluated at their fixed element set only.
+    An enumeration that can be deepened must belong to the measure's
+    system (the same R, B and L), since deepening enumerates ``m.sys``'s
+    set; otherwise the scan is a :class:`ValidationError`.
+
     Evidence labels: every reported Q underestimates the limit (up to the
     rounding of a direct sum, see :class:`CompletenessReport`), so
-    "complete-evidence" (min Q >= target) is one-sided and
-    "incomplete-evidence" additionally requires convergence.
+    "complete-evidence" (min Q >= target) is one-sided.  A stop below the
+    target proves nothing by itself: Q_n can stall for hundreds of depths,
+    and an exact zero of Q_n at a grid point can still rise.  So a
+    converged scan reads "incomplete-evidence" only for a hand-built set
+    (a finite set never spans) or, on the tree's gate below, when a grid
+    point c != 0 with Q = 0 is an m_B-cycle point: following the heaviest
+    dual map from c, every step has weight |chi(s - l)|^2 = 1 and the walk
+    returns to c, checked exactly (:func:`_on_cycle`).  Then
+    mu-hat(c - lam) = 0 for every lam of the whole set, so e_c is
+    orthogonal to it.  Every other stop reads "inconclusive", with
+    ``converged`` kept as evidence.
 
     Transfer-operator tree.  When the system is exactly integral
     (:func:`~fractalspec.systems.integral_system`), 0 is in L and the
@@ -459,6 +476,13 @@ def completeness_scan(
     if grid.size == 0:
         raise ValidationError("completeness grid is empty")
     sys = m.sys
+    if spec.depth is not None and not all(
+        np.array_equal(getattr(spec.sys, key), getattr(sys, key)) for key in "RBL"
+    ):
+        raise ValidationError(
+            "the spectrum was enumerated for another system than the measure's; "
+            "a deeper scan would enumerate the measure's own set"
+        )
     n = sys.n_digits
     depths: list[int] = []
     trace: list[float] = []
@@ -466,6 +490,7 @@ def completeness_scan(
     q = np.empty(0)
     q_error = 0.0
     max_q = -np.inf
+    tree = None
 
     if spec.depth is None:
         # fixed element set: single evaluation, nothing to escalate
@@ -476,7 +501,6 @@ def completeness_scan(
         converged = True
     else:
         top = spec.depth + 8 if max_depth is None else max_depth
-        tree = None
         if (
             integral_system(sys)
             and np.any(np.all(sys.L == 0.0, axis=1))
@@ -506,10 +530,13 @@ def completeness_scan(
     min_q = float(q.min()) if depths else None
     if depths and min_q >= target:
         status = "complete-evidence"
-    elif converged:
+    elif converged and (
+        spec.depth is None
+        or (tree is not None and any(_on_cycle(sys, c) for c in grid[q == 0.0]))
+    ):
         status = "incomplete-evidence"
     else:
-        status = "inconclusive"  # budget or max_depth hit first, maybe before any depth
+        status = "inconclusive"  # no witness, or budget or max_depth hit first
     q.setflags(write=False)
     return CompletenessReport(
         min_Q=min_q,
@@ -523,6 +550,41 @@ def completeness_scan(
         q_error=q_error,
         Q=q,
     )
+
+
+def _on_cycle(sys: AffineSystem, c: np.ndarray) -> bool:
+    """Whether c != 0 is an m_B-cycle point: the walk from c along the
+    heaviest dual map (:func:`~fractalspec.measure.dual_step`) takes only
+    weight-1 edges and first repeats a point at c.
+
+    Each step s -> s' with l is checked in rational arithmetic on the
+    floats: (b - b_0).(s - l) is an integer for every b, so all N
+    exponentials of chi(s - l) agree and |chi(s - l)|^2 = 1; and
+    R^T s' + l = s, so s' is the exact image, with no inverse taken.  A
+    walk that fails a check, repeats another point first (c is
+    pre-periodic) or runs past CYCLE_WALK_STEPS is no witness.
+    """
+    if not np.any(c):
+        return False
+    digits, shifts, rt = (
+        [[Fraction(x) for x in row] for row in a] for a in (sys.B, sys.L, sys.R.T)
+    )
+    seen = set()
+    s = c
+    for _ in range(CYCLE_WALK_STEPS):
+        seen.add(tuple(s))
+        weights, images = dual_step(sys, s)
+        j = int(np.argmax(weights))
+        here, image = ([Fraction(x) for x in row] for row in (s, images[j]))
+        diff = [x - y for x, y in zip(here, shifts[j])]
+        phase = [sum(x * y for x, y in zip(b, diff)) for b in digits]
+        back = [sum(x * y for x, y in zip(row, image)) + y for row, y in zip(rt, shifts[j])]
+        if any((p - phase[0]).denominator != 1 for p in phase) or back != here:
+            return False
+        s = images[j]
+        if tuple(s) in seen:
+            return bool(np.array_equal(s, c))
+    return False
 
 
 def _product_error(tau: float, depth: int, n: int) -> float:

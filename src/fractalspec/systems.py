@@ -12,9 +12,9 @@ Both are checked numerically here; the integrality check upgrades to an
 exact argument when R and L are integral and R^n b . l is an integer for
 n = 1..d, in which case Cayley-Hamilton covers all n at once.
 
-The word geometry lives here too: sums over words of digits
-(:func:`word_sums`), the box of the dual maps' images (:func:`dual_box`)
-and a box they send into itself (:func:`grow_invariant_box`).
+The word geometry lives here too: word sums (:func:`word_sums`), the dual
+maps' images (:func:`dual_points`) and their box (:func:`dual_box`), and a
+box they send into itself (:func:`grow_invariant_box`).
 """
 
 from __future__ import annotations
@@ -416,11 +416,22 @@ def word_sums(digits: np.ndarray, step: np.ndarray, levels: int) -> np.ndarray:
     return sums
 
 
+def dual_points(sys: AffineSystem, pts: np.ndarray) -> np.ndarray:
+    """The images sigma_l(t) = (R^T)^-1 (t - l) of the (..., d) points t
+    under every dual map, as (..., |L|, d) in the order of L.
+
+    The one home of the row form (t - l) @ R^-1: one matmul over the
+    flattened shifts, whose rows round as a per-l loop's do.
+    """
+    shifted = pts[..., None, :] - sys.L
+    return (shifted.reshape(-1, sys.d) @ sys.rinv).reshape(shifted.shape)
+
+
 def dual_box(sys: AffineSystem, points: np.ndarray, levels: int) -> np.ndarray:
     """Bounding (d, 2) box of the images (R^T)^-K t - sum_{k=1}^K (R^T)^-k l_k
     of the rows t of ``points`` under the words of K = ``levels`` dual maps,
-    in the row form t @ R^-1 - l @ R^-1.  The per-axis extremes decompose
-    level by level, so no word is enumerated."""
+    in the row form t @ R^-1 - l @ R^-1 on purpose (not :func:`dual_points`):
+    its per-axis extremes decompose level by level, so no word is enumerated."""
     rinv = sys.rinv
     for _ in range(levels):
         points = points @ rinv
@@ -455,11 +466,11 @@ def grow_invariant_box(
 
 
 def _invariance_excess(sys: AffineSystem, box: np.ndarray) -> tuple[float, np.ndarray]:
-    """:func:`box_exit` of the box's corners mapped by every dual map, in the
-    form (t - l) @ R^-1, plus the bounding box of those images."""
+    """:func:`box_exit` of the box's corners mapped by every dual map
+    (:func:`dual_points`), plus the bounding box of those images."""
     d = box.shape[0]
     corners = box[np.arange(d), np.indices((2,) * d).reshape(d, -1).T]
-    images = np.concatenate([(corners - l) @ sys.rinv for l in sys.L])
+    images = dual_points(sys, corners).reshape(-1, d)
     return box_exit(box, images), np.stack([images.min(axis=0), images.max(axis=0)], axis=1)
 
 

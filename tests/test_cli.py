@@ -291,6 +291,19 @@ def test_completeness_max_depth_caps_escalation(write_system, capsys):
     assert payload["report"]["status"] == "inconclusive"
 
 
+def test_completeness_stall_without_witness_is_inconclusive(write_system, capsys):
+    # R = 4, L = {0, 13} is a spectrum: min Q stalls at 0 at t = 1, which
+    # is no m_B-cycle point, so the stop below target claims nothing
+    path = write_system({"d": 1, "R": [[4]], "B": [0, "1/2"], "L": [0, 13]})
+    argv = ["completeness", "--system", path, "--depth", "1", "--grid", "0:1:0.01"]
+    code, out, _ = run_cli(argv + ["--target", "0.99"], capsys)
+    report = json.loads(out)["report"]
+    assert code == 2
+    assert report["converged"] is True and report["min_trace"] == [0, 0]
+    assert report["argmin"] == [1]
+    assert report["status"] == "inconclusive"
+
+
 def test_completeness_max_depth_below_start(cantor4_file, capsys):
     argv = ["completeness", "--system", cantor4_file, "--depth", "3", "--max-depth", "2"]
     code, out, err = run_cli(argv + ["--format", "csv"], capsys)

@@ -19,7 +19,8 @@ from fractalspec import (
     orthogonality_matrix,
 )
 from fractalspec import measure
-from fractalspec.measure import shifted_masks
+from fractalspec.measure import dual_step, shifted_masks
+from fractalspec.systems import dual_points
 from fractalspec._numeric import CIS_BLOCK, _cis2pi_block, cis2pi
 
 EPS = np.finfo(float).eps
@@ -97,6 +98,18 @@ class TestShiftedMasks:
         assert chi.shape == (50, sys.L.shape[0]) and e.shape == (50, sys.n_digits)
         for column, l in zip(chi.T, sys.L):
             np.testing.assert_allclose(column, chi_mask(sys, t - l), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["cantor4", "quad2d", "odd3"])
+    def test_dual_step_weights_are_the_squared_masks(self, name, request):
+        sys = request.getfixturevalue(name)
+        t = np.random.default_rng(6).uniform(-2.0, 2.0, size=(3, 40, sys.d))
+        weights, images = dual_step(sys, t)
+        chi, _ = shifted_masks(sys, t)
+        expected = chi.real**2 + chi.imag**2
+        assert weights.shape == (3, 40, sys.L.shape[0])
+        assert weights.tobytes() == expected.tobytes()
+        assert images.tobytes() == dual_points(sys, t).tobytes()
+        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=0.0, atol=1e-14)
 
     def test_shift_matrix_cached_and_read_only(self, quad2d):
         assert quad2d.chi_shifts is quad2d.chi_shifts

@@ -39,7 +39,7 @@ from fractalspec.ruelle import (
     check_box_invariance,
     probe_ratio,
 )
-from tests.conftest import generated_triples, hadamard_triple, triple_params
+from tests.conftest import generated_triples, hadamard_triple, multiplier_triple, triple_params
 
 
 @pytest.fixture(scope="module")
@@ -155,8 +155,15 @@ class TestApplyRuelle:
     def test_domain_error_on_small_box(self, cantor4):
         box = np.array([[-0.1, 0.0]])
         q = GridFunction.from_callable(box, (64,), lambda p: np.ones(len(p)))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="enlarge the box"):
             apply_ruelle(cantor4, q)
+
+    def test_domain_error_on_small_box_2d(self, quad2d):
+        # the hull of quad2d is [-1/3, 0]^2: this box misses the l = (1, 1) images
+        box = np.array([[-0.2, 0.0], [-0.2, 0.0]])
+        q = GridFunction.from_callable(box, (9, 9), lambda p: np.ones(len(p)))
+        with pytest.raises(DomainError, match="enlarge the box"):
+            apply_ruelle(quad2d, q)
 
     def test_maps_q_truncation_to_next_depth(self, cantor4, cantor4_measure, hull):
         # C Q_n = Q_{n+1} pointwise; grid interpolation is the only error
@@ -749,9 +756,54 @@ def one_digit():
     return make_system(3.0, [0.0], [0.0])
 
 
+def mpmath_transfer_gradient(mp, sys, poly, pts):
+    """(K, 1) gradients of Cq for a 1-D integer R at the current mpmath
+    precision, from the exact floats of t, B, L and the polynomial and the
+    exact 1/R, rounded once to float at the end."""
+    two_pi = 2 * mp.pi
+    scale = mp.mpf(int(sys.R[0, 0]))
+    digits = [mp.mpf(b) for b in sys.B[:, 0]]
+    terms = [
+        tuple(map(mp.mpf, row)) for row in zip(poly.waves[:, 0], poly.cos_coeff, poly.sin_coeff)
+    ]
+    out = []
+    for t in pts[:, 0]:
+        total = mp.mpf(0)
+        for l in sys.L[:, 0]:
+            x = mp.mpf(t) - mp.mpf(l)
+            waves = [mp.expjpi(2 * b * x) for b in digits]
+            chi = mp.fsum(waves) / len(digits)
+            dchi = mp.fsum(2j * mp.pi * b * e for b, e in zip(digits, waves)) / len(digits)
+            u = x / scale
+            cos = [mp.cos(two_pi * k * u) for k, _, _ in terms]
+            sin = [mp.sin(two_pi * k * u) for k, _, _ in terms]
+            q = mp.fsum(c * (cw - 1) + s * sw for (_, c, s), cw, sw in zip(terms, cos, sin))
+            dq = mp.fsum(two_pi * k * (s * cw - c * sw) for (k, c, s), cw, sw in zip(terms, cos, sin))
+            total += 2 * mp.re(mp.conj(chi) * dchi) * q + abs(chi) ** 2 * dq / scale
+        out.append(float(total))
+    return np.array(out)[:, None]
+
+
 class TestFusedNumerator:
     """The numerator evaluates every dual map from one trig evaluation per
     block: its gradients and ratios against the per-map reference."""
+
+    def test_matches_a_40_digit_evaluation(self):
+        # far from 0, |t - l| <= 15: the float reference rounds t - l and its
+        # phases and is up to 1.5e-14 (relative) off here, the numerator 1.3e-15
+        mpmath = pytest.importorskip("mpmath")
+        sys = multiplier_triple(4, 3, 5)  # R = 12, B = {0, 1/4, 1/2, 3/4}, L = {0, 5, 10, 15}
+        seed = 49596
+        rng = np.random.default_rng(seed)
+        polys = [TrigPolynomial.random(rng, sys.d) for _ in range(3)]
+        pts = sample_points(attractor_hull(sys), 64, seed)
+        got = fused_gradients(sys, _WaveBatch(polys), pts)
+        with mpmath.workdps(40):
+            for poly, grad in zip(polys, got):
+                expected = mpmath_transfer_gradient(mpmath.mp, sys, poly, pts)
+                np.testing.assert_allclose(
+                    grad, expected, rtol=0.0, atol=1e-14 * np.abs(expected).max()
+                )
 
     @settings(max_examples=25, deadline=None)
     @given(sys=generated_triples, seed=st.integers(0, 2**16))

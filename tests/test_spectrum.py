@@ -286,6 +286,77 @@ class TestCompletenessScan:
         assert report.min_Q is None and report.max_Q is None and report.argmin is None
         assert report.Q.size == 0
 
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_stop_below_target_without_witness_is_inconclusive(self, depth):
+        # R = 4, L = {0, 13} is a spectrum, yet Q is exactly 0 at t = 1 at
+        # depths 1 and 2: min Q stalls, but t = 1 is no cycle point
+        sys = make_system(4.0, [0.0, 0.5], [0.0, 13.0])
+        report = completeness_scan(
+            FractalMeasure(sys), enumerate_spectrum(sys, depth), grid1d(0.0, 1.0, 0.01), 0.99
+        )
+        assert report.converged and report.min_trace[-2:] == (0.0, 0.0)
+        assert report.argmin.tolist() == [1.0]
+        assert report.status == "inconclusive"
+
+    @pytest.mark.parametrize(
+        "p, t, status",
+        [
+            (15, -4.0, "incomplete-evidence"),  # on the cycle {-4, -1}
+            (15, -5.0, "incomplete-evidence"),  # the fixed point -5
+            (15, -16.0, "inconclusive"),  # Q = 0 too, but -16 only enters the cycle
+        ],
+    )
+    def test_witness_must_lie_on_a_cycle(self, p, t, status):
+        sys = make_system(4.0, [0.0, 0.5], [0.0, float(p)])
+        report = completeness_scan(
+            FractalMeasure(sys), enumerate_spectrum(sys, 1), np.array([[t], [0.5]]), 0.99
+        )
+        assert report.converged and report.Q[0] == 0.0
+        assert report.status == status
+
+    @pytest.mark.parametrize(
+        "p, c, on_cycle",
+        [
+            (13, 1.0, False),  # 1 -> -3 -> -4 -> -1 -> -7/2, where the walk dies
+            (13, -3.0, False),
+            (3, -1.0, True),
+            (15, -5.0, True),
+            (15, -4.0, True),
+            (15, -1.0, True),
+            (15, -16.0, False),  # pre-periodic: the walk repeats -4 first
+            (3, 0.0, False),  # the trivial cycle is no witness
+        ],
+    )
+    def test_cycle_walk(self, p, c, on_cycle):
+        sys = make_system(4.0, [0.0, 0.5], [0.0, float(p)])
+        assert spectrum._on_cycle(sys, np.array([c])) is on_cycle
+
+    def test_cycle_walk_in_two_dimensions(self):
+        # the product of two R = 4, L = {0, 3} factors: -1 is a cycle point
+        # of each factor and 0 the trivial one
+        sys = make_system(
+            [[4.0, 0.0], [0.0, 4.0]],
+            [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]],
+            [[0.0, 0.0], [3.0, 0.0], [0.0, 3.0], [3.0, 3.0]],
+        )
+        for c, on_cycle in [([-1.0, -1.0], True), ([-1.0, 0.0], True), ([0.5, -1.0], False)]:
+            assert spectrum._on_cycle(sys, np.array(c)) is on_cycle
+
+    def test_spectrum_of_another_system_rejected(self):
+        # deepening enumerates the measure's own set, so a spectrum of
+        # R = 4, L = {0, 3} scanned against cantor4 would read cantor4's Q
+        other = make_system(4.0, [0.0, 0.5], [0.0, 3.0])
+        m = FractalMeasure(make_system(4.0, [0.0, 0.5], [0.0, 1.0]))
+        with pytest.raises(ValidationError, match="another system"):
+            completeness_scan(m, enumerate_spectrum(other, 2), grid1d(-1.0, 1.0, 0.05), 0.99)
+        # the same set, hand-built, is a fixed set of frequencies and stays allowed
+        fixed = SpectrumEnumeration.from_elements(other, enumerate_spectrum(other, 2).elements)
+        assert completeness_scan(m, fixed, grid1d(-1.0, 1.0, 0.05), 0.99).depths == (-1,)
+        # an equal system built separately is the same system
+        twin = make_system(4.0, [0.0, 0.5], [0.0, 1.0])
+        report = completeness_scan(m, enumerate_spectrum(twin, 2), grid1d(0.0, 1.0, 0.05), 0.99)
+        assert report.status == "complete-evidence"
+
     def test_empty_grid_rejected(self, cantor4, cantor4_measure):
         with pytest.raises(ValidationError):
             completeness_scan(

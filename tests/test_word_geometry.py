@@ -1,16 +1,19 @@
-"""Word sums and dual boxes (systems.py) against the loops they replaced.
+"""Word sums, dual images and dual boxes (systems.py) against the loops
+they replaced.
 
 Each reference below is the hand-written loop that built its set before
 the shared primitives existed, kept as it was: the word-sum loops of
-``enumerate_spectrum`` and ``atomic_approximation``, the accumulate-and-
-break loop of ``attractor_hull`` and the leaf-box loop of the completeness
-tree.  The primitives must reproduce their bits (``tobytes``), signed zeros
+``enumerate_spectrum`` and ``atomic_approximation``, the per-l map loop of
+``apply_ruelle`` and the box-invariance check, the accumulate-and-break
+loop of ``attractor_hull`` and the leaf-box loop of the completeness tree.
+The primitives must reproduce their bits (``tobytes``), signed zeros
 included, since the CLI digests and ``q_error`` rest on them.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalspec import (
     ConvergenceError,
@@ -21,8 +24,14 @@ from fractalspec import (
 )
 from fractalspec.ruelle import BOX_TOL
 from fractalspec.spectrum import BOX_MARGIN, _leaf_box
-from fractalspec.systems import certified_tails, dual_box, grow_invariant_box, word_sums
-from tests.conftest import grid1d, hadamard_triple, triple_params
+from fractalspec.systems import (
+    certified_tails,
+    dual_box,
+    dual_points,
+    grow_invariant_box,
+    word_sums,
+)
+from tests.conftest import generated_triples, grid1d, hadamard_triple, triple_params
 
 
 def reference_word_sums(digits, step, levels):
@@ -32,6 +41,11 @@ def reference_word_sums(digits, step, levels):
         sums = (sums[:, None, :] + contrib[None, :, :]).reshape(-1, digits.shape[1])
         contrib = contrib @ step
     return sums
+
+
+def reference_dual_points(sys, pts):
+    """(M, |L|, d) images, one map at a time."""
+    return np.stack([(pts - l) @ sys.rinv for l in sys.L], axis=1)
 
 
 def reference_hull_box(sys, tol=BOX_TOL):
@@ -160,3 +174,36 @@ def test_hull_depth_is_the_first_within_tolerance():
     with pytest.raises(ConvergenceError) as error:
         attractor_hull(sys, tol=below)
     assert str(error.value) == f"attractor tail radius {last:.3e} above {below:.1e} after 255 levels"
+
+
+DUAL_SYSTEMS = {
+    **SYSTEMS,
+    # non-normal R: each image coordinate sums two rounded products
+    "R=[[4, 2], [0, 4]]": lambda: make_system(
+        [[4.0, 2.0], [0.0, 4.0]],
+        [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]],
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+    ),
+}
+
+
+def assert_dual_points_match(sys, seed=0):
+    rng = np.random.default_rng(seed)
+    for pts in grids(sys) + [rng.uniform(-3.0, 3.0, size=(257, sys.d))]:
+        expected = reference_dual_points(sys, pts)
+        assert_same_bits(dual_points(sys, pts), expected)
+        # any leading shape: the (grid, nodes, d) points of the word tree
+        stacked = np.stack([pts, -pts])
+        expected = np.stack([expected, reference_dual_points(sys, -pts)])
+        assert_same_bits(dual_points(sys, stacked), expected)
+
+
+@pytest.mark.parametrize("name", DUAL_SYSTEMS)
+def test_dual_points_match_the_per_map_loop(name):
+    assert_dual_points_match(DUAL_SYSTEMS[name]())
+
+
+@settings(max_examples=40, deadline=None)
+@given(sys=generated_triples, seed=st.integers(0, 2**16))
+def test_dual_points_match_the_per_map_loop_on_triples(sys, seed):
+    assert_dual_points_match(sys, seed)
