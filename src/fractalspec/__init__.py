@@ -24,6 +24,8 @@ _EXPORTS = {
     "measure": (
         "AtomicApproximation",
         "FractalMeasure",
+        "GridFunction",
+        "apply_ruelle",
         "atomic_approximation",
         "chaos_sample",
         "chi_mask",
@@ -33,9 +35,6 @@ _EXPORTS = {
     ),
     "ruelle": (
         "ContractionReport",
-        "GridFunction",
-        "apply_ruelle",
-        "attractor_hull",
         "basis_certificate",
         "contraction_probe",
         "estimate_gamma",
@@ -54,6 +53,7 @@ _EXPORTS = {
     "systems": (
         "AffineSystem",
         "ValidationReport",
+        "attractor_hull",
         "cantor_four",
         "check_hadamard",
         "hadamard_matrix",

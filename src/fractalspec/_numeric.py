@@ -74,12 +74,13 @@ def cis2pi(x):
     out = np.empty(flat.size, dtype=complex)
     for start in range(0, flat.size, CIS_BLOCK):
         stop = start + CIS_BLOCK
-        _cis2pi_block(flat[start:stop], out[start:stop])
+        cis2pi_block(flat[start:stop], out[start:stop])
     out = out.reshape(x.shape)
     return out if out.ndim else complex(out)
 
 
-def _cis2pi_block(x: np.ndarray, out: np.ndarray) -> None:
+def cis2pi_block(x: np.ndarray, out: np.ndarray) -> None:
+    """:func:`cis2pi` of a flat float block ``x``, written into the complex ``out``."""
     with np.errstate(invalid="ignore"):  # non-finite x: nan, whatever the turn
         q = np.round(4.0 * x)
         r = x - 0.25 * q

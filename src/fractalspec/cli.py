@@ -37,6 +37,8 @@ from .reports import SCHEMA_VERSION, render_csv, render_json, write_text
 from .systems import (
     AffineSystem,
     ValidationReport,
+    as_box,
+    attractor_hull,
     cantor_four,
     load_system,
     parse_number,
@@ -262,7 +264,7 @@ def _cmd_completeness(args):
 
 
 def _cmd_ruelle_bound(args):
-    from .ruelle import as_box, attractor_hull, contraction_probe, estimate_gamma
+    from .ruelle import contraction_probe, estimate_gamma
 
     sys_, validation = _load_validated(args)
     box = attractor_hull(sys_) if args.box is None else as_box(

@@ -12,20 +12,28 @@ attractor {sum_k R^-k b_k}.  Everything here flows from that equation:
 * integrating monomials against both sides yields a closed linear system
   for moments;
 * iterating a randomly chosen map gives the usual chaos-game sampler.
+
+The dual side lives here too: the transfer operator
+(Cq)(t) = sum_l |chi(t - l)|^2 q((R^T)^-1 (t - l)), whose one step at
+points is :func:`dual_step` and whose action on functions sampled over an
+invariant box (:class:`GridFunction`) is :func:`apply_ruelle`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb
 
 import numpy as np
 
-from ._numeric import CIS_BLOCK, _cis2pi_block, cis2pi, multi_indices
-from .errors import BudgetError, ConvergenceError, ValidationError
+from ._numeric import CIS_BLOCK, cis2pi, cis2pi_block, multi_indices
+from .errors import BudgetError, ConvergenceError, DomainError, ValidationError
 from .systems import (
+    BOX_TOL,
     INV_POWER_DEPTH,
     AffineSystem,
+    box_exit,
     certified_tails,
     check_hadamard,
     dual_points,
@@ -37,6 +45,8 @@ from .systems import (
 __all__ = [
     "FractalMeasure",
     "AtomicApproximation",
+    "GridFunction",
+    "apply_ruelle",
     "chi_mask",
     "fourier_mu",
     "fourier_mu_many",
@@ -104,6 +114,105 @@ def dual_step(sys: AffineSystem, pts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return chi.real**2 + chi.imag**2, dual_points(sys, pts)
 
 
+@dataclass(frozen=True)
+class GridFunction:
+    """Real-valued samples on a regular grid over an axis-aligned box."""
+
+    box: np.ndarray  # (d, 2)
+    samples: np.ndarray
+
+    @property
+    def d(self) -> int:
+        return self.box.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.samples.shape
+
+    @property
+    def steps(self) -> np.ndarray:
+        sizes = np.asarray(self.samples.shape)
+        return (self.box[:, 1] - self.box[:, 0]) / np.maximum(sizes - 1, 1)
+
+    def axes(self) -> list[np.ndarray]:
+        return [
+            np.linspace(lo, hi, n)
+            for (lo, hi), n in zip(self.box, self.samples.shape)
+        ]
+
+    def nodes(self) -> np.ndarray:
+        """All grid nodes as an (M, d) array, C-order over axes."""
+        mesh = np.meshgrid(*self.axes(), indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
+
+    @classmethod
+    def from_callable(cls, box, shape, fn) -> "GridFunction":
+        box = np.asarray(box, dtype=float)
+        probe = cls(box=box, samples=np.zeros(shape))
+        values = np.asarray(fn(probe.nodes()), dtype=float).reshape(shape)
+        values.setflags(write=False)
+        return cls(box=box, samples=values)
+
+    def interpolate(self, pts: np.ndarray) -> np.ndarray:
+        """Multilinear interpolation at (M, d) points inside the box.
+
+        A point outside the box raises DomainError; points on its faces
+        (in d = 1, its ends) are inside.
+        """
+        pts = np.asarray(pts, dtype=float).reshape(-1, self.d)
+        inside = (pts >= self.box[:, 0]) & (pts <= self.box[:, 1])
+        if not np.all(inside):
+            raise DomainError(
+                f"{int(np.sum(~np.all(inside, axis=1)))} interpolation points "
+                "lie outside the box"
+            )
+        ends, fracs = [], []  # per axis: cell end indices and position in cell
+        for axis, x in zip(self.axes(), pts.T):
+            lo = np.searchsorted(axis, x, side="right") - 1
+            lo = np.clip(lo, 0, max(axis.size - 2, 0))
+            hi = np.minimum(lo + 1, axis.size - 1)
+            width = axis[hi] - axis[lo]
+            ends.append((lo, hi))
+            fracs.append(
+                np.divide(x - axis[lo], width, out=np.zeros_like(x), where=width > 0)
+            )
+        out = np.zeros(pts.shape[0])
+        for corner in product((0, 1), repeat=self.d):
+            weight = np.ones(pts.shape[0])
+            for frac, upper in zip(fracs, corner):
+                weight *= frac if upper else 1.0 - frac
+            index = tuple(end[upper] for end, upper in zip(ends, corner))
+            out += weight * self.samples[index]
+        return out
+
+
+def apply_ruelle(sys: AffineSystem, q: GridFunction) -> GridFunction:
+    """One application of the transfer operator, sampled on q's own grid.
+
+    The nodes go in blocks whose digit exponentials fill about one
+    CIS_BLOCK, all dual maps per block, so memory stays flat as the grid
+    grows.  Per block, one :func:`dual_step` gives the weights and the
+    mapped nodes of every dual map; q is evaluated at all of them by one
+    multilinear interpolation, which requires the box to be invariant under
+    every dual map; a violation beyond ``BOX_TOL`` raises DomainError
+    (enlarge the box).
+    """
+    nodes = q.nodes()
+    samples = np.empty(nodes.shape[0])
+    rows = max(1, CIS_BLOCK // sys.n_digits)
+    for start in range(0, nodes.shape[0], rows):
+        weights, mapped = dual_step(sys, nodes[start : start + rows])
+        mapped = mapped.reshape(-1, sys.d)
+        excess = box_exit(q.box, mapped)
+        if excess > BOX_TOL:
+            raise DomainError(f"a dual map leaves the box by {excess:.3e}; enlarge the box")
+        values = q.interpolate(np.clip(mapped, q.box[:, 0], q.box[:, 1], out=mapped))
+        samples[start : start + rows] = np.sum(weights * values.reshape(weights.shape), axis=1)
+    samples = samples.reshape(q.shape)
+    samples.setflags(write=False)
+    return GridFunction(box=q.box, samples=samples)
+
+
 def cis2pi_outer(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """cis2pi(rows @ cols.T) as a complex (M, n) array, bit for bit.
 
@@ -116,7 +225,7 @@ def cis2pi_outer(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     step = max(1, CIS_BLOCK // max(1, cols.shape[0]))
     for start in range(0, rows.shape[0], step):
         block = slice(start, start + step)
-        _cis2pi_block((rows[block] @ cols.T).reshape(-1), out[block].reshape(-1))
+        cis2pi_block((rows[block] @ cols.T).reshape(-1), out[block].reshape(-1))
     return out
 
 

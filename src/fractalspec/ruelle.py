@@ -1,8 +1,15 @@
-"""Transfer operator machinery and the contraction-based basis certificate.
+"""The contraction certificate of the transfer operator.
 
 The operator (Cq)(t) = sum_l |chi(t-l)|^2 q((R^T)^-1 (t-l)) acts on
 functions over an invariant box around the attractor of the contractive
-dual maps.  Three facts drive everything here:
+dual maps.  Its step at points (:func:`~fractalspec.measure.dual_step`),
+its grid form (:class:`~fractalspec.measure.GridFunction`,
+:func:`~fractalspec.measure.apply_ruelle`) and the box
+(:func:`~fractalspec.systems.attractor_hull`,
+:func:`~fractalspec.systems.as_box`) live below this module, so
+``spectrum`` can use them too.  This module holds what certifies: the
+Lipschitz norm of a grid function, the gamma bound, the probes and the
+basis certificate.  Three facts drive it:
 
 * unitarity of the digit matrix forces sum_l |chi(t-l)|^2 = 1, so C fixes
   constants;
@@ -10,15 +17,16 @@ dual maps.  Three facts drive everything here:
   closed-form bound
   gamma = (N-1)^2 N^-1 beta ||R^-1||_op max|l| + ||R^-1||_hs,
   with beta = 2 pi diam(B) sup-of-sines over the box;
-* gamma < 1, together with 0 in L and L spanning, certifies that the
-  enumerated exponentials form an orthonormal basis.
+* gamma < 1, together with 0 in L, L spanning and a compatible system,
+  certifies that the enumerated exponentials form an orthonormal basis.
 
-One step of C, the weights |chi(t - l)|^2 and the images (t - l) R^-1 in
-row form, comes from :func:`~fractalspec.measure.dual_step`, the images
-from :func:`~fractalspec.systems.dual_points`; ``apply_ruelle``, probes
-given as callables, the box-invariance check and the Q tree of
-``spectrum`` all take it there.  Only the wave batch below writes the
-step another way, on purpose.
+``as_box`` and ``attractor_hull`` are bound here because the certificate
+calls them; ``apply_ruelle`` is only re-exported, so the name
+``ruelle.apply_ruelle`` that the traced benchmark layers
+(``bench/layers.py``) look up keeps resolving.  Probes given as
+callables take their images from
+:func:`~fractalspec.systems.dual_points`; only the wave batch below
+writes the dual step another way, on purpose.
 
 The sup in beta is exact: over the box, (t - l).delta sweeps an interval,
 and |sin 2 pi u| on an interval is 1 when the interval holds a point of
@@ -48,33 +56,26 @@ the 1-D zoom advances the brackets of all trials together.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
 
 import numpy as np
 
 from ._numeric import cis2pi, hs_norm, operator_norm, sinpi
-from .errors import ConvergenceError, DomainError, ValidationError
-from .measure import FractalMeasure, dual_step, shifted_masks
+from .errors import ValidationError
+from .measure import FractalMeasure, GridFunction, apply_ruelle, shifted_masks  # noqa: F401
 from .systems import (
     AffineSystem,
-    _invariance_excess,
-    box_exit,
-    certified_tails,
+    as_box,
+    attractor_hull,
     check_hadamard,
-    dual_box,
     dual_points,
-    grow_invariant_box,
     require_expansive,
+    validate_compatibility,
 )
 
 __all__ = [
-    "GridFunction",
     "ContractionReport",
     "ProbeResult",
     "TrigPolynomial",
-    "as_box",
-    "attractor_hull",
-    "apply_ruelle",
     "lipschitz_norm",
     "estimate_gamma",
     "contraction_probe",
@@ -82,7 +83,6 @@ __all__ = [
     "basis_certificate",
 ]
 
-BOX_TOL = 1e-9
 # 1-D sup polish: samples per zoom round and the bracket width that ends it
 ZOOM_POINTS = 33
 ZOOM_TOL = 1e-12
@@ -92,146 +92,6 @@ TRIAL_CHUNK = 16
 # bound on |sinpi(x) - sin(pi x)|: the reduction to r = x - round(x) is
 # exact, so only pi * r and sin round (together below 2.1 eps)
 SINPI_ERR = 4.0 * np.finfo(float).eps
-
-
-def as_box(value, d: int) -> np.ndarray:
-    """Normalize a box spec ((lo, hi) pairs, or a flat pair in d=1)."""
-    box = np.asarray(value, dtype=float)
-    if d == 1 and box.shape == (2,):
-        box = box.reshape(1, 2)
-    if box.shape != (d, 2) or np.any(box[:, 0] > box[:, 1]):
-        raise ValidationError(f"bad box {value!r} for dimension {d}")
-    return box
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Real-valued samples on a regular grid over an axis-aligned box."""
-
-    box: np.ndarray  # (d, 2)
-    samples: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.box.shape[0]
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.samples.shape
-
-    @property
-    def steps(self) -> np.ndarray:
-        sizes = np.asarray(self.samples.shape)
-        return (self.box[:, 1] - self.box[:, 0]) / np.maximum(sizes - 1, 1)
-
-    def axes(self) -> list[np.ndarray]:
-        return [
-            np.linspace(lo, hi, n)
-            for (lo, hi), n in zip(self.box, self.samples.shape)
-        ]
-
-    def nodes(self) -> np.ndarray:
-        """All grid nodes as an (M, d) array, C-order over axes."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-
-    @classmethod
-    def from_callable(cls, box, shape, fn) -> "GridFunction":
-        box = np.asarray(box, dtype=float)
-        probe = cls(box=box, samples=np.zeros(shape))
-        values = np.asarray(fn(probe.nodes()), dtype=float).reshape(shape)
-        values.setflags(write=False)
-        return cls(box=box, samples=values)
-
-    def interpolate(self, pts: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation at (M, d) points inside the box.
-
-        A point outside the box raises DomainError; points on its faces
-        (in d = 1, its ends) are inside.
-        """
-        pts = np.asarray(pts, dtype=float).reshape(-1, self.d)
-        inside = (pts >= self.box[:, 0]) & (pts <= self.box[:, 1])
-        if not np.all(inside):
-            raise DomainError(
-                f"{int(np.sum(~np.all(inside, axis=1)))} interpolation points "
-                "lie outside the box"
-            )
-        if self.d == 1:
-            return np.interp(pts[:, 0], self.axes()[0], self.samples)
-        ends, fracs = [], []  # per axis: cell end indices and position in cell
-        for axis, x in zip(self.axes(), pts.T):
-            lo = np.searchsorted(axis, x, side="right") - 1
-            lo = np.clip(lo, 0, max(axis.size - 2, 0))
-            hi = np.minimum(lo + 1, axis.size - 1)
-            width = axis[hi] - axis[lo]
-            ends.append((lo, hi))
-            fracs.append(
-                np.divide(x - axis[lo], width, out=np.zeros_like(x), where=width > 0)
-            )
-        out = np.zeros(pts.shape[0])
-        for corner in product((0, 1), repeat=self.d):
-            weight = np.ones(pts.shape[0])
-            for frac, upper in zip(fracs, corner):
-                weight *= frac if upper else 1.0 - frac
-            index = tuple(end[upper] for end, upper in zip(ends, corner))
-            out += weight * self.samples[index]
-        return out
-
-    def rows(self):
-        """(node coords..., value) tuples, ready for CSV emission."""
-        return [
-            tuple(node) + (value,)
-            for node, value in zip(self.nodes(), self.samples.ravel())
-        ]
-
-
-def attractor_hull(sys: AffineSystem, tol: float = BOX_TOL) -> np.ndarray:
-    """Invariant box around the attractor of the maps t -> (R^T)^-1 (t - l).
-
-    Attractor points are -sum_{k>=1} (R^T)^-k l_k.  Their depth-K box
-    (:func:`~fractalspec.systems.dual_box`), K the first depth whose
-    certified tail radius tails[K+1] max|l| is within ``tol``, is inflated
-    by that radius and grown until every map sends it into itself within
-    ``tol``.  A non-expansive R is a :class:`ValidationError`.
-    """
-    require_expansive(sys)
-    tails = certified_tails(sys)
-    radii = tails[2:] * float(np.max(np.linalg.norm(sys.L, axis=1)))  # at K = 1, 2, ...
-    within = np.flatnonzero(radii <= tol)
-    if not within.size:
-        raise ConvergenceError(
-            f"attractor tail radius {radii[-1]:.3e} above {tol:.1e} after {radii.size} levels"
-        )
-    tail = radii[within[0]]
-    box = dual_box(sys, np.zeros((1, sys.d)), int(within[0]) + 1) + np.array([-tail, tail])
-    box = grow_invariant_box(sys, box, tol)
-    box.setflags(write=False)
-    return box
-
-
-def check_box_invariance(sys: AffineSystem, box) -> float:
-    """Max amount by which any dual map sends a box corner outside the box."""
-    return max(_invariance_excess(sys, as_box(box, sys.d))[0], 0.0)
-
-
-def apply_ruelle(sys: AffineSystem, q: GridFunction) -> GridFunction:
-    """One application of the transfer operator, sampled on q's own grid.
-
-    One :func:`~fractalspec.measure.dual_step` gives the weights and the
-    mapped nodes of every dual map; q is evaluated at all of them by one
-    multilinear interpolation, which requires the box to be invariant under
-    every dual map; a violation beyond ``BOX_TOL`` raises DomainError
-    (enlarge the box).
-    """
-    weights, mapped = dual_step(sys, q.nodes())
-    mapped = mapped.reshape(-1, sys.d)
-    excess = box_exit(q.box, mapped)
-    if excess > BOX_TOL:
-        raise DomainError(f"a dual map leaves the box by {excess:.3e}; enlarge the box")
-    values = q.interpolate(np.clip(mapped, q.box[:, 0], q.box[:, 1], out=mapped))
-    samples = np.sum(weights * values.reshape(weights.shape), axis=1).reshape(q.shape)
-    samples.setflags(write=False)
-    return GridFunction(box=q.box, samples=samples)
 
 
 def lipschitz_norm(q: GridFunction) -> float:
@@ -716,6 +576,7 @@ def contraction_probe(
         seed=seed,
     )
 
+
 def basis_certificate(
     m: FractalMeasure,
     box=None,
@@ -724,8 +585,9 @@ def basis_certificate(
 ) -> ContractionReport:
     """Certificate that the enumerated exponentials form an orthonormal basis.
 
-    Certifies when the digit matrix is unitary, 0 is in L, L spans, and the
-    contraction bound is below 1.  Unitarity (within
+    Certifies when the digit matrix is unitary, the system is compatible
+    (:func:`~fractalspec.systems.validate_compatibility`), 0 is in L, L
+    spans, and the contraction bound is below 1.  Unitarity (within
     :func:`~fractalspec.systems.unitarity_tolerance`) already holds for every
     :class:`FractalMeasure`; the other failed hypotheses are recorded rather
     than raised.  Optional probe trials attach empirical ratios; trials
@@ -741,6 +603,8 @@ def basis_certificate(
     l_spans = bool(np.linalg.matrix_rank(sys.L) == sys.d)
 
     failures = []
+    if not validate_compatibility(sys).compatible:
+        failures.append("not compatible")
     if not zero_in_l:
         failures.append("0 not in L")
     if not l_spans:

@@ -27,6 +27,7 @@ from .systems import (
     dual_box,
     grow_invariant_box,
     integral_system,
+    validate_compatibility,
     word_sums,
 )
 
@@ -404,8 +405,10 @@ class CompletenessReport:
     A scan that evaluated no depth has no ``min_Q``, ``max_Q`` or ``argmin``.
     ``status`` is "incomplete-evidence" only for a converged scan of a
     hand-built set, or of a tree-gated set with a grid point where Q = 0
-    that is a nonzero m_B-cycle point (see :func:`completeness_scan`); a
-    converged scan without either reads "inconclusive", ``converged`` kept.
+    whose weight-1 walk reaches a nonzero m_B-cycle (see
+    :func:`completeness_scan`); a converged scan without either reads
+    "inconclusive", ``converged`` kept.  A deepened scan of a system that
+    fails the compatibility check never reads "complete-evidence".
     """
 
     min_Q: float | None
@@ -442,17 +445,21 @@ def completeness_scan(
 
     Evidence labels: every reported Q underestimates the limit (up to the
     rounding of a direct sum, see :class:`CompletenessReport`), so
-    "complete-evidence" (min Q >= target) is one-sided.  A stop below the
-    target proves nothing by itself: Q_n can stall for hundreds of depths,
-    and an exact zero of Q_n at a grid point can still rise.  So a
-    converged scan reads "incomplete-evidence" only for a hand-built set
-    (a finite set never spans) or, on the tree's gate below, when a grid
-    point c != 0 with Q = 0 is an m_B-cycle point: following the heaviest
-    dual map from c, every step has weight |chi(s - l)|^2 = 1 and the walk
-    returns to c, checked exactly (:func:`_on_cycle`).  Then
-    mu-hat(c - lam) = 0 for every lam of the whole set, so e_c is
-    orthogonal to it.  Every other stop reads "inconclusive", with
-    ``converged`` kept as evidence.
+    "complete-evidence" (min Q >= target) is one-sided.  It also needs a
+    compatible system (:func:`~fractalspec.systems.validate_compatibility`)
+    when the set is deepened: otherwise the enumerated exponentials need not
+    be orthogonal, Q is no Bessel sum and may exceed 1, and the scan reads
+    "inconclusive".  A stop below the target proves nothing by itself: Q_n
+    can stall for hundreds of depths, and an exact zero of Q_n at a grid
+    point can still rise.  So a converged scan reads "incomplete-evidence"
+    only for a hand-built set (a finite set never spans) or, on the tree's
+    gate below, when the walk from a grid point c != 0 with Q = 0 along the
+    heaviest dual map takes only steps of weight |chi(s - l)|^2 = 1 until it
+    repeats a nonzero point c', checked exactly (:func:`_reaches_cycle`).
+    Then c' is an m_B-cycle point, so mu-hat(c' - lam) = 0 for every lam of
+    the whole set, and the weight-1 steps carry Q(c) = Q(c') = 0 back to
+    c: e_c is orthogonal to the set.  Every other stop reads
+    "inconclusive", with ``converged`` kept as evidence.
 
     Transfer-operator tree.  When the system is exactly integral
     (:func:`~fractalspec.systems.integral_system`), 0 is in L and the
@@ -528,11 +535,13 @@ def completeness_scan(
             q = np.empty(0)
 
     min_q = float(q.min()) if depths else None
-    if depths and min_q >= target:
+    # a deepened set is orthogonal only for a compatible system
+    compatible = spec.depth is None or validate_compatibility(sys).compatible
+    if depths and min_q >= target and compatible:
         status = "complete-evidence"
     elif converged and (
         spec.depth is None
-        or (tree is not None and any(_on_cycle(sys, c) for c in grid[q == 0.0]))
+        or (tree is not None and any(_reaches_cycle(sys, c) for c in grid[q == 0.0]))
     ):
         status = "incomplete-evidence"
     else:
@@ -552,17 +561,18 @@ def completeness_scan(
     )
 
 
-def _on_cycle(sys: AffineSystem, c: np.ndarray) -> bool:
-    """Whether c != 0 is an m_B-cycle point: the walk from c along the
-    heaviest dual map (:func:`~fractalspec.measure.dual_step`) takes only
-    weight-1 edges and first repeats a point at c.
+def _reaches_cycle(sys: AffineSystem, c: np.ndarray) -> bool:
+    """Whether the walk from c != 0 along the heaviest dual map
+    (:func:`~fractalspec.measure.dual_step`) takes only weight-1 edges until
+    it repeats a point, and that point is nonzero: c is an m_B-cycle point
+    or enters a nonzero cycle.
 
     Each step s -> s' with l is checked in rational arithmetic on the
     floats: (b - b_0).(s - l) is an integer for every b, so all N
     exponentials of chi(s - l) agree and |chi(s - l)|^2 = 1; and
     R^T s' + l = s, so s' is the exact image, with no inverse taken.  A
-    walk that fails a check, repeats another point first (c is
-    pre-periodic) or runs past CYCLE_WALK_STEPS is no witness.
+    walk that fails a check, falls into the trivial cycle at 0 or runs past
+    CYCLE_WALK_STEPS is no witness.
     """
     if not np.any(c):
         return False
@@ -583,7 +593,7 @@ def _on_cycle(sys: AffineSystem, c: np.ndarray) -> bool:
             return False
         s = images[j]
         if tuple(s) in seen:
-            return bool(np.array_equal(s, c))
+            return bool(np.any(s))
     return False
 
 

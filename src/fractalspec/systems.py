@@ -13,8 +13,10 @@ exact argument when R and L are integral and R^n b . l is an integer for
 n = 1..d, in which case Cayley-Hamilton covers all n at once.
 
 The word geometry lives here too: word sums (:func:`word_sums`), the dual
-maps' images (:func:`dual_points`) and their box (:func:`dual_box`), and a
-box they send into itself (:func:`grow_invariant_box`).
+maps' images (:func:`dual_points`) and their box (:func:`dual_box`), a box
+they send into itself (:func:`grow_invariant_box`), the invariant box
+around their attractor (:func:`attractor_hull`) and the check that a given
+box is invariant (:func:`check_box_invariance`).
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ __all__ = [
     "require_expansive",
     "integral_system",
     "adjoint_power_norms",
+    "as_box",
+    "attractor_hull",
+    "check_box_invariance",
     "scale_system",
     "validate_system",
     "two_digit_system",
@@ -54,6 +59,7 @@ DEFAULT_INT_TOL = 1e-9
 DEFAULT_N_MAX = 12
 INV_POWER_DEPTH = 256
 HULL_MAX_EXPAND = 64
+BOX_TOL = 1e-9  # how far a dual map may send a box outside itself
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +211,7 @@ def _canonical_rows(arr: np.ndarray, label: str) -> np.ndarray:
     return arr
 
 
-def make_system(R, B, L, r: int = 1) -> AffineSystem:
+def make_system(R, B, L) -> AffineSystem:
     """Normalize raw inputs into an :class:`AffineSystem`.
 
     Scalars are accepted in dimension one; B and L may be flat lists of
@@ -225,8 +231,6 @@ def make_system(R, B, L, r: int = 1) -> AffineSystem:
     for name, arr in (("R", R), ("B", B), ("L", L)):
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"{name} contains NaN or Inf")
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
-        raise ValidationError(f"scale r must be a positive integer, got {r!r}")
     if abs(np.linalg.det(R)) == 0.0:
         raise ValidationError("R is singular")
     R = R.copy()
@@ -236,7 +240,6 @@ def make_system(R, B, L, r: int = 1) -> AffineSystem:
         R=R,
         B=_canonical_rows(B, "B"),
         L=_canonical_rows(L, "L"),
-        r=int(r),
     )
 
 
@@ -268,8 +271,9 @@ def parse_system(doc) -> AffineSystem:
 
     Keys: ``d``, ``R`` (scalar or row-major matrix), ``B``, ``L`` (lists of
     scalars or of d-vectors), optional ``r``; ``d`` and ``r`` are positive
-    integers.  Entries are numbers or strings; ``"p/q"`` strings are parsed
-    as exact rationals (:func:`parse_number`).
+    integers, and ``r`` scales R (:func:`scale_system`).  Entries are
+    numbers or strings; ``"p/q"`` strings are parsed as exact rationals
+    (:func:`parse_number`).
     """
     if not isinstance(doc, dict):
         raise ValidationError(f"system file must hold a JSON object, got {type(doc).__name__}")
@@ -282,7 +286,7 @@ def parse_system(doc) -> AffineSystem:
         raise ValidationError(f"d must be a positive integer, got {d!r}")
     if R.size != d * d:
         raise ValidationError(f"R has {R.size} entries, d = {d} needs {d * d}")
-    return make_system(R.reshape(d, d), B, L, r=doc.get("r", 1))
+    return scale_system(make_system(R.reshape(d, d), B, L), doc.get("r", 1))
 
 
 def load_system(path) -> AffineSystem:
@@ -480,18 +484,58 @@ def box_exit(box: np.ndarray, pts: np.ndarray) -> float:
     return float(max(np.max(box[:, 0] - pts.min(axis=0)), np.max(pts.max(axis=0) - box[:, 1])))
 
 
+def as_box(value, d: int) -> np.ndarray:
+    """Normalize a box spec ((lo, hi) pairs, or a flat pair in d=1)."""
+    box = np.asarray(value, dtype=float)
+    if d == 1 and box.shape == (2,):
+        box = box.reshape(1, 2)
+    if box.shape != (d, 2) or np.any(box[:, 0] > box[:, 1]):
+        raise ValidationError(f"bad box {value!r} for dimension {d}")
+    return box
+
+
+def attractor_hull(sys: AffineSystem, tol: float = BOX_TOL) -> np.ndarray:
+    """Invariant box around the attractor of the maps t -> (R^T)^-1 (t - l).
+
+    Attractor points are -sum_{k>=1} (R^T)^-k l_k.  Their depth-K box
+    (:func:`dual_box`), K the first depth whose certified tail radius
+    tails[K+1] max|l| is within ``tol``, is inflated by that radius and
+    grown until every map sends it into itself within ``tol``.  A
+    non-expansive R is a :class:`ValidationError`.
+    """
+    require_expansive(sys)
+    tails = certified_tails(sys)
+    radii = tails[2:] * float(np.max(np.linalg.norm(sys.L, axis=1)))  # at K = 1, 2, ...
+    within = np.flatnonzero(radii <= tol)
+    if not within.size:
+        raise ConvergenceError(
+            f"attractor tail radius {radii[-1]:.3e} above {tol:.1e} after {radii.size} levels"
+        )
+    tail = radii[within[0]]
+    box = dual_box(sys, np.zeros((1, sys.d)), int(within[0]) + 1) + np.array([-tail, tail])
+    box = grow_invariant_box(sys, box, tol)
+    box.setflags(write=False)
+    return box
+
+
+def check_box_invariance(sys: AffineSystem, box) -> float:
+    """Max amount by which any dual map sends a box corner outside the box."""
+    return max(_invariance_excess(sys, as_box(box, sys.d))[0], 0.0)
+
+
 def adjoint_power_norms(sys: AffineSystem, count: int) -> np.ndarray:
     """c_k = ||(R^T)^-k|| for k = 0..count-1 (equal to ||R^-k|| in norm)."""
     return power_norms(sys.R.T, count)
 
 
 def scale_system(sys: AffineSystem, r: int) -> AffineSystem:
-    """Replace R by r R, keeping B and L; used in the basis-rescue sweep.
+    """Replace R by r R, keeping B and L; used in the basis-rescue sweep
+    and for the ``r`` of a system file (:func:`parse_system`).
 
     Integer r preserves integrality automatically, since (rR)^n b . l =
     r^n (R^n b . l).
     """
-    if not isinstance(r, (int, np.integer)) or r < 1:
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
         raise ValidationError(f"scale r must be a positive integer, got {r!r}")
     if r == 1:
         return sys
@@ -503,13 +547,18 @@ def scale_system(sys: AffineSystem, r: int) -> AffineSystem:
 def scale_systems(sys: AffineSystem, scales) -> list[AffineSystem]:
     """:func:`scale_system` for each r of ``scales``, with the inverse-power
     tails of every new system from one stacked :func:`power_norms` call
-    (the same bits as each system's own :attr:`AffineSystem.inv_power_tails`)."""
+    (the same bits as each system's own :attr:`AffineSystem.inv_power_tails`).
+    When ``sys`` is integral every new system is marked integral without
+    its own check: (rR)^n b . l = r^n R^n b . l."""
     scaled = [scale_system(sys, r) for r in scales]
     fresh = [s for s in scaled if "inv_power_tails" not in vars(s)]
     if fresh:
         norms = power_norms(np.stack([s.R.T for s in fresh]), INV_POWER_DEPTH)
+        integral = sys.is_integral
         for s, row in zip(fresh, norms):
             vars(s)["inv_power_tails"] = _power_tails(row)  # the cached_property's slot
+            if integral:
+                vars(s)["is_integral"] = True
     return scaled
 
 

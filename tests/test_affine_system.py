@@ -395,6 +395,15 @@ class TestSpecFiles:
         s = load_system(path)
         assert s.r == 2
 
+    def test_r_scales_R(self):
+        s = parse_system({"d": 1, "R": [[3]], "B": [0, 0.5], "L": [0, 1], "r": 2})
+        assert s.R.tolist() == [[6.0]]
+        assert validate_compatibility(s).valid
+
+    def test_scale_rejects_booleans(self, cantor4):
+        with pytest.raises(ValidationError, match="^scale r must be a positive integer, got True$"):
+            scale_system(cantor4, True)
+
     def test_missing_key(self):
         with pytest.raises(ValidationError, match="missing key"):
             parse_system({"d": 1, "R": [[4]], "B": [0]})

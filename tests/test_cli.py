@@ -34,6 +34,36 @@ def test_validate_incompatible_system(write_system, capsys):
     assert json.loads(out)["validation"]["compatible"] is False
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["certify"], ["completeness", "--depth", "2", "--grid", "0:1:0.05"]],
+    ids=lambda argv: argv[0],
+)
+def test_odd_scale_claims_no_basis(write_system, capsys, argv):
+    # R = 3, B = {0, 1/2}: no exponential basis exists, and Q exceeds the
+    # Bessel bound of 1 on the non-orthogonal enumerated set
+    path = write_system({"d": 1, "R": [[3]], "B": ["0", "1/2"], "L": [0, 1]})
+    code, out, _ = run_cli([argv[0], "--system", path, *argv[1:]], capsys)
+    payload = json.loads(out)
+    assert code == 2
+    if argv[0] == "certify":
+        assert payload["certificate"]["basis_certified"] is False
+        assert "not compatible" in payload["certificate"]["failures"]
+    else:
+        assert payload["report"]["status"] == "inconclusive"
+        assert payload["report"]["min_Q"] > 1.0
+
+
+def test_system_file_scale_multiplies_R(write_system, capsys):
+    path = write_system({"d": 1, "R": [[3]], "B": ["0", "1/2"], "L": [0, 1], "r": 2})
+    code, out, _ = run_cli(["validate", "--system", path], capsys)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["system"]["r"] == 2
+    assert payload["validation"]["min_eigenvalue_modulus"] == 6.0
+    assert payload["validation"]["compatible"] is True
+
+
 def test_validate_honors_n_max(write_system, capsys):
     path = write_system({"d": 1, "R": [[3]], "B": [0, 0.5], "L": [0, 1]}, "n.json")
     code, out, _ = run_cli(["validate", "--system", path, "--n-max", "3"], capsys)

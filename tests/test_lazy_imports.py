@@ -202,3 +202,30 @@ def test_imports_stay_in_their_layer(module):
 
 def test_spectrum_does_not_import_ruelle():
     assert "ruelle" not in package_imports("spectrum")
+
+
+def test_transfer_operator_homes():
+    from fractalspec import measure, ruelle, systems
+
+    homes = {
+        measure: ("GridFunction", "apply_ruelle"),
+        systems: ("as_box", "attractor_hull", "check_box_invariance"),
+    }
+    for module, names in homes.items():
+        for name in names:
+            assert getattr(module, name).__module__ == module.__name__
+            if name != "check_box_invariance":  # traced by the benchmark layers as ruelle.<name>
+                assert getattr(ruelle, name) is getattr(module, name)
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED_IMPORTS))
+def test_no_private_name_crosses_modules(module):
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+    crossing = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert crossing == []

@@ -21,7 +21,7 @@ from fractalspec import (
 from fractalspec import measure
 from fractalspec.measure import dual_step, shifted_masks
 from fractalspec.systems import dual_points
-from fractalspec._numeric import CIS_BLOCK, _cis2pi_block, cis2pi
+from fractalspec._numeric import CIS_BLOCK, cis2pi, cis2pi_block
 
 EPS = np.finfo(float).eps
 
@@ -52,7 +52,7 @@ class TestCis2pi:
         x = np.random.default_rng(size).uniform(-1e4, 1e4, size)
         x[::7] = np.round(4.0 * x[::7]) / 4.0
         whole = np.empty(size, dtype=complex)
-        _cis2pi_block(x, whole)
+        cis2pi_block(x, whole)
         assert np.array_equal(bits(cis2pi(x)), bits(whole))
 
     def test_shapes(self):

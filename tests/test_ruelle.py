@@ -35,10 +35,9 @@ from fractalspec.ruelle import (
     _sup_norm,
     _transfer_gradient,
     _WaveBatch,
-    as_box,
-    check_box_invariance,
     probe_ratio,
 )
+from fractalspec.systems import as_box, check_box_invariance
 from tests.conftest import generated_triples, hadamard_triple, multiplier_triple, triple_params
 
 
@@ -152,6 +151,17 @@ class TestApplyRuelle:
         q = GridFunction(box=hull, samples=rng.uniform(0.0, 1.0, 513))
         assert np.all(apply_ruelle(cantor4, q).samples >= 0.0)
 
+    @pytest.mark.parametrize("name, shape", [("cantor4", (100_003,)), ("quad2d", (301, 257))])
+    def test_node_blocks_keep_the_bits(self, name, shape, request):
+        # several CIS_BLOCK node blocks against one step over the whole grid
+        sys = request.getfixturevalue(name)
+        q = GridFunction(box=attractor_hull(sys), samples=np.random.default_rng(4).uniform(size=shape))
+        weights, mapped = measure.dual_step(sys, q.nodes())
+        mapped = np.clip(mapped.reshape(-1, sys.d), q.box[:, 0], q.box[:, 1])
+        whole = np.sum(weights * q.interpolate(mapped).reshape(weights.shape), axis=1)
+        assert q.samples.size > 2 * (measure.CIS_BLOCK // sys.n_digits)
+        assert apply_ruelle(sys, q).samples.tobytes() == whole.tobytes()
+
     def test_domain_error_on_small_box(self, cantor4):
         box = np.array([[-0.1, 0.0]])
         q = GridFunction.from_callable(box, (64,), lambda p: np.ones(len(p)))
@@ -204,12 +214,20 @@ class TestApplyRuelle:
 
 
 class TestGridFunction:
-    def test_rows_export(self, hull):
-        q = grid_fn(hull, 5, lambda p: p[:, 0] ** 2)
-        rows = q.rows()
-        assert len(rows) == 5
-        x, value = rows[2]
-        assert value == pytest.approx(x**2)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_dimensional_interpolation_matches_np_interp(self, seed):
+        # the reference is the np.interp branch interpolate had in d = 1; the
+        # two formulas round differently, and on samples of one sign they
+        # agree within 2 ulps of the largest sample
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-3.0, 1.0)
+        box = np.array([[lo, lo + rng.uniform(1e-3, 5.0)]])
+        q = GridFunction(box=box, samples=rng.uniform(0.0, 1.0, int(rng.integers(2, 2000))))
+        pts = np.concatenate([box[0], rng.uniform(*box[0], 1000)])
+        reference = np.interp(pts, q.axes()[0], q.samples)
+        got = q.interpolate(pts[:, None])
+        assert np.max(np.abs(got - reference)) <= 2 * np.spacing(q.samples.max())
+        assert np.array_equal(got[:2], q.samples[[0, -1]])
 
     def test_interpolation_matches_linear_function(self, hull):
         q = grid_fn(hull, 257, lambda p: 3.0 * p[:, 0] + 1.0)
@@ -890,6 +908,14 @@ class TestBasisCertificate:
         cert = basis_certificate(FractalMeasure(s))
         assert not cert.basis_certified
         assert "L does not span" in cert.failures
+
+    def test_incompatible_system_not_certified(self):
+        # R = 3, B = {0, 1/2}: an odd scale admits no exponential basis, though
+        # the digit matrix is unitary, 0 is in L, L spans and gamma < 1
+        cert = basis_certificate(FractalMeasure(make_system(3.0, [0.0, 0.5], [0.0, 1.0])))
+        assert cert.gamma_bound < 1.0 and cert.zero_in_l and cert.l_spans
+        assert not cert.basis_certified
+        assert cert.failures == ("not compatible",)
 
     def test_scale_two_not_certified_but_recorded(self, even2):
         cert = basis_certificate(FractalMeasure(even2))

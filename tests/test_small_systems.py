@@ -111,6 +111,14 @@ def test_scaled_systems_share_one_power_norm_call(name, request, monkeypatch):
         assert not s.inv_power_tails.flags.writeable
 
 
+@pytest.mark.parametrize("name", ["cantor4", "quad2d", "thirds"])
+def test_scaled_systems_inherit_integrality(name, request):
+    # the floats of B = {0, 1/3, 2/3} are not thirds: no scale makes that system integral
+    base = hadamard_triple(3, 1, (0, 1, 1)) if name == "thirds" else request.getfixturevalue(name)
+    for s in systems.scale_systems(base, range(1, 9)):
+        assert s.is_integral == make_system(s.R, s.B, s.L).is_integral
+
+
 def test_one_dimensional_power_norms_cover_overflow_and_underflow():
     with np.errstate(over="ignore"):
         overflow = power_norms(np.array([[1e-3]]), INV_POWER_DEPTH)

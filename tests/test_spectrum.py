@@ -235,6 +235,16 @@ class TestCompletenessScan:
         # increments genuinely shrank below the threshold
         assert abs(report.min_trace[-1] - report.min_trace[-2]) < 1e-4
 
+    def test_incompatible_system_is_never_complete_evidence(self):
+        # R = 3, B = {0, 1/2}: the enumerated exponentials are not orthogonal
+        # and Q breaks the Bessel bound of 1
+        sys = make_system(3.0, [0.0, 0.5], [0.0, 1.0])
+        report = completeness_scan(
+            FractalMeasure(sys), enumerate_spectrum(sys, 2), grid1d(0.0, 1.0, 0.05), 0.99
+        )
+        assert report.min_Q > 1.0
+        assert report.status == "inconclusive"
+
     def test_single_exponential_never_spans(self, cantor4, cantor4_measure):
         spec = SpectrumEnumeration.from_elements(cantor4, [[0.0]])
         report = completeness_scan(
@@ -303,7 +313,7 @@ class TestCompletenessScan:
         [
             (15, -4.0, "incomplete-evidence"),  # on the cycle {-4, -1}
             (15, -5.0, "incomplete-evidence"),  # the fixed point -5
-            (15, -16.0, "inconclusive"),  # Q = 0 too, but -16 only enters the cycle
+            (15, -16.0, "incomplete-evidence"),  # -16 -> -4 enters the cycle, Q(-16) = Q(-4)
         ],
     )
     def test_witness_must_lie_on_a_cycle(self, p, t, status):
@@ -323,13 +333,13 @@ class TestCompletenessScan:
             (15, -5.0, True),
             (15, -4.0, True),
             (15, -1.0, True),
-            (15, -16.0, False),  # pre-periodic: the walk repeats -4 first
+            (15, -16.0, True),  # pre-periodic: weight-1 steps into the cycle at -4
             (3, 0.0, False),  # the trivial cycle is no witness
         ],
     )
     def test_cycle_walk(self, p, c, on_cycle):
         sys = make_system(4.0, [0.0, 0.5], [0.0, float(p)])
-        assert spectrum._on_cycle(sys, np.array([c])) is on_cycle
+        assert spectrum._reaches_cycle(sys, np.array([c])) is on_cycle
 
     def test_cycle_walk_in_two_dimensions(self):
         # the product of two R = 4, L = {0, 3} factors: -1 is a cycle point
@@ -340,7 +350,7 @@ class TestCompletenessScan:
             [[0.0, 0.0], [3.0, 0.0], [0.0, 3.0], [3.0, 3.0]],
         )
         for c, on_cycle in [([-1.0, -1.0], True), ([-1.0, 0.0], True), ([0.5, -1.0], False)]:
-            assert spectrum._on_cycle(sys, np.array(c)) is on_cycle
+            assert spectrum._reaches_cycle(sys, np.array(c)) is on_cycle
 
     def test_spectrum_of_another_system_rejected(self):
         # deepening enumerates the measure's own set, so a spectrum of

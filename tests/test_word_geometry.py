@@ -22,9 +22,9 @@ from fractalspec import (
     attractor_hull,
     make_system,
 )
-from fractalspec.ruelle import BOX_TOL
 from fractalspec.spectrum import BOX_MARGIN, _leaf_box
 from fractalspec.systems import (
+    BOX_TOL,
     certified_tails,
     dual_box,
     dual_points,
