@@ -32,14 +32,16 @@ import sys as _sys
 import numpy as np
 
 from . import __version__
-from .errors import BudgetError, FractalSpecError, ValidationError
+from .errors import BudgetError, DomainError, FractalSpecError, ValidationError
 from .reports import SCHEMA_VERSION, render_csv, render_json, write_text
 from .systems import (
+    BOX_TOL,
     AffineSystem,
     ValidationReport,
     as_box,
     attractor_hull,
     cantor_four,
+    check_box_invariance,
     load_system,
     parse_number,
     two_digit_system,
@@ -146,7 +148,9 @@ def _config(args) -> dict:
 
 def _load_validated(args, **checks) -> tuple[AffineSystem, ValidationReport]:
     """The command's system, from --system, else --R/--a/--L, else the built-in
-    example, and its validation report (``checks`` go to validate_system)."""
+    example, and its validation report: the system's cached
+    :attr:`~fractalspec.systems.AffineSystem.validation`, or a fresh one when
+    ``checks`` (``validate``'s --n-max and --tol) go to validate_system."""
     if getattr(args, "system", None):
         sys_ = load_system(args.system)
     elif hasattr(args, "a"):
@@ -155,7 +159,7 @@ def _load_validated(args, **checks) -> tuple[AffineSystem, ValidationReport]:
         sys_ = two_digit_system(args.R, a, L)
     else:
         sys_ = cantor_four()
-    return sys_, validate_system(sys_, **checks)
+    return sys_, validate_system(sys_, **checks) if checks else sys_.validation
 
 
 def _axes(name: str, d: int) -> list[str]:
@@ -271,6 +275,10 @@ def _cmd_ruelle_bound(args):
         [_parse_window(part) for part in args.box.split(",")], sys_.d
     )
     bound = estimate_gamma(sys_, box)
+    # after estimate_gamma, so that a non-expansive R keeps its own message
+    excess = check_box_invariance(sys_, box)
+    if excess > BOX_TOL:
+        raise DomainError(f"a dual map leaves the box by {excess:.3e}; enlarge the box")
     probe = contraction_probe(sys_, box, trials=args.trials, seed=args.seed)
     body = {
         "validation": validation,

@@ -289,31 +289,24 @@ class FractalMeasure:
     on the unitarity of the digit matrix (deviation within
     :func:`~fractalspec.systems.unitarity_tolerance`); integrality of the
     system is the caller's concern and is checked separately where
-    orthogonality claims depend on it.
+    orthogonality claims depend on it.  A product takes the fewest factors
+    whose certified tail is within ``product_tail_tol``, and at most
+    INV_POWER_DEPTH, the depth of the system's tails; past that the
+    transform is a :class:`ConvergenceError`.
     """
 
-    def __init__(
-        self,
-        sys: AffineSystem,
-        product_tail_tol: float = 1e-12,
-        max_product_depth: int = 256,
-    ):
+    def __init__(self, sys: AffineSystem, product_tail_tol: float = 1e-12):
         require_expansive(sys)
         deviation = check_hadamard(sys)
         if deviation > unitarity_tolerance(sys):
             raise ValidationError(
                 f"digit matrix is not unitary (deviation {deviation:.3e})"
             )
-        if not 0 <= max_product_depth <= INV_POWER_DEPTH:
-            raise ValidationError(
-                f"max_product_depth must be in 0..{INV_POWER_DEPTH}, got {max_product_depth}"
-            )
         self.sys = sys
         self.product_tail_tol = float(product_tail_tol)
-        self.max_product_depth = int(max_product_depth)
         self._max_b = float(np.max(np.linalg.norm(sys.B, axis=1)))
         # tail_sums[K] >= sum_{k>=K} ||(R^T)^-k||: certified product tails
-        self._tail_sums = certified_tails(sys)[: self.max_product_depth + 1]
+        self._tail_sums = certified_tails(sys)
 
     def _depth_for(self, max_norm: float) -> int:
         """Smallest K whose tail bound is below product_tail_tol."""
@@ -325,7 +318,7 @@ class FractalMeasure:
         if ok.size == 0:
             raise ConvergenceError(
                 f"product tail {tails[-1]:.3e} still above tolerance "
-                f"{self.product_tail_tol:.1e} at depth {self.max_product_depth} "
+                f"{self.product_tail_tol:.1e} at depth {INV_POWER_DEPTH} "
                 f"(|t| = {max_norm:.6g})"
             )
         return int(ok[0])
@@ -403,20 +396,19 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first], inverse
 
 
-def atomic_approximation(
-    m: FractalMeasure, depth: int, budget: int = DEFAULT_ATOM_BUDGET
-) -> AtomicApproximation:
+def atomic_approximation(m: FractalMeasure, depth: int) -> AtomicApproximation:
     """All depth-K words of digits, in lexicographic order over sorted B.
 
     Point for word (b_0, ..., b_{K-1}) is sum_k R^-k b_k; each carries
-    weight N^-K.  K = 0 yields the single point 0 with full mass.
+    weight N^-K.  K = 0 yields the single point 0 with full mass.  More
+    than DEFAULT_ATOM_BUDGET atoms is a :class:`BudgetError`.
     """
     sys = m.sys
     n = sys.n_digits
     if depth < 0:
         raise ValidationError(f"depth must be >= 0, got {depth}")
-    if n**depth > budget:
-        raise BudgetError(f"N^K = {n}**{depth} exceeds atom budget {budget}")
+    if n**depth > DEFAULT_ATOM_BUDGET:
+        raise BudgetError(f"N^K = {n}**{depth} exceeds atom budget {DEFAULT_ATOM_BUDGET}")
     points = word_sums(sys.B, sys.rinv.T, depth)
     points.setflags(write=False)
     return AtomicApproximation(depth=depth, points=points, weight=float(n) ** -depth)

@@ -20,7 +20,7 @@ basis certificate.  Three facts drive it:
 * gamma < 1, together with 0 in L, L spanning and a compatible system,
   certifies that the enumerated exponentials form an orthonormal basis.
 
-``as_box`` and ``attractor_hull`` are bound here because the certificate
+``as_box`` and ``attractor_hull`` are bound here because this module
 calls them; ``apply_ruelle`` is only re-exported, so the name
 ``ruelle.apply_ruelle`` that the traced benchmark layers
 (``bench/layers.py``) look up keeps resolving.  Probes given as
@@ -69,7 +69,6 @@ from .systems import (
     check_hadamard,
     dual_points,
     require_expansive,
-    validate_compatibility,
 )
 
 __all__ = [
@@ -579,15 +578,17 @@ def contraction_probe(
 
 def basis_certificate(
     m: FractalMeasure,
-    box=None,
     trials: int = 0,
     seed: int = 0,
 ) -> ContractionReport:
     """Certificate that the enumerated exponentials form an orthonormal basis.
 
     Certifies when the digit matrix is unitary, the system is compatible
-    (:func:`~fractalspec.systems.validate_compatibility`), 0 is in L, L
-    spans, and the contraction bound is below 1.  Unitarity (within
+    (its cached :attr:`~fractalspec.systems.AffineSystem.validation`), 0 is
+    in L, L spans, and the contraction bound is below 1.  The bound is
+    always taken on the system's
+    :func:`~fractalspec.systems.attractor_hull`, a box the dual maps send
+    into itself, since on any other box it bounds nothing.  Unitarity (within
     :func:`~fractalspec.systems.unitarity_tolerance`) already holds for every
     :class:`FractalMeasure`; the other failed hypotheses are recorded rather
     than raised.  Optional probe trials attach empirical ratios; trials
@@ -596,14 +597,14 @@ def basis_certificate(
     if trials < 0:
         raise ValidationError(f"trials must be >= 0, got {trials}")
     sys = m.sys
-    box = attractor_hull(sys) if box is None else as_box(box, sys.d)
+    box = attractor_hull(sys)
     report = estimate_gamma(sys, box)
     deviation = check_hadamard(sys)
     zero_in_l = bool(np.any(np.all(sys.L == 0.0, axis=1)))
     l_spans = bool(np.linalg.matrix_rank(sys.L) == sys.d)
 
     failures = []
-    if not validate_compatibility(sys).compatible:
+    if not sys.validation.compatible:
         failures.append("not compatible")
     if not zero_in_l:
         failures.append("0 not in L")

@@ -22,12 +22,12 @@ import numpy as np
 from .errors import BudgetError, ConvergenceError, ValidationError
 from .measure import FractalMeasure, dual_step, fourier_mu_many
 from .systems import (
+    INV_POWER_DEPTH,
     AffineSystem,
     certified_tails,
     dual_box,
     grow_invariant_box,
     integral_system,
-    validate_compatibility,
     word_sums,
 )
 
@@ -71,8 +71,8 @@ class SpectrumEnumeration:
 
     @classmethod
     def from_elements(cls, sys: AffineSystem, elements) -> "SpectrumEnumeration":
-        elements = np.asarray(elements, dtype=float).reshape(-1, sys.d)
-        elements = elements[np.lexsort(elements.T[::-1])]
+        """A hand-built set: the rows of ``elements``, sorted, exact repeats dropped."""
+        elements = _sorted_distinct(np.asarray(elements, dtype=float).reshape(-1, sys.d))
         elements.setflags(write=False)
         return cls(sys=sys, depth=None, elements=elements)
 
@@ -95,17 +95,22 @@ def enumerate_spectrum(
             f"N^(depth+1) = {n}**{depth + 1} exceeds word budget {budget}"
         )
     sums = word_sums(sys.L, sys.R, depth + 1)
-    sums = sums[np.lexsort(sums.T[::-1])]
     integral = np.all(np.abs(sums - np.round(sums)) <= DEDUP_TOL)
     if integral:
         sums = np.round(sums)
-    keep = np.ones(len(sums), dtype=bool)
-    keep[1:] = np.any(np.diff(sums, axis=0) != 0.0, axis=1)
-    elements = sums[keep]
+    elements = _sorted_distinct(sums)
     if not integral:
         elements = _dedup_near(elements, DEDUP_TOL)
     elements.setflags(write=False)
     return SpectrumEnumeration(sys=sys, depth=depth, elements=elements)
+
+
+def _sorted_distinct(rows: np.ndarray) -> np.ndarray:
+    """The rows in lexicographic order, each exact repeat dropped."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = np.any(np.diff(rows, axis=0) != 0.0, axis=1)
+    return rows[keep]
 
 
 def _dedup_near(rows: np.ndarray, tol: float) -> np.ndarray:
@@ -403,10 +408,10 @@ class CompletenessReport:
     t - lam is rounded, so with |lam| up to 1.6e5 (R = 12, B = {0, 1/4, 1/2,
     3/4}, L = {0, 1, 2, 7}, depth 4) Q is up to about 1e-12 off either way.
     A scan that evaluated no depth has no ``min_Q``, ``max_Q`` or ``argmin``.
-    ``status`` is "incomplete-evidence" only for a converged scan of a
-    hand-built set, or of a tree-gated set with a grid point where Q = 0
-    whose weight-1 walk reaches a nonzero m_B-cycle (see
-    :func:`completeness_scan`); a converged scan without either reads
+    ``status`` is always "incomplete-evidence" for a hand-built set, and
+    otherwise only for a converged scan of a tree-gated set with a grid
+    point where Q = 0 whose weight-1 walk reaches a nonzero m_B-cycle (see
+    :func:`completeness_scan`); a converged deepened scan without one reads
     "inconclusive", ``converged`` kept.  A deepened scan of a system that
     fails the compatibility check never reads "complete-evidence".
     """
@@ -438,21 +443,24 @@ def completeness_scan(
     Deepening stops once one extra depth moves min Q by less than
     ``increment_tol`` (converged), or once the word budget or ``max_depth``
     is hit (inconclusive; also when not even the starting depth fits).
-    Hand-built enumerations are evaluated at their fixed element set only.
-    An enumeration that can be deepened must belong to the measure's
-    system (the same R, B and L), since deepening enumerates ``m.sys``'s
-    set; otherwise the scan is a :class:`ValidationError`.
+    Hand-built enumerations are evaluated at their fixed element set only,
+    and always read "incomplete-evidence": a finite set never spans, and
+    nothing checks that a hand-built set is orthogonal, so its Q may exceed
+    the Bessel bound of 1.  An enumeration that can be deepened must belong
+    to the measure's system (the same R, B and L), since deepening
+    enumerates ``m.sys``'s set; otherwise the scan is a
+    :class:`ValidationError`.
 
     Evidence labels: every reported Q underestimates the limit (up to the
     rounding of a direct sum, see :class:`CompletenessReport`), so
     "complete-evidence" (min Q >= target) is one-sided.  It also needs a
-    compatible system (:func:`~fractalspec.systems.validate_compatibility`)
-    when the set is deepened: otherwise the enumerated exponentials need not
-    be orthogonal, Q is no Bessel sum and may exceed 1, and the scan reads
-    "inconclusive".  A stop below the target proves nothing by itself: Q_n
-    can stall for hundreds of depths, and an exact zero of Q_n at a grid
-    point can still rise.  So a converged scan reads "incomplete-evidence"
-    only for a hand-built set (a finite set never spans) or, on the tree's
+    compatible system (the cached
+    :attr:`~fractalspec.systems.AffineSystem.validation`): otherwise the
+    enumerated exponentials need not be orthogonal, Q is no Bessel sum and
+    may exceed 1, and the scan reads "inconclusive".  A stop below the
+    target proves nothing by itself: Q_n can stall for hundreds of depths,
+    and an exact zero of Q_n at a grid point can still rise.  So a
+    converged deepened scan reads "incomplete-evidence" only on the tree's
     gate below, when the walk from a grid point c != 0 with Q = 0 along the
     heaviest dual map takes only steps of weight |chi(s - l)|^2 = 1 until it
     repeats a nonzero point c', checked exactly (:func:`_reaches_cycle`).
@@ -535,14 +543,12 @@ def completeness_scan(
             q = np.empty(0)
 
     min_q = float(q.min()) if depths else None
-    # a deepened set is orthogonal only for a compatible system
-    compatible = spec.depth is None or validate_compatibility(sys).compatible
-    if depths and min_q >= target and compatible:
+    if spec.depth is None:
+        status = "incomplete-evidence"  # a finite set never spans
+    elif depths and min_q >= target and sys.validation.compatible:
+        # a deepened set is orthogonal only for a compatible system
         status = "complete-evidence"
-    elif converged and (
-        spec.depth is None
-        or (tree is not None and any(_reaches_cycle(sys, c) for c in grid[q == 0.0]))
-    ):
+    elif converged and tree is not None and any(_reaches_cycle(sys, c) for c in grid[q == 0.0]):
         status = "incomplete-evidence"
     else:
         status = "inconclusive"  # no witness, or budget or max_depth hit first
@@ -606,12 +612,12 @@ def _product_error(tau: float, depth: int, n: int) -> float:
 
 def _direct_leaf(m: FractalMeasure):
     """|mu-hat|^2 from the truncated product, and its certified error for
-    the tail tau <= product_tail_tol and at most max_product_depth factors."""
+    the tail tau <= product_tail_tol and at most INV_POWER_DEPTH factors."""
 
     def leaf(pts):
         return np.abs(fourier_mu_many(m, pts)[0]) ** 2
 
-    return leaf, _product_error(m.product_tail_tol, m.max_product_depth, m.sys.n_digits)
+    return leaf, _product_error(m.product_tail_tol, INV_POWER_DEPTH, m.sys.n_digits)
 
 
 def separation(spec: SpectrumEnumeration) -> float:

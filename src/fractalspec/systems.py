@@ -79,8 +79,9 @@ class AffineSystem:
     :attr:`rinv`, :attr:`inv_power_tails` and :attr:`expansiveness` from R,
     :attr:`zero_digits` from B, :attr:`chi_shifts` and
     :attr:`hadamard_deviation` from B and L, and
-    :attr:`is_integral` from all three.  The arrays are read-only and a
-    system is never mutated (:func:`scale_system` builds a new one).
+    :attr:`is_integral` and :attr:`validation` from all three.  The arrays
+    are read-only and a system is never mutated (:func:`scale_system`
+    builds a new one).
     """
 
     d: int
@@ -170,6 +171,12 @@ class AffineSystem:
             if any(x % den for x in (powered @ L.T).flat):
                 return False
         return True
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """:func:`validate_compatibility` at its default arguments, the report
+        that every check of one system shares."""
+        return validate_compatibility(self)
 
     def __repr__(self) -> str:  # compact, deterministic
         return (

@@ -35,7 +35,7 @@ from .measure import (
     fourier_mu_many,
 )
 from .ruelle import ContractionReport, basis_certificate
-from .spectrum import SpectrumEnumeration, completeness_scan, enumerate_spectrum
+from .spectrum import DEDUP_TOL, SpectrumEnumeration, completeness_scan, enumerate_spectrum
 from .systems import AffineSystem, cantor_four, scale_systems, two_digit_system
 
 __all__ = [
@@ -207,13 +207,13 @@ def dim_one_classify(
     a: float,
     L=None,
     clique_window: int = 60,
-    zero_tol: float = 1e-9,
     target: float = 0.99,
 ) -> DichotomyVerdict:
     """Classify the d=1, two-digit system B = {0, a} by the parity of R.
 
     Odd R predicts no exponential basis; the evidence is an exact maximum
-    clique search over the integer window.  Even R with |R| >= 4 predicts a
+    clique search over the integer window, at the zero tolerance of
+    :func:`max_orthogonal_clique`.  Even R with |R| >= 4 predicts a
     basis; the evidence is the contraction certificate plus a completeness
     scan over one unit cell.  |R| = 2 falls outside the dichotomy: evidence
     is computed and recorded without a claim.
@@ -229,7 +229,7 @@ def dim_one_classify(
 
     if R % 2 != 0:
         predicted = "no-basis"
-        size, witness = max_orthogonal_clique(m, clique_window, zero_tol=zero_tol)
+        size, witness = max_orthogonal_clique(m, clique_window)
         return DichotomyVerdict(
             R=R,
             a=a,
@@ -428,14 +428,15 @@ def hardy_roundtrip(
     spec: SpectrumEnumeration,
     coeffs: dict,
     depth: int,
-    tol: float = 1e-9,
 ) -> HardyReport:
     """Synthesize f = sum c_lam e_lam and recover the c_lam by quadrature.
 
     Inner products are taken against the depth-K atomic approximation, the
     independent route; both the worst coefficient error and the defect in
     sum |c|^2 = ||f||^2 shrink as K grows.  Coefficient keys must lie on the
-    enumerated spectrum (within ``tol``).
+    enumerated spectrum, within DEDUP_TOL in max-norm, the tolerance within
+    which :func:`~fractalspec.spectrum.enumerate_spectrum` merges two
+    frequencies.
 
     The basis e_lam(x_w) is one complex N^K x |coeffs| array (16 bytes an
     entry), built in place and conjugated in place; more than
@@ -450,7 +451,7 @@ def hardy_roundtrip(
             [float(key)] if np.isscalar(key) else [float(x) for x in key]
         ).reshape(d)
         dist = np.abs(spec.elements - vec).max(axis=1)
-        if dist.min() > tol:
+        if dist.min() > DEDUP_TOL:
             raise ValidationError(f"coefficient frequency {key!r} is not in the spectrum")
         lam_list.append(vec)
         c_list.append(complex(value))

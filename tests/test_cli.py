@@ -1,6 +1,7 @@
 import argparse
 import gc
 import json
+import shlex
 import subprocess
 import sys
 import warnings
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fractalspec import cli, ruelle, verify
+from fractalspec import cli, ruelle, spectrum, systems, verify
 from fractalspec.cli import main
 
 
@@ -594,6 +595,38 @@ def test_ruelle_bound_rejects_non_expansive(write_system, capsys, R, B, L, modul
     assert caught == []
 
 
+def test_ruelle_bound_rejects_a_box_the_maps_leave(write_system, capsys):
+    # on the point box quad2d's gamma would read 0.354 < 1; the hull gives 3.89
+    argv = ["ruelle-bound", "--system", write_system(QUAD2D)]
+    code, out, err = run_cli(argv + ["--box=0:0,0:0"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: a dual map leaves the box by 2.500e-01; enlarge the box\n"
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 2 and json.loads(out)["gamma_bound"] > 1.0
+
+
+@pytest.mark.parametrize(
+    "argv", [["certify"], ["completeness", "--grid", "0:1:0.1", "--max-depth", "3"]], ids=lambda a: a[0]
+)
+def test_one_validation_per_system(write_system, capsys, monkeypatch, argv):
+    # a non-integral system pays validate_compatibility's power loop: once,
+    # in the report the command emits and its analysis reads
+    path = write_system({"d": 1, "R": [[6]], "B": ["0", "1/3", "2/3"], "L": [0, 1, 2]})
+    original, calls = systems.validate_compatibility, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (systems, cli, ruelle, spectrum):
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counting)
+    code, out, _ = run_cli([argv[0], "--system", path, *argv[1:]], capsys)
+    assert code in (0, 2) and json.loads(out)["validation"]["exact_shortcut_used"] is False
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # usage errors, CSV forms and the process entry point
 
@@ -629,6 +662,17 @@ def test_help_and_version_exit_zero(capsys, argv):
         main(argv)
     assert exit_.value.code == 0
     assert capsys.readouterr().out
+
+
+def test_readme_cli_examples_parse():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(lines) >= 14
+    for words in lines:
+        assert words[0] == "fractalspec"
+        args = cli.build_parser().parse_args(words[1:])
+        assert args.command == words[1]
 
 
 def test_usage_error_subprocess_exits_one():

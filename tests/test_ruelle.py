@@ -917,6 +917,17 @@ class TestBasisCertificate:
         assert not cert.basis_certified
         assert cert.failures == ("not compatible",)
 
+    def test_bound_only_on_the_attractor_hull(self):
+        # R = 4, B = {0, 1/2}, L = {0, 3} has no basis (t = -1 is an m_B-cycle
+        # point); the point box [0, 0] would give gamma 0.25, but no box but
+        # the invariant hull can be passed
+        m = FractalMeasure(make_system(4.0, [0.0, 0.5], [0.0, 3.0]))
+        with pytest.raises(TypeError):
+            basis_certificate(m, box=[[0.0, 0.0]])
+        cert = basis_certificate(m)
+        assert np.array_equal(cert.box, attractor_hull(m.sys))
+        assert cert.gamma_bound > 1.0 and not cert.basis_certified
+
     def test_scale_two_not_certified_but_recorded(self, even2):
         cert = basis_certificate(FractalMeasure(even2))
         assert not cert.basis_certified

@@ -166,6 +166,13 @@ class TestSeparation:
         ]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
+    def test_hand_built_repeats_dropped(self, cantor4, cantor4_measure):
+        spec = SpectrumEnumeration.from_elements(cantor4, [[1.0], [0.0], [0.0]])
+        assert spec.size == 2
+        assert np.array_equal(spec.elements, [[0.0], [1.0]])
+        assert q_partial(cantor4_measure, spec, [0.0]) == 1.0
+        assert separation(spec) == 1.0
+
     def test_needs_two(self, cantor4):
         spec = SpectrumEnumeration.from_elements(cantor4, [[0.0]])
         with pytest.raises(ValidationError):
@@ -251,6 +258,14 @@ class TestCompletenessScan:
             cantor4_measure, spec, grid1d(0.0, 1.0, 0.01), target=0.99
         )
         assert report.min_Q < 0.99
+        assert report.status == "incomplete-evidence"
+
+    def test_hand_built_set_is_never_complete_evidence(self, cantor4, cantor4_measure):
+        # the integers are no orthogonal set for cantor4, so Q breaks the
+        # Bessel bound of 1; a finite set never spans either way
+        spec = SpectrumEnumeration.from_elements(cantor4, np.arange(-200.0, 201.0))
+        report = completeness_scan(cantor4_measure, spec, grid1d(0.0, 1.0, 0.05), 0.99)
+        assert report.min_Q > 1.0
         assert report.status == "incomplete-evidence"
 
     def test_grid_containing_only_spectrum_points(self, cantor4, cantor4_measure):
