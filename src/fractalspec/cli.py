@@ -1,20 +1,24 @@
 """Command-line front-end.
 
-Every subcommand reads a system (from a JSON file or from flags), runs one
-analysis and returns ``(body, table, ok)``:
+Every subcommand is a function ``(args, sys_) -> (body, table, ok)`` of the
+parsed arguments and the system, which :func:`main` reads once (from a JSON
+file or from flags) before the command runs one analysis on it:
 
-- ``body``: the artifact's payload, the system's validation report
-  included, without the configuration;
+- ``body``: the artifact's payload, without the configuration and the
+  validation report;
 - ``table``: ``(header, columns)`` for the CSV form, or None on the
   commands that emit JSON only (their parser refuses ``--format csv``);
 - ``ok``: the verdict, True for a pure computation.
 
 :func:`main` alone turns that into an artifact and an exit status.  It adds
 ``config``, which is every parsed argument (the command included) plus the
-schema and package versions, emits a deterministic JSON artifact or the CSV
-table, and returns 0 when ``ok`` holds, else 2 (computed, negative verdict:
-not certified, not orthogonal, ...).  Exit 1 is a failure to compute (bad
-input, usage errors included, convergence error, budget).
+schema and package versions, and ``validation``, the system's cached
+:attr:`~fractalspec.systems.AffineSystem.validation` (only ``validate``
+returns its own report in ``body``, checked at its --n-max and --tol).  It
+emits a deterministic JSON artifact or the CSV table, and returns 0 when
+``ok`` holds, else 2 (computed, negative verdict: not certified, not
+orthogonal, ...).  Exit 1 is a failure to compute (bad input, usage errors
+included, convergence error, budget).
 
 Only numpy and the modules every command needs (errors, systems, reports)
 are imported with this module; each subcommand imports its analysis
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import gc
+import math
 import sys as _sys
 
 import numpy as np
@@ -37,7 +42,6 @@ from .reports import SCHEMA_VERSION, render_csv, render_json, write_text
 from .systems import (
     BOX_TOL,
     AffineSystem,
-    ValidationReport,
     as_box,
     attractor_hull,
     cantor_four,
@@ -65,11 +69,17 @@ def _parse_number(text: str, warn: bool = True) -> float:
 
 
 def _parse_grid(spec: str, d: int) -> np.ndarray:
-    """Parse "a:b:step[,a:b:step...]" into at most GRID_BUDGET grid points (may be empty)."""
+    """Parse "a:b:step[,a:b:step...]" into at most GRID_BUDGET grid points.
+
+    An axis has the points a + k step for k < n, n = ceil((b - a) / step + 1/2)
+    when b >= a (b is kept up to half a step) and 0 when b < a; an empty axis
+    gives an empty grid.  Points that coincide or overflow in float are an
+    error, not a shorter axis.
+    """
     parts = spec.split(",")
     if len(parts) != d:
         raise FractalSpecError(f"grid spec {spec!r} has {len(parts)} axes, system has {d}")
-    bounds = []
+    axes = []
     for part in parts:
         fields = part.split(":")
         if len(fields) != 3:
@@ -77,16 +87,23 @@ def _parse_grid(spec: str, d: int) -> np.ndarray:
         a, b, step = (_parse_number(f, warn=False) for f in fields)
         if step <= 0:
             raise FractalSpecError(f"grid step must be positive in {part!r}")
-        bounds.append((a, b + step / 2 if b >= a else a, step))  # b < a: no points
-    points = np.prod([np.ceil((stop - start) / step) for start, stop, step in bounds])
+        # a float count, as (b - a) / step may overflow to inf
+        axes.append((part, a, step, float(np.ceil((b - a) / step + 0.5)) if b >= a else 0.0))
+    if not all(n for *_, n in axes):
+        return np.empty((0, d))
+    points = math.prod(n for *_, n in axes)
     if points > GRID_BUDGET:
         raise BudgetError(
             f"grid {spec!r} has {points:.3g} points, over the budget of {GRID_BUDGET}"
         )
-    axes = [np.arange(*axis) for axis in bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    if any(ax.size == 0 for ax in axes):
-        return np.empty((0, d))
+    ticks = []
+    for part, a, step, n in axes:
+        with np.errstate(over="ignore"):  # an overflowing point is inf, rejected below
+            tick = a + np.arange(int(n)) * step
+        if not (np.isfinite(tick[-1]) and np.all(tick[1:] > tick[:-1])):
+            raise FractalSpecError(f"points of grid axis {part!r} coincide or overflow in float")
+        ticks.append(tick)
+    mesh = np.meshgrid(*ticks, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
@@ -128,7 +145,7 @@ def _emit(args, payload: dict, table) -> None:
     if args.format == "csv":
         comments = [
             f"config: {render_json(payload['config'], compact=True)}",
-            f"validation: {render_json(payload.get('validation'), compact=True)}",
+            f"validation: {render_json(payload['validation'], compact=True)}",
             f"schema_version: {SCHEMA_VERSION}",
         ]
         text = render_csv(*table, comments)
@@ -146,11 +163,10 @@ def _config(args) -> dict:
     return {**config, "schema_version": SCHEMA_VERSION, "package_version": __version__}
 
 
-def _load_validated(args, **checks) -> tuple[AffineSystem, ValidationReport]:
-    """The command's system, from --system, else --R/--a/--L, else the built-in
-    example, and its validation report: the system's cached
-    :attr:`~fractalspec.systems.AffineSystem.validation`, or a fresh one when
-    ``checks`` (``validate``'s --n-max and --tol) go to validate_system."""
+def _load_system(args) -> AffineSystem:
+    """The command's system: from --system, else --R/--a/--L, else the built-in
+    example.  An entry beyond 2^53 in magnitude holds no fraction, and the
+    analyses square and multiply entries past the float range: exit 1."""
     if getattr(args, "system", None):
         sys_ = load_system(args.system)
     elif hasattr(args, "a"):
@@ -159,7 +175,9 @@ def _load_validated(args, **checks) -> tuple[AffineSystem, ValidationReport]:
         sys_ = two_digit_system(args.R, a, L)
     else:
         sys_ = cantor_four()
-    return sys_, validate_system(sys_, **checks) if checks else sys_.validation
+    if any(np.any(np.abs(x) > 2.0**53) for x in (sys_.R, sys_.B, sys_.L)):
+        raise ValidationError("the system has an entry beyond 2^53 in magnitude")
+    return sys_
 
 
 def _axes(name: str, d: int) -> list[str]:
@@ -171,16 +189,15 @@ def _axes(name: str, d: int) -> list[str]:
 # subcommands: each returns (body, table, ok), see the module docstring
 
 
-def _cmd_validate(args):
-    sys_, validation = _load_validated(args, n_max=args.n_max, tol=args.tol)
+def _cmd_validate(args, sys_):
+    validation = validate_system(sys_, n_max=args.n_max, tol=args.tol)
     body = {"validation": validation, "system": {"d": sys_.d, "N": sys_.n_digits, "r": sys_.r}}
     return body, None, validation.valid
 
 
-def _cmd_fourier(args):
+def _cmd_fourier(args, sys_):
     from .measure import FractalMeasure, fourier_mu_many
 
-    sys_, validation = _load_validated(args)
     m = FractalMeasure(sys_)
     grid = _parse_grid(args.grid, sys_.d)
     values, tails = (
@@ -189,36 +206,28 @@ def _cmd_fourier(args):
     # hypot, not np.abs: it equals abs(complex) bit for bit
     columns = (*grid.T, values.real, values.imag, np.hypot(values.real, values.imag), tails)
     header = _axes("t", sys_.d) + ["re", "im", "abs", "tail_bound"]
-    body = {"validation": validation, "rows": np.column_stack(columns), "columns": header}
+    body = {"rows": np.column_stack(columns), "columns": header}
     return body, (header, columns), True
 
 
-def _cmd_atoms(args):
+def _cmd_atoms(args, sys_):
     from .measure import FractalMeasure, atomic_approximation
 
-    sys_, validation = _load_validated(args)
     atoms = atomic_approximation(FractalMeasure(sys_), args.depth)
     n = atoms.points.shape[0]
     columns = (np.arange(n), *atoms.points.T, np.full(n, atoms.weight))
     header = ["index", *_axes("x", sys_.d), "weight"]
-    body = {
-        "validation": validation,
-        "depth": atoms.depth,
-        "weight": atoms.weight,
-        "points": atoms.points,
-    }
+    body = {"depth": atoms.depth, "weight": atoms.weight, "points": atoms.points}
     return body, (header, columns), True
 
 
-def _cmd_spectrum(args):
+def _cmd_spectrum(args, sys_):
     from .spectrum import enumerate_spectrum, separation
 
-    sys_, validation = _load_validated(args)
     spec = enumerate_spectrum(sys_, args.depth)
     columns = (np.arange(spec.size), *spec.elements.T)
     header = ["index"] + [f"lambda{i}" for i in range(sys_.d)]
     body = {
-        "validation": validation,
         "size": spec.size,
         "separation": separation(spec) if spec.size >= 2 else None,
         "elements": spec.elements,
@@ -226,11 +235,10 @@ def _cmd_spectrum(args):
     return body, (header, columns), True
 
 
-def _cmd_orthogonality(args):
+def _cmd_orthogonality(args, sys_):
     from .measure import FractalMeasure
     from .spectrum import enumerate_spectrum, orthogonality_matrix
 
-    sys_, validation = _load_validated(args)
     m = FractalMeasure(sys_)
     spec = enumerate_spectrum(sys_, args.depth)
     max_off, table = orthogonality_matrix(m, spec)
@@ -238,21 +246,19 @@ def _cmd_orthogonality(args):
     columns = (i, j, *spec.elements[i].T, *spec.elements[j].T, table[i, j])
     header = ["i", "j", *_axes("lambda_i", sys_.d), *_axes("lambda_j", sys_.d), "abs_inner_product"]
     ok = max_off <= args.tol
-    body = {"validation": validation, "size": spec.size, "max_offdiag": max_off, "orthogonal": ok}
+    body = {"size": spec.size, "max_offdiag": max_off, "orthogonal": ok}
     return body, (header, columns), ok
 
 
-def _cmd_completeness(args):
+def _cmd_completeness(args, sys_):
     from .measure import FractalMeasure
     from .spectrum import completeness_scan, enumerate_spectrum
 
-    sys_, validation = _load_validated(args)
     m = FractalMeasure(sys_)
     grid = _parse_grid(args.grid, sys_.d)
     header = _axes("t", sys_.d) + ["Q"]
     if grid.size == 0:
-        body = {"validation": validation, "status": "empty-grid", "rows": []}
-        return body, (header, (*grid.T, np.empty(0))), True
+        return {"status": "empty-grid", "rows": []}, (header, (*grid.T, np.empty(0))), True
     spec = enumerate_spectrum(sys_, args.depth)
     report = completeness_scan(
         m,
@@ -263,14 +269,13 @@ def _cmd_completeness(args):
         max_depth=args.max_depth,
     )
     scanned = grid if report.Q.size else grid[:0]  # no depth evaluated: no Q, no rows
-    body = {"validation": validation, "report": report}
-    return body, (header, (*scanned.T, report.Q)), report.status == "complete-evidence"
+    ok = report.status == "complete-evidence"
+    return {"report": report}, (header, (*scanned.T, report.Q)), ok
 
 
-def _cmd_ruelle_bound(args):
+def _cmd_ruelle_bound(args, sys_):
     from .ruelle import contraction_probe, estimate_gamma
 
-    sys_, validation = _load_validated(args)
     box = attractor_hull(sys_) if args.box is None else as_box(
         [_parse_window(part) for part in args.box.split(",")], sys_.d
     )
@@ -281,7 +286,6 @@ def _cmd_ruelle_bound(args):
         raise DomainError(f"a dual map leaves the box by {excess:.3e}; enlarge the box")
     probe = contraction_probe(sys_, box, trials=args.trials, seed=args.seed)
     body = {
-        "validation": validation,
         "gamma_bound": bound.gamma_bound,
         "beta": bound.beta,
         "box": box.tolist(),
@@ -293,54 +297,45 @@ def _cmd_ruelle_bound(args):
     return body, None, bound.gamma_bound < 1.0
 
 
-def _cmd_certify(args):
+def _cmd_certify(args, sys_):
     from .measure import FractalMeasure
     from .ruelle import basis_certificate
 
-    sys_, validation = _load_validated(args)
     cert = basis_certificate(FractalMeasure(sys_), trials=args.trials, seed=args.seed)
-    body = {
-        "validation": validation,
-        "certificate": cert,
-        "reason": "; ".join(cert.failures) if cert.failures else None,
-    }
+    body = {"certificate": cert, "reason": "; ".join(cert.failures) if cert.failures else None}
     return body, None, cert.basis_certified
 
 
-def _cmd_classify(args):
+def _cmd_classify(args, sys_):
     from .verify import dim_one_classify
 
-    sys_, validation = _load_validated(args)
     a = float(sys_.B.sum())  # B = {0, a}
     verdict = dim_one_classify(
         args.R, a, L=sys_.L, clique_window=args.window, target=args.target
     )
-    return {"validation": validation, "verdict": verdict}, None, verdict.consistent
+    return {"verdict": verdict}, None, verdict.consistent
 
 
-def _cmd_clique(args):
+def _cmd_clique(args, sys_):
     from .measure import FractalMeasure
     from .verify import max_orthogonal_clique
 
-    sys_, validation = _load_validated(args)
     size, witness = max_orthogonal_clique(FractalMeasure(sys_), args.window, zero_tol=args.zero_tol)
-    return {"validation": validation, "size": size, "witness": list(witness)}, None, True
+    return {"size": size, "witness": list(witness)}, None, True
 
 
-def _cmd_sweep(args):
+def _cmd_sweep(args, sys_):
     from .verify import scaling_sweep
 
-    sys_, validation = _load_validated(args)
     report = scaling_sweep(sys_, args.r_max)
     columns = tuple(map(np.array, zip(*report.rows)))
-    body = {"validation": validation, "sweep": report}
-    return body, (["r", "gamma_bound", "certified"], columns), report.first_certified is not None
+    ok = report.first_certified is not None
+    return {"sweep": report}, (["r", "gamma_bound", "certified"], columns), ok
 
 
-def _cmd_tiling(args):
+def _cmd_tiling(args, sys_):
     from .verify import tiling_multiplicity
 
-    sys_, validation = _load_validated(args)
     report = tiling_multiplicity(
         args.depth,
         _parse_window(args.window),
@@ -348,24 +343,23 @@ def _cmd_tiling(args):
         sys=sys_,
         translate_factor=args.translate_factor,
     )
-    body = {"validation": validation, "tiling": report}
     columns = (report.sample_points, report.multiplicities)
     # samples from a truncated window cover only part of it: no verdict
-    return body, (["x", "multiplicity"], columns), report.uniform and not report.truncated
+    ok = report.uniform and not report.truncated
+    return {"tiling": report}, (["x", "multiplicity"], columns), ok
 
 
-def _cmd_hardy(args):
+def _cmd_hardy(args, sys_):
     from .measure import FractalMeasure
     from .spectrum import enumerate_spectrum
     from .verify import hardy_roundtrip
 
-    sys_, validation = _load_validated(args)
     m = FractalMeasure(sys_)
     spec = enumerate_spectrum(sys_, args.depth)
     coeffs = _parse_coeffs(args.coeffs, sys_.d)
     report = hardy_roundtrip(m, spec, coeffs, depth=args.quadrature_depth)
     ok = report.recon_error <= args.max_error and report.parseval_defect <= args.max_error
-    return {"validation": validation, "roundtrip": report}, None, ok
+    return {"roundtrip": report}, None, ok
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        body, table, ok = args.fn(args)
-        _emit(args, {"config": _config(args), **body}, table)
+        sys_ = _load_system(args)
+        body, table, ok = args.fn(args, sys_)
+        _emit(args, {"config": _config(args), "validation": sys_.validation, **body}, table)
     except (FractalSpecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

@@ -351,8 +351,14 @@ def fourier_mu_many(m: FractalMeasure, T) -> tuple[np.ndarray, np.ndarray]:
     multiplied in the same depth order as by one pass over all rows.
     """
     T = np.asarray(T, dtype=float).reshape(-1, m.sys.d)
-    norms = np.linalg.norm(T, axis=1)
-    max_norm = float(norms.max(initial=0.0))
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(T, axis=1)
+        max_norm = float(norms.max(initial=0.0))
+        if max_norm == np.inf:  # squares past the float range: scale those rows
+            top = np.abs(T).max(axis=1)
+            huge = np.isinf(norms) & np.isfinite(top)
+            norms[huge] = top[huge] * np.linalg.norm(T[huge] / top[huge, None], axis=1)
+            max_norm = float(norms.max())
     depth = m._depth_for(max_norm)
     bits = T.view(np.int64)
     if m.sys.d == 1:

@@ -464,12 +464,6 @@ def _batch_sup(
     return best
 
 
-def _sup_norm(fn, box: np.ndarray, per_axis: int, refine: bool) -> float:
-    """Sup of one smooth nonnegative function fn((M, d) points) over the box."""
-    sups = _batch_sup(lambda pts: lambda trials: fn(pts[0])[None], _ONE, box, per_axis, refine)
-    return float(sups[0])
-
-
 def _probe_ratios(
     sys: AffineSystem, box: np.ndarray, probe, per_axis: int, refine: bool
 ) -> np.ndarray:

@@ -27,7 +27,6 @@ from .systems import (
     certified_tails,
     dual_box,
     grow_invariant_box,
-    integral_system,
     word_sums,
 )
 
@@ -321,14 +320,15 @@ def _interpolation_bound(sys: AffineSystem, box: np.ndarray, p):
     growth = np.pi * 0.5 * float(np.sum(box[:, 1] - box[:, 0])) * width
     p = np.asarray(p, dtype=float)
     rho = 1.0 + np.geomspace(1e-3, 1e3, 601)
-    log_bound = (
-        np.log(4.0)
-        + growth * (rho - 1.0 / rho)
-        - (p[..., None] - 1.0) * np.log(rho)
-        - np.log(rho - 1.0)
-    )
     stack = sum(_lebesgue(p) ** i for i in range(sys.d))
-    return np.exp(log_bound.min(axis=-1)) * stack
+    with np.errstate(over="ignore"):  # a bound past the float range is +inf
+        log_bound = (
+            np.log(4.0)
+            + growth * (rho - 1.0 / rho)
+            - (p[..., None] - 1.0) * np.log(rho)
+            - np.log(rho - 1.0)
+        )
+        return np.exp(log_bound.min(axis=-1)) * stack
 
 
 def _table_points(sys: AffineSystem, box: np.ndarray) -> int | None:
@@ -470,7 +470,7 @@ def completeness_scan(
     "inconclusive", with ``converged`` kept as evidence.
 
     Transfer-operator tree.  When the system is exactly integral
-    (:func:`~fractalspec.systems.integral_system`), 0 is in L and the
+    (:attr:`~fractalspec.systems.AffineSystem.is_integral`), 0 is in L and the
     starting set has all N^(depth+1) words distinct, |chi(t - lam)|^2 =
     |chi(t - l_0)|^2 for lam = l_0 + R^T lam', so Q_n(t) is the sum over
     words l_0..l_n of W |mu-hat(s_{n+1})|^2 with s_0 = t,
@@ -517,7 +517,7 @@ def completeness_scan(
     else:
         top = spec.depth + 8 if max_depth is None else max_depth
         if (
-            integral_system(sys)
+            sys.is_integral
             and np.any(np.all(sys.L == 0.0, axis=1))
             and spec.size == n ** (spec.depth + 1)
         ):

@@ -44,7 +44,6 @@ __all__ = [
     "validate_compatibility",
     "spectral_expansiveness",
     "require_expansive",
-    "integral_system",
     "adjoint_power_norms",
     "as_box",
     "attractor_hull",
@@ -151,8 +150,16 @@ class AffineSystem:
 
     @cached_property
     def is_integral(self) -> bool:
-        """Whether R, L and R^n b . l for n = 1..d are integers, exactly
-        (:func:`integral_system`).
+        """Whether R, L and R^n b . l for n = 1..d are integers, exactly.
+
+        Then R^n b . l is an integer for every n >= 1: the characteristic
+        polynomial of R^T is monic with integer coefficients, so each
+        (R^T)^(n-1) is an integer combination of (R^T)^j, j < d, and
+        b . (R^T)^n l = sum_j a_j b . (R^T)^(j+1) l.  The check is exact on
+        the stored floats (so B = {0, 1/3} with R = 3 fails: the float 1/3
+        times 3 is not 1), because the argument needs exact integers: a
+        near-integral R such as 4 + 1e-10 passes every test within 1e-9 up to
+        n = d but drifts off the integers as n grows.
 
         R and L are tested with x == round(x), exact for floats.  Each entry
         of B is the rational its float stores, a dyadic p / 2^k, so B is held
@@ -339,15 +346,15 @@ def validate_compatibility(
     """Full structural report: integrality, unitarity, expansiveness.
 
     Integrality is the condition R^n b . l in Z for n = 1..n_max.  When
-    :func:`integral_system` holds (exactly), every n is settled at once;
-    the report then carries ``exact_shortcut_used`` and a zero defect.
+    :attr:`AffineSystem.is_integral` holds (exactly), every n is settled at
+    once; the report then carries ``exact_shortcut_used`` and a zero defect.
     Otherwise the defect is the largest distance from any tested product to
     its nearest integer, which is bounded-n evidence, not a proof; the
     system is compatible when the defect is within ``tol``.
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
-    shortcut = allow_shortcut and integral_system(sys)
+    shortcut = allow_shortcut and sys.is_integral
     defect = 0.0
     if not shortcut:
         powered = sys.B.copy()
@@ -371,22 +378,6 @@ def validate_compatibility(
         exact_shortcut_used=shortcut,
         valid=compatible and hadamard_ok and expansive,
     )
-
-
-def integral_system(sys: AffineSystem) -> bool:
-    """Whether R, L and R^n b . l for n = 1..d are integers, exactly;
-    computed once per system (:attr:`AffineSystem.is_integral`).
-
-    Then R^n b . l is an integer for every n >= 1: the characteristic
-    polynomial of R^T is monic with integer coefficients, so each
-    (R^T)^(n-1) is an integer combination of (R^T)^j, j < d, and
-    b . (R^T)^n l = sum_j a_j b . (R^T)^(j+1) l.  The check is exact on the
-    stored floats (so B = {0, 1/3} with R = 3 fails: the float 1/3 times 3
-    is not 1), because the argument needs exact integers: a near-integral R
-    such as 4 + 1e-10 passes every test within 1e-9 up to n = d but drifts
-    off the integers as n grows.
-    """
-    return sys.is_integral
 
 
 def spectral_expansiveness(sys: AffineSystem) -> tuple[bool, float]:
@@ -498,6 +489,10 @@ def as_box(value, d: int) -> np.ndarray:
         box = box.reshape(1, 2)
     if box.shape != (d, 2) or np.any(box[:, 0] > box[:, 1]):
         raise ValidationError(f"bad box {value!r} for dimension {d}")
+    # beyond 2^53 a float holds no fraction, and near the float range the
+    # probes' phases overflow
+    if np.any(np.abs(box) > 2.0**53):
+        raise ValidationError(f"box {value!r} reaches beyond 2^53 in magnitude")
     return box
 
 
@@ -582,7 +577,7 @@ def two_digit_system(R, a: float, L=None) -> AffineSystem:
         raise ValidationError("a must be nonzero")
     if L is None:
         L = [0.0, 1.0 / (2.0 * a)]
-    return make_system(float(R), [0.0, a], L)
+    return make_system(parse_number(R), [0.0, a], L)
 
 
 def cantor_four() -> AffineSystem:

@@ -332,7 +332,8 @@ def tiling_multiplicity(
     frequency set, translated by ``translate_factor`` times the same set.
     Sampling is restricted to the largest covered run intersected with the
     requested window (endpoints excluded by the half-open convention); a
-    window reaching past that run is truncated and flagged.
+    window reaching past that run is truncated and flagged.  An empty
+    window (hi <= lo) is a :class:`ValidationError`.
     """
     if sys is None:
         sys = cantor_four()
@@ -355,6 +356,8 @@ def tiling_multiplicity(
     # maximal run with count >= 1 that meets the window most
     run_los, run_his = _covered_runs(starts, ends)
     lo, hi = float(window[0]), float(window[1])
+    if not lo < hi:
+        raise ValidationError(f"window [{lo}, {hi}) is empty")
     if run_los.size == 0:
         raise ValidationError("translate set covers nothing")
     gains = np.minimum(run_his, hi) - np.maximum(run_los, lo)

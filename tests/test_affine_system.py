@@ -23,7 +23,6 @@ from fractalspec._numeric import operator_norm, power_norm_tail, power_norms
 from fractalspec.systems import (
     INV_POWER_DEPTH,
     adjoint_power_norms,
-    integral_system,
     parse_number,
     unitarity_tolerance,
 )
@@ -135,7 +134,7 @@ class TestCompatibility:
         # R and L integral with R^n b.l integral for n = 1..d settles every n;
         # the shortcut needs exact integers, the bounded check a small defect
         s = make_system(R, B, L)
-        assert integral_system(s) == exact
+        assert s.is_integral == exact
         assert validate_compatibility(s).exact_shortcut_used == exact
         rep = validate_compatibility(s, n_max=12, allow_shortcut=False)
         assert (rep.max_integrality_defect <= 1e-9) == bounded

@@ -11,6 +11,7 @@ import pytest
 
 from fractalspec import cli, ruelle, spectrum, systems, verify
 from fractalspec.cli import main
+from fractalspec.reports import render_json
 
 
 def run_cli(argv, capsys):
@@ -158,7 +159,7 @@ def test_non_finite_flag_exits_one_before_computing(cantor4_file, capsys, monkey
     def unreachable(*args, **kwargs):
         raise AssertionError("the command ran")
 
-    monkeypatch.setattr(cli, "_load_validated", unreachable)
+    monkeypatch.setattr(cli, "_load_system", unreachable)
     argv = [arg.format(cantor4=cantor4_file) for arg in argv]
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (1, "", f"error: {flag}: not a finite number: '{bad}'\n")
@@ -170,6 +171,46 @@ def test_non_finite_hardy_coefficient_exits_one(cantor4_file, capsys, monkeypatc
     argv = ["hardy", "--system", cantor4_file, "--coeffs", coeffs]
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (1, "", f"error: coefficient '{bad}' is not a finite number\n")
+
+
+def test_grid_point_far_from_zero_is_evaluated(cantor4_file, capsys):
+    # a + step / 2 rounds back to a here; the count n = 1 keeps the point
+    argv = ["--system", cantor4_file, "--grid", "1e16:1e16:1"]
+    code, out, err = run_cli(["fourier", *argv], capsys)
+    assert (code, err) == (0, "") and [row[0] for row in json.loads(out)["rows"]] == [1e16]
+    code, out, err = run_cli(["completeness", *argv], capsys)
+    assert (code, err) == (2, "") and json.loads(out)["report"]["status"] == "inconclusive"
+
+
+@pytest.mark.parametrize("grid", ["1e16:1.0000000000000004e16:1", "1.7e308:1.79e308:1e307"])
+def test_grid_points_that_coincide_or_overflow_exit_one(cantor4_file, capsys, grid):
+    code, out, err = run_cli(["fourier", "--system", cantor4_file, "--grid", grid], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: points of grid axis '{grid}' coincide or overflow in float\n"
+
+
+def test_huge_frequency_error_names_its_norm(cantor4_file, capsys):
+    argv = ["fourier", "--system", cantor4_file, "--grid", "1e200:1e200:1e200"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: product tail ") and err.endswith(" (|t| = 1e+200)\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--R", "4", "--a", "1e300"], "the system has an entry beyond 2^53 in magnitude"),
+        (["classify", "--R", str(2**60), "--a", "1/2"], "the system has an entry beyond 2^53 in magnitude"),
+        (["classify", "--R", str(10**400), "--a", "1/2"], f"not a finite number: {10**400}"),
+        (["ruelle-bound", "--system", "{cantor4}", "--box=-1e300:0"], "box [(-1e+300, 0.0)] reaches beyond 2^53 in magnitude"),
+        (["tiling", "--window=1e300:-1e308"], "window [1e+300, -1e+308) is empty"),
+    ],
+    ids=["a", "R", "R-overflow", "box", "window"],
+)
+def test_input_beyond_the_float_range_exits_one(cantor4_file, capsys, argv, message):
+    code, out, err = run_cli([arg.format(cantor4=cantor4_file) for arg in argv], capsys)
+    assert (code, out, err.splitlines()[-1]) == (1, "", f"error: {message}")
 
 
 @pytest.mark.parametrize("grid, points", [("0:1e9:1e-9", "1e+18"), ("0:1:1,0:1e9:1e-9", "2e+18")])
@@ -840,9 +881,36 @@ def test_config_is_every_parsed_argument(cantor4_file, capsys, command):
 def test_csv_offered_exactly_when_a_table_is_returned(cantor4_file, command):
     argv = [arg.format(cantor4=cantor4_file) for arg in SMALL[command]]
     args = cli.build_parser().parse_args(argv)
-    _, table, _ = args.fn(args)
+    _, table, _ = args.fn(args, cli._load_system(args))
     fmt = next(a for a in _subcommands()[command]._actions if a.dest == "format")
     assert ("csv" in fmt.choices) == (table is not None)
+
+
+@pytest.mark.parametrize("command", [*SMALL, "validate-n-max"])
+def test_main_loads_and_validates_the_system_once(cantor4_file, capsys, monkeypatch, command):
+    loaded = []
+    for name in ("load_system", "two_digit_system", "cantor_four"):
+        def counted(*args, load=getattr(cli, name), **kwargs):
+            loaded.append(load(*args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, name, counted)
+    argv = SMALL["validate"] + ["--n-max", "3"] if command == "validate-n-max" else SMALL[command]
+    code, out, _ = run_cli([arg.format(cantor4=cantor4_file) for arg in argv], capsys)
+    assert code in (0, 2) and len(loaded) == 1
+    validation = json.loads(out)["validation"]
+    # only validate writes its own report, which differs at a non-default --n-max
+    assert (validation == json.loads(render_json(loaded[0].validation))) == (command != "validate-n-max")
+
+
+@pytest.mark.parametrize("command", SMALL)
+def test_commands_run_on_the_system_they_are_given(cantor4_file, monkeypatch, command):
+    args = cli.build_parser().parse_args([arg.format(cantor4=cantor4_file) for arg in SMALL[command]])
+    sys_ = cli._load_system(args)
+    for name in ("_load_system", "load_system", "two_digit_system", "cantor_four"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("the command loaded a system"))
+    body, _, _ = args.fn(args, sys_)
+    assert ("validation" in body) == (command == "validate")
 
 
 def test_clique_records_its_frequency_digits(capsys):

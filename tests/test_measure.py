@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,13 @@ class TestFourier:
     def test_convergence_error(self, cantor4):
         with pytest.raises(ConvergenceError):
             fourier_mu(FractalMeasure(cantor4), [1e150])
+
+    @pytest.mark.parametrize("name, norm", [("cantor4", "1e+200"), ("quad2d", "1.41421e+200")])
+    def test_huge_rows_keep_their_norm(self, name, norm, request):
+        # squaring 1e200 overflows; the error names the true |t|, with no warning
+        sys = request.getfixturevalue(name)
+        with pytest.raises(ConvergenceError, match=re.escape(f"(|t| = {norm})")):
+            fourier_mu_many(FractalMeasure(sys), np.array([[0.5] * sys.d, [1e200] * sys.d]))
 
 
 class TestAtomicOracle:

@@ -31,8 +31,9 @@ from fractalspec.ruelle import (
     SINPI_ERR,
     TRIAL_CHUNK,
     TrigPolynomial,
+    _ONE,
+    _batch_sup,
     _probe_ratios,
-    _sup_norm,
     _transfer_gradient,
     _WaveBatch,
     probe_ratio,
@@ -294,6 +295,11 @@ class TestMultilinearInterpolation:
         assert np.max(np.abs(q.interpolate(pts) - multilinear(pts))) <= 1e-12
 
 
+def _sup(fn, box, per_axis, refine):
+    """_batch_sup of one function fn((M, d) points), shared by a single trial."""
+    return float(_batch_sup(lambda pts: lambda trials: fn(pts[0])[None], _ONE, box, per_axis, refine)[0])
+
+
 class TestSupNorm:
     def test_polish_between_nodes(self):
         box = np.array([[0.0, 1.0]])
@@ -304,10 +310,10 @@ class TestSupNorm:
 
         grid_max = float(bump(np.linspace(0.0, 1.0, 129)[:, None]).max())
         assert grid_max < 1.0 - 1e-9
-        polished = _sup_norm(bump, box, 129, refine=True)
+        polished = _sup(bump, box, 129, refine=True)
         assert grid_max <= polished <= 1.0
         assert polished >= 1.0 - 1e-9
-        assert _sup_norm(bump, box, 129, refine=False) == grid_max
+        assert _sup(bump, box, 129, refine=False) == grid_max
 
     def test_polish_calls(self):
         calls = []
@@ -316,7 +322,7 @@ class TestSupNorm:
             calls.append(len(pts))
             return np.cos(pts[:, 0] - 0.123456789)
 
-        _sup_norm(bump, np.array([[-1.0, 1.0]]), 4097, refine=True)
+        _sup(bump, np.array([[-1.0, 1.0]]), 4097, refine=True)
         # grid, then a few 33-point zoom rounds from a 2-step bracket to 1e-12
         assert calls[0] == 4097
         assert 1 <= len(calls) - 1 <= 8

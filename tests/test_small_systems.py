@@ -26,7 +26,7 @@ from fractalspec import (
 )
 from fractalspec import measure, systems, verify
 from fractalspec._numeric import cis2pi, power_norms
-from fractalspec.systems import INV_POWER_DEPTH, AffineSystem, integral_system
+from fractalspec.systems import INV_POWER_DEPTH, AffineSystem
 from tests.conftest import hadamard_triple
 
 
@@ -329,7 +329,7 @@ INTEGRALITY_CASES = [
 @pytest.mark.parametrize("R, B, L", INTEGRALITY_CASES)
 def test_is_integral_matches_fraction_reference(R, B, L):
     s = make_system(R, B, L)
-    assert integral_system(s) is s.is_integral is fraction_integral(s)
+    assert s.is_integral is fraction_integral(s)
 
 
 def test_integrality_sample_has_both_answers():
@@ -364,7 +364,7 @@ def test_each_check_runs_once_per_system(monkeypatch):
     cert = basis_certificate(m)
     FractalMeasure(s)
     validate_compatibility(s)
-    assert integral_system(s) and spectral_expansiveness(s)[0] and check_hadamard(s) == 0.0
+    assert s.is_integral and spectral_expansiveness(s)[0] and check_hadamard(s) == 0.0
     assert report.valid and cert.basis_certified
     assert counts == {"expansiveness": 1, "hadamard_deviation": 1, "is_integral": 1}
     # a new system, such as a rescaled one, computes its own

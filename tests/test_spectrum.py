@@ -505,6 +505,12 @@ class TestIncrementalScan:
         assert report.Q[0] == 0.0
         assert report.min_Q == 0.0 and report.status == "incomplete-evidence"
 
+    def test_overflowing_interpolation_bound_is_inf(self, cantor4):
+        # a box 1e16 wide: the bound's exponent passes the float range
+        bound = spectrum._interpolation_bound(cantor4, np.array([[0.0, 1e16]]), np.array([8, 64]))
+        assert np.all(bound == np.inf)
+        assert spectrum._table_points(cantor4, np.array([[0.0, 1e16]])) is None
+
     @pytest.mark.parametrize("name", ["cantor4", "quad2d", "even2"])
     def test_leaf_table_error_bound(self, name, request):
         sys = request.getfixturevalue(name)
