@@ -61,11 +61,13 @@ def cospi(x):
 def cis2pi(x):
     """exp(2*pi*i*x) with exact values at quarter-integer x.
 
-    x = q/4 + r with q = round(4x) and |r| <= 1/8; the subtraction is exact,
-    so exp(2 pi i x) = i^q exp(2 pi i r) takes one cos/sin pair of 2 pi r
-    and an exact quarter turn (a swap and sign changes), indexed by q mod 4
-    in integer arithmetic.  At quarter-integer
-    x, r = 0 and the components are exactly 0 or +-1.  The flattened input
+    x = n + q/4 + r in two exact steps, n = round(x) and q = round(4(x - n))
+    in -2..2, with |r| <= 1/8; so exp(2 pi i x) = i^q exp(2 pi i r) takes
+    one cos/sin pair of 2 pi r and an exact quarter turn (a swap and sign
+    changes), indexed by q mod 4.  As 4n is even and a multiple of 4, q mod
+    4 and the rounding of ties are those of round(4x), which could
+    overflow.  At quarter-integer x, r = 0 and the components are exactly 0
+    or +-1.  The flattened input
     is processed in blocks of CIS_BLOCK elements so that the temporaries
     stay small whatever the input size.
     """
@@ -82,12 +84,14 @@ def cis2pi(x):
 def cis2pi_block(x: np.ndarray, out: np.ndarray) -> None:
     """:func:`cis2pi` of a flat float block ``x``, written into the complex ``out``."""
     with np.errstate(invalid="ignore"):  # non-finite x: nan, whatever the turn
-        q = np.round(4.0 * x)
-        r = x - 0.25 * q
+        r = x - np.round(x)
+        q = np.round(4.0 * r)
+        r -= 0.25 * q
+        turns = q.astype(np.int64) & 3
         r *= 2.0 * np.pi
         np.cos(r, out=out.real)
         np.sin(r, out=out.imag)
-    out *= _QUARTER_TURNS[_mod4(q)]  # products with 0 and +-1 are exact
+    out *= _QUARTER_TURNS[turns]  # products with 0 and +-1 are exact
 
 
 def operator_norm(mat) -> float:

@@ -33,6 +33,7 @@ import cmath
 import gc
 import math
 import sys as _sys
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -56,10 +57,14 @@ GRID_BUDGET = 2**24  # grid points per command
 
 
 def _parse_number(text: str, warn: bool = True) -> float:
-    """:func:`parse_number`; non-integer decimals get a rounding warning."""
+    """:func:`parse_number`; a decimal no float holds exactly gets a warning."""
     text = text.strip()
     value = parse_number(text)
-    if warn and "/" not in text and not value.is_integer():
+    try:  # Decimal compares exactly without forming 10**exponent, unlike Fraction
+        exact = "/" in text or Decimal(text) == Decimal(value)
+    except InvalidOperation:  # a spelling float() reads and Decimal does not
+        exact = False
+    if warn and not exact:
         print(
             f"warning: decimal literal {text!r} parsed as binary float; "
             "use 'p/q' for exact rationals",

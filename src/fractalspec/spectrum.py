@@ -43,7 +43,7 @@ __all__ = [
 
 DEFAULT_WORD_BUDGET = 2**24
 DEDUP_TOL = 1e-9
-SEPARATION_BLOCK_ELEMS = 2**20  # pairwise distances held at once
+SWEEP_SLOPE = (np.sqrt(5.0) - 1.0) / 2.0  # slope of the separation sweep
 Q_BLOCK = 2**16  # differences or tree nodes held at once by a Q evaluation
 BOX_MARGIN = 1e-9  # relative margin of a leaf table's box
 TABLE_POINTS = (4, 65)  # range of Chebyshev points per axis of a leaf table
@@ -76,23 +76,34 @@ class SpectrumEnumeration:
         return cls(sys=sys, depth=None, elements=elements)
 
 
-def enumerate_spectrum(
-    sys: AffineSystem, depth: int, budget: int = DEFAULT_WORD_BUDGET
-) -> SpectrumEnumeration:
+def enumerate_spectrum(sys: AffineSystem, depth: int) -> SpectrumEnumeration:
     """All sums sum_{k=0}^{depth} (R^T)^k l_k over words in L^(depth+1).
 
     Output rows are lexicographically sorted and deduplicated: exact
     comparison when every element is integral, otherwise greedily within
     DEDUP_TOL in max-norm (no two output rows that close, every word sum
-    that close to an output row).
+    that close to an output row).  More than DEFAULT_WORD_BUDGET words, or
+    a bound sum_k max_l ||(R^T)^k l||_inf on the sums of 2^53 or more,
+    where floats stop holding every integer and distinct sums could merge,
+    is a :class:`BudgetError`.
     """
     if depth < 0:
         raise ValidationError(f"depth must be >= 0, got {depth}")
     n = sys.n_digits
-    if n ** (depth + 1) > budget:
+    if n ** (depth + 1) > DEFAULT_WORD_BUDGET:
         raise BudgetError(
-            f"N^(depth+1) = {n}**{depth + 1} exceeds word budget {budget}"
+            f"N^(depth+1) = {n}**{depth + 1} exceeds word budget {DEFAULT_WORD_BUDGET}"
         )
+    bound, level = 0.0, sys.L
+    for _ in range(depth + 1):
+        bound += float(np.abs(level).max())
+        if not bound < 2.0**53:  # rounding never takes a sum past 2^53 below it; inf is over
+            raise BudgetError(
+                f"word sums at depth {depth} may reach {bound:.3g} >= 2^53, "
+                "where distinct sums can round together"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            level = level @ sys.R  # rows (R^T)^k l
     sums = word_sums(sys.L, sys.R, depth + 1)
     integral = np.all(np.abs(sums - np.round(sums)) <= DEDUP_TOL)
     if integral:
@@ -170,6 +181,8 @@ def orthogonality_matrix(
     """
     el = spec.elements
     n = el.shape[0]
+    if n * n > DEFAULT_WORD_BUDGET:
+        raise BudgetError(f"{n}^2 pairs exceed the pair budget {DEFAULT_WORD_BUDGET}")
     diffs = (el[:, None, :] - el[None, :, :]).reshape(-1, el.shape[1])
     values, _ = fourier_mu_many(m, diffs)
     table = np.abs(values).reshape(n, n)
@@ -221,27 +234,19 @@ class _WordTree:
     """
 
     def __init__(self, m: FractalMeasure, grid: np.ndarray, depth: int):
-        sys = m.sys
         self.m = m
-        self.n = sys.n_digits
+        self.n = m.sys.n_digits
         self.pts = grid[:, None, :]  # (grid, nodes, d) at self.level
         self.w = np.ones(self.pts.shape[:2])
         self.level = 0
-        self.box = _leaf_box(sys, grid, depth)
-        self.points = None if self.box is None else _table_points(sys, self.box)
-        self.table = None
+        self.table = _leaf_table(m, grid, depth)
 
     def _leaf(self, depth: int):
         """Leaf evaluator for Q_depth and its certified error: the table once
-        the depth has more leaves than the table has nodes, else the product."""
+        the depth has more leaves than the table has nodes (the product is
+        exact at lattice points, the table is not), else the product."""
         leaves = self.pts.shape[0] * self.n ** (depth + 1)
-        if self.points is not None and leaves > self.points**self.m.sys.d:
-            if self.table is None:
-                try:
-                    self.table = _LeafTable(self.m, self.box, self.points)
-                except ConvergenceError:  # node product tail out of reach
-                    self.points = None
-                    return _direct_leaf(self.m)
+        if self.table is not None and leaves > self.table.p**self.m.sys.d:
             return self.table, self.table.error
         return _direct_leaf(self.m)
 
@@ -282,16 +287,24 @@ class _WordTree:
         return self._sums(pts, w, levels - 1, leaf)
 
 
-def _leaf_box(sys: AffineSystem, grid: np.ndarray, depth: int) -> np.ndarray | None:
+def _leaf_box(sys: AffineSystem, grid: np.ndarray, depth: int) -> np.ndarray:
     """A box holding the level depth+1 nodes of the word tree over ``grid``
     (:func:`~fractalspec.systems.dual_box`) that every dual map sends into
     itself, so it holds every deeper level.  A margin absorbs the rounding
-    of the walk.  None when no invariant box is found.
+    of the walk.  A :class:`ConvergenceError` when no invariant box is found.
     """
     box = dual_box(sys, grid, depth + 1)
     margin = BOX_MARGIN * (1.0 + np.abs(box).max())
+    return grow_invariant_box(sys, box + np.array([-margin, margin]), -margin, pad=2.0 * margin)
+
+
+def _leaf_table(m: FractalMeasure, grid: np.ndarray, depth: int) -> "_LeafTable | None":
+    """The certified leaf table of a scan of ``grid`` from ``depth``; None
+    without an invariant box, a point count or a node product tail in reach."""
     try:
-        return grow_invariant_box(sys, box + np.array([-margin, margin]), -margin, pad=2.0 * margin)
+        box = _leaf_box(m.sys, grid, depth)
+        points = _table_points(m.sys, box)
+        return None if points is None else _LeafTable(m, box, points)
     except ConvergenceError:
         return None
 
@@ -408,12 +421,12 @@ class CompletenessReport:
     t - lam is rounded, so with |lam| up to 1.6e5 (R = 12, B = {0, 1/4, 1/2,
     3/4}, L = {0, 1, 2, 7}, depth 4) Q is up to about 1e-12 off either way.
     A scan that evaluated no depth has no ``min_Q``, ``max_Q`` or ``argmin``.
-    ``status`` is always "incomplete-evidence" for a hand-built set, and
-    otherwise only for a converged scan of a tree-gated set with a grid
-    point where Q = 0 whose weight-1 walk reaches a nonzero m_B-cycle (see
-    :func:`completeness_scan`); a converged deepened scan without one reads
-    "inconclusive", ``converged`` kept.  A deepened scan of a system that
-    fails the compatibility check never reads "complete-evidence".
+    ``status`` is "incomplete-evidence" only for a converged scan of a
+    tree-gated set with a grid point where Q = 0 whose weight-1 walk reaches
+    a nonzero m_B-cycle (see :func:`completeness_scan`); a converged scan
+    without one reads "inconclusive", ``converged`` kept.  A scan of a
+    system that fails the compatibility check never reads
+    "complete-evidence".
     """
 
     min_Q: float | None
@@ -436,20 +449,17 @@ def completeness_scan(
     target: float,
     increment_tol: float = 1e-4,
     max_depth: int | None = None,
-    budget: int = DEFAULT_WORD_BUDGET,
 ) -> CompletenessReport:
     """Scan Q over a grid, deepening the enumeration until min Q stabilizes.
 
     Deepening stops once one extra depth moves min Q by less than
-    ``increment_tol`` (converged), or once the word budget or ``max_depth``
-    is hit (inconclusive; also when not even the starting depth fits).
-    Hand-built enumerations are evaluated at their fixed element set only,
-    and always read "incomplete-evidence": a finite set never spans, and
-    nothing checks that a hand-built set is orthogonal, so its Q may exceed
-    the Bessel bound of 1.  An enumeration that can be deepened must belong
-    to the measure's system (the same R, B and L), since deepening
-    enumerates ``m.sys``'s set; otherwise the scan is a
-    :class:`ValidationError`.
+    ``increment_tol`` (converged), or once DEFAULT_WORD_BUDGET words, word
+    sums beyond 2^53 (:func:`enumerate_spectrum`) or ``max_depth`` is hit
+    (inconclusive; also when not even the starting depth fits).  The
+    enumeration must be one of :func:`enumerate_spectrum` for the measure's
+    system (the same R, B and L), since deepening enumerates ``m.sys``'s
+    set; a hand-built set (``depth`` None, which :func:`q_partial_many`
+    sums) or a set of another system is a :class:`ValidationError`.
 
     Evidence labels: every reported Q underestimates the limit (up to the
     rounding of a direct sum, see :class:`CompletenessReport`), so
@@ -460,8 +470,8 @@ def completeness_scan(
     may exceed 1, and the scan reads "inconclusive".  A stop below the
     target proves nothing by itself: Q_n can stall for hundreds of depths,
     and an exact zero of Q_n at a grid point can still rise.  So a
-    converged deepened scan reads "incomplete-evidence" only on the tree's
-    gate below, when the walk from a grid point c != 0 with Q = 0 along the
+    converged scan reads "incomplete-evidence" only on the tree's gate
+    below, when the walk from a grid point c != 0 with Q = 0 along the
     heaviest dual map takes only steps of weight |chi(s - l)|^2 = 1 until it
     repeats a nonzero point c', checked exactly (:func:`_reaches_cycle`).
     Then c' is an m_B-cycle point, so mu-hat(c' - lam) = 0 for every lam of
@@ -470,8 +480,8 @@ def completeness_scan(
     "inconclusive", with ``converged`` kept as evidence.
 
     Transfer-operator tree.  When the system is exactly integral
-    (:attr:`~fractalspec.systems.AffineSystem.is_integral`), 0 is in L and the
-    starting set has all N^(depth+1) words distinct, |chi(t - lam)|^2 =
+    (:attr:`~fractalspec.systems.AffineSystem.is_integral`) and 0 is in L,
+    the N^(depth+1) words have distinct sums and |chi(t - lam)|^2 =
     |chi(t - l_0)|^2 for lam = l_0 + R^T lam', so Q_n(t) is the sum over
     words l_0..l_n of W |mu-hat(s_{n+1})|^2 with s_0 = t,
     s_{k+1} = (R^T)^-1 (s_k - l_k) and W = prod_k |chi(s_k - l_k)|^2; the
@@ -484,16 +494,17 @@ def completeness_scan(
     Either way every leaf is within ``q_error`` of |mu-hat|^2, so
     Q_n - q_error is a lower bound; the report keeps the running max over
     depths (the sets are nested) and never goes below 0.  Every other
-    enumeration is summed directly, afresh at each depth, with
-    ``q_error`` = 0 and the rounding of t - lam left uncounted.
+    system's set is summed directly (the caller's at the starting depth,
+    then afresh at each depth), with ``q_error`` = 0 and the rounding of
+    t - lam left uncounted.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1, m.sys.d)
     if grid.size == 0:
         raise ValidationError("completeness grid is empty")
     sys = m.sys
-    if spec.depth is not None and not all(
-        np.array_equal(getattr(spec.sys, key), getattr(sys, key)) for key in "RBL"
-    ):
+    if spec.depth is None:
+        raise ValidationError("a hand-built set cannot be deepened; q_partial_many sums it")
+    if not all(np.array_equal(getattr(spec.sys, key), getattr(sys, key)) for key in "RBL"):
         raise ValidationError(
             "the spectrum was enumerated for another system than the measure's; "
             "a deeper scan would enumerate the measure's own set"
@@ -502,51 +513,42 @@ def completeness_scan(
     depths: list[int] = []
     trace: list[float] = []
     converged = False
-    q = np.empty(0)
+    q = np.zeros(grid.shape[0])
     q_error = 0.0
     max_q = -np.inf
-    tree = None
-
-    if spec.depth is None:
-        # fixed element set: single evaluation, nothing to escalate
-        q = q_partial_many(m, spec, grid)
-        max_q = float(q.max())
-        depths.append(-1)
+    # Distinct words have distinct sums.  Let two words first differ at j:
+    # l_j - m_j = R^T w, w an integer combination of (R^T)^i (m_k - l_k), so
+    # exact integrality makes b.(l_j - m_j) = sum (R^(i+1) b).(...) an integer
+    # for every b, and columns l_j and m_j of the digit matrix would have
+    # inner product N instead of 0, far outside the unitarity tolerance
+    # FractalMeasure enforces.
+    gated = sys.is_integral and np.any(np.all(sys.L == 0.0, axis=1))
+    tree = _WordTree(m, grid, spec.depth) if gated else None
+    top = spec.depth + 8 if max_depth is None else max_depth
+    for depth in range(spec.depth, top + 1):
+        if n ** (depth + 1) > DEFAULT_WORD_BUDGET:
+            break
+        if tree is None:
+            try:
+                level = spec if depth == spec.depth else enumerate_spectrum(sys, depth)
+            except BudgetError:  # word sums beyond 2^53
+                break
+            q = q_partial_many(m, level, grid)
+        else:
+            sums, q_error = tree.q(depth)
+            q = np.maximum(q, sums - q_error)
+        max_q = max(max_q, float(q.max()))
+        depths.append(depth)
         trace.append(float(q.min()))
-        converged = True
-    else:
-        top = spec.depth + 8 if max_depth is None else max_depth
-        if (
-            sys.is_integral
-            and np.any(np.all(sys.L == 0.0, axis=1))
-            and spec.size == n ** (spec.depth + 1)
-        ):
-            # distinct words stay distinct: unitarity puts the l in distinct
-            # classes mod R^T Z^d, so l + R^T lam = l' + R^T lam' forces l = l'
-            tree = _WordTree(m, grid, spec.depth)
-            q = np.zeros(grid.shape[0])
-        for depth in range(spec.depth, top + 1):
-            if n ** (depth + 1) > budget:
-                break
-            if tree is None:
-                q = q_partial_many(m, enumerate_spectrum(sys, depth, budget=budget), grid)
-            else:
-                sums, q_error = tree.q(depth)
-                q = np.maximum(q, sums - q_error)
-            max_q = max(max_q, float(q.max()))
-            depths.append(depth)
-            trace.append(float(q.min()))
-            if len(trace) > 1 and abs(trace[-1] - trace[-2]) < increment_tol:
-                converged = True
-                break
-        if not depths:
-            q = np.empty(0)
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < increment_tol:
+            converged = True
+            break
+    if not depths:
+        q = np.empty(0)
 
     min_q = float(q.min()) if depths else None
-    if spec.depth is None:
-        status = "incomplete-evidence"  # a finite set never spans
-    elif depths and min_q >= target and sys.validation.compatible:
-        # a deepened set is orthogonal only for a compatible system
+    if depths and min_q >= target and sys.validation.compatible:
+        # the set is orthogonal only for a compatible system
         status = "complete-evidence"
     elif converged and tree is not None and any(_reaches_cycle(sys, c) for c in grid[q == 0.0]):
         status = "incomplete-evidence"
@@ -621,21 +623,34 @@ def _direct_leaf(m: FractalMeasure):
 
 
 def separation(spec: SpectrumEnumeration) -> float:
-    """Smallest pairwise Euclidean distance between enumerated frequencies."""
+    """Smallest pairwise Euclidean distance between enumerated frequencies.
+
+    In d > 1 rows are swept in order of their projection p onto
+    u = (1, c, c^2, ...), c = SWEEP_SLOPE irrational so that lattice columns
+    spread out: offset k pairs row i with row i + k, until p_{i+k} - p_i
+    exceeds |u| times the best distance so far (|u . v| <= |u| |v|), by a
+    margin for the rounding of p and of the squared distances.
+    """
     if spec.size < 2:
         raise ValidationError("separation needs at least two elements")
     el = spec.elements
     if el.shape[1] == 1:
         return float(np.diff(np.sort(el[:, 0])).min())
-    n = el.shape[0]
-    step = max(1, SEPARATION_BLOCK_ELEMS // n)
+    u = SWEEP_SLOPE ** np.arange(el.shape[1])
+    p = el @ u
+    order = np.argsort(p, kind="stable")
+    el, p = el[order], p[order]
+    # p is off by at most 3 eps max|u . x|; past 1e-150 no square is subnormal
+    slack = 8.0 * np.finfo(float).eps * float(np.abs(el).max() * u.sum()) + 1e-150
+    scale = float(np.sqrt(u @ u)) * (1.0 + 1e-12)
     best = np.inf
-    for start in range(0, n - 1, step):
-        block = el[start : start + step]
-        rest = el[start + 1 :]
-        sq = np.zeros((block.shape[0], rest.shape[0]))
-        for k in range(el.shape[1]):  # summed in coordinate order
-            sq += (block[:, None, k] - rest[None, :, k]) ** 2
-        sq[np.tril_indices(block.shape[0], -1, rest.shape[0])] = np.inf  # j <= i
+    rows, k = np.arange(el.shape[0] - 1), 1
+    while rows.size:
+        sq = np.zeros(rows.size)
+        for c in range(el.shape[1]):  # summed in coordinate order
+            sq += (el[rows, c] - el[rows + k, c]) ** 2
         best = min(best, float(sq.min()))
+        k += 1
+        rows = rows[rows + k < el.shape[0]]
+        rows = rows[p[rows + k] - p[rows] <= np.sqrt(best) * scale + slack]
     return float(np.sqrt(best))

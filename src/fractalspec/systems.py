@@ -245,7 +245,9 @@ def make_system(R, B, L) -> AffineSystem:
     for name, arr in (("R", R), ("B", B), ("L", L)):
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"{name} contains NaN or Inf")
-    if abs(np.linalg.det(R)) == 0.0:
+    with np.errstate(over="ignore", divide="ignore"):  # a huge det is +-inf, not singular
+        singular = np.linalg.det(R) == 0.0
+    if singular:
         raise ValidationError("R is singular")
     R = R.copy()
     R.setflags(write=False)

@@ -1,6 +1,7 @@
 import argparse
 import gc
 import json
+import resource
 import shlex
 import subprocess
 import sys
@@ -213,6 +214,60 @@ def test_input_beyond_the_float_range_exits_one(cantor4_file, capsys, argv, mess
     assert (code, out, err.splitlines()[-1]) == (1, "", f"error: {message}")
 
 
+def run_capped(argv, limit=2 * 2**30):
+    """(exit code, stdout, stderr) of a CLI process whose address space is
+    capped at ``limit`` bytes, set in the child only: a case that would
+    allocate gigabytes fails fast there instead of paging."""
+
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "fractalspec.cli", *argv],
+        capture_output=True,
+        text=True,
+        preexec_fn=cap,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+R100 = {"d": 1, "R": [[100]], "B": ["0", "1/2"], "L": [0, 1]}
+R2_53 = {"d": 1, "R": [[2**53]], "B": ["0", "1/2"], "L": [0, 1]}
+
+
+@pytest.mark.parametrize("command, depth", [("spectrum", 8), ("orthogonality", 9)])
+def test_word_sums_from_2_53_exit_one(write_system, capsys, command, depth):
+    # distinct words of R = 100 are orthogonal (at the lowest digit where two
+    # differ, (lam - lam') / 100^k is odd); past 2^53 their sums would merge
+    path = write_system(R100)
+    code, out, err = run_cli([command, "--system", path, "--depth", str(depth)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: word sums at depth {depth} may reach 1.01e+16 >= 2^53, "
+        "where distinct sums can round together\n"
+    )
+    code, out, _ = run_cli(["spectrum", "--system", path, "--depth", "7"], capsys)
+    assert code == 0 and json.loads(out)["size"] == 2**8
+
+
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        (None, ["orthogonality", "--depth", "12"], "8192^2 pairs exceed the pair budget 16777216"),
+        (None, ["orthogonality", "--depth", "20"], "2097152^2 pairs exceed the pair budget 16777216"),
+        (R2_53, ["spectrum", "--depth", "22"], "word sums at depth 22 may reach 9.01e+15 >= 2^53, "
+         "where distinct sums can round together"),
+    ],
+    ids=["orthogonality-d12", "orthogonality-d20", "spectrum-R2^53"],
+)
+def test_refused_before_allocating(cantor4_file, write_system, doc, argv, message):
+    path = cantor4_file if doc is None else write_system(doc)
+    code, out, err = run_capped([argv[0], "--system", path, *argv[1:]])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("grid, points", [("0:1e9:1e-9", "1e+18"), ("0:1:1,0:1e9:1e-9", "2e+18")])
 def test_grid_over_budget_exits_one(cantor4_file, write_system, capsys, grid, points):
     system = write_system(QUAD2D, "quad2d.json") if "," in grid else cantor4_file
@@ -285,6 +340,21 @@ def test_decimal_warning(capsys):
     code, _, err = run_cli(["clique", "--R", "3", "--a", "0.3", "--window", "5"], capsys)
     assert code == 0
     assert "warning" in err
+
+
+@pytest.mark.parametrize("flags", [["--a", "0.5"], ["--a", "0.25"], ["--a", "2", "--L", "0,2.5e-1"]])
+def test_exact_decimal_is_not_warned(capsys, flags):
+    code, _, err = run_cli(["classify", "--R", "4", *flags], capsys)
+    assert (code, err) == (0, "")
+
+
+def test_decimal_with_a_huge_exponent_is_warned_at_once(capsys):
+    # the exact comparison forms no 10**400000000
+    code, _, err = run_cli(["classify", "--R", "4", "--a=1e-400000000"], capsys)
+    assert code == 1 and err.splitlines() == [
+        "warning: decimal literal '1e-400000000' parsed as binary float; use 'p/q' for exact rationals",
+        "error: a must be nonzero",
+    ]
 
 
 def test_fourier_csv_columns(cantor4_file, tmp_path, capsys):

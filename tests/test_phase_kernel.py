@@ -31,6 +31,9 @@ def bits(values):
 
 def cis2pi_reference(x):
     x = np.asarray(x, dtype=float)
+    # every finite float beyond 2^1021 is a multiple of 4, where cis2pi is
+    # that of 0 (and round(4 x) would overflow)
+    x = np.where(np.isfinite(x) & (np.abs(x) >= 2.0**1021), 0.0, x)
     out = np.empty(x.shape, dtype=complex)
     with np.errstate(invalid="ignore"):
         q = np.round(4.0 * x)
@@ -75,8 +78,9 @@ def fourier_reference(m, T):
 
 
 def _special_values():
-    powers = [2.0**k + 0.25 for k in range(48, 54)] + [2.0**62, 2.0**63, 1e300]
-    near = [np.nextafter(2.0**k, s * np.inf) for k in (62, 63) for s in (-1, 1)]
+    powers = [2.0**k + 0.25 for k in range(48, 54)] + [2.0**62, 2.0**63, 1e300, 2.0**1022]
+    powers += [2.0**52 + 0.5, np.finfo(float).max]
+    near = [np.nextafter(2.0**k, s * np.inf) for k in (62, 63, 1021) for s in (-1, 1)]
     pos = np.array(powers + near + [0.0, np.inf])
     return np.concatenate([pos, -pos, [np.nan, -np.nan]])
 
@@ -141,7 +145,7 @@ class TestTurns:
                 assert all(np.isnan(fn(v)) for v in x.tolist())
 
     def test_scalars_match_reference(self):
-        for x in (0.25, -0.0, 2.0**62 + 2048.0, -(2.0**63), 1e300, 0.1):
+        for x in (0.25, -0.0, 2.0**62 + 2048.0, -(2.0**63), 1e300, 0.1, 2.0**1022, -1.7e308):
             assert cis2pi(x) == complex(cis2pi_reference(x))
             assert sinpi(x) == float(sinpi_reference(x))
 

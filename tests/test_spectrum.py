@@ -23,7 +23,7 @@ from fractalspec import (
 from fractalspec import spectrum
 from fractalspec.reports import render_json
 from fractalspec.spectrum import DEDUP_TOL, _dedup_near
-from tests.conftest import grid1d, hadamard_triple, triple_params
+from tests.conftest import generated_triples, grid1d, hadamard_triple, triple_params
 
 
 def max_norm_gaps(a, b):
@@ -142,13 +142,22 @@ class TestSeparation:
         spec = SpectrumEnumeration.from_elements(s, elements)
         assert separation(spec) == brute_separation(elements)
 
-    def test_blocked_rows(self, monkeypatch, quad2d):
-        import fractalspec.spectrum as spectrum
-
-        spec = enumerate_spectrum(quad2d, 2)
-        expected = separation(spec)
-        monkeypatch.setattr(spectrum, "SEPARATION_BLOCK_ELEMS", 100)
-        assert separation(spec) == expected
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_sweep_matches_brute_force(self, d, quad2d):
+        # lattices, lines along each axis, a tiny-scale cloud and one far
+        # from 0: every pair the sweep drops is provably no closer
+        rng = np.random.default_rng(d)
+        s = make_system(3.0 * np.eye(d), np.zeros((1, d)), np.zeros((1, d)))
+        lattice = np.indices((7,) * d).reshape(d, -1).T * 0.5
+        lines = [np.eye(d)[axis] * rng.normal(size=(60, 1)) for axis in range(d)]
+        tiny = rng.integers(-4, 5, size=(200, d)) * 1e-160 + rng.normal(scale=1e-170, size=(200, d))
+        far = 1e15 + rng.integers(0, 20, size=(200, d)) * 0.125
+        for elements in [lattice, *lines, tiny, far]:
+            spec = SpectrumEnumeration.from_elements(s, elements)
+            assert separation(spec) == brute_separation(spec.elements)
+        if d == 2:
+            spec = enumerate_spectrum(quad2d, 4)
+            assert separation(spec) == brute_separation(spec.elements) == 1.0
 
     def test_cantor4_depth_two(self, cantor4):
         assert separation(enumerate_spectrum(cantor4, 2)) == 1.0
@@ -252,21 +261,24 @@ class TestCompletenessScan:
         assert report.min_Q > 1.0
         assert report.status == "inconclusive"
 
-    def test_single_exponential_never_spans(self, cantor4, cantor4_measure):
-        spec = SpectrumEnumeration.from_elements(cantor4, [[0.0]])
-        report = completeness_scan(
-            cantor4_measure, spec, grid1d(0.0, 1.0, 0.01), target=0.99
-        )
-        assert report.min_Q < 0.99
-        assert report.status == "incomplete-evidence"
+    def test_hand_built_set_is_a_validation_error(self, cantor4, cantor4_measure):
+        # a hand-built set cannot be deepened: the scan refuses it, and
+        # q_partial_many sums it as a fixed set
+        one = SpectrumEnumeration.from_elements(cantor4, [[0.0]])
+        with pytest.raises(ValidationError, match="q_partial_many"):
+            completeness_scan(cantor4_measure, one, grid1d(0.0, 1.0, 0.01), target=0.99)
+        # a single exponential never spans
+        assert q_partial_many(cantor4_measure, one, grid1d(0.0, 1.0, 0.01)).min() < 0.99
+        # the integers are no orthogonal set for cantor4: Q breaks the Bessel bound
+        integers = SpectrumEnumeration.from_elements(cantor4, np.arange(-200.0, 201.0))
+        assert q_partial_many(cantor4_measure, integers, grid1d(0.0, 1.0, 0.05)).min() > 1.0
 
-    def test_hand_built_set_is_never_complete_evidence(self, cantor4, cantor4_measure):
-        # the integers are no orthogonal set for cantor4, so Q breaks the
-        # Bessel bound of 1; a finite set never spans either way
-        spec = SpectrumEnumeration.from_elements(cantor4, np.arange(-200.0, 201.0))
-        report = completeness_scan(cantor4_measure, spec, grid1d(0.0, 1.0, 0.05), 0.99)
-        assert report.min_Q > 1.0
-        assert report.status == "incomplete-evidence"
+    @settings(max_examples=25, deadline=None)
+    @given(sys=generated_triples, depth=st.integers(0, 4))
+    def test_tree_gate_words_have_distinct_sums(self, sys, depth):
+        # the tree gate's argument: the digit matrix is unitary, so no two
+        # of the N^(depth+1) words share a sum
+        assert enumerate_spectrum(sys, depth).size == sys.n_digits ** (depth + 1)
 
     def test_grid_containing_only_spectrum_points(self, cantor4, cantor4_measure):
         report = completeness_scan(
@@ -279,13 +291,11 @@ class TestCompletenessScan:
         assert 1.0 - report.q_error <= report.min_Q <= 1.0
         assert report.status == "complete-evidence"
 
-    def test_inconclusive_when_budget_runs_out(self, cantor4, cantor4_measure):
-        report = completeness_scan(
-            cantor4_measure,
-            enumerate_spectrum(cantor4, 2),
-            grid1d(0.0, 1.0, 0.05),
-            target=1.0 - 1e-12,
-            budget=8,  # depth 2 only; cannot deepen, cannot converge
+    def test_inconclusive_when_budget_runs_out(self, cantor4, cantor4_measure, monkeypatch):
+        spec = enumerate_spectrum(cantor4, 2)
+        monkeypatch.setattr(spectrum, "DEFAULT_WORD_BUDGET", 8)  # depth 2 only
+        report = completeness_scan(  # cannot deepen, cannot converge
+            cantor4_measure, spec, grid1d(0.0, 1.0, 0.05), target=1.0 - 1e-12
         )
         assert report.status == "inconclusive"
         assert not report.converged
@@ -297,13 +307,12 @@ class TestCompletenessScan:
             {"max_depth": 2},  # below the starting depth: no depth in range
         ],
     )
-    def test_nothing_evaluated_is_inconclusive(self, cantor4, cantor4_measure, limit):
+    def test_nothing_evaluated_is_inconclusive(self, cantor4, cantor4_measure, limit, monkeypatch):
+        spec = enumerate_spectrum(cantor4, 3)
+        budget = limit.get("budget", spectrum.DEFAULT_WORD_BUDGET)
+        monkeypatch.setattr(spectrum, "DEFAULT_WORD_BUDGET", budget)
         report = completeness_scan(
-            cantor4_measure,
-            enumerate_spectrum(cantor4, 3),
-            grid1d(0.0, 1.0, 0.1),
-            0.99,
-            **limit,
+            cantor4_measure, spec, grid1d(0.0, 1.0, 0.1), 0.99, max_depth=limit.get("max_depth")
         )
         assert report.depths == ()
         assert report.status == "inconclusive"
@@ -374,9 +383,10 @@ class TestCompletenessScan:
         m = FractalMeasure(make_system(4.0, [0.0, 0.5], [0.0, 1.0]))
         with pytest.raises(ValidationError, match="another system"):
             completeness_scan(m, enumerate_spectrum(other, 2), grid1d(-1.0, 1.0, 0.05), 0.99)
-        # the same set, hand-built, is a fixed set of frequencies and stays allowed
+        # the same set, hand-built, cannot be deepened either
         fixed = SpectrumEnumeration.from_elements(other, enumerate_spectrum(other, 2).elements)
-        assert completeness_scan(m, fixed, grid1d(-1.0, 1.0, 0.05), 0.99).depths == (-1,)
+        with pytest.raises(ValidationError, match="hand-built"):
+            completeness_scan(m, fixed, grid1d(-1.0, 1.0, 0.05), 0.99)
         # an equal system built separately is the same system
         twin = make_system(4.0, [0.0, 0.5], [0.0, 1.0])
         report = completeness_scan(m, enumerate_spectrum(twin, 2), grid1d(0.0, 1.0, 0.05), 0.99)
