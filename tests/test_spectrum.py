@@ -261,17 +261,21 @@ class TestCompletenessScan:
         assert report.min_Q > 1.0
         assert report.status == "inconclusive"
 
-    def test_hand_built_set_is_a_validation_error(self, cantor4, cantor4_measure):
+    def test_single_exponential_never_spans(self, cantor4, cantor4_measure):
         # a hand-built set cannot be deepened: the scan refuses it, and
         # q_partial_many sums it as a fixed set
-        one = SpectrumEnumeration.from_elements(cantor4, [[0.0]])
+        spec = SpectrumEnumeration.from_elements(cantor4, [[0.0]])
         with pytest.raises(ValidationError, match="q_partial_many"):
-            completeness_scan(cantor4_measure, one, grid1d(0.0, 1.0, 0.01), target=0.99)
-        # a single exponential never spans
-        assert q_partial_many(cantor4_measure, one, grid1d(0.0, 1.0, 0.01)).min() < 0.99
-        # the integers are no orthogonal set for cantor4: Q breaks the Bessel bound
-        integers = SpectrumEnumeration.from_elements(cantor4, np.arange(-200.0, 201.0))
-        assert q_partial_many(cantor4_measure, integers, grid1d(0.0, 1.0, 0.05)).min() > 1.0
+            completeness_scan(cantor4_measure, spec, grid1d(0.0, 1.0, 0.01), target=0.99)
+        assert q_partial_many(cantor4_measure, spec, grid1d(0.0, 1.0, 0.01)).min() < 0.99
+
+    def test_hand_built_set_is_never_complete_evidence(self, cantor4, cantor4_measure):
+        # the integers are no orthogonal set for cantor4, so Q breaks the
+        # Bessel bound of 1; the scan refuses the set either way
+        spec = SpectrumEnumeration.from_elements(cantor4, np.arange(-200.0, 201.0))
+        with pytest.raises(ValidationError, match="q_partial_many"):
+            completeness_scan(cantor4_measure, spec, grid1d(0.0, 1.0, 0.05), 0.99)
+        assert q_partial_many(cantor4_measure, spec, grid1d(0.0, 1.0, 0.05)).min() > 1.0
 
     @settings(max_examples=25, deadline=None)
     @given(sys=generated_triples, depth=st.integers(0, 4))
