@@ -351,21 +351,9 @@ def fourier_mu_many(m: FractalMeasure, T) -> tuple[np.ndarray, np.ndarray]:
     multiplied in the same depth order as by one pass over all rows.
     """
     T = np.asarray(T, dtype=float).reshape(-1, m.sys.d)
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(T, axis=1)
-        max_norm = float(norms.max(initial=0.0))
-        if max_norm == np.inf:  # squares past the float range: scale those rows
-            top = np.abs(T).max(axis=1)
-            huge = np.isinf(norms) & np.isfinite(top)
-            norms[huge] = top[huge] * np.linalg.norm(T[huge] / top[huge, None], axis=1)
-            max_norm = float(norms.max())
-    depth = m._depth_for(max_norm)
-    bits = T.view(np.int64)
-    if m.sys.d == 1:
-        distinct, inverse = np.unique(bits[:, 0], return_inverse=True)
-    else:
-        distinct, inverse = _unique_rows(bits)
-    rows = distinct.view(float).reshape(-1, m.sys.d)
+    norms = row_norms(T)
+    depth = m._depth_for(float(norms.max(initial=0.0)))
+    rows, inverse = distinct_rows(T)
     values = np.ones(rows.shape[0], dtype=complex)
     for start in range(0, rows.shape[0], FOURIER_BLOCK):
         pts = rows[start : start + FOURIER_BLOCK]
@@ -382,7 +370,34 @@ def fourier_mu_many(m: FractalMeasure, T) -> tuple[np.ndarray, np.ndarray]:
                 block *= factor
     scale = 2.0 * np.pi * m._max_b
     tails = scale * norms * m._tail_sums[depth]
-    return values[inverse.reshape(-1)], tails
+    return values[inverse], tails
+
+
+def row_norms(T: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of T, with the rows whose squares pass
+    the float range scaled by their largest entry (inf only past it)."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(T, axis=1)
+        if norms.max(initial=0.0) == np.inf:
+            top = np.abs(T).max(axis=1)
+            huge = np.isinf(norms) & np.isfinite(top)
+            norms[huge] = top[huge] * np.linalg.norm(T[huge] / top[huge, None], axis=1)
+    return norms
+
+
+def distinct_rows(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a float (M, d) array by bit pattern, in the order
+    and with the inverse of ``np.unique`` of the int64 view (axis 0 in d > 1,
+    :func:`_unique_rows`); in d = 1 from a sort and a binary search."""
+    bits = np.ascontiguousarray(T, dtype=float).view(np.int64)
+    if bits.shape[1] != 1:
+        distinct, inverse = _unique_rows(bits)
+        return distinct.view(float), inverse
+    ordered = np.sort(bits[:, 0])
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    return distinct.view(float)[:, None], np.searchsorted(distinct, bits[:, 0])
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

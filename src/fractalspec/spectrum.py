@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetError, ConvergenceError, ValidationError
-from .measure import FractalMeasure, dual_step, fourier_mu_many
+from .measure import FractalMeasure, distinct_rows, dual_step, fourier_mu_many, row_norms
 from .systems import (
     INV_POWER_DEPTH,
     AffineSystem,
@@ -43,7 +43,6 @@ __all__ = [
 
 DEFAULT_WORD_BUDGET = 2**24
 DEDUP_TOL = 1e-9
-SWEEP_SLOPE = (np.sqrt(5.0) - 1.0) / 2.0  # slope of the separation sweep
 Q_BLOCK = 2**16  # differences or tree nodes held at once by a Q evaluation
 BOX_MARGIN = 1e-9  # relative margin of a leaf table's box
 TABLE_POINTS = (4, 65)  # range of Chebyshev points per axis of a leaf table
@@ -177,19 +176,17 @@ def orthogonality_matrix(
 
     The (i, j) entry is the modulus of the inner product of e_{lam_i} and
     e_{lam_j} in L^2(mu); a max off-diagonal near zero is the orthogonality
-    certificate.
+    certificate.  The product runs once per distinct difference (the max
+    norm, depth and bits of all n^2); only the table of moduli is n x n.
     """
     el = spec.elements
     n = el.shape[0]
     if n * n > DEFAULT_WORD_BUDGET:
         raise BudgetError(f"{n}^2 pairs exceed the pair budget {DEFAULT_WORD_BUDGET}")
-    diffs = (el[:, None, :] - el[None, :, :]).reshape(-1, el.shape[1])
-    values, _ = fourier_mu_many(m, diffs)
-    table = np.abs(values).reshape(n, n)
-    if n < 2:
-        return 0.0, table
-    off = table[~np.eye(n, dtype=bool)]
-    return float(off.max()), table
+    rows, inverse = distinct_rows((el[:, None, :] - el[None, :, :]).reshape(-1, el.shape[1]))
+    table = np.abs(fourier_mu_many(m, rows)[0])[inverse].reshape(n, n)
+    off = ~np.eye(n, dtype=bool)
+    return float(np.max(table, where=off, initial=-np.inf)) if n > 1 else 0.0, table
 
 
 def q_partial(m: FractalMeasure, spec: SpectrumEnumeration, t) -> float:
@@ -213,8 +210,11 @@ def q_partial_many(m: FractalMeasure, spec: SpectrumEnumeration, T) -> np.ndarra
     rows = max(1, Q_BLOCK // max(el.shape[0], 1))
     for start in range(0, T.shape[0], rows):
         block = T[start : start + rows]
-        diffs = (block[:, None, :] - el[None, :, :]).reshape(-1, m.sys.d)
-        values, _ = fourier_mu_many(m, diffs)
+        diffs = block[:, None, :] - el[None, :, :]
+        try:
+            values, _ = fourier_mu_many(m, diffs.reshape(-1, m.sys.d))
+        except ConvergenceError as exc:
+            raise _naming_point(exc, block, diffs) from None
         out[start : start + rows] = (
             np.abs(values).reshape(block.shape[0], el.shape[0]) ** 2
         ).sum(axis=1)
@@ -240,6 +240,7 @@ class _WordTree:
         self.w = np.ones(self.pts.shape[:2])
         self.level = 0
         self.table = _leaf_table(m, grid, depth)
+        self.grid = grid
 
     def _leaf(self, depth: int):
         """Leaf evaluator for Q_depth and its certified error: the table once
@@ -262,29 +263,39 @@ class _WordTree:
         while self.level <= depth and self.w.size * self.n <= Q_BLOCK:
             self.pts, self.w = self._expand(self.pts, self.w)
             self.level += 1
-        return self._sums(self.pts, self.w, depth + 1 - self.level, leaf), error
+        return self._sums(self.pts, self.w, depth + 1 - self.level, leaf, self.grid), error
 
-    def _sums(self, pts, w, levels: int, leaf) -> np.ndarray:
+    def _sums(self, pts, w, levels: int, leaf, grid) -> np.ndarray:
         g, k = w.shape
         if levels == 0:
-            values = leaf(pts.reshape(-1, pts.shape[2])).reshape(g, k)
+            try:
+                values = leaf(pts.reshape(-1, pts.shape[2])).reshape(g, k)
+            except ConvergenceError as exc:
+                raise _naming_point(exc, grid, pts) from None
             return np.sum(w * values, axis=1)
         if w.size * self.n > Q_BLOCK:
             if g > 1:
                 rows = max(1, Q_BLOCK // (k * self.n))
                 return np.concatenate(
                     [
-                        self._sums(pts[i : i + rows], w[i : i + rows], levels, leaf)
-                        for i in range(0, g, rows)
+                        self._sums(pts[s], w[s], levels, leaf, grid[s])
+                        for s in (slice(i, i + rows) for i in range(0, g, rows))
                     ]
                 )
             cols = max(1, Q_BLOCK // self.n)
             return sum(
-                self._sums(pts[:, j : j + cols], w[:, j : j + cols], levels, leaf)
+                self._sums(pts[:, j : j + cols], w[:, j : j + cols], levels, leaf, grid)
                 for j in range(0, k, cols)
             )
         pts, w = self._expand(pts, w)
-        return self._sums(pts, w, levels - 1, leaf)
+        return self._sums(pts, w, levels - 1, leaf, grid)
+
+
+def _naming_point(exc: ConvergenceError, grid: np.ndarray, nodes: np.ndarray) -> ConvergenceError:
+    """``exc``, raised by the product at the (grid, nodes, d) ``nodes``, naming
+    the grid point of the longest node: that point alone needs the failed depth."""
+    longest = row_norms(nodes.reshape(-1, nodes.shape[2])).reshape(nodes.shape[:2]).max(axis=1)
+    return ConvergenceError(f"{exc} for grid point t = {grid[int(np.argmax(longest))].tolist()}")
 
 
 def _leaf_box(sys: AffineSystem, grid: np.ndarray, depth: int) -> np.ndarray:
@@ -625,32 +636,42 @@ def _direct_leaf(m: FractalMeasure):
 def separation(spec: SpectrumEnumeration) -> float:
     """Smallest pairwise Euclidean distance between enumerated frequencies.
 
-    In d > 1 rows are swept in order of their projection p onto
-    u = (1, c, c^2, ...), c = SWEEP_SLOPE irrational so that lattice columns
-    spread out: offset k pairs row i with row i + k, until p_{i+k} - p_i
-    exceeds |u| times the best distance so far (|u . v| <= |u| |v|), by a
-    margin for the rounding of p and of the squared distances.
+    In d > 1 two rows neighbouring in the stored order bound it by h.  Rows
+    go in cells floor(x / s), s a power of two (x / s is exact) above h by a
+    margin for the rounding of the squares, so a pair within h shares a cell
+    or neighbouring ones; each row meets the later rows of its cell and the
+    rows of half of its 3^d - 1 neighbours: a few passes on a dense set.
     """
     if spec.size < 2:
         raise ValidationError("separation needs at least two elements")
     el = spec.elements
     if el.shape[1] == 1:
         return float(np.diff(np.sort(el[:, 0])).min())
-    u = SWEEP_SLOPE ** np.arange(el.shape[1])
-    p = el @ u
-    order = np.argsort(p, kind="stable")
-    el, p = el[order], p[order]
-    # p is off by at most 3 eps max|u . x|; past 1e-150 no square is subnormal
-    slack = 8.0 * np.finfo(float).eps * float(np.abs(el).max() * u.sum()) + 1e-150
-    scale = float(np.sqrt(u @ u)) * (1.0 + 1e-12)
-    best = np.inf
-    rows, k = np.arange(el.shape[0] - 1), 1
-    while rows.size:
-        sq = np.zeros(rows.size)
-        for c in range(el.shape[1]):  # summed in coordinate order
-            sq += (el[rows, c] - el[rows + k, c]) ** 2
-        best = min(best, float(sq.min()))
-        k += 1
-        rows = rows[rows + k < el.shape[0]]
-        rows = rows[p[rows + k] - p[rows] <= np.sqrt(best) * scale + slack]
+
+    def squares(cols, i, j):  # of the distances of rows i and j, in coordinate order
+        return sum((x[i] - x[j]) ** 2 for x in cols)
+
+    pos = np.arange(el.shape[0])
+    best = float(squares(el.T, pos[1:], pos[:-1]).min())
+    bound = np.sqrt(best) * (1.0 + 1e-12) + 1e-150
+    side = np.ldexp(1.0, np.frexp(bound)[1]) if bound < np.inf else bound  # inf: one cell
+    with np.errstate(over="ignore"):  # x / s past the float range: an inf cell
+        cells, cell = distinct_rows(np.floor(el / side) + 0.0)  # + 0.0: no -0.0 cell
+    order = np.argsort(cell, kind="stable")
+    cols, cell, m, d = el[order].T.copy(), cell[order], cells.shape[0], el.shape[1]
+    starts = np.searchsorted(cell, np.arange(m + 1))  # cell k: rows starts[k]:starts[k+1]
+    for delta in np.indices((3,) * d).reshape(d, -1).T[(3**d - 1) // 2 :] - 1.0:
+        if delta.any():  # the later half of the neighbours, at cells + delta
+            _, ids = distinct_rows(np.concatenate([cells, cells + delta]))
+            slot = np.full(ids.max() + 1, -1)
+            slot[ids[:m]] = np.arange(m)
+            other = slot[ids[m:]][cell]
+            i = pos[(other >= 0) & (other != cell)]  # past 2^53 a cell is its own neighbour
+            lo, hi = starts[other[i]], starts[other[i] + 1]
+        else:
+            i, lo, hi = pos, pos + 1, starts[cell + 1]
+        while (keep := lo < hi).any():
+            i, lo, hi = i[keep], lo[keep], hi[keep]
+            best = min(best, float(squares(cols, i, lo).min()))
+            lo = lo + 1
     return float(np.sqrt(best))

@@ -408,14 +408,16 @@ def certified_tails(sys: AffineSystem) -> np.ndarray:
     return tails
 
 
-def word_sums(digits: np.ndarray, step: np.ndarray, levels: int) -> np.ndarray:
+def word_sums(digits: np.ndarray, step: np.ndarray, levels: int, sums=None, first=0) -> np.ndarray:
     """All sums sum_{k<levels} digits[w_k] @ step^k over words w, earlier
     letters varying slowest (levels = 0: the single sum 0).  In row form,
     step = R gives sum_k (R^T)^k l_k and step = R^-T gives sum_k R^-k b_k.
+    Given ``sums`` of the letters before level ``first``, its rows continue bit for bit.
     """
-    sums = np.zeros((1, digits.shape[1]))
-    for _ in range(levels):
-        sums = (sums[:, None, :] + digits[None, :, :]).reshape(-1, digits.shape[1])
+    sums = np.zeros((1, digits.shape[1])) if sums is None else sums
+    for level in range(levels):
+        if level >= first:
+            sums = (sums[:, None, :] + digits[None, :, :]).reshape(-1, digits.shape[1])
         digits = digits @ step  # the rows of the next level
     return sums
 

@@ -27,16 +27,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .measure import (
-    DEFAULT_ATOM_BUDGET,
-    FractalMeasure,
-    atomic_approximation,
-    cis2pi_outer,
-    fourier_mu_many,
-)
+from .measure import CIS_BLOCK, DEFAULT_ATOM_BUDGET, FractalMeasure, cis2pi_outer, fourier_mu_many
 from .ruelle import ContractionReport, basis_certificate
 from .spectrum import DEDUP_TOL, SpectrumEnumeration, completeness_scan, enumerate_spectrum
-from .systems import AffineSystem, cantor_four, scale_systems, two_digit_system
+from .systems import AffineSystem, cantor_four, scale_systems, two_digit_system, word_sums
 
 __all__ = [
     "DichotomyVerdict",
@@ -441,18 +435,16 @@ def hardy_roundtrip(
     which :func:`~fractalspec.spectrum.enumerate_spectrum` merges two
     frequencies.
 
-    The basis e_lam(x_w) is one complex N^K x |coeffs| array (16 bytes an
-    entry), built in place and conjugated in place; more than
-    DEFAULT_ATOM_BUDGET entries is a :class:`BudgetError`, raised before
-    anything is allocated.
+    The atoms go in lexicographic blocks of about CIS_BLOCK basis entries,
+    prefix sums extended by the trailing letters (:func:`~fractalspec.systems.word_sums`);
+    one block has the bits of the whole-basis product.  Over DEFAULT_ATOM_BUDGET entries
+    N^K x |coeffs| of work is a :class:`BudgetError`, raised before anything is allocated.
     """
     d = m.sys.d
     lam_list = []
     c_list = []
     for key, value in coeffs.items():
-        vec = np.asarray(
-            [float(key)] if np.isscalar(key) else [float(x) for x in key]
-        ).reshape(d)
+        vec = np.asarray([float(key)] if np.isscalar(key) else [float(x) for x in key]).reshape(d)
         dist = np.abs(spec.elements - vec).max(axis=1)
         if dist.min() > DEDUP_TOL:
             raise ValidationError(f"coefficient frequency {key!r} is not in the spectrum")
@@ -461,18 +453,28 @@ def hardy_roundtrip(
     lam = np.asarray(lam_list).reshape(-1, d)
     c = np.asarray(c_list, dtype=complex)
 
-    n, budget = m.sys.n_digits, DEFAULT_ATOM_BUDGET
+    n, budget, width = m.sys.n_digits, DEFAULT_ATOM_BUDGET, max(1, len(c))
+    if depth < 0:
+        raise ValidationError(f"depth must be >= 0, got {depth}")
     # past budget.bit_length() levels N^K > budget for N >= 2: no huge powers
-    if n ** min(depth, budget.bit_length()) * max(1, len(c)) > budget:
+    if n ** min(depth, budget.bit_length()) * width > budget:
         raise BudgetError(
             f"round-trip basis of {n}**{depth} atoms x {len(c)} frequencies "
             f"exceeds the budget of {budget} entries"
         )
-    atoms = atomic_approximation(m, depth)
-    basis = cis2pi_outer(atoms.points, lam)  # e_lam at each atom
-    f = basis @ c
-    recovered = np.conj(basis, out=basis).T @ f * atoms.weight
-    norm_sq = float(np.sum(np.abs(f) ** 2) * atoms.weight)
+    fast = depth  # trailing letters of the words of one block
+    while fast and n**fast * width > CIS_BLOCK:
+        fast -= 1
+    digits, step, slow = m.sys.B, m.sys.rinv.T, depth - fast
+    recovered, norm_sq = None, 0.0
+    for prefix in word_sums(digits, step, slow):
+        basis = cis2pi_outer(word_sums(digits, step, depth, prefix[None], slow), lam)
+        f = basis @ c
+        part = np.conj(basis, out=basis).T @ f
+        recovered = part if recovered is None else recovered + part
+        norm_sq += np.sum(np.abs(f) ** 2)
+    weight = float(n) ** -depth
+    recovered, norm_sq = recovered * weight, float(norm_sq * weight)
 
     recon_error = float(np.max(np.abs(recovered - c))) if len(c) else 0.0
     parseval_defect = abs(float(np.sum(np.abs(c) ** 2)) - norm_sq)

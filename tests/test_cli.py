@@ -198,6 +198,18 @@ def test_huge_frequency_error_names_its_norm(cantor4_file, capsys):
     assert err.count("\n") == 1
 
 
+def test_completeness_error_names_the_grid_point(cantor4_file, capsys):
+    # the tree's depth-2 leaves sit at the grid point over 4^3; the error
+    # must say which input failed, not only the leaf's |t|
+    grid = "0:1.7976931348623157e308:1.7976931348623157e308"
+    argv = ["completeness", "--system", cantor4_file, "--grid", grid, "--max-depth", "2"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: product tail ") and "(|t| = 2.8089e+306)" in err
+    assert err.endswith(" for grid point t = [1.7976931348623157e+308]\n")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -586,7 +598,7 @@ def test_hardy_two_dimensional_keys(write_system, capsys):
 
 
 def test_hardy_basis_over_budget_exits_one(cantor4_file, capsys, monkeypatch):
-    monkeypatch.setattr(verify, "atomic_approximation", lambda *a: pytest.fail("allocated"))
+    monkeypatch.setattr(verify, "word_sums", lambda *a: pytest.fail("allocated"))
     argv = ["hardy", "--system", cantor4_file, "--coeffs", "0=1,1=0.5", "--quadrature-depth", "24"]
     code, out, err = run_cli(argv, capsys)
     assert code == 1

@@ -14,10 +14,10 @@ import warnings
 import numpy as np
 import pytest
 
-from fractalspec import FractalMeasure, chi_mask, fourier_mu_many, make_system
+from fractalspec import FractalMeasure, chi_mask, enumerate_spectrum, fourier_mu_many, make_system
 from fractalspec import measure
 from fractalspec._numeric import cis2pi, cospi, sinpi
-from fractalspec.measure import _unique_rows, cis2pi_outer, digit_exponentials
+from fractalspec.measure import _unique_rows, cis2pi_outer, digit_exponentials, distinct_rows
 from tests.conftest import hadamard_triple
 
 QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
@@ -214,6 +214,36 @@ class TestProduct:
         empty = np.empty((0, 2), dtype=np.int64)
         distinct, inverse = _unique_rows(empty)
         assert distinct.shape == (0, 2) and inverse.shape == (0,)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_distinct_rows_match_numpy(self, d):
+        # repeated rows, +-0.0 (two bit patterns), nan, subnormals and huge values
+        rng = np.random.default_rng(7 + d)
+        values = [-2.5, -0.0, 0.0, 0.25, 3.0, 1e300, -1e-300, 5e-324, np.nan]
+        rows = rng.choice(values, size=(5000, d))
+        distinct, inverse = distinct_rows(rows)
+        b = rows.view(np.int64)
+        if d == 1:
+            expected, expected_inverse = np.unique(b[:, 0], return_inverse=True)
+        else:
+            expected, expected_inverse = np.unique(b, axis=0, return_inverse=True)
+        assert distinct.dtype == float and distinct.shape == (expected.shape[0], d)
+        assert np.array_equal(distinct.view(np.int64), expected.reshape(-1, d))
+        assert np.array_equal(inverse, expected_inverse.reshape(-1))
+        assert np.array_equal(distinct[inverse].view(np.int64), b)
+        for small in (np.empty((0, d)), rows[:1]):
+            distinct, inverse = distinct_rows(small)
+            assert distinct.shape == small.shape and inverse.tolist() == [0] * small.shape[0]
+
+    def test_distinct_differences_of_a_spectrum(self, cantor4):
+        # the 512^2 depth-8 differences of cantor4: 3^9 distinct values
+        el = enumerate_spectrum(cantor4, 8).elements
+        diffs = (el[:, None, :] - el[None, :, :]).reshape(-1, 1)
+        distinct, inverse = distinct_rows(diffs)
+        expected, expected_inverse = np.unique(diffs.view(np.int64)[:, 0], return_inverse=True)
+        assert distinct.shape == (3**9, 1)
+        assert np.array_equal(distinct[:, 0].view(np.int64), expected)
+        assert np.array_equal(inverse, expected_inverse)
 
 
 class TestOuterExponentials:

@@ -1,4 +1,6 @@
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from fractalspec import (
     BudgetError,
+    ConvergenceError,
     FractalMeasure,
     SpectrumEnumeration,
     ValidationError,
@@ -44,6 +47,26 @@ def greedy_dedup(rows):
         if all(np.max(np.abs(row - k)) > DEDUP_TOL for k in kept):
             kept.append(row)
     return np.array(kept)
+
+
+def dense_lattice():
+    """R = 2 I, B = {0, 1/2}^2, L = {0, 1}^2: its depth-n set is the full
+    integer square [0, 2^(n+1) - 1]^2."""
+    return make_system(
+        2.0 * np.eye(2),
+        [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]],
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+    )
+
+
+def full_difference_table(m, spec):
+    """The earlier route of orthogonality_matrix: mu-hat of all n^2
+    differences at once, and the largest entry off a copy of the diagonal."""
+    el = spec.elements
+    n = el.shape[0]
+    values, _ = fourier_mu_many(m, (el[:, None, :] - el[None, :, :]).reshape(-1, el.shape[1]))
+    table = np.abs(values).reshape(n, n)
+    return (float(table[~np.eye(n, dtype=bool)].max()) if n > 1 else 0.0), table
 
 
 def brute_separation(elements):
@@ -158,6 +181,26 @@ class TestSeparation:
         if d == 2:
             spec = enumerate_spectrum(quad2d, 4)
             assert separation(spec) == brute_separation(spec.elements) == 1.0
+            # the dense lattice: every row has neighbours at distance 1 in all
+            # directions, so every cell and each of its neighbours is full
+            spec = enumerate_spectrum(dense_lattice(), 4)
+            assert spec.size == 32**2
+            assert separation(spec) == brute_separation(spec.elements) == 1.0
+            shifted = spec.elements * 0.375 + rng.normal(scale=1e-3, size=spec.elements.shape)
+            spec = SpectrumEnumeration.from_elements(s, shifted)
+            assert separation(spec) == brute_separation(spec.elements)
+
+    def test_dense_lattice_is_linear(self):
+        # 262,144 rows filling the integer square [0, 511]^2: a strip of the
+        # separation's width holds about 512 of them, a cell at most 4
+        spec = enumerate_spectrum(dense_lattice(), 8)
+        assert spec.size == 512**2
+        elapsed = []
+        for _ in range(2):
+            start = time.perf_counter()
+            assert separation(spec) == 1.0
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 1.0  # about 0.2 s on 2 cores; the strip sweep took 3-4 s
 
     def test_cantor4_depth_two(self, cantor4):
         assert separation(enumerate_spectrum(cantor4, 2)) == 1.0
@@ -211,6 +254,35 @@ class TestOrthogonality:
         assert table[0, 2] == pytest.approx(oracle, abs=1e-9)
         assert max_off > 0.05
 
+    @pytest.mark.parametrize(
+        "name, depth",
+        [("cantor4", 7), ("cantor4", 8), ("quad2d", 3), ("triple3", 3), ("triple5", 2)],
+    )
+    def test_matches_full_difference_route(self, name, depth, request):
+        triples = {"triple3": (3, 2, [1, 0]), "triple5": (5, 3, [0, 1, 1, 0])}
+        sys = hadamard_triple(*triples[name]) if name in triples else request.getfixturevalue(name)
+        m = FractalMeasure(sys)
+        spec = enumerate_spectrum(sys, depth)
+        max_off, table = orthogonality_matrix(m, spec)
+        expected_off, expected = full_difference_table(m, spec)
+        assert np.array_equal(table.view(np.int64), expected.view(np.int64))
+        assert np.float64(max_off).view(np.int64) == np.float64(expected_off).view(np.int64)
+        if name.startswith("triple"):  # N = 3, 5: the zeros are rounded, not exact
+            assert 0.0 < max_off < 1e-12
+
+    def test_traced_peak_is_a_few_tables(self, cantor4, cantor4_measure):
+        # depth 8: 512^2 differences (2 MB as floats) of 3^9 distinct values
+        spec = enumerate_spectrum(cantor4, 8)
+        tracemalloc.start()
+        try:
+            orthogonality_matrix(cantor4_measure, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the differences, their sorted bits, the inverse and the table;
+        # the n^2 complex values, tails and off-diagonal copy took 14.4 MB
+        assert peak <= 8e6
+
 
 class TestQPartial:
     def test_equals_one_on_spectrum(self, cantor4, cantor4_measure):
@@ -237,6 +309,40 @@ class TestQPartial:
 
 
 class TestCompletenessScan:
+    @pytest.mark.parametrize(
+        "grid, named",
+        [
+            ([[0.5], [1e160], [3e159], [2.0]], 1e160),  # the largest point
+            ([[-3e159], [1e160], [0.0]], 1e160),
+            ([[2.0], [-1e160], [1e160]], -1e160),  # equal |t|: the first
+            ([[0.5]] * 35000 + [[1e200], [0.25]], 1e200),  # in the second grid block
+        ],
+    )
+    def test_tree_error_names_the_grid_point(self, cantor4, cantor4_measure, grid, named):
+        spec = enumerate_spectrum(cantor4, 2)
+        with pytest.raises(ConvergenceError) as info:
+            completeness_scan(cantor4_measure, spec, grid, target=0.99, max_depth=2)
+        assert str(info.value).endswith(f" for grid point t = {[named]}")
+
+    def test_direct_sum_error_names_the_grid_point(self, odd3, odd3_measure):
+        # R = 3 is not integral here: Q is summed over the frequencies
+        spec = enumerate_spectrum(odd3, 1)
+        grid = [[0.5], [-2.0], [1e200], [0.25]]
+        with pytest.raises(ConvergenceError) as info:
+            completeness_scan(odd3_measure, spec, grid, target=0.99, max_depth=1)
+        assert str(info.value).endswith(" for grid point t = [1e+200]")
+        # t - lam is rounded to t itself, the norm the error quotes
+        assert "(|t| = 1e+200)" in str(info.value)
+
+    def test_two_dimensional_error_names_the_grid_point(self, quad2d):
+        m = FractalMeasure(quad2d)
+        spec = enumerate_spectrum(quad2d, 1)
+        # the second point has the larger Euclidean norm, the first the larger entry
+        grid = [[1.1e160, 0.0], [1e160, 1e160], [0.5, 0.5]]
+        with pytest.raises(ConvergenceError) as info:
+            completeness_scan(m, spec, grid, target=0.99, max_depth=1)
+        assert str(info.value).endswith(" for grid point t = [1e+160, 1e+160]")
+
     def test_cantor4_complete_evidence(self, cantor4, cantor4_measure):
         report = completeness_scan(
             cantor4_measure,

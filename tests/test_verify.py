@@ -20,6 +20,7 @@ from fractalspec import (
 )
 from fractalspec import verify
 from fractalspec._numeric import cis2pi
+from fractalspec.measure import cis2pi_outer
 from fractalspec.verify import _covered_runs
 
 
@@ -373,7 +374,7 @@ class TestHardyRoundtrip:
             hardy_roundtrip(cantor4_measure, spec, {2.5: 1.0}, depth=4)
 
     def test_basis_over_budget_raises_before_allocating(self, cantor4, monkeypatch):
-        monkeypatch.setattr(verify, "atomic_approximation", lambda *a: pytest.fail("allocated"))
+        monkeypatch.setattr(verify, "word_sums", lambda *a: pytest.fail("allocated"))
         m = FractalMeasure(cantor4)
         spec = enumerate_spectrum(cantor4, 1)
         coeffs = {0.0: 1.0, 1.0: 0.5, 4.0: 0.25, 5.0: 0.125}
@@ -423,3 +424,58 @@ class TestHardyRoundtrip:
             tracemalloc.stop()
         # basis, f, the atoms and the |f|^2 temporaries: about 1.3 x the basis
         assert peak <= 1.5 * basis_bytes
+
+    def test_traced_peak_is_one_block(self, cantor4, cantor4_measure):
+        # 2^18 atoms x 8 coefficients go in 32 blocks of CIS_BLOCK entries;
+        # the whole basis alone is 33.5 MB
+        spec = enumerate_spectrum(cantor4, 2)
+        coeffs = {float(lam): 1.0 + 0.5j for lam in spec.elements[:, 0]}
+        tracemalloc.start()
+        try:
+            hardy_roundtrip(cantor4_measure, spec, coeffs, depth=18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+    @staticmethod
+    def full_matrix_route(m, spec, coeffs, depth):
+        """The one-basis route: every atom's e_lam in one N^K x |coeffs| array."""
+        atoms = atomic_approximation(m, depth)
+        basis = cis2pi(atoms.points @ spec.elements.T)
+        c = np.array(list(coeffs.values()))
+        f = basis @ c
+        recovered = np.conj(basis).T @ f * atoms.weight
+        return recovered, float(np.sum(np.abs(f) ** 2) * atoms.weight), atoms.points
+
+    @pytest.mark.parametrize("depth, blocks", [(13, 1), (14, 2), (18, 32)])
+    def test_blocks_match_the_full_matrix(self, cantor4, cantor4_measure, monkeypatch, depth, blocks):
+        spec = enumerate_spectrum(cantor4, 2)
+        rng = np.random.default_rng(depth)
+        coeffs = {float(lam): complex(*rng.normal(size=2)) for lam in spec.elements[:, 0]}
+        seen = []
+
+        def recording(rows, cols):
+            seen.append(rows.copy())
+            return cis2pi_outer(rows, cols)
+
+        monkeypatch.setattr(verify, "cis2pi_outer", recording)
+        report = hardy_roundtrip(cantor4_measure, spec, coeffs, depth=depth)
+        recovered, norm_sq, points = self.full_matrix_route(cantor4_measure, spec, coeffs, depth)
+        # the blocks visit the atoms in order, bit for bit
+        assert len(seen) == blocks
+        assert np.array_equal(np.concatenate(seen).view(np.int64), points.view(np.int64))
+        streamed = np.array(list(report.recovered.values()))
+        c = np.array(list(coeffs.values()))
+        if blocks == 1:  # one block: the bits of the one-basis route
+            assert np.array_equal(streamed, recovered)
+            assert report.parseval_defect == abs(float(np.sum(np.abs(c) ** 2)) - norm_sq)
+            return
+        # otherwise only the order of the sums over M = 2^K atoms differs: each
+        # route is within M eps S (S = sum |c| >= |f|) of the exact sum, whose
+        # terms weigh 1/M each, and the squared norm within M eps S^2
+        M, eps, S = 2.0**depth, np.finfo(float).eps, float(np.sum(np.abs(c)))
+        assert np.max(np.abs(streamed - recovered)) <= 2 * M * eps * S
+        exact = float(np.sum(np.abs(c) ** 2))
+        assert abs(report.parseval_defect - abs(exact - norm_sq)) <= 2 * M * eps * S**2
+        assert report.recon_error <= 1e-12

@@ -155,6 +155,21 @@ def test_atoms_match_the_old_loop(name):
         assert_same_bits(atomic_approximation(m, depth).points, expected)
 
 
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_word_sums_continue_given_prefix_sums(name):
+    # the streamed round-trip extends each prefix by the trailing letters;
+    # the atoms must keep the bits of one chain over all the letters
+    sys = SYSTEMS[name]()
+    for digits, step in ((sys.B, sys.rinv.T), (sys.L, sys.R)):
+        for levels in range(5):
+            whole = word_sums(digits, step, levels)
+            for first in range(levels + 1):
+                prefixes = word_sums(digits, step, first)
+                rows = [word_sums(digits, step, levels, p[None], first) for p in prefixes]
+                assert_same_bits(np.concatenate(rows), whole)
+                assert_same_bits(word_sums(digits, step, levels, prefixes, first), whole)
+
+
 @settings(max_examples=40, deadline=None)
 @given(triple_params)
 def test_primitives_match_the_old_loops_on_triples(params):
