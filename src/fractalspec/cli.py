@@ -203,11 +203,8 @@ def _cmd_validate(args, sys_):
 def _cmd_fourier(args, sys_):
     from .measure import FractalMeasure, fourier_mu_many
 
-    m = FractalMeasure(sys_)
     grid = _parse_grid(args.grid, sys_.d)
-    values, tails = (
-        fourier_mu_many(m, grid) if grid.size else (np.empty(0, complex), np.empty(0))
-    )
+    values, tails = fourier_mu_many(FractalMeasure(sys_), grid)
     # hypot, not np.abs: it equals abs(complex) bit for bit
     columns = (*grid.T, values.real, values.imag, np.hypot(values.real, values.imag), tails)
     header = _axes("t", sys_.d) + ["re", "im", "abs", "tail_bound"]

@@ -388,7 +388,8 @@ def row_norms(T: np.ndarray) -> np.ndarray:
 def distinct_rows(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a float (M, d) array by bit pattern, in the order
     and with the inverse of ``np.unique`` of the int64 view (axis 0 in d > 1,
-    :func:`_unique_rows`); in d = 1 from a sort and a binary search."""
+    :func:`_unique_rows`); in d = 1 from a sort and a binary search.  Bits,
+    not values (:func:`~fractalspec.systems.sorted_rows`): each argument keeps its bits."""
     bits = np.ascontiguousarray(T, dtype=float).view(np.int64)
     if bits.shape[1] != 1:
         distinct, inverse = _unique_rows(bits)

@@ -407,7 +407,7 @@ def _chunks(n: int):
 
 
 def _batch_sup(
-    prepare, trials: np.ndarray, box: np.ndarray, per_axis: int, refine: bool, rows=None
+    prepare, trials: np.ndarray, box: np.ndarray, per_axis: int, rows=None
 ) -> np.ndarray:
     """Sups over the box of smooth nonnegative functions, one per trial.
 
@@ -440,7 +440,7 @@ def _batch_sup(
             better = top > best[chunk]
             best[chunk] = np.where(better, top, best[chunk])
             argmax[chunk] = np.where(better, start + k, argmax[chunk])
-    if not (refine and d == 1):
+    if d != 1:
         return best
     h = grid.steps[0]
     star = nodes[argmax, 0]
@@ -464,9 +464,7 @@ def _batch_sup(
     return best
 
 
-def _probe_ratios(
-    sys: AffineSystem, box: np.ndarray, probe, per_axis: int, refine: bool
-) -> np.ndarray:
+def _probe_ratios(sys: AffineSystem, box: np.ndarray, probe, per_axis: int) -> np.ndarray:
     """Lipschitz-norm ratios ||Cq|| / ||q|| of every trial of a probe batch.
 
     A trial with ||q|| < 1e-12 gets nan and its ||Cq|| is not evaluated.
@@ -477,7 +475,7 @@ def _probe_ratios(
         return lambda trials: np.linalg.norm(probe.gradient(state, trials), axis=-1)
 
     everyone = np.arange(probe.size)
-    denom = _batch_sup(grad_q_norm, everyone, box, per_axis, refine, probe.block_rows(1))
+    denom = _batch_sup(grad_q_norm, everyone, box, per_axis, probe.block_rows(1))
     ratios = np.full(probe.size, np.nan)
     kept = np.flatnonzero(~(denom < 1e-12))
     if kept.size:
@@ -488,7 +486,7 @@ def _probe_ratios(
             return lambda trials: np.linalg.norm(gradient(trials), axis=-1)
 
         rows = probe.block_rows(len(sys.L), sys.n_digits)
-        numer = _batch_sup(grad_cq_norm, kept, box, per_axis, refine, rows)
+        numer = _batch_sup(grad_cq_norm, kept, box, per_axis, rows)
         ratios[kept] = numer / denom[kept]
     return ratios
 
@@ -502,12 +500,7 @@ def _probe_grid(sys: AffineSystem, per_axis: int | None) -> int:
 
 
 def probe_ratio(
-    sys: AffineSystem,
-    box,
-    q_value,
-    q_grad,
-    per_axis: int | None = None,
-    refine: bool = True,
+    sys: AffineSystem, box, q_value, q_grad, per_axis: int | None = None
 ) -> float:
     """Lipschitz-norm ratio ||Cq|| / ||q|| for one C^1 test function.
 
@@ -518,7 +511,7 @@ def probe_ratio(
     box = as_box(box, sys.d)
     per_axis = _probe_grid(sys, per_axis)
     probe = _CallableProbe(q_value, q_grad)
-    return float(_probe_ratios(sys, box, probe, per_axis, refine)[0])
+    return float(_probe_ratios(sys, box, probe, per_axis)[0])
 
 
 @dataclass(frozen=True)
@@ -557,7 +550,7 @@ def contraction_probe(
     box = as_box(box, sys.d)
     rng = np.random.default_rng(seed)
     polys = [TrigPolynomial.random(rng, sys.d, degree) for _ in range(trials)]
-    ratios = _probe_ratios(sys, box, _WaveBatch(polys), per_axis, refine=True)
+    ratios = _probe_ratios(sys, box, _WaveBatch(polys), per_axis)
     kept = ratios[~np.isnan(ratios)]
     if not kept.size:
         raise ValidationError("all probe functions were degenerate")

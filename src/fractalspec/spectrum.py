@@ -27,6 +27,7 @@ from .systems import (
     certified_tails,
     dual_box,
     grow_invariant_box,
+    sorted_rows,
     word_sums,
 )
 
@@ -69,8 +70,12 @@ class SpectrumEnumeration:
 
     @classmethod
     def from_elements(cls, sys: AffineSystem, elements) -> "SpectrumEnumeration":
-        """A hand-built set: the rows of ``elements``, sorted, exact repeats dropped."""
-        elements = _sorted_distinct(np.asarray(elements, dtype=float).reshape(-1, sys.d))
+        """A hand-built set: the rows of ``elements``, sorted, exact repeats
+        dropped; a NaN or infinite entry is a :class:`ValidationError`."""
+        elements = np.asarray(elements, dtype=float).reshape(-1, sys.d)
+        if not np.all(np.isfinite(elements)):
+            raise ValidationError("elements contain NaN or Inf")
+        elements = sorted_rows(elements)
         elements.setflags(write=False)
         return cls(sys=sys, depth=None, elements=elements)
 
@@ -104,69 +109,71 @@ def enumerate_spectrum(sys: AffineSystem, depth: int) -> SpectrumEnumeration:
         with np.errstate(over="ignore", invalid="ignore"):
             level = level @ sys.R  # rows (R^T)^k l
     sums = word_sums(sys.L, sys.R, depth + 1)
-    integral = np.all(np.abs(sums - np.round(sums)) <= DEDUP_TOL)
-    if integral:
-        sums = np.round(sums)
-    elements = _sorted_distinct(sums)
-    if not integral:
-        elements = _dedup_near(elements, DEDUP_TOL)
+    if np.all(np.abs(sums - np.round(sums)) <= DEDUP_TOL):
+        elements = sorted_rows(np.round(sums))
+    else:
+        elements = _dedup_near(sorted_rows(sums), DEDUP_TOL)
     elements.setflags(write=False)
     return SpectrumEnumeration(sys=sys, depth=depth, elements=elements)
 
 
-def _sorted_distinct(rows: np.ndarray) -> np.ndarray:
-    """The rows in lexicographic order, each exact repeat dropped."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = np.any(np.diff(rows, axis=0) != 0.0, axis=1)
-    return rows[keep]
-
-
 def _dedup_near(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Greedy max-norm dedup of lexsorted rows.
+    """Greedy max-norm dedup of lexsorted rows without exact repeats (so no
+    cell holds many copies of one row; repeats are still handled correctly).
 
-    The caller removes exact repeats first, so that no cell holds many
-    copies of one row (repeats are still handled correctly).  A row is kept unless it lies within ``tol`` of an earlier kept row, so
+    A row is kept unless it lies within ``tol`` of an earlier kept row, so
     kept rows are pairwise more than ``tol`` apart and every dropped row is
-    within ``tol`` of a kept one.  Near pairs are found on d + 1 grids of
-    cell side 2(d+1)g, g >= tol, shifted by 2g along the diagonal: on each
-    axis a near pair straddles the cell walls of at most one grid, so at
-    least one grid holds it in a single cell.  The greedy runs in rounds,
-    each deciding every row whose earlier near neighbours are decided.
-    """
-    m, d = rows.shape
-    # rounding moves each cell wall by a few ulps; with g >= 16 ulps, walls of
-    # different grids stay more than tol apart
-    g = max(tol, 16.0 * float(np.spacing(np.abs(rows).max(initial=0.0))))
-    first, second = [], []
-    for shift in range(d + 1):
-        cells = np.floor((rows + 2.0 * g * shift) / (2.0 * (d + 1) * g))
-        i, j = _pairs_sharing(cells)
+    within ``tol`` of a kept one.  Near pairs share a cell or neighbouring
+    ones of the power-of-two side just above ``tol`` (:func:`_cell_pairs`,
+    the walk of :func:`separation`); the greedy runs in rounds, each
+    deciding every row whose earlier near neighbours are decided."""
+    pairs = [np.empty((2, 0), dtype=np.intp)]
+    for i, j in _cell_pairs(rows, np.ldexp(1.0, np.frexp(tol)[1])):
         near = np.max(np.abs(rows[i] - rows[j]), axis=1) <= tol
-        first.append(i[near])
-        second.append(j[near])
-    early = np.concatenate(first)  # i < j: the row earlier in sort order
-    late = np.concatenate(second)
-    state = np.zeros(m, dtype=np.int8)  # 0 open, 1 kept, 2 dropped
+        pairs.append(np.sort([i[near], j[near]], axis=0))  # the earlier row in sort order first
+    early, late = np.concatenate(pairs, axis=1)
+    state = np.zeros(len(rows), dtype=np.int8)  # 0 open, 1 kept, 2 dropped
     while np.any(state == 0):
         state[late[(state[early] == 1) & (state[late] == 0)]] = 2
-        waiting = np.zeros(m, dtype=bool)
+        waiting = np.zeros(len(rows), dtype=bool)
         waiting[late[state[early] == 0]] = True
         state[(state == 0) & ~waiting] = 1
     return rows[state == 1]
 
 
-def _pairs_sharing(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All index pairs (i, j), i < j, of rows of ``cells`` that are equal."""
-    order = np.lexsort(cells.T)  # stable: indices rise within each group
-    ordered = cells[order]
-    changes = np.any(ordered[1:] != ordered[:-1], axis=1)
-    starts = np.flatnonzero(np.r_[True, changes])
-    sizes = np.diff(np.r_[starts, len(cells)])
-    after = np.repeat(starts + sizes, sizes) - np.arange(len(cells)) - 1
-    pos = np.repeat(np.arange(len(cells)), after)  # later members of own group
-    offset = np.arange(pos.size) - np.repeat(np.cumsum(after) - after, after)
-    return order[pos], order[pos + 1 + offset]
+def _cell_pairs(rows: np.ndarray, side: float):
+    """Index arrays (i, j) of the rows in equal or neighbouring cells
+    floor(x / side), over a few passes, each unordered pair once.
+
+    ``side`` is a power of two (or inf: one cell), so x / side is exact.
+    Each row meets the later rows of its cell and the rows of half of its
+    3^d - 1 neighbouring cells, found by one distinct_rows over the cells
+    and the cells shifted by that offset.  Past 2^53 and in an infinite
+    cell a coordinate has no neighbours: c + 1 rounds.
+    """
+    with np.errstate(over="ignore"):  # x / side past the float range: an inf cell
+        cells, cell = distinct_rows(np.floor(rows / side) + 0.0)  # + 0.0: no -0.0 cell
+    order = np.argsort(cell, kind="stable")
+    cell, m, d = cell[order], cells.shape[0], rows.shape[1]
+    starts = np.searchsorted(cell, np.arange(m + 1))  # cell k: order[starts[k]:starts[k+1]]
+    for delta in np.indices((3,) * d).reshape(d, -1).T[(3**d - 1) // 2 :] - 1.0:
+        if delta.any():  # the later half of the neighbours, at cells + delta
+            shifted = cells + delta
+            for k in np.flatnonzero(delta):  # a rounded shift names no cell
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    shifted[shifted[:, k] - cells[:, k] != delta[k]] = np.nan
+            _, ids = distinct_rows(np.concatenate([cells, shifted]))
+            slot = np.full(2 * m, -1)
+            slot[ids[:m]] = np.arange(m)
+            other = slot[ids[m:]][cell]
+            i = np.flatnonzero(other >= 0)
+            i, lo, hi = order[i], starts[other[i]], starts[other[i] + 1]
+        else:
+            i, lo, hi = order, np.arange(1, len(order) + 1), starts[cell + 1]
+        while (keep := lo < hi).any():
+            i, lo, hi = i[keep], lo[keep], hi[keep]
+            yield i, order[lo]
+            lo = lo + 1
 
 
 def orthogonality_matrix(
@@ -636,42 +643,33 @@ def _direct_leaf(m: FractalMeasure):
 def separation(spec: SpectrumEnumeration) -> float:
     """Smallest pairwise Euclidean distance between enumerated frequencies.
 
-    In d > 1 two rows neighbouring in the stored order bound it by h.  Rows
-    go in cells floor(x / s), s a power of two (x / s is exact) above h by a
-    margin for the rounding of the squares, so a pair within h shares a cell
-    or neighbouring ones; each row meets the later rows of its cell and the
-    rows of half of its 3^d - 1 neighbours: a few passes on a dense set.
+    In d > 1 two rows neighbouring in the stored order bound it by h; on
+    cells of the power-of-two side just above h (:func:`_cell_pairs`, the
+    walk of the near-duplicate merge) a pair within h shares a cell or
+    neighbouring ones.  A pair's differences are squared after an exact
+    scaling by the power of two of the largest, so no square under- or
+    overflows and a distance with squares in range keeps the bits of
+    sqrt(sum of squares); a computed distance is at least that largest.
     """
     if spec.size < 2:
         raise ValidationError("separation needs at least two elements")
     el = spec.elements
     if el.shape[1] == 1:
         return float(np.diff(np.sort(el[:, 0])).min())
+    cols = el.T.copy()
 
-    def squares(cols, i, j):  # of the distances of rows i and j, in coordinate order
-        return sum((x[i] - x[j]) ** 2 for x in cols)
+    def shortest(best, i, j):
+        diffs = [np.abs(x[i] - x[j]) for x in cols]
+        top = diffs[0]
+        for x in diffs[1:]:
+            top = np.maximum(top, x)
+        near = top < best  # a pair with top >= best cannot lower it
+        _, e = np.frexp(top[near])
+        squares = sum(np.ldexp(x[near], -e) ** 2 for x in diffs)
+        return float(np.min(np.ldexp(np.sqrt(squares), e), initial=best))
 
-    pos = np.arange(el.shape[0])
-    best = float(squares(el.T, pos[1:], pos[:-1]).min())
-    bound = np.sqrt(best) * (1.0 + 1e-12) + 1e-150
-    side = np.ldexp(1.0, np.frexp(bound)[1]) if bound < np.inf else bound  # inf: one cell
-    with np.errstate(over="ignore"):  # x / s past the float range: an inf cell
-        cells, cell = distinct_rows(np.floor(el / side) + 0.0)  # + 0.0: no -0.0 cell
-    order = np.argsort(cell, kind="stable")
-    cols, cell, m, d = el[order].T.copy(), cell[order], cells.shape[0], el.shape[1]
-    starts = np.searchsorted(cell, np.arange(m + 1))  # cell k: rows starts[k]:starts[k+1]
-    for delta in np.indices((3,) * d).reshape(d, -1).T[(3**d - 1) // 2 :] - 1.0:
-        if delta.any():  # the later half of the neighbours, at cells + delta
-            _, ids = distinct_rows(np.concatenate([cells, cells + delta]))
-            slot = np.full(ids.max() + 1, -1)
-            slot[ids[:m]] = np.arange(m)
-            other = slot[ids[m:]][cell]
-            i = pos[(other >= 0) & (other != cell)]  # past 2^53 a cell is its own neighbour
-            lo, hi = starts[other[i]], starts[other[i] + 1]
-        else:
-            i, lo, hi = pos, pos + 1, starts[cell + 1]
-        while (keep := lo < hi).any():
-            i, lo, hi = i[keep], lo[keep], hi[keep]
-            best = min(best, float(squares(cols, i, lo).min()))
-            lo = lo + 1
-    return float(np.sqrt(best))
+    best = shortest(np.inf, slice(1, None), slice(None, -1))
+    side = np.ldexp(1.0, np.frexp(best)[1]) if best < np.inf else best  # inf: one cell
+    for i, j in _cell_pairs(el, side):
+        best = shortest(best, i, j)
+    return best

@@ -215,14 +215,15 @@ class ValidationReport:
     valid: bool  # compatible, unitary and expansive
 
 
-def _canonical_rows(arr: np.ndarray, label: str) -> np.ndarray:
-    """Sort rows lexicographically and reject duplicates."""
-    order = np.lexsort(arr.T[::-1])
-    arr = arr[order]
-    if arr.shape[0] > 1 and np.any(np.all(np.diff(arr, axis=0) == 0.0, axis=1)):
-        raise ValidationError(f"{label} contains duplicate vectors")
-    arr.setflags(write=False)
-    return arr
+def sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows of a float (M, d) array in lexicographic numeric order, exact
+    repeats dropped: identity by value, so -0.0 repeats 0.0, the rule for
+    sets of vectors.  :func:`~fractalspec.measure.distinct_rows` is identity
+    by bit pattern, in int64-view order, so each evaluated argument keeps its bits."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = np.any(np.diff(rows, axis=0) != 0.0, axis=1)
+    return rows[keep]
 
 
 def make_system(R, B, L) -> AffineSystem:
@@ -236,8 +237,8 @@ def make_system(R, B, L) -> AffineSystem:
     if R.shape[0] != R.shape[1]:
         raise ValidationError(f"R must be square, got shape {R.shape}")
     d = R.shape[0]
-    B = np.asarray(B, dtype=float).reshape(-1, d).copy()
-    L = np.asarray(L, dtype=float).reshape(-1, d).copy()
+    B = np.asarray(B, dtype=float).reshape(-1, d)
+    L = np.asarray(L, dtype=float).reshape(-1, d)
     if B.shape[0] != L.shape[0]:
         raise ValidationError(f"#B={B.shape[0]} and #L={L.shape[0]} must agree")
     if B.shape[0] < 1:
@@ -251,12 +252,12 @@ def make_system(R, B, L) -> AffineSystem:
         raise ValidationError("R is singular")
     R = R.copy()
     R.setflags(write=False)
-    return AffineSystem(
-        d=d,
-        R=R,
-        B=_canonical_rows(B, "B"),
-        L=_canonical_rows(L, "L"),
-    )
+    rows = {"B": sorted_rows(B), "L": sorted_rows(L)}
+    for name, arr in rows.items():
+        if len(arr) < len(B):  # as many rows as L
+            raise ValidationError(f"{name} contains duplicate vectors")
+        arr.setflags(write=False)
+    return AffineSystem(d=d, R=R, **rows)
 
 
 def parse_number(value) -> float:

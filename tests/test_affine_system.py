@@ -24,6 +24,7 @@ from fractalspec.systems import (
     INV_POWER_DEPTH,
     adjoint_power_norms,
     parse_number,
+    sorted_rows,
     unitarity_tolerance,
 )
 
@@ -81,6 +82,18 @@ class TestMakeSystem:
     def test_duplicate_digits_rejected(self):
         with pytest.raises(ValidationError):
             make_system(4.0, [0.0, 0.0], [0.0, 1.0])
+
+    def test_signed_zero_repeats_zero(self):
+        # rows compare by value: -0.0 repeats 0.0, in B and L alike
+        with pytest.raises(ValidationError, match="B contains duplicate"):
+            make_system(4.0, [0.0, -0.0], [0.0, 1.0])
+        with pytest.raises(ValidationError, match="L contains duplicate"):
+            make_system(np.eye(2) * 2, [[0, 0], [0.5, 0]], [[0.0, -0.0], [0.0, 0.0]])
+
+    def test_sorted_rows(self):
+        rows = np.array([[1.0, 0.0], [0.0, 2.0], [-0.0, 2.0], [0.0, -1.0], [1.0, 0.0]])
+        assert sorted_rows(rows).tolist() == [[0.0, -1.0], [0.0, 2.0], [1.0, 0.0]]
+        assert sorted_rows(np.empty((0, 2))).shape == (0, 2)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValidationError):

@@ -101,6 +101,23 @@ def test_artifact_bytes_unchanged(recorded, name):
     assert digest == recorded[name]
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--system", C4], "a383f8656e320ddc24df24da1e32c50fe2842897d6af1fdbc3657b14407fbb45"),
+        (["--system", C4, "--format", "csv"], "affa1398e3299965b8789024c6245931d8c85c05253c12077c840ca0e2336887"),
+        (["--system", Q2], "08701d881abf5243e7648dbcd727f5f585941c3e6042be331d9290bccb7a06b1"),
+        (["--system", Q2, "--format", "csv"], "69800e44b118d7f4f8f8391abc216735d046126a7c3b5cd71b1f8e72153c3e81"),
+    ],
+    ids=["cantor4-json", "cantor4-csv", "quad2d-json", "quad2d-csv"],
+)
+def test_empty_fourier_grid_bytes(argv, digest):
+    # an empty grid goes through fourier_mu_many like any other; these are
+    # the bytes of the earlier empty-grid branch
+    grid = "1:0:0.1" if C4 in argv else "1:0:0.1,0:1:0.5"
+    assert artifact_digest(["fourier", "--grid", grid, *argv]) == (0, digest)
+
+
 if __name__ == "__main__":
     digests = {}
     for name, (argv, expected_code) in sorted(COMMANDS.items()):

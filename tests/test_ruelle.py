@@ -295,9 +295,9 @@ class TestMultilinearInterpolation:
         assert np.max(np.abs(q.interpolate(pts) - multilinear(pts))) <= 1e-12
 
 
-def _sup(fn, box, per_axis, refine):
+def _sup(fn, box, per_axis):
     """_batch_sup of one function fn((M, d) points), shared by a single trial."""
-    return float(_batch_sup(lambda pts: lambda trials: fn(pts[0])[None], _ONE, box, per_axis, refine)[0])
+    return float(_batch_sup(lambda pts: lambda trials: fn(pts[0])[None], _ONE, box, per_axis)[0])
 
 
 class TestSupNorm:
@@ -310,10 +310,9 @@ class TestSupNorm:
 
         grid_max = float(bump(np.linspace(0.0, 1.0, 129)[:, None]).max())
         assert grid_max < 1.0 - 1e-9
-        polished = _sup(bump, box, 129, refine=True)
+        polished = _sup(bump, box, 129)
         assert grid_max <= polished <= 1.0
         assert polished >= 1.0 - 1e-9
-        assert _sup(bump, box, 129, refine=False) == grid_max
 
     def test_polish_calls(self):
         calls = []
@@ -322,7 +321,7 @@ class TestSupNorm:
             calls.append(len(pts))
             return np.cos(pts[:, 0] - 0.123456789)
 
-        _sup(bump, np.array([[-1.0, 1.0]]), 4097, refine=True)
+        _sup(bump, np.array([[-1.0, 1.0]]), 4097)
         # grid, then a few 33-point zoom rounds from a 2-step bracket to 1e-12
         assert calls[0] == 4097
         assert 1 <= len(calls) - 1 <= 8
@@ -672,7 +671,7 @@ class TestBatchedProbes:
     def test_degenerate_trial_skipped_inside_a_batch(self, cantor4, hull):
         polys = [TrigPolynomial.random(np.random.default_rng(s), 1) for s in range(3)]
         polys.insert(1, TrigPolynomial([[2.0], [3.0]], [0.0, 0.0], [0.0, 0.0]))
-        ratios = _probe_ratios(cantor4, hull, _WaveBatch(polys), 513, refine=True)
+        ratios = _probe_ratios(cantor4, hull, _WaveBatch(polys), 513)
         assert np.isnan(ratios[1]) and not np.isnan(ratios[[0, 2, 3]]).any()
         for poly, ratio in zip(polys, ratios):
             if poly is not polys[1]:
@@ -866,7 +865,7 @@ class TestFusedNumerator:
         ]
         assert_fused_matches_reference(sys, polys, sample_points(box, 128, 7))
         per_axis = 513 if sys.d == 1 else 17
-        ratios = _probe_ratios(sys, box, _WaveBatch(polys), per_axis, refine=True)
+        ratios = _probe_ratios(sys, box, _WaveBatch(polys), per_axis)
         for poly, ratio in zip(polys, ratios):
             expected = reference_ratio(
                 sys, box, lambda p: reference_value(poly, p), lambda p: reference_gradient(poly, p),

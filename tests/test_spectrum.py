@@ -1,6 +1,7 @@
 import json
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from fractalspec import (
 )
 from fractalspec import spectrum
 from fractalspec.reports import render_json
-from fractalspec.spectrum import DEDUP_TOL, _dedup_near
+from fractalspec.spectrum import DEDUP_TOL, _cell_pairs, _dedup_near
 from tests.conftest import generated_triples, grid1d, hadamard_triple, triple_params
 
 
@@ -70,9 +71,46 @@ def full_difference_table(m, spec):
 
 
 def brute_separation(elements):
+    # each pair's differences scaled by the power of two of the largest
+    # before squaring, so that no square under- or overflows
     el = np.asarray(elements, dtype=float)
-    dist = np.sqrt(((el[:, None, :] - el[None, :, :]) ** 2).sum(axis=2))
-    return dist[np.triu_indices(len(el), 1)].min()
+    diffs = (el[:, None, :] - el[None, :, :])[np.triu_indices(len(el), 1)]
+    _, e = np.frexp(np.abs(diffs).max(axis=1))
+    return np.ldexp(np.sqrt((np.ldexp(diffs, -e[:, None]) ** 2).sum(axis=1)), e).min()
+
+
+def brute_cell_pairs(rows, side):
+    """Index pairs i < j of rows whose cells floor(x / side) are equal or
+    differ by exactly 1 in each coordinate that differs."""
+    with np.errstate(over="ignore"):
+        cells = np.floor(rows / side) + 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # cells far apart; inf - inf
+        gaps = np.abs(cells[:, None, :] - cells[None, :, :])
+    close = (cells[:, None, :] == cells[None, :, :]) | (gaps == 1.0)
+    i, j = np.nonzero(np.triu(np.all(close, axis=2), 1))
+    return set(zip(i.tolist(), j.tolist()))
+
+
+@st.composite
+def cell_walk_cases(draw):
+    """Rows of d = 1, 2 or 3 coordinates in units of a power-of-two side:
+    on and within a side of the cell walls, past 2^53 sides (where the
+    float cells are 2 or 4 apart) and near the float maximum (an infinite
+    cell for a side below 1)."""
+    d = draw(st.integers(1, 3))
+    side = 2.0 ** draw(st.integers(-40, 4))
+    offsets = st.sampled_from([0.0, 0.0, 0.5, -0.5, 1e-9, -1e-9, 0.999])
+    near_walls = st.builds(lambda k, f: k + f, st.integers(-3, 3), offsets)
+    past_2_53 = st.builds(
+        lambda k, j: (2.0**53 + 2 * k) * 2.0**j, st.integers(-3, 3), st.integers(0, 2)
+    )
+    coordinate = st.one_of(
+        near_walls.map(lambda u: u * side),
+        past_2_53.map(lambda u: u * side),
+        st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 1.5e308]),
+    )
+    rows = draw(st.lists(st.lists(coordinate, min_size=d, max_size=d), max_size=24))
+    return np.array(rows, dtype=float).reshape(-1, d), side
 
 
 class TestEnumeration:
@@ -152,6 +190,20 @@ class TestNearDuplicates:
             assert np.array_equal(out, greedy_dedup(rows))
 
 
+class TestCellWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(case=cell_walk_cases())
+    @example(case=(np.array([[0, 1], [0, 2], [1, 1], [-1, 0]]) * 2.0**-29, 2.0**-29))
+    @example(case=(np.array([[0, 0], [0, 1], [2, 1], [-1, 0]]) + [2.0**53, 0.0], 1.0))
+    @example(case=(np.array([[1e308, 0.0], [1.5e308, 0.5], [1.5e308, -0.5], [-1e308, 0.0]]), 0.5))
+    def test_pairs_are_the_brute_force_neighbours_once(self, case):
+        rows, side = case
+        found = [np.stack([i, j], axis=1) for i, j in _cell_pairs(rows, side)]
+        pairs = np.sort(np.concatenate([np.empty((0, 2), dtype=int), *found]), axis=1)
+        assert len(set(map(tuple, pairs.tolist()))) == len(pairs)  # each once
+        assert set(map(tuple, pairs.tolist())) == brute_cell_pairs(rows, side)
+
+
 class TestSeparation:
     def test_quad2d_matches_brute_force(self, quad2d):
         spec = enumerate_spectrum(quad2d, 2)
@@ -190,6 +242,21 @@ class TestSeparation:
             spec = SpectrumEnumeration.from_elements(s, shifted)
             assert separation(spec) == brute_separation(spec.elements)
 
+    @pytest.mark.parametrize(
+        "elements, expected",
+        [
+            ([[0, 0], [1e-170, 0], [0, 3e-170]], 1e-170),  # the squares underflow to 0
+            ([[0, 0], [1e-160, 1e-160]], 1.414213562373095e-160),  # to subnormals
+            ([[0, 0], [1e200, 0], [0, 3e200]], 1e200),  # the squares overflow
+        ],
+    )
+    def test_squares_scaled_into_range(self, elements, expected):
+        s = make_system(3.0 * np.eye(2), np.zeros((1, 2)), np.zeros((1, 2)))
+        spec = SpectrumEnumeration.from_elements(s, elements)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert separation(spec) == brute_separation(spec.elements) == expected
+
     def test_dense_lattice_is_linear(self):
         # 262,144 rows filling the integer square [0, 511]^2: a strip of the
         # separation's width holds about 512 of them, a cell at most 4
@@ -224,6 +291,11 @@ class TestSeparation:
         assert np.array_equal(spec.elements, [[0.0], [1.0]])
         assert q_partial(cantor4_measure, spec, [0.0]) == 1.0
         assert separation(spec) == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_hand_built_non_finite_refused(self, cantor4, bad):
+        with pytest.raises(ValidationError, match="NaN or Inf"):
+            SpectrumEnumeration.from_elements(cantor4, [[bad], [0.0], [bad]])
 
     def test_needs_two(self, cantor4):
         spec = SpectrumEnumeration.from_elements(cantor4, [[0.0]])
