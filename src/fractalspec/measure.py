@@ -388,17 +388,19 @@ def row_norms(T: np.ndarray) -> np.ndarray:
 def distinct_rows(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a float (M, d) array by bit pattern, in the order
     and with the inverse of ``np.unique`` of the int64 view (axis 0 in d > 1,
-    :func:`_unique_rows`); in d = 1 from a sort and a binary search.  Bits,
-    not values (:func:`~fractalspec.systems.sorted_rows`): each argument keeps its bits."""
+    :func:`_unique_rows`); in d = 1 from one argsort, with no binary search
+    per row.  Bits, not values (:func:`~fractalspec.systems.sorted_rows`):
+    each argument keeps its bits."""
     bits = np.ascontiguousarray(T, dtype=float).view(np.int64)
     if bits.shape[1] != 1:
         distinct, inverse = _unique_rows(bits)
         return distinct.view(float), inverse
-    ordered = np.sort(bits[:, 0])
-    first = np.ones(ordered.size, dtype=bool)
+    keys = bits[:, 0]
+    order = keys.argsort()
+    ordered = keys[order]
+    first = np.ones(keys.size, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    distinct = ordered[first]
-    return distinct.view(float)[:, None], np.searchsorted(distinct, bits[:, 0])
+    return ordered[first].view(float)[:, None], _sort_inverse(order, first)
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -413,9 +415,18 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first = np.empty(rows.shape[0], dtype=bool)
     first[:1] = True
     np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
-    inverse = np.empty(rows.shape[0], dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
+    return ordered[first], _sort_inverse(order, first)
+
+
+def _sort_inverse(order: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The inverse of a dedup by sorting: ``first`` marks the sorted rows that
+    differ from their predecessor, and the running count of those, minus one,
+    is each sorted row's distinct index, scattered back through ``order``."""
+    counts = first.cumsum()
+    counts -= 1  # in place: no third M-row index array
+    inverse = np.empty_like(counts)
+    inverse[order] = counts
+    return inverse
 
 
 def atomic_approximation(m: FractalMeasure, depth: int) -> AtomicApproximation:

@@ -183,17 +183,33 @@ def orthogonality_matrix(
 
     The (i, j) entry is the modulus of the inner product of e_{lam_i} and
     e_{lam_j} in L^2(mu); a max off-diagonal near zero is the orthogonality
-    certificate.  The product runs once per distinct difference (the max
-    norm, depth and bits of all n^2); only the table of moduli is n x n.
+    certificate.  The product runs once per distinct difference among the
+    pairs i < j and one zero row for the diagonal; only the table of moduli
+    is n x n.
+
+    Each modulus is mirrored to (j, i), with the bits of the product over
+    all n^2 differences: fl(lam_j - lam_i) is 0.0 - fl(lam_i - lam_j), the
+    max norm and so the depth are those of all n^2, and |mu-hat(0.0 - t)|
+    has the bits of |mu-hat(t)|: the exact-phase product at 0.0 - t is the
+    conjugate of the one at t up to the sign of an exact zero, which no
+    modulus sees.  In tests/test_spectrum.py, ``test_abs_is_even_bit_for_bit``
+    checks the last step and ``test_matches_full_difference_route`` the
+    table against all n^2 differences.
     """
     el = spec.elements
     n = el.shape[0]
     if n * n > DEFAULT_WORD_BUDGET:
         raise BudgetError(f"{n}^2 pairs exceed the pair budget {DEFAULT_WORD_BUDGET}")
-    rows, inverse = distinct_rows((el[:, None, :] - el[None, :, :]).reshape(-1, el.shape[1]))
-    table = np.abs(fourier_mu_many(m, rows)[0])[inverse].reshape(n, n)
-    off = ~np.eye(n, dtype=bool)
-    return float(np.max(table, where=off, initial=-np.inf)) if n > 1 else 0.0, table
+    pairs = np.triu(np.ones((n, n), dtype=bool), 1)
+    pairs[:1, :1] = True  # lam_0 - lam_0: the diagonal's one zero row, first in row order
+    # a column at a time: a 2-D mask over n x n picks several times faster than over n x n x d
+    rows, inverse = distinct_rows(np.stack([(x[:, None] - x)[pairs] for x in el.T], axis=1))
+    moduli = np.abs(fourier_mu_many(m, rows)[0])[inverse]
+    table = np.empty((n, n))
+    table[pairs] = moduli
+    table.T[pairs] = moduli
+    np.fill_diagonal(table, moduli[:1])
+    return float(moduli[1:].max()) if n > 1 else 0.0, table
 
 
 def q_partial(m: FractalMeasure, spec: SpectrumEnumeration, t) -> float:
@@ -419,8 +435,9 @@ class _LeafTable:
                 t = np.empty((self.p, u.size))
                 t[0] = 1.0
                 t[1] = u
+                two_u = 2.0 * u
                 for j in range(2, self.p):
-                    np.multiply(2.0 * u, t[j - 1], out=t[j])
+                    np.multiply(two_u, t[j - 1], out=t[j])
                     t[j] -= t[j - 2]
                 cheb.append(t)
             acc = cheb[0].T @ self.coef

@@ -194,7 +194,9 @@ class TestFourier:
         assert np.array_equal(tails, norm_tails)
 
     def test_one_evaluation_per_distinct_difference(self, cantor4, cantor4_measure, monkeypatch):
-        # depth-8 cantor4 spectrum: 512^2 differences, 3^9 distinct values
+        # depth-8 cantor4 spectrum: the 512 * 511 / 2 differences i < j of the
+        # sorted set take the (3^9 - 1) / 2 negative distinct values, and the
+        # diagonal adds one zero row
         rows = []
 
         def counting(sys, t):
@@ -208,7 +210,7 @@ class TestFourier:
         # the distinct rows go through the product in blocks, each at every depth
         lam = spec.elements[:, 0]
         depth = cantor4_measure._depth_for(float(lam.max() - lam.min()))
-        assert depth > 0 and sum(rows) == depth * 19683
+        assert depth > 0 and sum(rows) == depth * 9842
         assert max(rows) <= measure.FOURIER_BLOCK
 
     def test_empty_rows(self, quad2d):

@@ -70,6 +70,51 @@ def full_difference_table(m, spec):
     return (float(table[~np.eye(n, dtype=bool)].max()) if n > 1 else 0.0), table
 
 
+QUAD_DIGITS = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]]
+QUAD_FREQUENCIES = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+THIRDS = ([0.0, 1 / 3, 2 / 3], [0.0, 1.0, 2.0])
+
+
+def shear():
+    """R = [[4, 2], [0, 4]] with quad2d's digits: an R that is not diagonal."""
+    return make_system([[4.0, 2.0], [0.0, 4.0]], QUAD_DIGITS, QUAD_FREQUENCIES)
+
+
+# systems whose R is negative or not diagonal, beside the generated triples
+mirror_systems = st.one_of(
+    generated_triples,
+    st.sampled_from([-2.0, -3.0]).map(lambda r: make_system(r, *THIRDS)),
+    st.builds(shear),
+)
+
+
+def ulps_from(x, k):
+    """The float k steps above x (below it for k < 0)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.copysign(np.inf, k))
+    return float(x)
+
+
+@st.composite
+def mirror_points(draw, d):
+    """Points at which the exact-phase product takes its branches: quarter
+    integers, tiny values, and a few ulps from a rounding edge of the phase
+    reduction (n + 1/8, 3/8, 1/2, ... times a small digit denominator)."""
+    eighths = st.sampled_from([1, 3, 4, 5, 7])
+    edge = st.tuples(st.integers(-64, 64), eighths, st.integers(1, 4), st.integers(-3, 3)).map(
+        lambda e: ulps_from((e[0] + e[1] / 8) * e[2], e[3])
+    )
+    tiny = [5e-324, 1e-300, 2.0**-60, 1e-17, 1e-9]
+    value = st.one_of(
+        st.integers(-400, 400).map(lambda k: k / 4),
+        st.sampled_from(tiny + [-x for x in tiny]),
+        edge,
+        st.floats(-100.0, 100.0),
+    )
+    rows = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=40))
+    return np.array(rows, dtype=float)
+
+
 def brute_separation(elements):
     # each pair's differences scaled by the power of two of the largest
     # before squaring, so that no square under- or overflows
@@ -328,13 +373,35 @@ class TestOrthogonality:
 
     @pytest.mark.parametrize(
         "name, depth",
-        [("cantor4", 7), ("cantor4", 8), ("quad2d", 3), ("triple3", 3), ("triple5", 2)],
+        [
+            ("cantor4", 7),
+            ("cantor4", 8),
+            ("quad2d", 3),
+            ("triple3", 3),
+            ("triple5", 2),
+            ("negative3", 4),
+            ("shear", 3),
+            ("negative_rows", None),
+        ],
     )
     def test_matches_full_difference_route(self, name, depth, request):
-        triples = {"triple3": (3, 2, [1, 0]), "triple5": (5, 3, [0, 1, 1, 0])}
-        sys = hadamard_triple(*triples[name]) if name in triples else request.getfixturevalue(name)
+        # the mirrored table against every one of the n^2 differences
+        built = {
+            "triple3": lambda: hadamard_triple(3, 2, [1, 0]),
+            "triple5": lambda: hadamard_triple(5, 3, [0, 1, 1, 0]),
+            "negative3": lambda: make_system(-3.0, *THIRDS),
+            "shear": shear,
+            "negative_rows": lambda: request.getfixturevalue("quad2d"),
+        }
+        sys = built.get(name, lambda: request.getfixturevalue(name))()
         m = FractalMeasure(sys)
-        spec = enumerate_spectrum(sys, depth)
+        if depth is None:  # negative rows off every lattice, some exactly a quarter apart
+            rng = np.random.default_rng(33)
+            rows = -rng.integers(1, 160, size=(200, 2)) / 4.0 - np.array([1 / 3, 1 / 7])
+            rows[:40] += rng.uniform(-0.1, 0.1, size=(40, 2))
+            spec = SpectrumEnumeration.from_elements(sys, rows)
+        else:
+            spec = enumerate_spectrum(sys, depth)
         max_off, table = orthogonality_matrix(m, spec)
         expected_off, expected = full_difference_table(m, spec)
         assert np.array_equal(table.view(np.int64), expected.view(np.int64))
@@ -351,9 +418,20 @@ class TestOrthogonality:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the differences, their sorted bits, the inverse and the table;
-        # the n^2 complex values, tails and off-diagonal copy took 14.4 MB
-        assert peak <= 8e6
+        # the n(n-1)/2 differences i < j, their sorted bits, order and
+        # inverse, and the table: 5.7 MB; all n^2 differences with an inverse
+        # by binary search took 6.7 MB, their complex values and tails 14.4 MB
+        assert peak <= 6.3e6
+
+    @settings(max_examples=80, deadline=None)
+    @given(sys=mirror_systems, data=st.data())
+    def test_abs_is_even_bit_for_bit(self, sys, data):
+        # the mirror step: |mu-hat(0.0 - t)| has the bits of |mu-hat(t)|
+        T = data.draw(mirror_points(sys.d))
+        m = FractalMeasure(sys)
+        mirrored = np.abs(fourier_mu_many(m, 0.0 - T)[0])
+        direct = np.abs(fourier_mu_many(m, T)[0])
+        assert np.array_equal(mirrored.view(np.int64), direct.view(np.int64))
 
 
 class TestQPartial:
