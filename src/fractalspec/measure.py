@@ -64,6 +64,7 @@ CHAOS_BURN_IN = 100  # random-iteration steps discarded before sampling
 # the bits against the live mean(axis=1), so another summation order fails there
 SEQUENTIAL_DIGITS = 3
 FOURIER_BLOCK = 8192  # distinct rows per block of fourier_mu_many's product
+RETIRE_BOUND = 2.0**1000  # chain bound below which fourier_abs_many retires zero rows
 
 
 def chi_mask(sys: AffineSystem, t) -> complex | np.ndarray:
@@ -350,27 +351,81 @@ def fourier_mu_many(m: FractalMeasure, T) -> tuple[np.ndarray, np.ndarray]:
     the previous depth's by the same matmul, and each row's factors are
     multiplied in the same depth order as by one pass over all rows.
     """
+    values, inverse, norms, depth = _product(m, T, retire=False)
+    scale = 2.0 * np.pi * m._max_b
+    return values[inverse], scale * norms[inverse] * m._tail_sums[depth]
+
+
+def fourier_abs_many(m: FractalMeasure, T) -> np.ndarray:
+    """|mu-hat| over rows of T: the bits of ``np.abs(fourier_mu_many(m, T)[0])``
+    from the same product, with every row retired at its first exact zero.
+
+    After each chi_mask call of a block, the rows whose running product is
+    exactly 0 (both parts +-0) leave the block, and the later depths run
+    over the rest.  A signed zero times a finite factor is a signed zero,
+    and |+-0 +-0i| = 0.0, so a retired row's modulus is the full product's
+    as long as every later factor is finite.  The depth rule raises on a
+    non-finite row, and rows retire only when RETIRE_BOUND bounds every
+    product of the chain t -> (R^T)^-1 t and of its phases b.s, so no later
+    point overflows: see :func:`_product`.  Values with signs (such as the
+    ``fourier`` command's real and imaginary parts) come from
+    :func:`fourier_mu_many`, where a zero keeps the sign of the full product.
+    """
+    values, inverse, _, _ = _product(m, T, retire=True)
+    return np.abs(values)[inverse]
+
+
+def _product(m: FractalMeasure, T, retire: bool):
+    """The truncated product at the distinct rows of T, as (values at the
+    distinct rows, the inverse of :func:`distinct_rows`, the norms of the
+    distinct rows, the depth); see :func:`fourier_mu_many`.
+
+    With ``retire``, a row whose running product is exactly 0 after a
+    chi_mask call leaves its block (its value stays 0), and each call
+    stacks max(1, FOURIER_BLOCK // n) depths of the n rows still live; a
+    call where no row dies costs one ``all()``.  Rows retire only when
+    max|t| tails[0] max(1, tails[0], max|b|) <= RETIRE_BOUND: tails[0]
+    bounds every ||(R^T)^-k|| and so every |s| of the chain, and with it
+    every product s_i (R^-1)_ij of the matmul and s_i b_i of the phases,
+    far below the float range, so no factor after a zero is inf or nan.
+    numpy multiplies a one-element complex array in its scalar loop, which
+    rounds differently from the vector loop of a longer one, so a block of
+    several rows never shrinks to one: a lone survivor keeps a dead row.
+    """
     T = np.asarray(T, dtype=float).reshape(-1, m.sys.d)
-    norms = row_norms(T)
-    depth = m._depth_for(float(norms.max(initial=0.0)))
     rows, inverse = distinct_rows(T)
+    norms = row_norms(rows)
+    top = float(norms.max(initial=0.0))
+    depth = m._depth_for(top)
+    reach = float(m._tail_sums[0])  # a Python float: an overflow is inf, with no warning
+    retire = retire and top * reach * max(1.0, reach, m._max_b) <= RETIRE_BOUND
     values = np.ones(rows.shape[0], dtype=complex)
     for start in range(0, rows.shape[0], FOURIER_BLOCK):
         pts = rows[start : start + FOURIER_BLOCK]
-        block = values[start : start + FOURIER_BLOCK]
-        levels = max(1, FOURIER_BLOCK // pts.shape[0])
-        for first in range(0, depth, levels):
+        block = live = values[start : start + FOURIER_BLOCK]
+        where = None  # the positions in block of the live rows; None: all
+        level = 0
+        while level < depth and live.size:
             stack = []
-            for _ in range(min(levels, depth - first)):
+            for _ in range(min(max(1, FOURIER_BLOCK // pts.shape[0]), depth - level)):
                 stack.append(pts)
                 pts = pts @ m.sys.rinv  # row form of t -> (R^T)^-1 t
+            level += len(stack)
             stacked = np.concatenate(stack) if len(stack) > 1 else stack[0]  # one depth: no copy
             masks = chi_mask(m.sys, stacked).reshape(len(stack), -1)
             for factor in np.conj(masks, out=masks):
-                block *= factor
-    scale = 2.0 * np.pi * m._max_b
-    tails = scale * norms * m._tail_sums[depth]
-    return values[inverse], tails
+                live *= factor
+            if retire and level < depth and not live.all():
+                if where is None:
+                    where = np.arange(live.size)
+                block[where] = live
+                keep = live != 0
+                if np.count_nonzero(keep) == 1:  # a lone row keeps a dead one: see above
+                    keep[np.argmin(keep)] = True
+                where, live, pts = where[keep], live[keep], pts[keep]
+        if where is not None:
+            block[where] = live
+    return values, inverse, norms, depth
 
 
 def row_norms(T: np.ndarray) -> np.ndarray:

@@ -20,7 +20,14 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetError, ConvergenceError, ValidationError
-from .measure import FractalMeasure, distinct_rows, dual_step, fourier_mu_many, row_norms
+from .measure import (
+    FractalMeasure,
+    distinct_rows,
+    dual_step,
+    fourier_abs_many,
+    fourier_mu_many,
+    row_norms,
+)
 from .systems import (
     INV_POWER_DEPTH,
     AffineSystem,
@@ -183,9 +190,21 @@ def orthogonality_matrix(
 
     The (i, j) entry is the modulus of the inner product of e_{lam_i} and
     e_{lam_j} in L^2(mu); a max off-diagonal near zero is the orthogonality
-    certificate.  The product runs once per distinct difference among the
-    pairs i < j and one zero row for the diagonal; only the table of moduli
-    is n x n.
+    certificate.  The moduli come from
+    :func:`~fractalspec.measure.fourier_abs_many`, which sorts the pair
+    differences i < j and one zero row for the diagonal once, runs the
+    product once per distinct difference and stops each at its first
+    exactly-zero factor; only the table of moduli is n x n.  On an exactly
+    integral Hadamard set the factor at the lowest digit j where lam_i and
+    lam_j differ is chi(l_j - l'_j) up to a shift B cannot see, which the
+    Hadamard property makes 0; it is 0.0 in floats where its phases are
+    quarter integers (cantor4, quad2d), so most differences stop after a
+    level or two.
+    A retired modulus is the full product's bit for bit: a signed zero
+    times a finite factor stays a signed zero, |+-0 +-0i| = 0.0, and no row
+    retires unless max|t| tails[0] max(1, tails[0], max|b|) is within
+    ``measure.RETIRE_BOUND`` (2^1000), which keeps every later point and
+    phase of the chain finite.
 
     Each modulus is mirrored to (j, i), with the bits of the product over
     all n^2 differences: fl(lam_j - lam_i) is 0.0 - fl(lam_i - lam_j), the
@@ -203,8 +222,7 @@ def orthogonality_matrix(
     pairs = np.triu(np.ones((n, n), dtype=bool), 1)
     pairs[:1, :1] = True  # lam_0 - lam_0: the diagonal's one zero row, first in row order
     # a column at a time: a 2-D mask over n x n picks several times faster than over n x n x d
-    rows, inverse = distinct_rows(np.stack([(x[:, None] - x)[pairs] for x in el.T], axis=1))
-    moduli = np.abs(fourier_mu_many(m, rows)[0])[inverse]
+    moduli = fourier_abs_many(m, np.stack([(x[:, None] - x)[pairs] for x in el.T], axis=1))
     table = np.empty((n, n))
     table[pairs] = moduli
     table.T[pairs] = moduli
@@ -235,12 +253,10 @@ def q_partial_many(m: FractalMeasure, spec: SpectrumEnumeration, T) -> np.ndarra
         block = T[start : start + rows]
         diffs = block[:, None, :] - el[None, :, :]
         try:
-            values, _ = fourier_mu_many(m, diffs.reshape(-1, m.sys.d))
+            moduli = fourier_abs_many(m, diffs.reshape(-1, m.sys.d))
         except ConvergenceError as exc:
             raise _naming_point(exc, block, diffs) from None
-        out[start : start + rows] = (
-            np.abs(values).reshape(block.shape[0], el.shape[0]) ** 2
-        ).sum(axis=1)
+        out[start : start + rows] = (moduli.reshape(block.shape[0], el.shape[0]) ** 2).sum(axis=1)
     return out
 
 
@@ -652,7 +668,7 @@ def _direct_leaf(m: FractalMeasure):
     the tail tau <= product_tail_tol and at most INV_POWER_DEPTH factors."""
 
     def leaf(pts):
-        return np.abs(fourier_mu_many(m, pts)[0]) ** 2
+        return fourier_abs_many(m, pts) ** 2
 
     return leaf, _product_error(m.product_tail_tol, INV_POWER_DEPTH, m.sys.n_digits)
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .measure import CIS_BLOCK, DEFAULT_ATOM_BUDGET, FractalMeasure, cis2pi_outer, fourier_mu_many
+from .measure import CIS_BLOCK, DEFAULT_ATOM_BUDGET, FractalMeasure, cis2pi_outer, fourier_abs_many
 from .ruelle import ContractionReport, basis_certificate
 from .spectrum import DEDUP_TOL, SpectrumEnumeration, completeness_scan, enumerate_spectrum
 from .systems import AffineSystem, cantor_four, scale_systems, two_digit_system, word_sums
@@ -163,12 +163,10 @@ def max_orthogonal_clique(
     freqs = [0]
     for k in range(1, window + 1):
         freqs.extend((k, -k))
-    values, _ = fourier_mu_many(
-        m, np.arange(1, 2 * window + 1, dtype=float).reshape(-1, 1)
-    )
+    moduli = fourier_abs_many(m, np.arange(1, 2 * window + 1, dtype=float).reshape(-1, 1))
     # orthogonal[g]: |mu-hat(g)| <= zero_tol for the gap g = |f_i - f_j|;
     # the gap 0 is the diagonal, no edge
-    orthogonal = np.concatenate([[False], np.abs(values) <= zero_tol])
+    orthogonal = np.concatenate([[False], moduli <= zero_tol])
     gaps = np.abs(np.subtract.outer(freqs, freqs))
     # row i as an int whose bit j marks the edge {i, j}
     rows = np.packbits(orthogonal[gaps], axis=1, bitorder="little")

@@ -1,4 +1,5 @@
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from fractalspec import measure
 from fractalspec.measure import dual_step, shifted_masks
 from fractalspec.systems import dual_points
 from fractalspec._numeric import CIS_BLOCK, cis2pi, cis2pi_block
+from tests.conftest import generated_triples
 
 EPS = np.finfo(float).eps
 
@@ -31,6 +33,15 @@ EPS = np.finfo(float).eps
 def bits(values):
     """Bit patterns of a complex array (tells 0.0 from -0.0)."""
     return np.ascontiguousarray(values, dtype=complex).view(np.int64)
+
+
+def lowest_digit(t: int, base: int) -> int:
+    """The position of the lowest nonzero base-``base`` digit of t != 0."""
+    k = 0
+    while t % base == 0:
+        t //= base
+        k += 1
+    return k
 
 
 class TestCis2pi:
@@ -207,10 +218,27 @@ class TestFourier:
         spec = enumerate_spectrum(cantor4, 8)
         max_off, _ = orthogonality_matrix(cantor4_measure, spec)
         assert max_off == 0.0
-        # the distinct rows go through the product in blocks, each at every depth
         lam = spec.elements[:, 0]
         depth = cantor4_measure._depth_for(float(lam.max() - lam.min()))
-        assert depth > 0 and sum(rows) == depth * 9842
+        pairs = np.triu(np.ones((lam.size, lam.size), dtype=bool), 1)
+        distinct, _ = measure.distinct_rows((lam[:, None] - lam)[pairs][:, None])
+        assert distinct.shape[0] == 9841
+        # t = sum_k 4^k e_k with digits e_k in {-1, 0, 1}: the factor
+        # chi(4^-k t) = (1 + e(4^-k t / 2)) / 2 is exactly 0 at the level k of
+        # the lowest nonzero digit and 1 before it, so the row leaves the
+        # product after the chi_mask call that takes that level; the zero row
+        # (last in bit order) runs every level
+        stops = [lowest_digit(int(t), 4) for t in distinct[:, 0]] + [depth]
+        expected = 0
+        for start in range(0, len(stops), measure.FOURIER_BLOCK):
+            live, level = np.array(stops[start : start + measure.FOURIER_BLOCK]), 0
+            while level < depth and live.size:
+                levels = min(max(1, measure.FOURIER_BLOCK // live.size), depth - level)
+                expected += levels * live.size
+                level += levels
+                live = live[live >= level]
+        # every level of every distinct row took depth * 9842 = 295,260
+        assert depth > 0 and sum(rows) == expected == 26154
         assert max(rows) <= measure.FOURIER_BLOCK
 
     def test_empty_rows(self, quad2d):
@@ -231,6 +259,115 @@ class TestFourier:
         sys = request.getfixturevalue(name)
         with pytest.raises(ConvergenceError, match=re.escape(f"(|t| = {norm})")):
             fourier_mu_many(FractalMeasure(sys), np.array([[0.5] * sys.d, [1e200] * sys.d]))
+
+
+QUAD_DIGITS = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]]
+QUAD_FREQUENCIES = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+
+
+@st.composite
+def retiring_rows(draw, sys):
+    """Rows u @ R^j of integer u, which on R = 4 or 8 and quad2d first reach
+    an exact zero factor at level j (u not a multiple of N) or later; with
+    non-lattice rows, tiny ones and the zero row."""
+    d = sys.d
+    top = max(0, int(50 // np.log2(np.abs(sys.R).max())))  # |u @ R^j| below 2^53
+    lattice = st.tuples(
+        st.integers(0, top), st.lists(st.integers(-40, 40), min_size=d, max_size=d)
+    ).map(lambda p: np.asarray(p[1], dtype=float) @ np.linalg.matrix_power(sys.R, p[0]))
+    other = st.lists(
+        st.one_of(st.floats(-200.0, 200.0), st.sampled_from([0.0, -0.0, 1e-300, 0.25])),
+        min_size=d,
+        max_size=d,
+    ).map(np.asarray)
+    rows = draw(st.lists(st.one_of(lattice, other), min_size=1, max_size=60))
+    return np.array(rows, dtype=float).reshape(-1, d)
+
+
+modulus_systems = st.one_of(
+    generated_triples,
+    st.just(make_system(4.0 * np.eye(2), QUAD_DIGITS, QUAD_FREQUENCIES)),
+)
+
+
+class TestModulusRoute:
+    """fourier_abs_many: the moduli of fourier_mu_many, bit for bit, with
+    each row retired at its first exact zero."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        sys=modulus_systems,
+        data=st.data(),
+        block=st.sampled_from([1, 2, 5, 64, measure.FOURIER_BLOCK]),
+        tol=st.sampled_from([1e-12, 1e-3, 0.5]),
+    )
+    def test_equals_abs_of_the_product(self, sys, data, block, tol):
+        # a small tolerance takes the depth just past the lattice rows, so
+        # rows die at every level up to it; a small block makes one chi_mask
+        # call per level or few, so rows retire between calls
+        m = FractalMeasure(sys, product_tail_tol=tol)
+        T = data.draw(retiring_rows(sys))
+        with patch.object(measure, "FOURIER_BLOCK", block):
+            expected = np.abs(fourier_mu_many(m, T)[0])
+            moduli = measure.fourier_abs_many(m, T)
+        assert np.array_equal(moduli.view(np.int64), expected.view(np.int64))
+
+    def test_part_of_a_large_block_dies(self, cantor4_measure, monkeypatch):
+        # 3 blocks and 7 rows: integers 4^j u (first zero at level j when u
+        # is odd) interleaved with non-lattice rows that never die
+        rng = np.random.default_rng(5)
+        count = 3 * measure.FOURIER_BLOCK + 7
+        T = rng.uniform(-60.0, 60.0, size=(count, 1))
+        half = T[::2].shape[0]
+        T[::2, 0] = rng.integers(-2000, 2001, size=half) * 4.0 ** rng.integers(0, 6, size=half)
+        rows = []
+        original = measure.chi_mask
+        monkeypatch.setattr(measure, "chi_mask", lambda sys, t: rows.append(len(t)) or original(sys, t))
+        moduli = measure.fourier_abs_many(cantor4_measure, T)
+        retired = rows[:]
+        rows.clear()
+        expected = np.abs(fourier_mu_many(cantor4_measure, T)[0])
+        assert np.array_equal(moduli.view(np.int64), expected.view(np.int64))
+        assert 0 < np.count_nonzero(moduli == 0.0) < count // 2
+        # the first block's odd multiples of 4^0 leave after its first call
+        assert retired[1] < retired[0] == measure.FOURIER_BLOCK and sum(retired) < sum(rows)
+        assert max(retired) <= measure.FOURIER_BLOCK
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    def test_rows_at_the_overflow_guard(self, side, monkeypatch):
+        # non-normal R: tails[0] ~ 1e143, so the guard |t| tails[0]^2 <= 2^1000
+        # binds near |t| ~ 1e15, where the depth rule still holds
+        sys = make_system([[1e3, 1e149], [0.0, 1e3]], QUAD_DIGITS, QUAD_FREQUENCIES)
+        m = FractalMeasure(sys)
+        reach = float(m._tail_sums[0])
+        edge = measure.RETIRE_BOUND / (reach * max(1.0, reach, m._max_b))
+        assert 1e14 < edge < 2.0**53
+        rng = np.random.default_rng(2)
+        T = rng.integers(-50, 50, size=(400, 2)).astype(float)  # a row with an odd entry dies at level 0
+        T[0] = [edge * (1.0 + side * 1e-9), 1.0]
+        rows = []
+        original = measure.chi_mask
+        monkeypatch.setattr(measure, "chi_mask", lambda sys, t: rows.append(len(t)) or original(sys, t))
+        moduli = measure.fourier_abs_many(m, T)
+        depth = m._depth_for(float(np.linalg.norm(T, axis=1).max()))
+        retired = sum(rows) < depth * np.unique(T, axis=0).shape[0]
+        assert retired == (side < 0)
+        expected = np.abs(fourier_mu_many(m, T)[0])
+        assert np.array_equal(moduli.view(np.int64), expected.view(np.int64))
+
+    def test_no_retirement_where_the_chain_overflows(self):
+        # tails[0] ~ 1e293: (2^52, 1) has a zero factor at level 0, and its
+        # next point overflows, so the full product is nan; retiring the row
+        # would read 0.0; a block of 3 takes one level per chi_mask call
+        sys = make_system([[1e3, 1e299], [0.0, 1e3]], QUAD_DIGITS, QUAD_FREQUENCIES)
+        m = FractalMeasure(sys)
+        T = np.array([[2.0**52, 1.0], [2.0, 1.0], [3.0, 4.0]])
+        assert chi_mask(sys, T[0]) == 0.0
+        with np.errstate(over="ignore", invalid="ignore"), patch.object(measure, "FOURIER_BLOCK", 3):
+            expected = np.abs(fourier_mu_many(m, T)[0])
+            moduli = measure.fourier_abs_many(m, T)
+        assert np.isnan(expected[0]) and np.all(expected[1:] == 0.0)
+        assert np.array_equal(moduli.view(np.int64), expected.view(np.int64))
 
 
 class TestAtomicOracle:
