@@ -23,19 +23,6 @@ __all__ = [
 
 CIS_BLOCK = 2**16  # elements per block of cis2pi
 _QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])  # i^k, k = 0..3
-# |n| >= 2^62 is a multiple of 4 in float64, so clipping there keeps n mod 4
-_TURN_CLIP = 2.0**62
-
-
-def _mod4(n: np.ndarray) -> np.ndarray:
-    """n mod 4 in 0..3 for an array of integral floats, in integer arithmetic.
-
-    Float np.mod costs about 45 ns per element; clipping to +-2^62 and
-    masking the int64 is exact for every finite n.  Non-finite n give an
-    arbitrary residue (their callers produce nan whatever it is).
-    """
-    with np.errstate(invalid="ignore"):  # nan has no int64 value
-        return np.clip(n, -_TURN_CLIP, _TURN_CLIP).astype(np.int64) & 3
 
 
 def sinpi(x):
@@ -44,11 +31,12 @@ def sinpi(x):
     n = np.round(x)
     with np.errstate(invalid="ignore"):  # inf - inf: nan, as from np.sin(inf)
         r = x - n
+        # fmod is exact; its nan at inf and nan reads as even, so s keeps its nan bits
+        odd = np.abs(np.fmod(n, 2.0)) == 1.0
     s = np.sin(np.pi * r)
     # |r| == 0.5 would round either way; pin the exact value.
     s = np.where(np.abs(r) == 0.5, np.sign(r), s)
-    # parity is the low bit of n mod 4; _mod4's clip keeps |n| >= 2^63 in int64
-    out = np.where(_mod4(n) & 1, -s, s)
+    out = np.where(odd, -s, s)
     return out if out.ndim else float(out)
 
 
@@ -67,9 +55,8 @@ def cis2pi(x):
     changes), indexed by q mod 4.  As 4n is even and a multiple of 4, q mod
     4 and the rounding of ties are those of round(4x), which could
     overflow.  At quarter-integer x, r = 0 and the components are exactly 0
-    or +-1.  The flattened input
-    is processed in blocks of CIS_BLOCK elements so that the temporaries
-    stay small whatever the input size.
+    or +-1.  The flattened input is processed in blocks of CIS_BLOCK
+    elements so that the temporaries stay small whatever the input size.
     """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)

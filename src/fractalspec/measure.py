@@ -76,15 +76,15 @@ def chi_mask(sys: AffineSystem, t) -> complex | np.ndarray:
     exactly where it should.  The values are those of
     ``cis2pi(t @ B.T).mean(axis=1)`` bit for bit: numpy's mean adds up to
     SEQUENTIAL_DIGITS complex terms one by one from +0, so small digit sets
-    are summed a column at a time in that order, and larger ones go through
-    the mean itself.
+    are summed a column at a time in that order, a zero digit's column
+    without the trig kernel, and larger ones go through the mean itself.
     """
     t = np.asarray(t, dtype=float)
     single = t.ndim <= 1
     pts = np.atleast_2d(t).reshape(-1, sys.d)
     phases = pts @ sys.B.T
     if sys.n_digits > SEQUENTIAL_DIGITS:
-        values = digit_exponentials(sys, phases).mean(axis=1)
+        values = cis2pi(phases).mean(axis=1)
     else:
         values = np.zeros(pts.shape[0], dtype=complex)
         for column, zero in zip(phases.T, sys.zero_digits):
@@ -93,15 +93,25 @@ def chi_mask(sys: AffineSystem, t) -> complex | np.ndarray:
     return complex(values[0]) if single else values
 
 
+def _zero_digit_exponentials(phases: np.ndarray) -> np.ndarray:
+    """cis2pi of the phases of a zero digit: 1 + 0j where finite, and
+    cis2pi's own nan where t was not finite."""
+    out = np.ones(phases.shape, dtype=complex)
+    bad = ~np.isfinite(phases)
+    if bad.any():
+        out[bad] = cis2pi(phases[bad])
+    return out
+
+
 def shifted_masks(sys: AffineSystem, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """chi(t - l) for every row l of L at (..., d) points t, as (..., |L|),
     and the (..., N) digit exponentials e(b.t) they come from.
 
     One digit exponential serves every shift:
     chi(t - l) = N^-1 sum_b e(b.t) conj(e(b.l)) = e(t @ B^T) @ h[:, l] with
-    h = ``sys.chi_shifts``.
+    h = ``sys.chi_shifts``.  Every digit, a zero digit too, goes through cis2pi.
     """
-    e = digit_exponentials(sys, pts @ sys.B.T)
+    e = cis2pi(pts @ sys.B.T)
     return e @ sys.chi_shifts, e
 
 
@@ -230,31 +240,6 @@ def cis2pi_outer(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def digit_exponentials(sys: AffineSystem, phases: np.ndarray) -> np.ndarray:
-    """cis2pi over an (..., N) array of digit phases b.t, bit for bit.
-
-    The columns of zero digits (``sys.zero_digits``) skip the trig kernel:
-    their phases are +-0 at every finite t, where cis2pi is exactly 1 + 0j.
-    """
-    zero = sys.zero_digits
-    if not zero.any():
-        return cis2pi(phases)
-    out = np.empty(phases.shape, dtype=complex)
-    out[..., ~zero] = cis2pi(phases[..., ~zero])
-    out[..., zero] = _zero_digit_exponentials(phases[..., zero])
-    return out
-
-
-def _zero_digit_exponentials(phases: np.ndarray) -> np.ndarray:
-    """cis2pi of the phases of a zero digit: 1 + 0j where finite, and
-    cis2pi's own nan where t was not finite."""
-    out = np.ones(phases.shape, dtype=complex)
-    bad = ~np.isfinite(phases)
-    if bad.any():
-        out[bad] = cis2pi(phases[bad])
-    return out
-
-
 @dataclass(frozen=True)
 class AtomicApproximation:
     """Depth-K unrolling of the invariance equation: N^K equal atoms."""
@@ -349,7 +334,9 @@ def fourier_mu_many(m: FractalMeasure, T) -> tuple[np.ndarray, np.ndarray]:
     chi_mask call, so few rows do not pay a call per depth, while a full
     block keeps one depth per call.  Each depth's points still come from
     the previous depth's by the same matmul, and each row's factors are
-    multiplied in the same depth order as by one pass over all rows.
+    multiplied in the same depth order as by one pass over all rows; a lone
+    row runs with a copy of itself (:func:`_product`), so the bits of a row
+    do not depend on the rows around it, one row alone included.
     """
     values, inverse, norms, depth = _product(m, T, retire=False)
     scale = 2.0 * np.pi * m._max_b
@@ -389,8 +376,9 @@ def _product(m: FractalMeasure, T, retire: bool):
     every product s_i (R^-1)_ij of the matmul and s_i b_i of the phases,
     far below the float range, so no factor after a zero is inf or nan.
     numpy multiplies a one-element complex array in its scalar loop, which
-    rounds differently from the vector loop of a longer one, so a block of
-    several rows never shrinks to one: a lone survivor keeps a dead row.
+    rounds differently from the vector loop of a longer one, so no block
+    ever multiplies a single row: a lone row, a block's only one or the
+    last live one, runs with a copy of itself.
     """
     T = np.asarray(T, dtype=float).reshape(-1, m.sys.d)
     rows, inverse = distinct_rows(T)
@@ -406,6 +394,9 @@ def _product(m: FractalMeasure, T, retire: bool):
         where = None  # the positions in block of the live rows; None: all
         level = 0
         while level < depth and live.size:
+            if live.size == 1:  # a lone row runs with a copy of itself: see above
+                where = np.zeros(2, dtype=np.intp) if where is None else where.repeat(2)
+                live, pts = live.repeat(2), pts.repeat(2, axis=0)
             stack = []
             for _ in range(min(max(1, FOURIER_BLOCK // pts.shape[0]), depth - level)):
                 stack.append(pts)
@@ -420,8 +411,6 @@ def _product(m: FractalMeasure, T, retire: bool):
                     where = np.arange(live.size)
                 block[where] = live
                 keep = live != 0
-                if np.count_nonzero(keep) == 1:  # a lone row keeps a dead one: see above
-                    keep[np.argmin(keep)] = True
                 where, live, pts = where[keep], live[keep], pts[keep]
         if where is not None:
             block[where] = live

@@ -370,6 +370,32 @@ class TestModulusRoute:
         assert np.array_equal(moduli.view(np.int64), expected.view(np.int64))
 
 
+class TestOneRow:
+    """A row's bits do not depend on the rows around it: fourier_mu(m, t) and
+    a block of one row run with a copy of the row, as a batch does."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(sys=modulus_systems, data=st.data(), block=st.sampled_from([1, 2, 3, measure.FOURIER_BLOCK]))
+    def test_fourier_mu_has_the_bits_of_a_batch(self, sys, data, block):
+        # t is the longest row, so the batch takes fourier_mu's depth for t;
+        # with a block of 1 every block, the last one included, holds one row
+        m = FractalMeasure(sys)
+        rows = data.draw(retiring_rows(sys))
+        t = rows[np.argmax(np.linalg.norm(rows, axis=1))]
+        T = np.concatenate([t[None], rows])
+        batch = fourier_mu_many(m, T)[0]
+        with patch.object(measure, "FOURIER_BLOCK", block):
+            blocked = fourier_mu_many(m, T)[0]
+        assert np.array_equal(bits(blocked), bits(batch))
+        assert np.array_equal(bits([fourier_mu(m, t)[0]]), bits(batch[:1]))
+
+    def test_cantor4_at_24(self, cantor4_measure):
+        # numpy's scalar loop read 0.5811539214293873+1.0381195599741614e-13j here
+        value, _ = fourier_mu(cantor4_measure, [24.0])
+        batch, _ = fourier_mu_many(cantor4_measure, [[24.0], [24.5]])
+        assert np.array_equal(bits([value]), bits(batch[:1]))
+
+
 class TestAtomicOracle:
     """fourier_mu against the depth-K atomic transform for K <= 10.
 

@@ -4,9 +4,9 @@
 ``sinpi_reference`` tests parity the same way, ``chi_mask_reference``
 averages cis2pi over every digit with ``mean(axis=1)`` and
 ``fourier_reference`` runs the mask product over all distinct rows at once.
-The kernel (integer turns, zero digits without a trig call, the column sum
-for small digit sets, the blocked product) must return their bits, signed
-zeros and nan included.
+The kernel (integer turns, the column sum for small digit sets with zero
+digits taken without a trig call, the blocked product) must return their
+bits, signed zeros and nan included.
 """
 
 import warnings
@@ -17,7 +17,7 @@ import pytest
 from fractalspec import FractalMeasure, chi_mask, enumerate_spectrum, fourier_mu_many, make_system
 from fractalspec import measure
 from fractalspec._numeric import cis2pi, cospi, sinpi
-from fractalspec.measure import _unique_rows, cis2pi_outer, digit_exponentials, distinct_rows
+from fractalspec.measure import _unique_rows, cis2pi_outer, distinct_rows, shifted_masks
 from tests.conftest import hadamard_triple
 
 QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
@@ -181,11 +181,12 @@ class TestMasks:
         assert np.all(np.isnan(values[:4])) and np.all(np.isfinite(values[4:]))
 
     def test_digit_exponentials_match_reference(self, system):
-        phases = frequencies(system.d, 600, 3).reshape(20, 30, system.d) @ system.B.T
-        phases[0, 0, :] = np.nan
-        assert np.array_equal(
-            bits(digit_exponentials(system, phases)), bits(cis2pi_reference(phases))
-        )
+        # the transfer operator's kernel: every digit through cis2pi, zero digits too
+        pts = frequencies(system.d, 600, 3).reshape(20, 30, system.d)
+        pts[0, 0, :] = np.nan
+        _, e = shifted_masks(system, pts)
+        assert np.array_equal(bits(e), bits(cis2pi_reference(pts @ system.B.T)))
+        assert np.all(np.isnan(e[0, 0])) and np.all(np.isfinite(e.reshape(-1, system.n_digits)[1:]))
 
     def test_zero_digits_marked(self, system):
         assert system.zero_digits.tolist() == [not b.any() for b in system.B]

@@ -359,6 +359,17 @@ class TestContractionBound:
         )
         assert report.beta <= np.pi
 
+    def test_flat_pair_box_in_one_dimension(self, cantor4, hull):
+        # as_box reads a flat (lo, hi) in d = 1 as the box [(lo, hi)]
+        lo, hi = hull[0]
+        flat, nested = estimate_gamma(cantor4, (lo, hi)), estimate_gamma(cantor4, [(lo, hi)])
+        assert flat.box.shape == (1, 2) and np.array_equal(flat.box, nested.box)
+        fields = ("gamma_bound", "beta", "sup_sin", "op_norm_inv", "hs_norm_inv")
+        assert np.array_equal(
+            np.array([getattr(flat, f) for f in fields]).view(np.int64),
+            np.array([getattr(nested, f) for f in fields]).view(np.int64),
+        )
+
     def test_single_digit_degenerates_to_hs_norm(self):
         s = make_system(4.0, [0.0], [0.0])
         report = estimate_gamma(s, attractor_hull(s))
@@ -876,7 +887,7 @@ class TestFusedNumerator:
     @pytest.mark.parametrize("name, trials", [("cantor4", 20), ("quad2d", 5)])
     def test_one_trig_evaluation_per_block(self, name, trials, request, monkeypatch):
         # a numerator block takes K (n_waves + N) phase elements through
-        # cis2pi, whatever |L| (zero digits skip the kernel), not K |L| (...)
+        # cis2pi, whatever |L| (zero digits included), not K |L| (...)
         sys = request.getfixturevalue(name)
         rng = np.random.default_rng(0)
         batch = _WaveBatch([TrigPolynomial.random(rng, sys.d) for _ in range(trials)])
@@ -896,9 +907,9 @@ class TestFusedNumerator:
         nodes = sample_points(attractor_hull(sys), rows, 3)
         counted.clear()
         prepare(nodes[None])(np.arange(trials))
-        nonzero = sys.n_digits - int(sys.zero_digits.sum())
-        assert sum(counted) == rows * (n_waves + nonzero)
-        assert sum(counted) < rows * maps * (n_waves + nonzero)
+        n = sys.n_digits
+        assert sum(counted) == rows * (n_waves + n)
+        assert sum(counted) < rows * maps * (n_waves + n)
 
 
 class TestBasisCertificate:

@@ -154,7 +154,7 @@ def test_matrix_power_norms_match_matmul_chain(mat):
 
 def per_depth_product(m, T):
     """Reference: blocks of FOURIER_BLOCK distinct rows, one chi_mask call per
-    product depth."""
+    product depth; a block of one row runs with a copy of itself."""
     T = np.asarray(T, dtype=float).reshape(-1, m.sys.d)
     depth = m._depth_for(float(np.linalg.norm(T, axis=1).max(initial=0.0)))
     b = T.view(np.int64)
@@ -166,10 +166,13 @@ def per_depth_product(m, T):
     values = np.ones(rows.shape[0], dtype=complex)
     for start in range(0, rows.shape[0], measure.FOURIER_BLOCK):
         pts = rows[start : start + measure.FOURIER_BLOCK]
-        block = values[start : start + measure.FOURIER_BLOCK]
+        size = pts.shape[0]
+        pts = pts.repeat(2, axis=0) if size == 1 else pts
+        block = np.ones(pts.shape[0], dtype=complex)
         for _ in range(depth):
             block *= np.conj(measure.chi_mask(m.sys, pts))
             pts = pts @ m.sys.rinv
+        values[start : start + size] = block[:size]
     return values[inverse.reshape(-1)], depth
 
 
@@ -239,14 +242,15 @@ def test_chi_mask_calls_per_block(monkeypatch, count):
     original = measure.chi_mask
     monkeypatch.setattr(measure, "chi_mask", lambda sys, t: calls.append(len(t)) or original(sys, t))
     fourier_mu_many(m, T)
-    blocks = [min(measure.FOURIER_BLOCK, count - s) for s in range(0, count, measure.FOURIER_BLOCK)]
+    # a block of one row runs with a copy of itself
+    blocks = [max(2, min(measure.FOURIER_BLOCK, count - s)) for s in range(0, count, measure.FOURIER_BLOCK)]
     levels = [max(1, measure.FOURIER_BLOCK // rows) for rows in blocks]
     assert depth > 1
     assert len(calls) == sum(ceil(depth / k) for k in levels)
-    assert sum(calls) == depth * count  # the same points, in fewer calls
+    assert sum(calls) == depth * sum(blocks)  # the same points, in fewer calls
     assert max(calls) <= measure.FOURIER_BLOCK
     if count <= measure.FOURIER_BLOCK // depth:
-        assert calls == [depth * count]  # one call for the whole product
+        assert calls == [depth * max(2, count)]  # one call for the whole product
 
 
 # ---------------------------------------------------------------------------

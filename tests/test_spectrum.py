@@ -775,6 +775,43 @@ class TestIncrementalScan:
         assert report.Q[0] == 0.0
         assert report.min_Q == 0.0 and report.status == "incomplete-evidence"
 
+    def test_words_of_one_grid_point_split(self, cantor4, monkeypatch):
+        # Q_BLOCK = 64 keeps six levels of a one-point cantor4 tree, so the
+        # deeper levels split that point's words into blocks
+        m = FractalMeasure(cantor4)
+        grid = np.array([[0.3]])
+        depths = range(6, 10)
+        default = spectrum._WordTree(m, grid, depths[0])
+        expected = [default.q(depth) for depth in depths]
+        split = []
+        sums = spectrum._WordTree._sums
+
+        def counting(tree, pts, w, levels, leaf, grid):
+            split.append(w.shape[0] == 1 and w.size * tree.n > spectrum.Q_BLOCK and levels > 0)
+            return sums(tree, pts, w, levels, leaf, grid)
+
+        monkeypatch.setattr(spectrum._WordTree, "_sums", counting)
+        monkeypatch.setattr(spectrum, "Q_BLOCK", 64)
+        tree = spectrum._WordTree(m, grid, depths[0])
+        for depth, (q_default, error) in zip(depths, expected):
+            q, q_error = tree.q(depth)
+            assert q_error == error > 0.0
+            assert q == pytest.approx(q_default, rel=0.0, abs=SLACK)
+            exact = q_partial_many(m, enumerate_spectrum(cantor4, depth), grid)
+            assert np.abs(q - exact) <= q_error + SLACK
+        assert tree.level == 6 and any(split)
+
+    def test_tree_without_a_leaf_table(self, cantor4, monkeypatch):
+        # no point count in TABLE_POINTS: every leaf takes the product
+        monkeypatch.setattr(spectrum, "TABLE_POINTS", (4, 4))
+        m = FractalMeasure(cantor4)
+        grid = grid1d(0.0, 1.0, 0.1)
+        assert spectrum._WordTree(m, grid, 2).table is None
+        report = completeness_scan(m, enumerate_spectrum(cantor4, 2), grid, 0.99, max_depth=5)
+        assert report.depths[-1] > 2 and report.q_error == spectrum._direct_leaf(m)[1]
+        exact = q_partial_many(m, enumerate_spectrum(cantor4, report.depths[-1]), grid)
+        assert_certified_lower_bound(report, exact)
+
     def test_overflowing_interpolation_bound_is_inf(self, cantor4):
         # a box 1e16 wide: the bound's exponent passes the float range
         bound = spectrum._interpolation_bound(cantor4, np.array([[0.0, 1e16]]), np.array([8, 64]))
