@@ -56,86 +56,55 @@ TILING_BUDGET = 2**24  # sample points, and tile pairs |Lambda|^2, per tiling ch
 
 
 class _CliqueSolver:
-    """Exact branch-and-bound maximum clique on a bitset adjacency list."""
+    """Exact maximum clique on a bitset adjacency list, from one branch-and-bound.
+
+    The search includes the lowest candidate before it excludes it, so
+    cliques are reached in lexicographic order of their sorted vertices.
+    A node is cut, with the rest of its loop, once ``len(cur) +
+    colours(cand) <= len(best)``: a greedy colouring of the candidates in
+    index order bounds any clique among them.  Until a clique of the final
+    size is found, every cut branch holds no clique larger than the
+    current best, which is smaller than the final size; so the first
+    clique of the final size, the one recorded, is the lexicographically
+    first.  Calls nest once per clique vertex, at most
+    2 MAX_EXACT_CLIQUE_WINDOW + 1 = 401 deep, under Python's default limit.
+    """
 
     def __init__(self, adj: list[int]):
         self.adj = adj
-        self.n = len(adj)
-        self.best: list[int] = []
 
-    @staticmethod
-    def _bits(mask: int):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def _color_order(self, cand: int) -> tuple[list[int], list[int]]:
-        """Greedy coloring; the color index bounds any clique in the tail."""
-        classes: list[int] = []
-        for v in self._bits(cand):
-            for ci, cmask in enumerate(classes):
-                if not (cmask & self.adj[v]):
-                    classes[ci] |= 1 << v
-                    break
-            else:
-                classes.append(1 << v)
-        order: list[int] = []
-        bounds: list[int] = []
-        for ci, cmask in enumerate(classes):
-            for v in self._bits(cmask):
-                order.append(v)
-                bounds.append(ci + 1)
-        return order, bounds
-
-    def _expand(self, cur: list[int], cand: int) -> None:
-        if not cand:
-            if len(cur) > len(self.best):
-                self.best = cur.copy()
-            return
-        order, bounds = self._color_order(cand)
-        for idx in range(len(order) - 1, -1, -1):
-            if len(cur) + bounds[idx] <= len(self.best):
-                return
-            v = order[idx]
-            cur.append(v)
-            self._expand(cur, cand & self.adj[v])
-            cur.pop()
-            cand &= ~(1 << v)
+    def _colours(self, cand: int) -> int:
+        """Colours of the greedy colouring of cand in index order: each class
+        takes, lowest first, every uncoloured vertex with no neighbour in it."""
+        count = 0
+        while cand:
+            count += 1
+            free = cand
+            while free:
+                low = free & -free
+                cand ^= low
+                free &= ~(low | self.adj[low.bit_length() - 1])
+        return count
 
     def max_clique(self) -> list[int]:
-        self.best = []
-        self._expand([], (1 << self.n) - 1)
-        return self.best
+        """The lexicographically first maximum clique, sorted."""
+        best: list[int] = []
 
-    def _decide(self, cand: int, need: int) -> bool:
-        """Is there a clique of size >= need inside cand?"""
-        if need <= 0:
-            return True
-        order, bounds = self._color_order(cand)
-        for idx in range(len(order) - 1, -1, -1):
-            if bounds[idx] < need:
-                return False
-            v = order[idx]
-            if self._decide(cand & self.adj[v], need - 1):
-                return True
-            cand &= ~(1 << v)
-        return False
+        def expand(cur: list[int], cand: int) -> None:
+            nonlocal best
+            if not cand:
+                if len(cur) > len(best):
+                    best = cur.copy()
+                return
+            while cand and len(cur) + self._colours(cand) > len(best):
+                low = cand & -cand
+                cur.append(low.bit_length() - 1)
+                expand(cur, cand & self.adj[cur[-1]])
+                cur.pop()
+                cand ^= low
 
-    def canonical_witness(self, size: int) -> list[int]:
-        """Lexicographically first (in vertex order) clique of given size."""
-        witness: list[int] = []
-        cand = (1 << self.n) - 1
-        for v in range(self.n):
-            if not (cand >> v) & 1:
-                continue
-            rest = cand & self.adj[v]
-            if self._decide(rest, size - len(witness) - 1):
-                witness.append(v)
-                cand = rest
-                if len(witness) == size:
-                    break
-        return witness
+        expand([], (1 << len(self.adj)) - 1)
+        return best
 
 
 def max_orthogonal_clique(
@@ -149,7 +118,8 @@ def max_orthogonal_clique(
     frequencies when |mu-hat of their difference| <= zero_tol.  Vertices are
     preferred in the order 0, 1, -1, 2, -2, ... and the returned witness is
     the first maximum clique in that preference order, so repeated runs are
-    reproducible.  Size 1 means no orthogonal pair exists in the window.
+    reproducible; one branch-and-bound (:class:`_CliqueSolver`) finds it.
+    Size 1 means no orthogonal pair exists in the window.
     """
     if m.sys.d != 1:
         raise ValidationError("clique search is defined for dimension 1 only")
@@ -171,9 +141,8 @@ def max_orthogonal_clique(
     # row i as an int whose bit j marks the edge {i, j}
     rows = np.packbits(orthogonal[gaps], axis=1, bitorder="little")
     solver = _CliqueSolver([int.from_bytes(row.tobytes(), "little") for row in rows])
-    size = len(solver.max_clique())
-    witness = solver.canonical_witness(size)
-    return size, tuple(sorted(freqs[v] for v in witness))
+    witness = solver.max_clique()
+    return len(witness), tuple(sorted(freqs[v] for v in witness))
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,14 @@ class TestMakeSystem:
         with pytest.raises(ValidationError):
             make_system([[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0]], [[0.0, 0.0]])
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValidationError, match=r"^R must be square, got shape \(1, 2\)$"):
+            make_system([[4.0, 0.0]], [0.0, 0.5], [0.0, 1.0])
+
+    def test_repr(self, cantor4, quad2d):
+        assert repr(cantor4) == "AffineSystem(d=1, N=2, r=1, R=[[4.0]], B=[[0.0], [0.5]], L=[[0.0], [1.0]])"
+        assert repr(quad2d).startswith("AffineSystem(d=2, N=4, r=1, R=[[4.0, 0.0], [0.0, 4.0]], ")
+
     def test_bad_scale_rejected(self, cantor4):
         with pytest.raises(ValidationError):
             scale_system(cantor4, 0)

@@ -615,6 +615,30 @@ def test_hardy_key_with_wrong_dimension(cantor4_file, write_system, capsys):
         assert "d = " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fourier", "--system", "{cantor4}", "--grid", "0:1"], "bad grid axis '0:1', want a:b:step"),
+        (["tiling", "--window", "0:1:2"], "bad window '0:1:2', want lo:hi"),
+        (["hardy", "--system", "{cantor4}", "--coeffs", "0=1,1"], "bad coefficient '1', want lambda=value"),
+        (["hardy", "--system", "{cantor4}", "--coeffs", ", ,"], "empty coefficient list"),
+    ],
+    ids=["grid-axis", "window", "coefficient-without-value", "no-coefficients"],
+)
+def test_malformed_flag_exits_one(cantor4_file, capsys, argv, message):
+    argv = [arg.format(cantor4=cantor4_file) for arg in argv]
+    assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
+
+
+def test_empty_coefficient_items_are_skipped(cantor4_file, capsys):
+    trips = []
+    for coeffs in ("0=1,1=0.5", ",0=1,, ,1=0.5,"):
+        code, out, _ = run_cli(["hardy", "--system", cantor4_file, "--coeffs", coeffs], capsys)
+        assert code == 0
+        trips.append(json.loads(out)["roundtrip"])
+    assert trips[0] == trips[1]
+
+
 def test_ruelle_bound_command(cantor4_file, capsys):
     code, out, _ = run_cli(
         ["ruelle-bound", "--system", cantor4_file, "--trials", "3", "--seed", "1"],

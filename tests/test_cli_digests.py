@@ -57,6 +57,9 @@ COMMANDS = {
     ),
     "tiling.truncated": (["tiling", "--depth", "1", "--samples", "50", "--window=-100:100"], 2),
     "clique.R3": (["clique", "--R", "3", "--a", "1/2", "--window", "40"], 0),
+    "clique.R4": (["clique", "--R", "4", "--a", "1/2", "--window", "60"], 0),
+    "clique.R2": (["clique", "--R", "2", "--a", "1/2", "--window", "60"], 0),
+    "clique.R2.quarter": (["clique", "--R", "2", "--a", "1/4", "--window", "60"], 0),
     "classify.R3": (["classify", "--R", "3", "--a", "1/2", "--window", "30"], 0),
     "classify.R2": (["classify", "--R", "2", "--a", "1/4"], 0),
     "sweep.cantor4.csv": (["sweep", "--system", C4, "--r-max", "4", "--format", "csv"], 0),

@@ -447,6 +447,10 @@ class TestAtomicApproximation:
         with pytest.raises(BudgetError):
             atomic_approximation(cantor4_measure, 30)
 
+    def test_negative_depth(self, cantor4_measure):
+        with pytest.raises(ValidationError, match="^depth must be >= 0, got -1$"):
+            atomic_approximation(cantor4_measure, -1)
+
 
 class TestMoments:
     def test_order_zero(self, cantor4_measure):
@@ -479,6 +483,11 @@ class TestMoments:
         m = FractalMeasure(quad2d)
         assert moments(m, (1, 0)) == pytest.approx(1.0 / 3.0, abs=1e-14)
         assert moments(m, (0, 1)) == pytest.approx(1.0 / 3.0, abs=1e-14)
+
+    @pytest.mark.parametrize("order", [1, np.int64(1)])
+    def test_scalar_order_only_in_one_dimension(self, quad2d, order):
+        with pytest.raises(ValidationError, match="^scalar moment order only valid in dimension 1$"):
+            moments(FractalMeasure(quad2d), order)
 
     def test_two_dimensional_cross_moment_vs_atomic(self, quad2d):
         # product measure per axis: E[xy] = 1/9, atomic gap ~ (2/9) 4^-K

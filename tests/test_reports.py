@@ -157,6 +157,11 @@ class TestJson:
         payload = {"a": array}
         assert outcome(render_json, payload, compact=compact) == outcome(oracle_json, payload, compact=compact)
 
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_empty_dict(self, compact):
+        assert render_json({}, compact=compact) == "{}"
+        assert render_json({"a": {}}, compact=True) == '{"a": {}}'
+
     def test_non_finite_named_in_row_major_order(self):
         array = np.array([[1.0, np.inf], [np.nan, 2.0]])
         with pytest.raises(ValueError, match="non-finite float inf$"):
@@ -232,6 +237,10 @@ class TestCsv:
         columns = (np.array([1.0, np.nan]), np.array([np.inf, 1.0]))
         with pytest.raises(ValueError, match="non-finite float inf$"):
             render_csv(["a", "b"], columns)
+
+    def test_complex_column_rejected(self):
+        with pytest.raises(TypeError, match="^cannot serialize complex128 values$"):
+            render_csv(["z"], (np.array([1 + 2j]),))
 
     def test_ragged_columns_rejected(self):
         with pytest.raises(ValueError):

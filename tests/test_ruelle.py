@@ -933,6 +933,11 @@ class TestBasisCertificate:
         assert not cert.basis_certified
         assert cert.failures == ("not compatible",)
 
+    def test_zero_not_in_l_recorded(self):
+        cert = basis_certificate(FractalMeasure(make_system(4.0, [0.0, 0.5], [1.0, 2.0])))
+        assert not cert.zero_in_l and cert.l_spans
+        assert "0 not in L" in cert.failures and not cert.basis_certified
+
     def test_bound_only_on_the_attractor_hull(self):
         # R = 4, B = {0, 1/2}, L = {0, 3} has no basis (t = -1 is an m_B-cycle
         # point); the point box [0, 0] would give gamma 0.25, but no box but

@@ -3,16 +3,21 @@
 Small systems are cheap to compute on, so what they cost is per call: one
 mask call per product depth, a Python matmul loop per inverse-power table,
 the same structural check repeated by every caller, a pair loop per clique
-graph.  Each reference below is the replaced loop, kept here; the library
-must return its bits, and each per-system check must run once per system.
+graph, a second exact search per clique witness.  Each reference below is
+the replaced code, kept here; the library must return its bits (its clique),
+and each per-system check must run once per system.
 """
 
+import itertools
+import random
 from fractions import Fraction
 from functools import cached_property
 from math import ceil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalspec import (
     FractalMeasure,
@@ -291,6 +296,170 @@ def test_clique_adjacency_matches_pair_loop(monkeypatch, R, window):
     assert all(type(row) is int for row in seen[0])
     assert any(expected)  # the graph has edges: mu-hat(1) = 0 for a = 1/2
     assert size == 2 and all(type(v) is int for v in witness)
+
+
+# ---------------------------------------------------------------------------
+# clique search
+
+
+# Reference: the two-search solver, verbatim but for its name: a
+# colour-ordered branch-and-bound for the size, then one decision search per
+# vertex for the lexicographically first clique of that size.
+class TwoSearchCliqueSolver:
+    """Exact branch-and-bound maximum clique on a bitset adjacency list."""
+
+    def __init__(self, adj: list[int]):
+        self.adj = adj
+        self.n = len(adj)
+        self.best: list[int] = []
+
+    @staticmethod
+    def _bits(mask: int):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    def _color_order(self, cand: int) -> tuple[list[int], list[int]]:
+        """Greedy coloring; the color index bounds any clique in the tail."""
+        classes: list[int] = []
+        for v in self._bits(cand):
+            for ci, cmask in enumerate(classes):
+                if not (cmask & self.adj[v]):
+                    classes[ci] |= 1 << v
+                    break
+            else:
+                classes.append(1 << v)
+        order: list[int] = []
+        bounds: list[int] = []
+        for ci, cmask in enumerate(classes):
+            for v in self._bits(cmask):
+                order.append(v)
+                bounds.append(ci + 1)
+        return order, bounds
+
+    def _expand(self, cur: list[int], cand: int) -> None:
+        if not cand:
+            if len(cur) > len(self.best):
+                self.best = cur.copy()
+            return
+        order, bounds = self._color_order(cand)
+        for idx in range(len(order) - 1, -1, -1):
+            if len(cur) + bounds[idx] <= len(self.best):
+                return
+            v = order[idx]
+            cur.append(v)
+            self._expand(cur, cand & self.adj[v])
+            cur.pop()
+            cand &= ~(1 << v)
+
+    def max_clique(self) -> list[int]:
+        self.best = []
+        self._expand([], (1 << self.n) - 1)
+        return self.best
+
+    def _decide(self, cand: int, need: int) -> bool:
+        """Is there a clique of size >= need inside cand?"""
+        if need <= 0:
+            return True
+        order, bounds = self._color_order(cand)
+        for idx in range(len(order) - 1, -1, -1):
+            if bounds[idx] < need:
+                return False
+            v = order[idx]
+            if self._decide(cand & self.adj[v], need - 1):
+                return True
+            cand &= ~(1 << v)
+        return False
+
+    def canonical_witness(self, size: int) -> list[int]:
+        """Lexicographically first (in vertex order) clique of given size."""
+        witness: list[int] = []
+        cand = (1 << self.n) - 1
+        for v in range(self.n):
+            if not (cand >> v) & 1:
+                continue
+            rest = cand & self.adj[v]
+            if self._decide(rest, size - len(witness) - 1):
+                witness.append(v)
+                cand = rest
+                if len(witness) == size:
+                    break
+        return witness
+
+
+def two_search_clique(adj):
+    """The reference's (size, witness) on a bitset adjacency list."""
+    solver = TwoSearchCliqueSolver(adj)
+    size = len(solver.max_clique())
+    return size, solver.canonical_witness(size)
+
+
+class TwoSearchClique(TwoSearchCliqueSolver):
+    """The reference behind the solver's interface."""
+
+    def max_clique(self):
+        return two_search_clique(self.adj)[1]
+
+
+@st.composite
+def bitset_graphs(draw):
+    n = draw(st.integers(0, 40))
+    density = draw(st.floats(0.05, 0.95))
+    coins = random.Random(draw(st.integers(0, 2**32 - 1)))
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if coins.random() < density:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(bitset_graphs())
+def test_one_search_matches_two_searches(adj):
+    witness = verify._CliqueSolver(adj).max_clique()
+    assert (len(witness), witness) == two_search_clique(adj)
+
+
+def orthogonal_gap_period(a):
+    """For |R| = 2: the integer gaps g != 0 with mu-hat(g) = 0 exactly are
+    those with a g R^-k in 1/2 + Z for some k >= 0, which are the nonzero
+    multiples of one period P (1 for a = 1/2, 2 for 1/4, 3 for 1/3, 7 for
+    2/7).  Returns the smallest such gap, found in exact arithmetic."""
+    half = Fraction(1, 2)
+    return next(
+        g
+        for g in itertools.count(1)
+        if any((a * g / 2**k - half).denominator == 1 for k in range(g.bit_length() + 1))
+    )
+
+
+@pytest.mark.parametrize("window", [1, 2, 60, 200])
+@pytest.mark.parametrize("a", ["1/2", "1/4", "1/3", "2/7"])
+@pytest.mark.parametrize("R", [2, -2, 3, -3, 4, -4, 5, 6, -6, 7, 8])
+def test_clique_matches_two_searches_on_windows(monkeypatch, R, a, window):
+    m = FractalMeasure(two_digit_system(R, float(Fraction(a))))
+    size, witness = verify.max_orthogonal_clique(m, window)
+    if abs(R) == 2:
+        # the graph is one complete graph per residue class mod P, so the
+        # answer is the largest class, the first in preference order on a
+        # tie; for a = 1/2 that is the whole window
+        period = orthogonal_gap_period(Fraction(a))
+        freqs = [0] + [f for k in range(1, window + 1) for f in (k, -k)]
+        classes = {}
+        for v, f in enumerate(freqs):
+            classes.setdefault(f % period, []).append(v)
+        best = min(classes.values(), key=lambda c: (-len(c), c))
+        assert (size, witness) == (len(best), tuple(sorted(freqs[v] for v in best)))
+        if period == 1:
+            assert witness == tuple(range(-window, window + 1))
+        if window == 200:
+            return  # the reference takes seconds to minutes on these graphs
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_CliqueSolver", TwoSearchClique)
+        assert (size, witness) == verify.max_orthogonal_clique(m, window)
 
 
 # ---------------------------------------------------------------------------

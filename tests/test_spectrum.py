@@ -24,7 +24,7 @@ from fractalspec import (
     scale_system,
     separation,
 )
-from fractalspec import spectrum
+from fractalspec import spectrum, systems
 from fractalspec.reports import render_json
 from fractalspec.spectrum import DEDUP_TOL, _cell_pairs, _dedup_near
 from tests.conftest import generated_triples, grid1d, hadamard_triple, triple_params
@@ -636,6 +636,29 @@ class TestCompletenessScan:
         for c, on_cycle in [([-1.0, -1.0], True), ([-1.0, 0.0], True), ([0.5, -1.0], False)]:
             assert spectrum._reaches_cycle(sys, np.array(c)) is on_cycle
 
+    def test_cycle_walk_gives_up_after_its_steps(self, monkeypatch):
+        # -16 -> -4 -> -1 -> -4 repeats a point at the third step
+        sys = make_system(4.0, [0.0, 0.5], [0.0, 15.0])
+        monkeypatch.setattr(spectrum, "CYCLE_WALK_STEPS", 2)
+        assert spectrum._reaches_cycle(sys, np.array([-16.0])) is False
+        monkeypatch.setattr(spectrum, "CYCLE_WALK_STEPS", 3)
+        assert spectrum._reaches_cycle(sys, np.array([-16.0])) is True
+
+    def test_direct_sum_stops_where_word_sums_reach_2_53(self):
+        # 0 is not in L, so the scan sums directly; the depth-8 sums of
+        # R = 100 may reach 2.02e16 >= 2^53, and an increment_tol of 0
+        # never converges first
+        sys = make_system(100.0, [0.0, 0.5], [1.0, 2.0])
+        with pytest.raises(BudgetError, match="2\\^53"):
+            enumerate_spectrum(sys, 8)
+        report = completeness_scan(
+            FractalMeasure(sys), enumerate_spectrum(sys, 1), grid1d(0.0, 1.0, 0.5), 0.99,
+            increment_tol=0.0,
+        )
+        assert report.depths == tuple(range(1, 8)) and not report.converged
+        # min Q is one-sided evidence, kept at a stop on the bound
+        assert report.min_Q >= 0.99 and report.status == "complete-evidence"
+
     def test_spectrum_of_another_system_rejected(self):
         # deepening enumerates the measure's own set, so a spectrum of
         # R = 4, L = {0, 3} scanned against cantor4 would read cantor4's Q
@@ -809,6 +832,20 @@ class TestIncrementalScan:
         assert spectrum._WordTree(m, grid, 2).table is None
         report = completeness_scan(m, enumerate_spectrum(cantor4, 2), grid, 0.99, max_depth=5)
         assert report.depths[-1] > 2 and report.q_error == spectrum._direct_leaf(m)[1]
+        exact = q_partial_many(m, enumerate_spectrum(cantor4, report.depths[-1]), grid)
+        assert_certified_lower_bound(report, exact)
+
+    def test_tree_without_an_invariant_box(self, cantor4, monkeypatch):
+        # no box is grown, so there is no leaf box: every leaf takes the product
+        m = FractalMeasure(cantor4)
+        grid = grid1d(0.0, 1.0, 0.1)
+        spec = enumerate_spectrum(cantor4, 2)
+        tabled = completeness_scan(m, spec, grid, 0.99, max_depth=5)
+        monkeypatch.setattr(systems, "HULL_MAX_EXPAND", 0)
+        assert spectrum._leaf_table(m, grid, 2) is None
+        report = completeness_scan(m, spec, grid, 0.99, max_depth=5)
+        assert report.q_error == spectrum._direct_leaf(m)[1] != tabled.q_error
+        assert report.depths == tabled.depths
         exact = q_partial_many(m, enumerate_spectrum(cantor4, report.depths[-1]), grid)
         assert_certified_lower_bound(report, exact)
 

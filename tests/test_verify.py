@@ -78,6 +78,10 @@ class TestMaxClique:
         with pytest.raises(BudgetError):
             max_orthogonal_clique(odd3_measure, 201)
 
+    def test_empty_window(self, odd3_measure):
+        with pytest.raises(ValidationError, match="^window must be >= 1, got 0$"):
+            max_orthogonal_clique(odd3_measure, 0)
+
     def test_dimension_guard(self, quad2d):
         with pytest.raises(ValidationError):
             max_orthogonal_clique(FractalMeasure(quad2d), 5)
@@ -218,6 +222,14 @@ class TestTiling:
     def test_disjoint_window_rejected(self):
         with pytest.raises(ValidationError):
             tiling_multiplicity(1, (100.0, 200.0), samples=10)
+
+    def test_two_dimensional_system_rejected(self, quad2d):
+        with pytest.raises(ValidationError, match="^tiling check is defined for dimension 1 only$"):
+            tiling_multiplicity(1, (0.0, 1.0), sys=quad2d)
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValidationError, match="^samples must be >= 1, got 0$"):
+            tiling_multiplicity(1, (0.0, 1.0), samples=0)
 
 
 def covered_runs_loop(starts, ends):
@@ -372,6 +384,11 @@ class TestHardyRoundtrip:
         spec = enumerate_spectrum(cantor4, 1)
         with pytest.raises(ValidationError):
             hardy_roundtrip(cantor4_measure, spec, {2.5: 1.0}, depth=4)
+
+    def test_negative_depth_rejected(self, cantor4, cantor4_measure):
+        spec = enumerate_spectrum(cantor4, 1)
+        with pytest.raises(ValidationError, match="^depth must be >= 0, got -1$"):
+            hardy_roundtrip(cantor4_measure, spec, {0.0: 1.0}, depth=-1)
 
     def test_basis_over_budget_raises_before_allocating(self, cantor4, monkeypatch):
         monkeypatch.setattr(verify, "word_sums", lambda *a: pytest.fail("allocated"))
