@@ -79,7 +79,7 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset([*_EXPORTS, "_numeric", "cli", "reports"])
+_SUBMODULES = frozenset([*_EXPORTS, "_numeric", "cli", "exact", "reports"])
 
 __all__ = ["__version__", *sorted(_HOME)]
 

@@ -20,10 +20,10 @@ emits a deterministic JSON artifact or the CSV table, and returns 0 when
 orthogonal, ...).  Exit 1 is a failure to compute (bad input, usage errors
 included, convergence error, budget).
 
-Only numpy and the modules every command needs (errors, systems, reports)
-are imported with this module; each subcommand imports its analysis
-modules (measure, ruelle, spectrum, verify) itself, so a process loads
-only what its command runs.
+Only numpy and the modules every command needs (errors, exact, systems,
+reports) are imported with this module; each subcommand imports its
+analysis modules (measure, ruelle, spectrum, verify) itself, so a process
+loads only what its command runs.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import cmath
 import gc
 import math
 import sys as _sys
-from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -56,23 +55,6 @@ from .systems import (
 GRID_BUDGET = 2**24  # grid points per command
 
 
-def _parse_number(text: str, warn: bool = True) -> float:
-    """:func:`parse_number`; a decimal no float holds exactly gets a warning."""
-    text = text.strip()
-    value = parse_number(text)
-    try:  # Decimal compares exactly without forming 10**exponent, unlike Fraction
-        exact = "/" in text or Decimal(text) == Decimal(value)
-    except InvalidOperation:  # a spelling float() reads and Decimal does not
-        exact = False
-    if warn and not exact:
-        print(
-            f"warning: decimal literal {text!r} parsed as binary float; "
-            "use 'p/q' for exact rationals",
-            file=_sys.stderr,
-        )
-    return value
-
-
 def _parse_grid(spec: str, d: int) -> np.ndarray:
     """Parse "a:b:step[,a:b:step...]" into at most GRID_BUDGET grid points.
 
@@ -89,7 +71,7 @@ def _parse_grid(spec: str, d: int) -> np.ndarray:
         fields = part.split(":")
         if len(fields) != 3:
             raise FractalSpecError(f"bad grid axis {part!r}, want a:b:step")
-        a, b, step = (_parse_number(f, warn=False) for f in fields)
+        a, b, step = (parse_number(f) for f in fields)
         if step <= 0:
             raise FractalSpecError(f"grid step must be positive in {part!r}")
         # a float count, as (b - a) / step may overflow to inf
@@ -116,7 +98,7 @@ def _parse_window(spec: str) -> tuple[float, float]:
     fields = spec.split(":")
     if len(fields) != 2:
         raise FractalSpecError(f"bad window {spec!r}, want lo:hi")
-    return _parse_number(fields[0], warn=False), _parse_number(fields[1], warn=False)
+    return parse_number(fields[0]), parse_number(fields[1])
 
 
 def _parse_coeffs(spec: str, d: int) -> dict:
@@ -134,7 +116,7 @@ def _parse_coeffs(spec: str, d: int) -> dict:
                 f"coefficient key {key.strip()!r} has {len(parts)} components, "
                 f"system has d = {d} (separate components with ':')"
             )
-        lam = tuple(_parse_number(x, warn=False) for x in parts)
+        lam = tuple(parse_number(x) for x in parts)
         coeff = complex(value)
         if not cmath.isfinite(coeff):
             raise ValidationError(f"coefficient {value.strip()!r} is not a finite number")
@@ -175,9 +157,7 @@ def _load_system(args) -> AffineSystem:
     if getattr(args, "system", None):
         sys_ = load_system(args.system)
     elif hasattr(args, "a"):
-        a = _parse_number(args.a)
-        L = [_parse_number(x) for x in args.L.split(",")] if args.L else None
-        sys_ = two_digit_system(args.R, a, L)
+        sys_ = two_digit_system(args.R, args.a, args.L.split(",") if args.L else None)
     else:
         sys_ = cantor_four()
     if any(np.any(np.abs(x) > 2.0**53) for x in (sys_.R, sys_.B, sys_.L)):
@@ -311,10 +291,8 @@ def _cmd_certify(args, sys_):
 def _cmd_classify(args, sys_):
     from .verify import dim_one_classify
 
-    a = float(sys_.B.sum())  # B = {0, a}
-    verdict = dim_one_classify(
-        args.R, a, L=sys_.L, clique_window=args.window, target=args.target
-    )
+    L = args.L.split(",") if args.L else None  # the system builder reads a and L exactly
+    verdict = dim_one_classify(args.R, args.a, L=L, clique_window=args.window, target=args.target)
     return {"verdict": verdict}, None, verdict.consistent
 
 
@@ -465,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="1-D odd/even dichotomy verdict")
     common(p, system=False, csv=False)
     p.add_argument("--R", required=True, type=int)
-    p.add_argument("--a", required=True, help="second digit of B = {0, a}; rationals as p/q")
+    p.add_argument("--a", required=True, help="second digit of B = {0, a}; p/q and decimals exact")
     p.add_argument("--L", default=None, help="override frequency digits, comma separated")
     p.add_argument("--window", type=int, default=60)
     p.add_argument("--target", action=_Number, default=0.99)

@@ -15,11 +15,11 @@ together with the two quantities that decide the question at desk scale:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import BudgetError, ConvergenceError, ValidationError
+from .exact import is_weight_one_step
 from .measure import (
     FractalMeasure,
     distinct_rows,
@@ -544,7 +544,9 @@ def completeness_scan(
     fewer leaves than the table has nodes or no table can be certified.
     Either way every leaf is within ``q_error`` of |mu-hat|^2, so
     Q_n - q_error is a lower bound; the report keeps the running max over
-    depths (the sets are nested) and never goes below 0.  Every other
+    depths (the sets are nested) and never goes below 0.  The tree reads
+    the stored floats and ``q_error`` does not count their rounding (fl(1/3)
+    for a digit 1/3), under 2e-15 in Q for R = 3, B = {0, 1/3, 2/3}.  Every other
     system's set is summed directly (the caller's at the starting depth,
     then afresh at each depth), with ``q_error`` = 0 and the rounding of
     t - lam left uncounted.
@@ -626,29 +628,18 @@ def _reaches_cycle(sys: AffineSystem, c: np.ndarray) -> bool:
     it repeats a point, and that point is nonzero: c is an m_B-cycle point
     or enters a nonzero cycle.
 
-    Each step s -> s' with l is checked in rational arithmetic on the
-    floats: (b - b_0).(s - l) is an integer for every b, so all N
-    exponentials of chi(s - l) agree and |chi(s - l)|^2 = 1; and
-    R^T s' + l = s, so s' is the exact image, with no inverse taken.  A
-    walk that fails a check, falls into the trivial cycle at 0 or runs past
-    CYCLE_WALK_STEPS is no witness.
+    Each step is checked exactly (:func:`~fractalspec.exact.is_weight_one_step`);
+    a walk that fails it, ends at 0 or passes CYCLE_WALK_STEPS is no witness.
     """
     if not np.any(c):
         return False
-    digits, shifts, rt = (
-        [[Fraction(x) for x in row] for row in a] for a in (sys.B, sys.L, sys.R.T)
-    )
     seen = set()
     s = c
     for _ in range(CYCLE_WALK_STEPS):
         seen.add(tuple(s))
         weights, images = dual_step(sys, s)
         j = int(np.argmax(weights))
-        here, image = ([Fraction(x) for x in row] for row in (s, images[j]))
-        diff = [x - y for x, y in zip(here, shifts[j])]
-        phase = [sum(x * y for x, y in zip(b, diff)) for b in digits]
-        back = [sum(x * y for x, y in zip(row, image)) + y for row, y in zip(rt, shifts[j])]
-        if any((p - phase[0]).denominator != 1 for p in phase) or back != here:
+        if not is_weight_one_step(sys.exact, j, s, images[j]):
             return False
         s = images[j]
         if tuple(s) in seen:

@@ -8,9 +8,8 @@ candidate frequency set.  Two conditions make the pair workable:
 * integrality: R^n b . l is an integer for every n >= 1, b in B, l in L;
 * unitarity: the N x N matrix N^(-1/2) (exp(2 pi i b.l)) is unitary.
 
-Both are checked numerically here; the integrality check upgrades to an
-exact argument when R and L are integral and R^n b . l is an integer for
-n = 1..d, in which case Cayley-Hamilton covers all n at once.
+Both are checked numerically here, and integrality also exactly on the
+system's rationals when it can be (:func:`~fractalspec.exact.is_integral`).
 
 The word geometry lives here too: word sums (:func:`word_sums`), the dual
 maps' images (:func:`dual_points`) and their box (:func:`dual_box`), a box
@@ -22,14 +21,13 @@ box is invariant (:func:`check_box_invariance`).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from . import exact
 from ._numeric import cis2pi, power_norm_tail, power_norms
 from .errors import ConvergenceError, ValidationError
 
@@ -71,6 +69,7 @@ class AffineSystem:
     R : (d, d) dynamics matrix (already includes any scale factor)
     B : (N, d) digit vectors for the measure, canonically sorted
     L : (N, d) digit vectors for the frequency set, canonically sorted
+    exact : R, B and L as rationals, each float ``float()`` of its rational
     r : cumulative integer scale applied via :func:`scale_system`
 
     Derived quantities are computed on first use and cached per instance,
@@ -87,6 +86,7 @@ class AffineSystem:
     R: np.ndarray
     B: np.ndarray
     L: np.ndarray
+    exact: exact.Rationals
     r: int = 1
 
     @property
@@ -150,34 +150,8 @@ class AffineSystem:
 
     @cached_property
     def is_integral(self) -> bool:
-        """Whether R, L and R^n b . l for n = 1..d are integers, exactly.
-
-        Then R^n b . l is an integer for every n >= 1: the characteristic
-        polynomial of R^T is monic with integer coefficients, so each
-        (R^T)^(n-1) is an integer combination of (R^T)^j, j < d, and
-        b . (R^T)^n l = sum_j a_j b . (R^T)^(j+1) l.  The check is exact on
-        the stored floats (so B = {0, 1/3} with R = 3 fails: the float 1/3
-        times 3 is not 1), because the argument needs exact integers: a
-        near-integral R such as 4 + 1e-10 passes every test within 1e-9 up to
-        n = d but drifts off the integers as n grows.
-
-        R and L are tested with x == round(x), exact for floats.  Each entry
-        of B is the rational its float stores, a dyadic p / 2^k, so B is held
-        as Python-int numerators over their largest denominator, and the
-        products are exact integers tested for divisibility by it.
-        """
-        if not (np.all(self.R == np.round(self.R)) and np.all(self.L == np.round(self.L))):
-            return False
-        ratios = [b.as_integer_ratio() for b in self.B.flat]
-        den = max(q for _, q in ratios)  # a power of two: every other q divides it
-        powered = np.array([p * (den // q) for p, q in ratios], dtype=object).reshape(self.B.shape)
-        R, L = (np.array([int(x) for x in a.flat], dtype=object).reshape(a.shape)
-                for a in (self.R, self.L))
-        for _ in range(self.d):
-            powered = powered @ R.T  # rows are den R^n b
-            if any(x % den for x in (powered @ L.T).flat):
-                return False
-        return True
+        """:func:`~fractalspec.exact.is_integral` of :attr:`exact` (a float 1/3 fails)."""
+        return exact.is_integral(self.exact)
 
     @cached_property
     def validation(self) -> "ValidationReport":
@@ -230,57 +204,40 @@ def make_system(R, B, L) -> AffineSystem:
     """Normalize raw inputs into an :class:`AffineSystem`.
 
     Scalars are accepted in dimension one; B and L may be flat lists of
-    numbers (d = 1) or lists of d-vectors.  Rows of B and L are stored in
-    lexicographic order so downstream enumerations are deterministic.
+    numbers (d = 1) or lists of d-vectors.  Each entry keeps its rational
+    (:func:`~fractalspec.exact.parse`) in ``exact``, its float in the arrays;
+    rows of B and L are in lexicographic order of their floats, so
+    downstream enumerations are deterministic.
     """
-    R = np.atleast_2d(np.asarray(R, dtype=float))
+    parse = np.frompyfunc(exact.parse, 1, 1)
+    R, B, L = (np.asarray(parse(np.asarray(a, dtype=object)), dtype=object) for a in (R, B, L))
+    R = np.atleast_2d(R)
     if R.shape[0] != R.shape[1]:
         raise ValidationError(f"R must be square, got shape {R.shape}")
     d = R.shape[0]
-    B = np.asarray(B, dtype=float).reshape(-1, d)
-    L = np.asarray(L, dtype=float).reshape(-1, d)
+    B, L = B.reshape(-1, d), L.reshape(-1, d)
     if B.shape[0] != L.shape[0]:
         raise ValidationError(f"#B={B.shape[0]} and #L={L.shape[0]} must agree")
     if B.shape[0] < 1:
         raise ValidationError("digit sets must be nonempty")
-    for name, arr in (("R", R), ("B", B), ("L", L)):
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"{name} contains NaN or Inf")
     with np.errstate(over="ignore", divide="ignore"):  # a huge det is +-inf, not singular
-        singular = np.linalg.det(R) == 0.0
+        singular = np.linalg.det(R.astype(float)) == 0.0
     if singular:
         raise ValidationError("R is singular")
-    R = R.copy()
-    R.setflags(write=False)
-    rows = {"B": sorted_rows(B), "L": sorted_rows(L)}
-    for name, arr in rows.items():
-        if len(arr) < len(B):  # as many rows as L
+    floats, rows = {"R": R.astype(float)}, {"R": tuple(map(tuple, R))}
+    for name, arr in (("B", B), ("L", L)):
+        keyed = sorted((tuple(map(float, row)), tuple(row)) for row in arr)  # no float is -0.0
+        if any(a[0] == b[0] for a, b in zip(keyed, keyed[1:])):
             raise ValidationError(f"{name} contains duplicate vectors")
+        floats[name], rows[name] = np.array([k for k, _ in keyed]), tuple(row for _, row in keyed)
+    for arr in floats.values():
         arr.setflags(write=False)
-    return AffineSystem(d=d, R=R, **rows)
+    return AffineSystem(d=d, **floats, exact=exact.Rationals(**rows))
 
 
 def parse_number(value) -> float:
-    """A finite float from a number or a numeric string.
-
-    Strings of the form "p/q" are exact rationals, rounded once.  Anything
-    that is not a finite number (p/0, nan, inf, beyond the float range, a
-    boolean such as JSON ``true``, not a number at all) is a
-    :class:`ValidationError`.
-    """
-    try:
-        number = float(Fraction(value)) if isinstance(value, str) and "/" in value else float(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        number = math.nan
-    if isinstance(value, (bool, np.bool_)) or not math.isfinite(number):
-        raise ValidationError(f"not a finite number: {value!r}")
-    return number
-
-
-def _parse_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=object)
-    flat = [parse_number(v) for v in arr.reshape(-1)]
-    return np.asarray(flat, dtype=float).reshape(arr.shape)
+    """The float of the exact rational :func:`~fractalspec.exact.parse` reads."""
+    return float(exact.parse(value))
 
 
 def parse_system(doc) -> AffineSystem:
@@ -289,14 +246,14 @@ def parse_system(doc) -> AffineSystem:
     Keys: ``d``, ``R`` (scalar or row-major matrix), ``B``, ``L`` (lists of
     scalars or of d-vectors), optional ``r``; ``d`` and ``r`` are positive
     integers, and ``r`` scales R (:func:`scale_system`).  Entries are
-    numbers or strings; ``"p/q"`` strings are parsed as exact rationals
-    (:func:`parse_number`).
+    numbers or strings; ``"p/q"`` and decimal strings keep their written
+    value (:func:`~fractalspec.exact.parse`).
     """
     if not isinstance(doc, dict):
         raise ValidationError(f"system file must hold a JSON object, got {type(doc).__name__}")
     try:
         d = doc["d"]
-        R, B, L = (_parse_array(doc[key]) for key in ("R", "B", "L"))
+        R, B, L = (np.asarray(doc[key], dtype=object) for key in ("R", "B", "L"))
     except KeyError as missing:
         raise ValidationError(f"system file is missing key {missing}") from None
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
@@ -540,31 +497,29 @@ def scale_system(sys: AffineSystem, r: int) -> AffineSystem:
     and for the ``r`` of a system file (:func:`parse_system`).
 
     Integer r preserves integrality automatically, since (rR)^n b . l =
-    r^n (R^n b . l).
+    r^n (R^n b . l).  R holds the floats of the scaled rationals.
     """
     if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
         raise ValidationError(f"scale r must be a positive integer, got {r!r}")
     if r == 1:
         return sys
-    R = np.asarray(sys.R) * float(r)
+    rows = tuple(tuple(int(r) * x for x in row) for row in sys.exact.R)
+    R = np.array(rows, dtype=float)
     R.setflags(write=False)
-    return replace(sys, R=R, r=sys.r * int(r))
+    return replace(sys, R=R, exact=sys.exact._replace(R=rows), r=sys.r * int(r))
 
 
 def scale_systems(sys: AffineSystem, scales) -> list[AffineSystem]:
     """:func:`scale_system` for each r of ``scales``, with the inverse-power
     tails of every new system from one stacked :func:`power_norms` call
-    (the same bits as each system's own :attr:`AffineSystem.inv_power_tails`).
-    When ``sys`` is integral every new system is marked integral without
-    its own check: (rR)^n b . l = r^n R^n b . l."""
+    (the same bits as each system's own :attr:`AffineSystem.inv_power_tails`)."""
     scaled = [scale_system(sys, r) for r in scales]
     fresh = [s for s in scaled if "inv_power_tails" not in vars(s)]
     if fresh:
         norms = power_norms(np.stack([s.R.T for s in fresh]), INV_POWER_DEPTH)
-        integral = sys.is_integral
         for s, row in zip(fresh, norms):
             vars(s)["inv_power_tails"] = _power_tails(row)  # the cached_property's slot
-            if integral:
+            if sys.is_integral:  # (rR)^n b . l = r^n R^n b . l
                 vars(s)["is_integral"] = True
     return scaled
 
@@ -572,17 +527,16 @@ def scale_systems(sys: AffineSystem, scales) -> list[AffineSystem]:
 validate_system = validate_compatibility  # both names are public
 
 
-def two_digit_system(R, a: float, L=None) -> AffineSystem:
-    """The d = 1 system with scale R and digits B = {0, a}.
+def two_digit_system(R, a, L=None) -> AffineSystem:
+    """The d = 1 system with scale R and digits B = {0, a}, read exactly.
 
     With no L given, l = 1/(2a) is paired with 0 so that b.l = 1/2 and the
     digit matrix is the standard 2x2 real unitary.
     """
+    a = exact.parse(a)
     if a == 0:
         raise ValidationError("a must be nonzero")
-    if L is None:
-        L = [0.0, 1.0 / (2.0 * a)]
-    return make_system(parse_number(R), [0.0, a], L)
+    return make_system(R, [0, a], [0, 1 / (2 * a)] if L is None else L)
 
 
 def cantor_four() -> AffineSystem:

@@ -30,7 +30,7 @@ from .errors import BudgetError, ValidationError
 from .measure import CIS_BLOCK, DEFAULT_ATOM_BUDGET, FractalMeasure, cis2pi_outer, fourier_abs_many
 from .ruelle import ContractionReport, basis_certificate
 from .spectrum import DEDUP_TOL, SpectrumEnumeration, completeness_scan, enumerate_spectrum
-from .systems import AffineSystem, cantor_four, scale_systems, two_digit_system, word_sums
+from .systems import AffineSystem, cantor_four, parse_number, scale_systems, two_digit_system, word_sums
 
 __all__ = [
     "DichotomyVerdict",
@@ -180,7 +180,7 @@ def dim_one_classify(
     is computed and recorded without a claim.
 
     With no L given, L = {0, 1/(2a)} (see :func:`two_digit_system`); even R
-    then keeps R^n b.l = R^n / 2 integral.
+    then keeps R^n b.l = R^n / 2 integral.  a and L are read exactly.
     """
     R = int(R)
     if abs(R) < 2:
@@ -193,7 +193,7 @@ def dim_one_classify(
         size, witness = max_orthogonal_clique(m, clique_window)
         return DichotomyVerdict(
             R=R,
-            a=a,
+            a=parse_number(a),
             predicted=predicted,
             max_clique_size=size,
             clique_witness=witness,
@@ -210,7 +210,7 @@ def dim_one_classify(
         consistent = cert.basis_certified and scan.min_Q >= target
     return DichotomyVerdict(
         R=R,
-        a=a,
+        a=parse_number(a),
         predicted=predicted,
         completeness_min_Q=scan.min_Q,
         certificate=cert,

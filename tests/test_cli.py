@@ -348,25 +348,26 @@ def test_classify_outside_theorem(capsys):
     assert json.loads(out)["verdict"]["predicted"] == "outside-theorem"
 
 
-def test_decimal_warning(capsys):
-    code, _, err = run_cli(["clique", "--R", "3", "--a", "0.3", "--window", "5"], capsys)
-    assert code == 0
-    assert "warning" in err
-
-
 @pytest.mark.parametrize("flags", [["--a", "0.5"], ["--a", "0.25"], ["--a", "2", "--L", "0,2.5e-1"]])
 def test_exact_decimal_is_not_warned(capsys, flags):
     code, _, err = run_cli(["classify", "--R", "4", *flags], capsys)
     assert (code, err) == (0, "")
 
 
+def test_non_dyadic_cycle_point_is_a_witness(write_system, capsys):
+    # the digits 1/3 and 2/3 are exact, so the scan passes the exact gate and
+    # the fixed point -1 of l = 2 is a witness
+    path = write_system({"d": 1, "R": [[3]], "B": ["0", "1/3", "2/3"], "L": [0, 1, 2]})
+    code, out, _ = run_cli(["completeness", "--system", path, "--grid=-1:0:0.125"], capsys)
+    report = json.loads(out)["report"]
+    assert code == 2 and report["status"] == "incomplete-evidence"
+    assert report["min_Q"] == 0.0 and report["argmin"] == [-1.0]
+
+
 def test_decimal_with_a_huge_exponent_is_warned_at_once(capsys):
-    # the exact comparison forms no 10**400000000
+    # the exact parse forms no 10**400000000
     code, _, err = run_cli(["classify", "--R", "4", "--a=1e-400000000"], capsys)
-    assert code == 1 and err.splitlines() == [
-        "warning: decimal literal '1e-400000000' parsed as binary float; use 'p/q' for exact rationals",
-        "error: a must be nonzero",
-    ]
+    assert code == 1 and err.splitlines() == ["error: a must be nonzero"]
 
 
 def test_fourier_csv_columns(cantor4_file, tmp_path, capsys):
@@ -757,8 +758,9 @@ def test_ruelle_bound_rejects_a_box_the_maps_leave(write_system, capsys):
 )
 def test_one_validation_per_system(write_system, capsys, monkeypatch, argv):
     # a non-integral system pays validate_compatibility's power loop: once,
-    # in the report the command emits and its analysis reads
-    path = write_system({"d": 1, "R": [[6]], "B": ["0", "1/3", "2/3"], "L": [0, 1, 2]})
+    # in the report the command emits and its analysis reads; JSON numbers
+    # are floats, so 1/3 here is the binary float (the string "1/3" is exact)
+    path = write_system({"d": 1, "R": [[6]], "B": [0, 1 / 3, 2 / 3], "L": [0, 1, 2]})
     original, calls = systems.validate_compatibility, []
 
     def counting(*args, **kwargs):

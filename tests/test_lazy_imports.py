@@ -68,10 +68,10 @@ PUBLIC_NAMES = [
     "validate_compatibility",
     "validate_system",
 ]
-SUBMODULES = ["_numeric", "cli", "errors", "measure", "reports", "ruelle", "spectrum", "systems", "verify"]
+SUBMODULES = ["_numeric", "cli", "errors", "exact", "measure", "reports", "ruelle", "spectrum", "systems", "verify"]
 ANALYSIS = {"measure", "ruelle", "spectrum", "verify"}
 # what every command needs; the command runs as __main__, not as fractalspec.cli
-COMMON = {"errors", "_numeric", "systems", "reports"}
+COMMON = {"errors", "exact", "_numeric", "systems", "reports"}
 
 
 def test_all_is_pinned():
@@ -130,6 +130,12 @@ def test_package_import_loads_only_the_errors():
     assert loaded_submodules("import fractalspec") == {"errors"}
 
 
+def test_exact_imports_no_numpy():
+    code = "import sys, fractalspec.exact; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def test_cli_import_loads_only_what_every_command_needs():
     assert loaded_submodules("import fractalspec.cli") == COMMON | {"cli"}
 
@@ -154,12 +160,13 @@ def test_command_loads_only_its_modules(cantor4_file, argv, analysis):
 
 # the intra-package imports each module may make, function-level ones
 # included: systems <- measure <- {ruelle, spectrum} <- verify <- cli, with
-# errors, _numeric and reports below them all; __init__ imports lazily
-BASE = {"errors", "_numeric"}
+# errors, _numeric, exact and reports below them all; __init__ imports lazily
+BASE = {"errors", "_numeric", "exact"}
 ALLOWED_IMPORTS = {
     "__init__": set(),
     "errors": set(),
     "_numeric": set(),
+    "exact": {"errors"},
     "reports": set(),
     "systems": BASE,
     "measure": BASE | {"systems"},

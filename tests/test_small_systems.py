@@ -30,6 +30,7 @@ from fractalspec import (
     validate_compatibility,
 )
 from fractalspec import measure, systems, verify
+from fractalspec.errors import ValidationError
 from fractalspec._numeric import cis2pi, power_norms
 from fractalspec.systems import INV_POWER_DEPTH, AffineSystem
 from tests.conftest import hadamard_triple
@@ -468,11 +469,15 @@ def test_clique_matches_two_searches_on_windows(monkeypatch, R, a, window):
 
 def fraction_integral(sys):
     """Reference: the exact integrality test in Fraction arithmetic."""
-    R, B, L = (np.vectorize(Fraction, otypes=[object])(a) for a in (sys.R, sys.B, sys.L))
+    return rational_integral(*(np.vectorize(Fraction, otypes=[object])(a) for a in (sys.R, sys.B, sys.L)))
+
+
+def rational_integral(R, B, L):
+    """The test of :func:`fraction_integral` on object arrays of Fractions."""
     if not all(x.denominator == 1 for a in (R, L) for x in a.flat):
         return False
     powered = B
-    for _ in range(sys.d):
+    for _ in range(R.shape[0]):
         powered = powered @ R.T
         if not all(x.denominator == 1 for x in (powered @ L.T).flat):
             return False
@@ -503,6 +508,40 @@ INTEGRALITY_CASES = [
 def test_is_integral_matches_fraction_reference(R, B, L):
     s = make_system(R, B, L)
     assert s.is_integral is fraction_integral(s)
+
+
+entries = st.one_of(
+    st.integers(-6, 6).map(float),
+    st.integers(-12, 12).map(lambda k: k / 4),  # dyadic, so R^n b . l is often an integer
+    st.sampled_from([1 / 3, 2 / 3, 0.1, 4 + 1e-10, 2.0**-70, 2.0**60, 1e300]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2), st.data())
+def test_is_integral_matches_fraction_reference_on_floats(d, data):
+    R, B, L = (data.draw(st.lists(entries, min_size=k, max_size=k)) for k in (d * d, 2 * d, 2 * d))
+    try:
+        s = make_system(np.reshape(R, (d, d)), B, L)
+    except ValidationError:
+        return  # singular R or repeated digits
+    assert s.is_integral is fraction_integral(s)
+
+
+rational_entries = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 5, 6, 9]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2), st.data())
+def test_is_integral_matches_fraction_reference_on_strings(d, data):
+    R, B, L = (data.draw(st.lists(rational_entries, min_size=k, max_size=k)) for k in (d * d, 2 * d, 2 * d))
+    doc = {"d": d, "R": R, "B": B, "L": L}
+    try:
+        s = systems.parse_system({key: [str(q) for q in v] if key != "d" else v for key, v in doc.items()})
+    except ValidationError:
+        return
+    reference = rational_integral(*(np.array(v, dtype=object).reshape(-1, d) for v in (R, B, L)))
+    assert s.is_integral is reference
 
 
 def test_integrality_sample_has_both_answers():

@@ -30,6 +30,11 @@ from fractalspec.spectrum import DEDUP_TOL, _cell_pairs, _dedup_near
 from tests.conftest import generated_triples, grid1d, hadamard_triple, triple_params
 
 
+def k_over_r_system(R):
+    """R with B = {k/R} from "k/R" strings, exact, and L = {0..R-1}."""
+    return systems.parse_system({"d": 1, "R": [[R]], "B": [f"{k}/{R}" for k in range(R)], "L": list(range(R))})
+
+
 def max_norm_gaps(a, b):
     return np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
 
@@ -643,6 +648,39 @@ class TestCompletenessScan:
         assert spectrum._reaches_cycle(sys, np.array([-16.0])) is False
         monkeypatch.setattr(spectrum, "CYCLE_WALK_STEPS", 3)
         assert spectrum._reaches_cycle(sys, np.array([-16.0])) is True
+
+    @pytest.mark.parametrize("R", [3, 5, 6, 7, 9, 10, 11, 12])
+    def test_non_dyadic_digits_pass_the_exact_gate(self, R):
+        # no float holds B = {k/R}, but its rationals are integral: the scan
+        # takes the word tree, and -1 (fixed by l = R - 1) is a witness
+        sys = k_over_r_system(R)
+        report = completeness_scan(
+            FractalMeasure(sys), enumerate_spectrum(sys, 2), grid1d(-1.0, 0.0, 0.125), 0.99
+        )
+        assert report.status == "incomplete-evidence"
+        assert report.min_Q == 0.0 and report.argmin.tolist() == [-1.0]
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_tree_on_rounded_thirds_matches_exact_thirds(self, depth):
+        # the tree evaluates the stored floats fl(1/3), fl(2/3); its Q_n
+        # stays within q_error of Q_n for the exact thirds at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        sys, grid = k_over_r_system(3), np.array([[-1.0], [-0.5], [0.25], [0.9]])
+        m = FractalMeasure(sys)
+        sums, q_error = spectrum._WordTree(m, grid, depth).q(depth)
+        report = completeness_scan(m, enumerate_spectrum(sys, depth), grid, 0.99, max_depth=depth)
+        lams = [int(lam) for lam in enumerate_spectrum(sys, depth).elements[:, 0]]
+        with mpmath.workdps(40):
+            for t, tree_q, reported in zip(grid[:, 0], sums, report.Q):
+                exact = mpmath.mpf(0)
+                for lam in lams:
+                    x, power = mpmath.mpf(t) - lam, mpmath.mpf(1)
+                    for _ in range(30):  # |chi(s)|^2 = (3 + 4 cos 2 pi s/3 + 2 cos 4 pi s/3) / 9
+                        theta = 2 * mpmath.pi * x / 3
+                        power *= (3 + 4 * mpmath.cos(theta) + 2 * mpmath.cos(2 * theta)) / 9
+                        x /= 3
+                    exact += power
+                assert abs(tree_q - exact) <= q_error and reported <= exact
 
     def test_direct_sum_stops_where_word_sums_reach_2_53(self):
         # 0 is not in L, so the scan sums directly; the depth-8 sums of

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from fractalspec import (
     scaling_sweep,
     tiling_multiplicity,
 )
-from fractalspec import verify
+from fractalspec import systems, verify
 from fractalspec._numeric import cis2pi
 from fractalspec.measure import cis2pi_outer
 from fractalspec.verify import _covered_runs
@@ -134,6 +135,22 @@ class TestDichotomy:
         verdict = dim_one_classify(4, 0.25)
         assert verdict.predicted == "basis"
         assert verdict.consistent
+
+    def test_exact_digit_builds_an_exact_system(self, monkeypatch):
+        # a = 1/3 and l = 1/(2a) = 3/2 stay rationals, so R^n b.l = 6^n / 2 is
+        # an integer for every n (is_integral's shortcut also needs integer L)
+        built = []
+
+        def recording(*args):
+            built.append(systems.two_digit_system(*args))
+            return built[-1]
+
+        monkeypatch.setattr(verify, "two_digit_system", recording)
+        verdict = dim_one_classify(6, Fraction(1, 3))
+        (s,) = built
+        assert s.exact.B == ((0,), (Fraction(1, 3),)) and s.exact.L == ((0,), (Fraction(3, 2),))
+        assert all((6**n * s.exact.B[1][0] * s.exact.L[1][0]).denominator == 1 for n in range(1, 40))
+        assert verdict.a == 1 / 3 and verdict.predicted == "basis"
 
     def test_rejects_unit_scale(self):
         with pytest.raises(ValidationError):
