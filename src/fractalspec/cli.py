@@ -37,15 +37,12 @@ import sys as _sys
 import numpy as np
 
 from . import __version__
-from .errors import BudgetError, DomainError, FractalSpecError, ValidationError
+from .errors import BudgetError, FractalSpecError, ValidationError
 from .reports import SCHEMA_VERSION, render_csv, render_json, write_text
 from .systems import (
-    BOX_TOL,
     AffineSystem,
-    as_box,
     attractor_hull,
     cantor_four,
-    check_box_invariance,
     load_system,
     parse_number,
     two_digit_system,
@@ -258,14 +255,8 @@ def _cmd_completeness(args, sys_):
 def _cmd_ruelle_bound(args, sys_):
     from .ruelle import contraction_probe, estimate_gamma
 
-    box = attractor_hull(sys_) if args.box is None else as_box(
-        [_parse_window(part) for part in args.box.split(",")], sys_.d
-    )
+    box = attractor_hull(sys_)  # invariant by construction, as in certify
     bound = estimate_gamma(sys_, box)
-    # after estimate_gamma, so that a non-expansive R keeps its own message
-    excess = check_box_invariance(sys_, box)
-    if excess > BOX_TOL:
-        raise DomainError(f"a dual map leaves the box by {excess:.3e}; enlarge the box")
     probe = contraction_probe(sys_, box, trials=args.trials, seed=args.seed)
     body = {
         "gamma_bound": bound.gamma_bound,
@@ -292,7 +283,7 @@ def _cmd_classify(args, sys_):
     from .verify import dim_one_classify
 
     L = args.L.split(",") if args.L else None  # the system builder reads a and L exactly
-    verdict = dim_one_classify(args.R, args.a, L=L, clique_window=args.window, target=args.target)
+    verdict = dim_one_classify(args.R, args.a, L=L, target=args.target)
     return {"verdict": verdict}, None, verdict.consistent
 
 
@@ -427,11 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=_cmd_completeness)
 
-    p = sub.add_parser("ruelle-bound", help="contraction bound plus empirical probe ratios")
+    p = sub.add_parser("ruelle-bound", help="contraction bound on the attractor hull plus probe ratios")
     common(p, csv=False)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--box", default=None, help="lo:hi per axis (default: attractor hull)")
     p.set_defaults(fn=_cmd_ruelle_bound)
 
     p = sub.add_parser("certify", help="orthonormal-basis certificate")
@@ -445,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", required=True, type=int)
     p.add_argument("--a", required=True, help="second digit of B = {0, a}; p/q and decimals exact")
     p.add_argument("--L", default=None, help="override frequency digits, comma separated")
-    p.add_argument("--window", type=int, default=60)
     p.add_argument("--target", action=_Number, default=0.99)
     p.set_defaults(fn=_cmd_classify)
 

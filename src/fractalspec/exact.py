@@ -25,7 +25,8 @@ def parse(value) -> Fraction:
     sign of a zero.  A decimal whose float is 0 reads as 0: no 10**exponent
     is formed for a huge exponent.  Anything that is not a finite number
     (p/0, nan, inf, beyond the float range, a boolean such as JSON ``true``,
-    not a number at all) is a :class:`ValidationError`.
+    not a number at all) is a :class:`ValidationError`; its message cuts a
+    repr past 60 characters to its first 30 and its length.
     """
     exact = None
     try:
@@ -36,7 +37,10 @@ def parse(value) -> Fraction:
         number = math.nan
     numpy = sys.modules.get("numpy")  # a numpy boolean exists only once numpy is imported
     if isinstance(value, bool) or (numpy and isinstance(value, numpy.bool_)) or not math.isfinite(number):
-        raise ValidationError(f"not a finite number: {value!r}")
+        text = repr(value)
+        if len(text) > 60:
+            text = f"{text[:30]}... ({len(text)} characters)"
+        raise ValidationError(f"not a finite number: {text}")
     if exact is not None or isinstance(value, Fraction):
         return value if exact is None else exact
     if isinstance(value, str):  # float() read it, so its exponent is in range unless it is 0

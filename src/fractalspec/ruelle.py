@@ -49,8 +49,9 @@ shift come from one digit exponential.  A grid block thus costs
 n_waves + N phase elements per node for all |L| maps.  The sup grid is
 walked in blocks of about PROBE_BLOCK phase elements and as many live
 (node, trial, map) elements, with a running per-trial max, the trials
-TRIAL_CHUNK at a time, so memory does not grow with the number of trials;
-the 1-D zoom advances the brackets of all trials together.
+TRIAL_CHUNK at a time; the 1-D zoom advances the brackets of all trials
+together.  The folded coefficients grow with the trials, so their count
+is budgeted before anything is drawn.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._numeric import cis2pi, hs_norm, operator_norm, sinpi
-from .errors import ValidationError
+from .errors import BudgetError, ValidationError
 from .measure import FractalMeasure, GridFunction, apply_ruelle, shifted_masks  # noqa: F401
 from .systems import (
     AffineSystem,
@@ -85,9 +86,10 @@ __all__ = [
 # 1-D sup polish: samples per zoom round and the bracket width that ends it
 ZOOM_POINTS = 33
 ZOOM_TOL = 1e-12
-# probe batches: phase elements per grid block, trials per chunk
+# probe batches: phase elements per grid block, trials per chunk, coefficients
 PROBE_BLOCK = 2**14
 TRIAL_CHUNK = 16
+PROBE_BUDGET = 2**21
 # bound on |sinpi(x) - sin(pi x)|: the reduction to r = x - round(x) is
 # exact, so only pi * r and sin round (together below 2.1 eps)
 SINPI_ERR = 4.0 * np.finfo(float).eps
@@ -539,13 +541,18 @@ def contraction_probe(
     evaluated as one batch (:class:`_WaveBatch`).  Degenerate probes (zero
     Lipschitz norm) are skipped and counted.  A non-expansive R, trials
     below 1, degree below 1 or per_axis below 2 is a
-    :class:`ValidationError`.
+    :class:`ValidationError`, and coefficients that may pass PROBE_BUDGET
+    entries a :class:`BudgetError`, raised before any probe is drawn.
     """
     require_expansive(sys)
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if degree < 1:
         raise ValidationError(f"degree must be >= 1, got {degree}")
+    # per trial |L| (d + 1) x 2 entries per distinct wave; 2 degree waves in [-degree, degree]^d
+    waves = min(2 * degree * trials, (2 * degree + 1) ** sys.d)
+    if trials * len(sys.L) * (sys.d + 1) * 2 * waves > PROBE_BUDGET:
+        raise BudgetError(f"too many probe trials for the budget of {PROBE_BUDGET} coefficients")
     per_axis = _probe_grid(sys, per_axis)
     box = as_box(box, sys.d)
     rng = np.random.default_rng(seed)

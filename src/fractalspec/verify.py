@@ -3,10 +3,10 @@
 Four checks live here:
 
 * the one-dimensional dichotomy for two-digit systems B = {0, a} with an
-  integer scale: odd scales admit no exponential basis (strongest checkable
-  proxy: an exact maximum clique of pairwise-orthogonal integer frequencies
-  stalls at 2), even scales of modulus >= 4 do (contraction certificate
-  plus a completeness scan);
+  integer scale: odd scales admit no exponential basis (a theorem: at most
+  two exponentials are mutually orthogonal, see :func:`dim_one_classify`),
+  even scales of modulus >= 4 do (contraction certificate plus a
+  completeness scan);
 * the rescue-by-rescaling sweep: replacing R by rR eventually certifies;
 * the tile check for the quarter-Cantor example: unit intervals placed on
   the frequency set, translated by -2 times the set, cover an interval
@@ -15,8 +15,8 @@ Four checks live here:
   recovered by quadrature against the atomic approximation, with a matching
   sum-of-squares identity.
 
-Clique verdicts are evidence, not proofs: the graph lives on a finite
-window and orthogonality is decided numerically at a zero tolerance.
+Only the ``clique`` command's search (:func:`max_orthogonal_clique`) is
+evidence, not proof: a finite integer window, zeros decided at a tolerance.
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import exact
 from .errors import BudgetError, ValidationError
 from .measure import CIS_BLOCK, DEFAULT_ATOM_BUDGET, FractalMeasure, cis2pi_outer, fourier_abs_many
 from .ruelle import ContractionReport, basis_certificate
 from .spectrum import DEDUP_TOL, SpectrumEnumeration, completeness_scan, enumerate_spectrum
-from .systems import AffineSystem, cantor_four, parse_number, scale_systems, two_digit_system, word_sums
+from .systems import AffineSystem, cantor_four, scale_systems, two_digit_system, word_sums
 
 __all__ = [
     "DichotomyVerdict",
@@ -151,13 +152,13 @@ def max_orthogonal_clique(
 
 @dataclass(frozen=True)
 class DichotomyVerdict:
-    """Prediction of the 1-D dichotomy plus the numerical evidence for it."""
+    """Prediction of the 1-D dichotomy plus its proof (odd R) or evidence."""
 
     R: int
     a: float
     predicted: str  # no-basis | basis | outside-theorem
     max_clique_size: int | None = None
-    clique_witness: tuple[int, ...] | None = None
+    clique_witness: tuple[float, ...] | None = None  # odd R: (0, 1/(2a)), an int if integral
     completeness_min_Q: float | None = None
     certificate: ContractionReport | None = None
     consistent: bool = True
@@ -167,17 +168,19 @@ def dim_one_classify(
     R: int,
     a: float,
     L=None,
-    clique_window: int = 60,
     target: float = 0.99,
 ) -> DichotomyVerdict:
     """Classify the d=1, two-digit system B = {0, a} by the parity of R.
 
-    Odd R predicts no exponential basis; the evidence is an exact maximum
-    clique search over the integer window, at the zero tolerance of
-    :func:`max_orthogonal_clique`.  Even R with |R| >= 4 predicts a
-    basis; the evidence is the contraction certificate plus a completeness
-    scan over one unit cell.  |R| = 2 falls outside the dichotomy: evidence
-    is computed and recorded without a claim.
+    Odd R admits no exponential basis, for any L, and nothing is searched:
+    with chi(s) = (1 + e(a s))/2, mu-hat(t) = prod_{k>=0} chi(R^-k t)
+    vanishes exactly on the union over k >= 0 of R^k (2Z+1)/(2a), so three
+    mutually orthogonal frequencies would need R^j o1 - R^k o2 = R^m o3
+    with odd o's, an even number equal to an odd one (Jorgensen-Pedersen
+    1998).  (0, 1/(2a)), from the exact a, is an orthogonal pair.  Even R
+    with |R| >= 4 predicts a basis; the evidence is the contraction
+    certificate plus a completeness scan over one unit cell.  |R| = 2 falls
+    outside the dichotomy: evidence is computed and recorded without a claim.
 
     With no L given, L = {0, 1/(2a)} (see :func:`two_digit_system`); even R
     then keeps R^n b.l = R^n / 2 integral.  a and L are read exactly.
@@ -185,20 +188,14 @@ def dim_one_classify(
     R = int(R)
     if abs(R) < 2:
         raise ValidationError(f"|R| must be >= 2, got {R}")
+    a = exact.parse(a)
     sys = two_digit_system(R, a, L)
     m = FractalMeasure(sys)
 
     if R % 2 != 0:
-        predicted = "no-basis"
-        size, witness = max_orthogonal_clique(m, clique_window)
-        return DichotomyVerdict(
-            R=R,
-            a=parse_number(a),
-            predicted=predicted,
-            max_clique_size=size,
-            clique_witness=witness,
-            consistent=size <= 2,
-        )
+        half = 1 / (2 * a)
+        witness = (0, int(half) if half.denominator == 1 else float(half))
+        return DichotomyVerdict(R, float(a), "no-basis", max_clique_size=2, clique_witness=witness)
 
     predicted = "basis" if abs(R) >= 4 else "outside-theorem"
     cert = basis_certificate(m)
@@ -210,7 +207,7 @@ def dim_one_classify(
         consistent = cert.basis_certified and scan.min_Q >= target
     return DichotomyVerdict(
         R=R,
-        a=parse_number(a),
+        a=float(a),
         predicted=predicted,
         completeness_min_Q=scan.min_Q,
         certificate=cert,

@@ -131,9 +131,8 @@ def test_parse_error_exits_one(tmp_path, capsys, text, fragment):
         (["fourier", "--system", "{cantor4}", "--grid", "0:1:1/0"], "1/0"),
         (["fourier", "--system", "{cantor4}", "--grid", "0:nan:0.5"], "nan"),
         (["tiling", "--window", "0:1/0"], "1/0"),
-        (["ruelle-bound", "--system", "{cantor4}", "--box", "0:1/0"], "1/0"),
     ],
-    ids=["classify", "clique", "fourier", "fourier-nan", "tiling", "ruelle-bound"],
+    ids=["classify", "clique", "fourier", "fourier-nan", "tiling"],
 )
 def test_bad_number_flag_exits_one(cantor4_file, capsys, argv, bad):
     argv = [arg.format(cantor4=cantor4_file) for arg in argv]
@@ -215,15 +214,17 @@ def test_completeness_error_names_the_grid_point(cantor4_file, capsys):
     [
         (["classify", "--R", "4", "--a", "1e300"], "the system has an entry beyond 2^53 in magnitude"),
         (["classify", "--R", str(2**60), "--a", "1/2"], "the system has an entry beyond 2^53 in magnitude"),
-        (["classify", "--R", str(10**400), "--a", "1/2"], f"not a finite number: {10**400}"),
-        (["ruelle-bound", "--system", "{cantor4}", "--box=-1e300:0"], "box [(-1e+300, 0.0)] reaches beyond 2^53 in magnitude"),
+        (["classify", "--R", str(10**400), "--a", "1/2"], f"not a finite number: {'1' + '0' * 29}... (401 characters)"),
+        # l = 1/(2a) = 10^323, the exact value of the written a, is past the float range
+        (["classify", "--R", "4", "--a", "5e-324"], f"not a finite number: Fraction({'1' + '0' * 20}... (337 characters)"),
         (["tiling", "--window=1e300:-1e308"], "window [1e+300, -1e+308) is empty"),
     ],
-    ids=["a", "R", "R-overflow", "box", "window"],
+    ids=["a", "R", "R-overflow", "a-underflow", "window"],
 )
 def test_input_beyond_the_float_range_exits_one(cantor4_file, capsys, argv, message):
     code, out, err = run_cli([arg.format(cantor4=cantor4_file) for arg in argv], capsys)
     assert (code, out, err.splitlines()[-1]) == (1, "", f"error: {message}")
+    assert len(err.splitlines()[-1]) <= 100
 
 
 def run_capped(argv, limit=2 * 2**30):
@@ -340,6 +341,22 @@ def test_clique_command(capsys):
     assert code == 0
     assert payload["size"] == 2
     assert payload["witness"] == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "R, a, witness", [("3", "1/3", [0, 1.5]), ("-3", "2/7", [0, 1.75]), ("5", "1/4", [0, 2])]
+)
+def test_classify_odd_scale_reads_the_parity_theorem(capsys, R, a, witness):
+    # an integer window finds no orthogonal pair for a = 1/3 or 2/7
+    code, out, _ = run_cli(["classify", "--R", R, "--a", a], capsys)
+    verdict = json.loads(out)["verdict"]
+    assert code == 0 and verdict["predicted"] == "no-basis" and verdict["consistent"] is True
+    assert (verdict["max_clique_size"], verdict["clique_witness"]) == (2, witness)
+
+
+def test_classify_odd_scale_rejects_a_non_unitary_L(capsys):
+    code, out, err = run_cli(["classify", "--R", "3", "--a", "1/2", "--L", "0,1/3"], capsys)
+    assert (code, out, err) == (1, "", "error: digit matrix is not unitary (deviation 8.660e-01)\n")
 
 
 def test_classify_outside_theorem(capsys):
@@ -659,6 +676,15 @@ def test_negative_trials_exit_one(cantor4_file, capsys, command):
     assert (code, out, err) == (1, "", f"error: trials must be >= {expected}, got -3\n")
 
 
+@pytest.mark.parametrize("command", ["certify", "ruelle-bound"])
+def test_trials_past_the_budget_exit_one_before_a_probe_is_drawn(cantor4_file, capsys, monkeypatch, command):
+    monkeypatch.setattr(ruelle.TrigPolynomial, "random", lambda *args: pytest.fail("a probe was drawn"))
+    argv = [command, "--system", cantor4_file, "--trials", "1000000000"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: too many probe trials for the budget of {ruelle.PROBE_BUDGET} coefficients\n"
+
+
 def test_repeat_runs_byte_identical(cantor4_file, tmp_path, capsys):
     out_path = tmp_path / "artifact.json"
     blobs = []
@@ -723,17 +749,17 @@ def test_certify_runs_without_scipy():
 
 
 @pytest.mark.parametrize(
-    "R, B, L, modulus, box",
+    "R, B, L, modulus, trials",
     [
         ([["1/100"]], ["0", "1/2"], ["0", "1"], "0.01", None),
         ([["1/2"]], ["0", "1/2"], ["0", "1"], "0.5", None),
         ([["1/100", "0"], ["0", "1/100"]], [[0, 0], ["1/2", 0]], [[0, 0], [1, 0]], "0.01", None),
-        ([["1/100"]], ["0", "1/2"], ["0", "1"], "0.01", "0:1"),
+        ([["1/100"]], ["0", "1/2"], ["0", "1"], "0.01", "1000000000"),
     ],
 )
-def test_ruelle_bound_rejects_non_expansive(write_system, capsys, R, B, L, modulus, box):
+def test_ruelle_bound_rejects_non_expansive(write_system, capsys, R, B, L, modulus, trials):
     path = write_system({"d": len(R), "R": R, "B": B, "L": L})
-    argv = ["ruelle-bound", "--system", path] + (["--box", box] if box else [])
+    argv = ["ruelle-bound", "--system", path] + (["--trials", trials] if trials else [])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(argv, capsys)
@@ -741,16 +767,6 @@ def test_ruelle_bound_rejects_non_expansive(write_system, capsys, R, B, L, modul
     assert out == ""
     assert err == f"error: R is not expansive (min eigenvalue modulus {modulus})\n"
     assert caught == []
-
-
-def test_ruelle_bound_rejects_a_box_the_maps_leave(write_system, capsys):
-    # on the point box quad2d's gamma would read 0.354 < 1; the hull gives 3.89
-    argv = ["ruelle-bound", "--system", write_system(QUAD2D)]
-    code, out, err = run_cli(argv + ["--box=0:0,0:0"], capsys)
-    assert (code, out) == (1, "")
-    assert err == "error: a dual map leaves the box by 2.500e-01; enlarge the box\n"
-    code, out, _ = run_cli(argv, capsys)
-    assert code == 2 and json.loads(out)["gamma_bound"] > 1.0
 
 
 @pytest.mark.parametrize(
@@ -792,8 +808,10 @@ def _table(out):
         (["certify", "--system", "{cantor4}", "--trials", "abc"], "argument --trials: invalid int value: 'abc'"),
         (["nosuch"], "argument command: invalid choice: 'nosuch'"),
         ([], "the following arguments are required: command"),
+        (["classify", "--R", "3", "--a", "1/2", "--window", "30"], "unrecognized arguments: --window 30"),
+        (["ruelle-bound", "--system", "{cantor4}", "--box=0:1"], "unrecognized arguments: --box=0:1"),
     ],
-    ids=["format", "trials", "command", "no-command"],
+    ids=["format", "trials", "command", "no-command", "classify-window", "ruelle-bound-box"],
 )
 def test_usage_error_exits_one(cantor4_file, capsys, argv, message):
     # exit 2 would read as a computed negative verdict
@@ -959,7 +977,7 @@ SMALL = {
     "completeness": ["completeness", "--system", "{cantor4}", "--grid", "0:1:0.5"],
     "ruelle-bound": ["ruelle-bound", "--system", "{cantor4}", "--trials", "2"],
     "certify": ["certify", "--system", "{cantor4}"],
-    "classify": ["classify", "--R", "3", "--a", "1/2", "--window", "5"],
+    "classify": ["classify", "--R", "3", "--a", "1/2"],
     "clique": ["clique", "--R", "3", "--a", "1/2", "--window", "5"],
     "sweep": ["sweep", "--system", "{cantor4}", "--r-max", "2"],
     "tiling": ["tiling", "--window=-10:6", "--samples", "20"],

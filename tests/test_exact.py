@@ -1,8 +1,9 @@
 """The exact number parser and the rationals a system keeps.
 
 ``float(parse(v))`` must give the float the earlier float-only parser gave
-(kept below as the reference), and each system must store ``float()`` of
-its rationals, rows in the order of its floats.
+(kept below as the reference, with the shortened message of a long repr),
+and each system must store ``float()`` of its rationals, rows in the order
+of its floats.
 """
 
 import math
@@ -26,7 +27,9 @@ def float_parse_number(value):
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         number = math.nan
     if isinstance(value, (bool, np.bool_)) or not math.isfinite(number):
-        raise ValidationError(f"not a finite number: {value!r}")
+        text = repr(value)
+        shown = text if len(text) <= 60 else text[:30] + f"... ({len(text)} characters)"
+        raise ValidationError(f"not a finite number: {shown}")
     return number
 
 
@@ -92,6 +95,17 @@ def test_decimal_string_keeps_its_written_value(text):
 )
 def test_parse_values(value, rational):
     assert parse(value) == rational and type(parse(value).numerator) is int
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400), Fraction(10**324), "1" * 400 + "e10", "1" * 58 + "/0"])
+def test_long_non_finite_value_gives_a_short_message(value):
+    with pytest.raises(ValidationError) as caught:
+        parse(value)
+    message, text = str(caught.value), repr(value)
+    assert message == (
+        f"not a finite number: {text}" if len(text) <= 60 else f"not a finite number: {text[:30]}... ({len(text)} characters)"
+    )
+    assert len(message) <= 100
 
 
 def test_numpy_free_parse_rejects_numpy_booleans():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalspec import (
+    BudgetError,
     ConvergenceError,
     DomainError,
     FractalMeasure,
@@ -539,6 +540,13 @@ class TestContractionProbe:
     def test_bad_trials(self, cantor4, hull):
         with pytest.raises(ValidationError):
             contraction_probe(cantor4, hull, trials=0, seed=1)
+
+    def test_trial_budget(self, cantor4, hull, monkeypatch):
+        # cantor4 folds |L| (d + 1) x 2 = 8 entries per wave, of at most 9 waves
+        monkeypatch.setattr(ruelle, "PROBE_BUDGET", 2 * 8 * 9)
+        assert contraction_probe(cantor4, hull, trials=2, seed=0).trials == 2
+        with pytest.raises(BudgetError, match="^too many probe trials"):
+            contraction_probe(cantor4, hull, trials=3, seed=0)
 
     @pytest.mark.parametrize(
         "kwargs, message",

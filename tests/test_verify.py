@@ -21,7 +21,7 @@ from fractalspec import (
 )
 from fractalspec import systems, verify
 from fractalspec._numeric import cis2pi
-from fractalspec.measure import cis2pi_outer
+from fractalspec.measure import cis2pi_outer, fourier_abs_many
 from fractalspec.verify import _covered_runs
 
 
@@ -112,8 +112,9 @@ class TestDichotomy:
 
     @pytest.mark.parametrize("R", [3, 5, 7])
     def test_odd_scales_stall_at_two(self, R):
-        verdict = dim_one_classify(R, 0.5, clique_window=60)
-        assert verdict.max_clique_size <= 2
+        verdict = dim_one_classify(R, 0.5)
+        assert verdict.predicted == "no-basis" and verdict.consistent
+        assert (verdict.max_clique_size, verdict.clique_witness) == (2, (0, 1))
 
     @pytest.mark.parametrize("R", [4, 6, 8])
     def test_even_scales_certify(self, R):
@@ -159,6 +160,49 @@ class TestDichotomy:
     def test_rejects_zero_digit(self):
         with pytest.raises(ValidationError):
             dim_one_classify(4, 0.0)
+
+    def test_takes_no_clique_window(self):
+        with pytest.raises(TypeError):
+            dim_one_classify(3, 0.5, clique_window=60)
+
+
+ODD_SCALES = [3, -3, 5, -5, 7, 9, 11]
+DIGITS = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 3), Fraction(2, 7)]
+
+
+def is_edge(steps: int, R: int) -> bool:
+    """Exact rule on the lattice (1/(2a)) Z: mu-hat vanishes at a gap of
+    ``steps`` lattice steps exactly when it is R^k times an odd number."""
+    return any(steps % R**k == 0 and steps // abs(R) ** k % 2 for k in range(steps.bit_length()))
+
+
+class TestParityTheorem:
+    """The odd-R verdict against the exact zero set and the clique solver."""
+
+    @pytest.mark.parametrize("a", DIGITS, ids=str)
+    @pytest.mark.parametrize("R", ODD_SCALES)
+    def test_witness_gap_is_half_over_a(self, monkeypatch, R, a):
+        monkeypatch.setattr(verify, "max_orthogonal_clique", lambda *args: pytest.fail("clique search ran"))
+        verdict = dim_one_classify(R, f"{a.numerator}/{a.denominator}")
+        assert (verdict.predicted, verdict.max_clique_size, verdict.consistent) == ("no-basis", 2, True)
+        low, high = verdict.clique_witness
+        assert low == 0 and a * Fraction(high - low) == Fraction(1, 2)
+        assert type(high) is (int if (1 / (2 * a)).denominator == 1 else float)
+
+    @pytest.mark.parametrize("a", DIGITS, ids=str)
+    @pytest.mark.parametrize("R", ODD_SCALES)
+    def test_lattice_cliques_stall_at_two(self, R, a):
+        w = 30
+        step = float(1 / (2 * a))
+        m = FractalMeasure(systems.two_digit_system(R, a))
+        gaps = np.arange(1, 2 * w + 1)
+        numeric = fourier_abs_many(m, (gaps * step).reshape(-1, 1)) <= 1e-9
+        assert numeric.tolist() == [is_edge(int(g), R) for g in gaps]
+        edge = np.concatenate([[False], numeric])  # gap 0: the diagonal
+        vertices = np.arange(-w, w + 1)
+        rows = edge[np.abs(np.subtract.outer(vertices, vertices))]
+        adj = [int(sum(1 << j for j in np.flatnonzero(row))) for row in rows]
+        assert len(verify._CliqueSolver(adj).max_clique()) == 2
 
 
 class TestScalingSweep:
