@@ -37,7 +37,7 @@ import sys as _sys
 import numpy as np
 
 from . import __version__
-from .errors import BudgetError, FractalSpecError, ValidationError
+from .errors import BudgetError, FractalSpecError, ValidationError, clip
 from .reports import SCHEMA_VERSION, render_csv, render_json, write_text
 from .systems import (
     AffineSystem,
@@ -62,15 +62,15 @@ def _parse_grid(spec: str, d: int) -> np.ndarray:
     """
     parts = spec.split(",")
     if len(parts) != d:
-        raise FractalSpecError(f"grid spec {spec!r} has {len(parts)} axes, system has {d}")
+        raise FractalSpecError(f"grid spec {clip(repr(spec))} has {len(parts)} axes, system has {d}")
     axes = []
     for part in parts:
         fields = part.split(":")
         if len(fields) != 3:
-            raise FractalSpecError(f"bad grid axis {part!r}, want a:b:step")
+            raise FractalSpecError(f"bad grid axis {clip(repr(part))}, want a:b:step")
         a, b, step = (parse_number(f) for f in fields)
         if step <= 0:
-            raise FractalSpecError(f"grid step must be positive in {part!r}")
+            raise FractalSpecError(f"grid step must be positive in {clip(repr(part))}")
         # a float count, as (b - a) / step may overflow to inf
         axes.append((part, a, step, float(np.ceil((b - a) / step + 0.5)) if b >= a else 0.0))
     if not all(n for *_, n in axes):
@@ -78,14 +78,16 @@ def _parse_grid(spec: str, d: int) -> np.ndarray:
     points = math.prod(n for *_, n in axes)
     if points > GRID_BUDGET:
         raise BudgetError(
-            f"grid {spec!r} has {points:.3g} points, over the budget of {GRID_BUDGET}"
+            f"grid {clip(repr(spec))} has {points:.3g} points, over the budget of {GRID_BUDGET}"
         )
     ticks = []
     for part, a, step, n in axes:
         with np.errstate(over="ignore"):  # an overflowing point is inf, rejected below
             tick = a + np.arange(int(n)) * step
         if not (np.isfinite(tick[-1]) and np.all(tick[1:] > tick[:-1])):
-            raise FractalSpecError(f"points of grid axis {part!r} coincide or overflow in float")
+            raise FractalSpecError(
+                f"points of grid axis {clip(repr(part))} coincide or overflow in float"
+            )
         ticks.append(tick)
     mesh = np.meshgrid(*ticks, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
@@ -94,7 +96,7 @@ def _parse_grid(spec: str, d: int) -> np.ndarray:
 def _parse_window(spec: str) -> tuple[float, float]:
     fields = spec.split(":")
     if len(fields) != 2:
-        raise FractalSpecError(f"bad window {spec!r}, want lo:hi")
+        raise FractalSpecError(f"bad window {clip(repr(spec))}, want lo:hi")
     return parse_number(fields[0]), parse_number(fields[1])
 
 
@@ -106,17 +108,17 @@ def _parse_coeffs(spec: str, d: int) -> dict:
             continue
         key, _, value = item.partition("=")
         if not value:
-            raise FractalSpecError(f"bad coefficient {item!r}, want lambda=value")
+            raise FractalSpecError(f"bad coefficient {clip(repr(item))}, want lambda=value")
         parts = key.split(":")
         if len(parts) != d:
             raise FractalSpecError(
-                f"coefficient key {key.strip()!r} has {len(parts)} components, "
-                f"system has d = {d} (separate components with ':')"
+                f"coefficient key {clip(repr(key.strip()))} has {len(parts)} parts, "
+                f"want d = {d}, ':' separated"
             )
         lam = tuple(parse_number(x) for x in parts)
         coeff = complex(value)
         if not cmath.isfinite(coeff):
-            raise ValidationError(f"coefficient {value.strip()!r} is not a finite number")
+            raise ValidationError(f"coefficient {clip(repr(value.strip()))} is not a finite number")
         out[lam[0] if d == 1 else lam] = coeff
     if not out:
         raise FractalSpecError("empty coefficient list")
@@ -153,8 +155,9 @@ def _load_system(args) -> AffineSystem:
     analyses square and multiply entries past the float range: exit 1."""
     if getattr(args, "system", None):
         sys_ = load_system(args.system)
-    elif hasattr(args, "a"):
-        sys_ = two_digit_system(args.R, args.a, args.L.split(",") if args.L else None)
+    elif hasattr(args, "a"):  # --L only where the command declares it
+        L = getattr(args, "L", None)
+        sys_ = two_digit_system(args.R, args.a, L.split(",") if L else None)
     else:
         sys_ = cantor_four()
     if any(np.any(np.abs(x) > 2.0**53) for x in (sys_.R, sys_.B, sys_.L)):
@@ -291,7 +294,7 @@ def _cmd_clique(args, sys_):
     from .measure import FractalMeasure
     from .verify import max_orthogonal_clique
 
-    size, witness = max_orthogonal_clique(FractalMeasure(sys_), args.window, zero_tol=args.zero_tol)
+    size, witness = max_orthogonal_clique(FractalMeasure(sys_), args.window)
     return {"size": size, "witness": list(witness)}, None, True
 
 
@@ -438,13 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", action=_Number, default=0.99)
     p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("clique", help="exact maximum orthogonal clique in a window")
+    p = sub.add_parser("clique", help="exact maximum orthogonal clique on the lattice (1/(2a))Z")
     common(p, system=False, csv=False)
     p.add_argument("--R", required=True, type=int)
     p.add_argument("--a", required=True)
-    p.add_argument("--L", default=None)
-    p.add_argument("--window", type=int, default=60)
-    p.add_argument("--zero-tol", action=_Number, default=1e-9, dest="zero_tol")
+    p.add_argument("--window", type=int, default=60, help="lattice points k/(2a) with |k| <= window")
     p.set_defaults(fn=_cmd_clique)
 
     p = sub.add_parser("sweep", help="certificate sweep over scales r = 1..r_max")

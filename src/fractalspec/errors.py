@@ -19,3 +19,10 @@ class BudgetError(FractalSpecError):
 
 class DomainError(FractalSpecError):
     """A grid evaluation left the invariant box of the operator."""
+
+
+def clip(value) -> str:
+    """``str(value)`` as an error message echoes it: past 60 characters, its
+    first 30 and its length, so a 400-digit flag reads as one short line."""
+    text = str(value)
+    return text if len(text) <= 60 else f"{text[:30]}... ({len(text)} characters)"

@@ -1,6 +1,6 @@
-"""A system's numbers as exact rationals (:func:`parse`, :class:`Rationals`),
-and the exact questions on them: integrality (:func:`is_integral`) and one
-step of the witness walk (:func:`is_weight_one_step`).  Imports no numpy.
+"""A system's numbers as exact rationals (:func:`parse`, :class:`Rationals`,
+:func:`plain`) and the exact questions on them: integrality (:func:`is_integral`)
+and one step of the witness walk (:func:`is_weight_one_step`).  Imports no numpy.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from collections import namedtuple
 from fractions import Fraction
 from numbers import Integral
 
-from .errors import ValidationError
+from .errors import ValidationError, clip
 
 Rationals = namedtuple("Rationals", "R B L")  # of a system, each a tuple of rows of Fractions
 
@@ -25,8 +25,8 @@ def parse(value) -> Fraction:
     sign of a zero.  A decimal whose float is 0 reads as 0: no 10**exponent
     is formed for a huge exponent.  Anything that is not a finite number
     (p/0, nan, inf, beyond the float range, a boolean such as JSON ``true``,
-    not a number at all) is a :class:`ValidationError`; its message cuts a
-    repr past 60 characters to its first 30 and its length.
+    not a number at all) is a :class:`ValidationError`, its repr cut by
+    :func:`~fractalspec.errors.clip`.
     """
     exact = None
     try:
@@ -37,15 +37,17 @@ def parse(value) -> Fraction:
         number = math.nan
     numpy = sys.modules.get("numpy")  # a numpy boolean exists only once numpy is imported
     if isinstance(value, bool) or (numpy and isinstance(value, numpy.bool_)) or not math.isfinite(number):
-        text = repr(value)
-        if len(text) > 60:
-            text = f"{text[:30]}... ({len(text)} characters)"
-        raise ValidationError(f"not a finite number: {text}")
+        raise ValidationError(f"not a finite number: {clip(repr(value))}")
     if exact is not None or isinstance(value, Fraction):
         return value if exact is None else exact
     if isinstance(value, str):  # float() read it, so its exponent is in range unless it is 0
         return Fraction(value) if number else Fraction(0)
     return Fraction(int(value)) if isinstance(value, Integral) else Fraction(number)
+
+
+def plain(q: Fraction) -> int | float:
+    """An exact number as an artifact writes it: an int when it is an integer, else its float."""
+    return int(q) if q.denominator == 1 else float(q)
 
 
 def is_integral(q: Rationals) -> bool:

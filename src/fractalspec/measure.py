@@ -28,10 +28,9 @@ from math import comb
 import numpy as np
 
 from ._numeric import CIS_BLOCK, cis2pi, cis2pi_block, multi_indices
-from .errors import BudgetError, ConvergenceError, DomainError, ValidationError
+from .errors import BudgetError, ConvergenceError, DomainError, ValidationError, clip
 from .systems import (
     BOX_TOL,
-    INV_POWER_DEPTH,
     AffineSystem,
     box_exit,
     certified_tails,
@@ -303,9 +302,8 @@ class FractalMeasure:
         ok = np.nonzero(tails <= self.product_tail_tol)[0]
         if ok.size == 0:
             raise ConvergenceError(
-                f"product tail {tails[-1]:.3e} still above tolerance "
-                f"{self.product_tail_tol:.1e} at depth {INV_POWER_DEPTH} "
-                f"(|t| = {max_norm:.6g})"
+                # short enough to name a 2-D grid point within 120 characters
+                f"product tail > {self.product_tail_tol:g} (|t| = {max_norm:.6g})"
             )
         return int(ok[0])
 
@@ -483,9 +481,10 @@ def atomic_approximation(m: FractalMeasure, depth: int) -> AtomicApproximation:
     sys = m.sys
     n = sys.n_digits
     if depth < 0:
-        raise ValidationError(f"depth must be >= 0, got {depth}")
-    if n**depth > DEFAULT_ATOM_BUDGET:
-        raise BudgetError(f"N^K = {n}**{depth} exceeds atom budget {DEFAULT_ATOM_BUDGET}")
+        raise ValidationError(f"depth must be >= 0, got {clip(depth)}")
+    # past the budget's bit length N^K > budget for N >= 2: no huge powers
+    if n ** min(depth, DEFAULT_ATOM_BUDGET.bit_length()) > DEFAULT_ATOM_BUDGET:
+        raise BudgetError(f"N^K = {n}**{clip(depth)} exceeds atom budget {DEFAULT_ATOM_BUDGET}")
     points = word_sums(sys.B, sys.rinv.T, depth)
     points.setflags(write=False)
     return AtomicApproximation(depth=depth, points=points, weight=float(n) ** -depth)

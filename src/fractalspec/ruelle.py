@@ -61,7 +61,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._numeric import cis2pi, hs_norm, operator_norm, sinpi
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, clip
 from .measure import FractalMeasure, GridFunction, apply_ruelle, shifted_masks  # noqa: F401
 from .systems import (
     AffineSystem,
@@ -540,13 +540,15 @@ def contraction_probe(
     differentiation error.  Every trial is drawn first and all are
     evaluated as one batch (:class:`_WaveBatch`).  Degenerate probes (zero
     Lipschitz norm) are skipped and counted.  A non-expansive R, trials
-    below 1, degree below 1 or per_axis below 2 is a
+    below 1, a negative seed, degree below 1 or per_axis below 2 is a
     :class:`ValidationError`, and coefficients that may pass PROBE_BUDGET
     entries a :class:`BudgetError`, raised before any probe is drawn.
     """
     require_expansive(sys)
     if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+        raise ValidationError(f"trials must be >= 1, got {clip(trials)}")
+    if seed < 0:  # default_rng's own message names no seed
+        raise ValidationError(f"seed must be >= 0, got {clip(seed)}")
     if degree < 1:
         raise ValidationError(f"degree must be >= 1, got {degree}")
     # per trial |L| (d + 1) x 2 entries per distinct wave; 2 degree waves in [-degree, degree]^d
@@ -589,7 +591,7 @@ def basis_certificate(
     below 0 is a :class:`ValidationError`.
     """
     if trials < 0:
-        raise ValidationError(f"trials must be >= 0, got {trials}")
+        raise ValidationError(f"trials must be >= 0, got {clip(trials)}")
     sys = m.sys
     box = attractor_hull(sys)
     report = estimate_gamma(sys, box)

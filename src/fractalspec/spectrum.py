@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, ConvergenceError, ValidationError
+from .errors import BudgetError, ConvergenceError, ValidationError, clip
 from .exact import is_weight_one_step
 from .measure import (
     FractalMeasure,
@@ -99,12 +99,11 @@ def enumerate_spectrum(sys: AffineSystem, depth: int) -> SpectrumEnumeration:
     is a :class:`BudgetError`.
     """
     if depth < 0:
-        raise ValidationError(f"depth must be >= 0, got {depth}")
-    n = sys.n_digits
-    if n ** (depth + 1) > DEFAULT_WORD_BUDGET:
-        raise BudgetError(
-            f"N^(depth+1) = {n}**{depth + 1} exceeds word budget {DEFAULT_WORD_BUDGET}"
-        )
+        raise ValidationError(f"depth must be >= 0, got {clip(depth)}")
+    n, budget = sys.n_digits, DEFAULT_WORD_BUDGET
+    # past budget.bit_length() levels N^(depth+1) > budget for N >= 2: no huge powers
+    if n ** min(depth + 1, budget.bit_length()) > budget:
+        raise BudgetError(f"N^(depth+1) = {n}**{clip(depth + 1)} exceeds word budget {budget}")
     bound, level = 0.0, sys.L
     for _ in range(depth + 1):
         bound += float(np.abs(level).max())

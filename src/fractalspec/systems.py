@@ -21,6 +21,7 @@ box is invariant (:func:`check_box_invariance`).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import exact
 from ._numeric import cis2pi, power_norm_tail, power_norms
-from .errors import ConvergenceError, ValidationError
+from .errors import BudgetError, ConvergenceError, ValidationError, clip
 
 __all__ = [
     "AffineSystem",
@@ -54,6 +55,7 @@ __all__ = [
 
 DEFAULT_INT_TOL = 1e-9
 DEFAULT_N_MAX = 12
+N_MAX_BUDGET = 10_000  # integrality checks per validation: about 0.09 s on a 2-core VM
 INV_POWER_DEPTH = 256
 HULL_MAX_EXPAND = 64
 BOX_TOL = 1e-9  # how far a dual map may send a box outside itself
@@ -310,18 +312,27 @@ def validate_compatibility(
     once; the report then carries ``exact_shortcut_used`` and a zero defect.
     Otherwise the defect is the largest distance from any tested product to
     its nearest integer, which is bounded-n evidence, not a proof; the
-    system is compatible when the defect is within ``tol``.
+    system is compatible when the defect is within ``tol``.  A product that
+    overflows counts at the largest distance, 1/2, and ends the loop.  An
+    n_max over N_MAX_BUDGET is a :class:`BudgetError`.
     """
     if n_max < 1:
-        raise ValidationError(f"n_max must be >= 1, got {n_max}")
+        raise ValidationError(f"n_max must be >= 1, got {clip(n_max)}")
+    if n_max > N_MAX_BUDGET:
+        raise BudgetError(f"n_max {clip(n_max)} exceeds the budget of {N_MAX_BUDGET}")
     shortcut = allow_shortcut and sys.is_integral
     defect = 0.0
     if not shortcut:
         powered = sys.B.copy()
-        for _ in range(n_max):
-            powered = powered @ sys.R.T  # rows are R^n b
-            products = powered @ sys.L.T
-            defect = max(defect, float(np.max(np.abs(products - np.round(products)))))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a nan gap
+            for _ in range(n_max):
+                powered = powered @ sys.R.T  # rows are R^n b
+                products = powered @ sys.L.T
+                gap = float(np.max(np.abs(products - np.round(products))))
+                if math.isnan(gap):
+                    defect = 0.5
+                    break
+                defect = max(defect, gap)
 
     expansive, min_mod = spectral_expansiveness(sys)
     deviation = check_hadamard(sys)

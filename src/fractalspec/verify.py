@@ -14,9 +14,6 @@ Four checks live here:
 * an expansion round-trip: coefficients on finitely many frequencies are
   recovered by quadrature against the atomic approximation, with a matching
   sum-of-squares identity.
-
-Only the ``clique`` command's search (:func:`max_orthogonal_clique`) is
-evidence, not proof: a finite integer window, zeros decided at a tolerance.
 """
 
 from __future__ import annotations
@@ -27,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import exact
-from .errors import BudgetError, ValidationError
-from .measure import CIS_BLOCK, DEFAULT_ATOM_BUDGET, FractalMeasure, cis2pi_outer, fourier_abs_many
+from .errors import BudgetError, ValidationError, clip
+from .measure import CIS_BLOCK, DEFAULT_ATOM_BUDGET, FractalMeasure, cis2pi_outer
 from .ruelle import ContractionReport, basis_certificate
 from .spectrum import DEDUP_TOL, SpectrumEnumeration, completeness_scan, enumerate_spectrum
 from .systems import AffineSystem, cantor_four, scale_systems, two_digit_system, word_sums
@@ -50,6 +47,7 @@ MAX_EXACT_CLIQUE_WINDOW = 200
 CLASSIFY_SCAN_DEPTH = 2  # spectrum depth of the even-R completeness scan
 CLASSIFY_SCAN_STEP = 0.01  # its grid step over one unit cell
 TILING_BUDGET = 2**24  # sample points, and tile pairs |Lambda|^2, per tiling check
+SWEEP_BUDGET = 1024  # scales per sweep: about 1 s on cantor4 on a 2-core VM
 
 
 # ---------------------------------------------------------------------------
@@ -108,42 +106,41 @@ class _CliqueSolver:
         return best
 
 
-def max_orthogonal_clique(
-    m: FractalMeasure,
-    window: int,
-    zero_tol: float = 1e-9,
-) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum set of pairwise-orthogonal integer frequencies.
+def max_orthogonal_clique(m: FractalMeasure, window: int) -> tuple[int, tuple[int | float, ...]]:
+    """Exact maximum set of pairwise-orthogonal frequencies on the lattice (1/(2a)) Z.
 
-    Vertices are the integers in [-window, window]; an edge joins two
-    frequencies when |mu-hat of their difference| <= zero_tol.  Vertices are
-    preferred in the order 0, 1, -1, 2, -2, ... and the returned witness is
-    the first maximum clique in that preference order, so repeated runs are
-    reproducible; one branch-and-bound (:class:`_CliqueSolver`) finds it.
-    Size 1 means no orthogonal pair exists in the window.
+    For B = {0, a} and an integer R, mu-hat vanishes exactly on the union
+    over k >= 0 of R^k (2Z+1)/(2a) (see :func:`dim_one_classify`), inside
+    (1/(2a)) Z: an orthogonal set moved to hold 0 lies on the lattice, so no
+    clique is lost.  k/(2a) and k'/(2a) are orthogonal exactly when
+    k - k' = R^j o with j >= 0 and o odd, so no mu-hat is evaluated.
+    Vertices k/(2a), |k| <= window, are preferred in the order k = 0, 1,
+    -1, 2, -2, ...; one branch-and-bound (:class:`_CliqueSolver`) finds
+    the first maximum clique in that order, sorted and written by
+    :func:`~fractalspec.exact.plain`.  Size 1 means no orthogonal pair in
+    the window; any other system is a :class:`ValidationError`.
     """
-    if m.sys.d != 1:
-        raise ValidationError("clique search is defined for dimension 1 only")
+    R, B = m.sys.exact.R[0][0], m.sys.exact.B
+    if m.sys.d != 1 or len(B) != 2 or (0,) not in B or R.denominator != 1 or abs(R) < 2:
+        raise ValidationError("clique search needs d = 1, B = {0, a} and an integer |R| >= 2")
+    r, a = abs(int(R)), sum(b for (b,) in B)
     if window < 1:
-        raise ValidationError(f"window must be >= 1, got {window}")
+        raise ValidationError(f"window must be >= 1, got {clip(window)}")
     if window > MAX_EXACT_CLIQUE_WINDOW:
         raise BudgetError(
-            f"window {window} too large for exact search (max {MAX_EXACT_CLIQUE_WINDOW}); "
-            "restrict the window"
+            f"window {clip(window)} exceeds the exact-search budget of {MAX_EXACT_CLIQUE_WINDOW}"
         )
-    freqs = [0]
-    for k in range(1, window + 1):
-        freqs.extend((k, -k))
-    moduli = fourier_abs_many(m, np.arange(1, 2 * window + 1, dtype=float).reshape(-1, 1))
-    # orthogonal[g]: |mu-hat(g)| <= zero_tol for the gap g = |f_i - f_j|;
-    # the gap 0 is the diagonal, no edge
-    orthogonal = np.concatenate([[False], moduli <= zero_tol])
-    gaps = np.abs(np.subtract.outer(freqs, freqs))
+    ks = [0] + [k for j in range(1, window + 1) for k in (j, -j)]
+    # odd[g]: the gap g with every factor r divided out (r^j <= 2 window), odd exactly
+    # when g = R^j o with o odd; the gap 0, the diagonal, stays even: no edge
+    odd = np.arange(2 * window + 1)
+    for _ in range(int(2 * window).bit_length()):
+        odd = np.where(odd % r, odd, odd // r)
+    gaps = np.abs(np.subtract.outer(ks, ks))
     # row i as an int whose bit j marks the edge {i, j}
-    rows = np.packbits(orthogonal[gaps], axis=1, bitorder="little")
-    solver = _CliqueSolver([int.from_bytes(row.tobytes(), "little") for row in rows])
-    witness = solver.max_clique()
-    return len(witness), tuple(sorted(freqs[v] for v in witness))
+    rows = np.packbits((odd % 2 == 1)[gaps], axis=1, bitorder="little")
+    witness = _CliqueSolver([int.from_bytes(row.tobytes(), "little") for row in rows]).max_clique()
+    return len(witness), tuple(map(exact.plain, sorted(ks[v] / (2 * a) for v in witness)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +175,10 @@ def dim_one_classify(
     mutually orthogonal frequencies would need R^j o1 - R^k o2 = R^m o3
     with odd o's, an even number equal to an odd one (Jorgensen-Pedersen
     1998).  (0, 1/(2a)), from the exact a, is an orthogonal pair.  Even R
-    with |R| >= 4 predicts a basis; the evidence is the contraction
-    certificate plus a completeness scan over one unit cell.  |R| = 2 falls
-    outside the dichotomy: evidence is computed and recorded without a claim.
+    with |R| >= 4 and L = {0, 1/(2a)} predicts a basis; the evidence is the
+    contraction certificate plus a completeness scan over one unit cell.
+    |R| = 2, or an L that differs exactly from {0, 1/(2a)}, falls outside the
+    dichotomy: evidence is computed and recorded without a claim.
 
     With no L given, L = {0, 1/(2a)} (see :func:`two_digit_system`); even R
     then keeps R^n b.l = R^n / 2 integral.  a and L are read exactly.
@@ -193,11 +191,11 @@ def dim_one_classify(
     m = FractalMeasure(sys)
 
     if R % 2 != 0:
-        half = 1 / (2 * a)
-        witness = (0, int(half) if half.denominator == 1 else float(half))
+        witness = (0, exact.plain(1 / (2 * a)))
         return DichotomyVerdict(R, float(a), "no-basis", max_clique_size=2, clique_witness=witness)
 
-    predicted = "basis" if abs(R) >= 4 else "outside-theorem"
+    on_theorem = abs(R) >= 4 and {l for (l,) in sys.exact.L} == {0, 1 / (2 * a)}
+    predicted = "basis" if on_theorem else "outside-theorem"
     cert = basis_certificate(m)
     spec = enumerate_spectrum(sys, CLASSIFY_SCAN_DEPTH)
     grid = np.arange(0.0, 1.0 + CLASSIFY_SCAN_STEP / 2, CLASSIFY_SCAN_STEP).reshape(-1, 1)
@@ -237,10 +235,13 @@ def scaling_sweep(sys: AffineSystem, r_max: int) -> SweepReport:
     """Run the basis certificate on r R for r = 1..r_max.
 
     The inverse-norm terms in the bound scale like 1/r, so any valid system
-    with 0 in a spanning L certifies once r is large enough.
+    with 0 in a spanning L certifies once r is large enough.  An r_max over
+    SWEEP_BUDGET is a :class:`BudgetError`, raised before any system is built.
     """
     if r_max < 1:
-        raise ValidationError(f"r_max must be >= 1, got {r_max}")
+        raise ValidationError(f"r_max must be >= 1, got {clip(r_max)}")
+    if r_max > SWEEP_BUDGET:
+        raise BudgetError(f"r_max {clip(r_max)} exceeds the sweep budget of {SWEEP_BUDGET}")
     rows = []
     first = None
     for r, scaled in enumerate(scale_systems(sys, range(1, r_max + 1)), start=1):
@@ -298,9 +299,9 @@ def tiling_multiplicity(
     if sys.d != 1:
         raise ValidationError("tiling check is defined for dimension 1 only")
     if samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
+        raise ValidationError(f"samples must be >= 1, got {clip(samples)}")
     if samples > TILING_BUDGET:
-        raise BudgetError(f"{samples} samples exceed the tiling budget of {TILING_BUDGET}")
+        raise BudgetError(f"{clip(samples)} samples exceed the tiling budget of {TILING_BUDGET}")
     lam = enumerate_spectrum(sys, depth).elements[:, 0]
     if lam.size**2 > TILING_BUDGET:  # the translated tiles, |Lambda|^2 of them
         raise BudgetError(
@@ -419,13 +420,10 @@ def hardy_roundtrip(
 
     n, budget, width = m.sys.n_digits, DEFAULT_ATOM_BUDGET, max(1, len(c))
     if depth < 0:
-        raise ValidationError(f"depth must be >= 0, got {depth}")
+        raise ValidationError(f"depth must be >= 0, got {clip(depth)}")
     # past budget.bit_length() levels N^K > budget for N >= 2: no huge powers
     if n ** min(depth, budget.bit_length()) * width > budget:
-        raise BudgetError(
-            f"round-trip basis of {n}**{depth} atoms x {len(c)} frequencies "
-            f"exceeds the budget of {budget} entries"
-        )
+        raise BudgetError(f"round-trip basis {n}**{clip(depth)} x {len(c)} exceeds the budget of {budget}")
     fast = depth  # trailing letters of the words of one block
     while fast and n**fast * width > CIS_BLOCK:
         fast -= 1

@@ -127,7 +127,7 @@ def test_parse_error_exits_one(tmp_path, capsys, text, fragment):
     "argv, bad",
     [
         (["classify", "--R", "4", "--a", "1/0"], "1/0"),
-        (["clique", "--R", "3", "--a", "1/2", "--L", "0,1/0"], "1/0"),
+        (["clique", "--R", "3", "--a", "1/0"], "1/0"),
         (["fourier", "--system", "{cantor4}", "--grid", "0:1:1/0"], "1/0"),
         (["fourier", "--system", "{cantor4}", "--grid", "0:nan:0.5"], "nan"),
         (["tiling", "--window", "0:1/0"], "1/0"),
@@ -148,12 +148,11 @@ def test_bad_number_flag_exits_one(cantor4_file, capsys, argv, bad):
         (["validate", "--system", "{cantor4}", "--tol", "nan"], "--tol", "nan"),
         (["orthogonality", "--system", "{cantor4}", "--tol=-inf"], "--tol", "-inf"),
         (["completeness", "--system", "{cantor4}", "--increment-tol", "inf"], "--increment-tol", "inf"),
-        (["clique", "--R", "3", "--a", "1/2", "--zero-tol", "nan"], "--zero-tol", "nan"),
         (["tiling", "--window=0:1", "--translate-factor", "inf"], "--translate-factor", "inf"),
         (["hardy", "--system", "{cantor4}", "--coeffs", "0=1", "--max-error", "nan"], "--max-error", "nan"),
     ],
-    ids=["target", "classify-target", "tol", "orthogonality-tol", "increment-tol", "zero-tol",
-         "translate-factor", "max-error"],
+    ids=["target", "classify-target", "tol", "orthogonality-tol", "increment-tol", "translate-factor",
+         "max-error"],
 )
 def test_non_finite_flag_exits_one_before_computing(cantor4_file, capsys, monkeypatch, argv, flag, bad):
     def unreachable(*args, **kwargs):
@@ -227,10 +226,11 @@ def test_input_beyond_the_float_range_exits_one(cantor4_file, capsys, argv, mess
     assert len(err.splitlines()[-1]) <= 100
 
 
-def run_capped(argv, limit=2 * 2**30):
+def run_capped(argv, limit=2 * 2**30, timeout=None):
     """(exit code, stdout, stderr) of a CLI process whose address space is
     capped at ``limit`` bytes, set in the child only: a case that would
-    allocate gigabytes fails fast there instead of paging."""
+    allocate gigabytes fails fast there instead of paging.  A child still
+    running after ``timeout`` seconds is killed and fails the test."""
 
     def cap():
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
@@ -242,6 +242,7 @@ def run_capped(argv, limit=2 * 2**30):
         capture_output=True,
         text=True,
         preexec_fn=cap,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -279,6 +280,71 @@ def test_refused_before_allocating(cantor4_file, write_system, doc, argv, messag
     path = cantor4_file if doc is None else write_system(doc)
     code, out, err = run_capped([argv[0], "--system", path, *argv[1:]])
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+HUGE = str(10**400)
+R5_2 = {"d": 1, "R": [["5/2"]], "B": ["0", "1/2"], "L": [0, 1]}  # not integral: no exact shortcut
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["atoms", "--system", "{cantor4}", "--depth", HUGE],
+        ["atoms", "--system", "{cantor4}", "--depth", "1000000000"],
+        ["spectrum", "--system", "{cantor4}", "--depth", HUGE],
+        ["orthogonality", "--system", "{cantor4}", "--depth", HUGE],
+        ["completeness", "--system", "{cantor4}", "--depth", HUGE],
+        ["tiling", "--window=0:1", "--depth", HUGE],
+        ["hardy", "--system", "{cantor4}", "--coeffs", "0=1", "--depth", HUGE],
+        ["sweep", "--system", "{cantor4}", "--r-max", "100000000000"],
+        ["validate", "--system", "{r5_2}", "--n-max", "100000000000"],
+    ],
+    ids=["atoms", "atoms-1e9", "spectrum", "orthogonality", "completeness", "tiling", "hardy", "sweep",
+         "validate"],
+)
+def test_runaway_integer_is_refused_at_once(cantor4_file, write_system, argv):
+    # each of these once formed N**depth or built every scale before its budget
+    # check, growing for minutes to gigabytes
+    paths = {"cantor4": cantor4_file, "r5_2": write_system(R5_2, "r5_2.json")}
+    code, out, err = run_capped([arg.format(**paths) for arg in argv], limit=2**30, timeout=20)
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert (code, out, len(errors)) == (1, "", 1), err
+    assert len(errors[0]) <= 120 and "Traceback" not in err
+
+
+def test_overflowed_integrality_products_count_as_defects(write_system, capsys):
+    # R^n b overflows past n = 775: those products are as far from the integers as can be
+    code, out, err = run_cli(["validate", "--system", write_system(R5_2), "--n-max", "1000"], capsys)
+    validation = json.loads(out)["validation"]
+    assert (code, err) == (2, "")
+    assert (validation["max_integrality_defect"], validation["compatible"]) == (0.5, False)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["certify", "--system", "{cantor4}", f"--trials=-{HUGE}"], "trials must be >= 0, got {}"),
+        (["sweep", "--system", "{cantor4}", f"--r-max=-{HUGE}"], "r_max must be >= 1, got {}"),
+        (["validate", "--system", "{cantor4}", f"--n-max=-{HUGE}"], "n_max must be >= 1, got {}"),
+        (["tiling", "--window=0:1", "--samples", HUGE], "{} samples exceed the tiling budget of 16777216"),
+        (["clique", "--R", "3", "--a", "1/2", "--window", HUGE], "window {} exceeds the exact-search budget of 200"),
+        (["hardy", "--system", "{cantor4}", "--coeffs", "0=1", "--quadrature-depth", HUGE],
+         "round-trip basis 2**{} x 1 exceeds the budget of 16777216"),
+    ],
+    ids=["certify", "sweep", "validate", "tiling", "clique", "hardy"],
+)
+def test_huge_integer_flags_are_echoed_cut(cantor4_file, capsys, argv, message):
+    code, out, err = run_cli([arg.format(cantor4=cantor4_file) for arg in argv], capsys)
+    value = next(arg.split("=")[-1] for arg in argv if HUGE in arg)
+    cut = f"{value[:30]}... ({len(value)} characters)"  # the rule of exact.parse
+    assert (code, out, err) == (1, "", f"error: {message.format(cut)}\n")
+    assert len(err) <= 121
+
+
+@pytest.mark.parametrize("command", ["ruelle-bound", "certify"])
+def test_negative_seed_is_named(cantor4_file, capsys, command):
+    code, out, err = run_cli([command, "--system", cantor4_file, "--trials", "1", "--seed=-1"], capsys)
+    assert (code, out, err) == (1, "", "error: seed must be >= 0, got -1\n")
 
 
 @pytest.mark.parametrize("grid, points", [("0:1e9:1e-9", "1e+18"), ("0:1:1,0:1e9:1e-9", "2e+18")])
@@ -341,6 +407,28 @@ def test_clique_command(capsys):
     assert code == 0
     assert payload["size"] == 2
     assert payload["witness"] == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "R, a, window, size, witness",
+    [
+        ("3", "1/3", "30", 2, [0, 1.5]),  # as classify reads it; no integer is a zero of mu-hat
+        ("2", "1/4", "60", 121, list(range(-120, 121, 2))),  # R = 2: every lattice gap is an edge
+    ],
+)
+def test_clique_searches_the_lattice_of_one_over_2a(capsys, R, a, window, size, witness):
+    code, out, _ = run_cli(["clique", "--R", R, "--a", a, "--window", window], capsys)
+    payload = json.loads(out)
+    assert (code, payload["size"], payload["witness"]) == (0, size, witness)
+
+
+@pytest.mark.parametrize("L, predicted", [("0,13", "outside-theorem"), ("0,21", "outside-theorem"),
+                                          ("1,0", "basis"), ("0,1.0", "basis")])
+def test_classify_claims_a_basis_only_on_the_theorem_L(capsys, L, predicted):
+    # the even-R basis claim is about L = {0, 1/(2a)}; another L is evidence only
+    code, out, _ = run_cli(["classify", "--R", "4", "--a", "1/2", "--L", L], capsys)
+    verdict = json.loads(out)["verdict"]
+    assert (code, verdict["predicted"], verdict["consistent"]) == (0, predicted, True)
 
 
 @pytest.mark.parametrize(
@@ -1039,13 +1127,13 @@ def test_commands_run_on_the_system_they_are_given(cantor4_file, monkeypatch, co
     assert ("validation" in body) == (command == "validate")
 
 
-def test_clique_records_its_frequency_digits(capsys):
-    argv = ["clique", "--R", "3", "--a", "1/2", "--window", "20"]
-    _, plain, _ = run_cli(argv, capsys)
-    _, overridden, _ = run_cli(argv + ["--L", "0,3"], capsys)
-    assert plain != overridden
-    assert json.loads(plain)["config"]["L"] is None
-    assert json.loads(overridden)["config"]["L"] == "0,3"
+@pytest.mark.parametrize("flag", [["--zero-tol", "1e-9"], ["--L", "0,1"]], ids=["zero-tol", "L"])
+def test_clique_takes_no_tolerance_and_no_frequency_digits(capsys, flag):
+    # the lattice and its edges come from R and a alone
+    with pytest.raises(SystemExit) as exit_:
+        main(["clique", "--R", "3", "--a", "1/2", *flag])
+    assert exit_.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: unrecognized arguments: {' '.join(flag)}"
 
 
 def test_hardy_records_its_error_bound(cantor4_file, capsys):

@@ -60,6 +60,7 @@ COMMANDS = {
     "clique.R4": (["clique", "--R", "4", "--a", "1/2", "--window", "60"], 0),
     "clique.R2": (["clique", "--R", "2", "--a", "1/2", "--window", "60"], 0),
     "clique.R2.quarter": (["clique", "--R", "2", "--a", "1/4", "--window", "60"], 0),
+    "clique.R3.third": (["clique", "--R", "3", "--a", "1/3", "--window", "30"], 0),
     "classify.R3": (["classify", "--R", "3", "--a", "1/2"], 0),
     "classify.R3.third": (["classify", "--R", "3", "--a", "1/3"], 0),
     "classify.R2": (["classify", "--R", "2", "--a", "1/4"], 0),

@@ -3,11 +3,11 @@
 Grid strings (huge, tiny, reversed, zero, nan and inf endpoints or steps),
 ``--window`` pairs, ``--trials`` and ``--seed`` integers and the
 ``--R/--a/--L`` scalars of a two-digit system go through ``fourier``,
-``completeness``, ``tiling``, ``ruelle-bound`` and ``classify``.  Whatever
-the input, a run ends as exit 0, 1 or 2 with no traceback and no warning; a
-failure to compute is exactly one ``error:`` line, and ``fourier`` at exit 0
-has one row per grid point.  A flag the parser does not declare fails the
-test: its run would exercise argparse alone.
+``completeness``, ``tiling``, ``ruelle-bound``, ``classify`` and ``clique``.
+Whatever the input, a run ends as exit 0, 1 or 2 with no traceback and no
+warning; a failure to compute is exactly one ``error:`` line of at most 120
+characters, and ``fourier`` at exit 0 has one row per grid point.  A flag the
+parser does not declare fails the test: its run would exercise argparse alone.
 
 Each grid axis is drawn as a, a + k step, step with a small k, so the rule
 of ``cli._parse_grid`` names at most a few dozen points per axis, far below
@@ -102,6 +102,7 @@ def check(argv):
     lines = err.splitlines()
     errors = [ln for ln in lines if ln.startswith("error: ")]
     assert len(errors) == (code == 1) and lines[-1:] == errors[-1:], (argv, code, err)
+    assert all(len(line) <= 120 for line in errors), (argv, err)
     return code, out
 
 
@@ -152,6 +153,18 @@ def test_ruelle_bound(system, trials, seed):
 def test_classify(R, a, L):
     argv = ["classify", "--R", str(R), f"--a={a}"]
     check(argv + ([f"--L={L}"] if L is not None else []))
+
+
+@FUZZ
+@given(
+    st.sampled_from([*range(2, 13), *range(-12, -1)]),
+    number,
+    st.sampled_from([-1, 0, 1, 200, 201, 10**400]),
+)
+def test_clique(R, a, window):
+    code, out = check(["clique", "--R", str(R), f"--a={a}", f"--window={window}"])
+    if code == 0:
+        assert len(json.loads(out)["witness"]) == json.loads(out)["size"] >= 1
 
 
 TEMPLATES = [

@@ -8,7 +8,6 @@ the replaced code, kept here; the library must return its bits (its clique),
 and each per-system check must run once per system.
 """
 
-import itertools
 import random
 from fractions import Fraction
 from functools import cached_property
@@ -424,19 +423,6 @@ def test_one_search_matches_two_searches(adj):
     assert (len(witness), witness) == two_search_clique(adj)
 
 
-def orthogonal_gap_period(a):
-    """For |R| = 2: the integer gaps g != 0 with mu-hat(g) = 0 exactly are
-    those with a g R^-k in 1/2 + Z for some k >= 0, which are the nonzero
-    multiples of one period P (1 for a = 1/2, 2 for 1/4, 3 for 1/3, 7 for
-    2/7).  Returns the smallest such gap, found in exact arithmetic."""
-    half = Fraction(1, 2)
-    return next(
-        g
-        for g in itertools.count(1)
-        if any((a * g / 2**k - half).denominator == 1 for k in range(g.bit_length() + 1))
-    )
-
-
 @pytest.mark.parametrize("window", [1, 2, 60, 200])
 @pytest.mark.parametrize("a", ["1/2", "1/4", "1/3", "2/7"])
 @pytest.mark.parametrize("R", [2, -2, 3, -3, 4, -4, 5, 6, -6, 7, 8])
@@ -444,18 +430,12 @@ def test_clique_matches_two_searches_on_windows(monkeypatch, R, a, window):
     m = FractalMeasure(two_digit_system(R, float(Fraction(a))))
     size, witness = verify.max_orthogonal_clique(m, window)
     if abs(R) == 2:
-        # the graph is one complete graph per residue class mod P, so the
-        # answer is the largest class, the first in preference order on a
-        # tie; for a = 1/2 that is the whole window
-        period = orthogonal_gap_period(Fraction(a))
-        freqs = [0] + [f for k in range(1, window + 1) for f in (k, -k)]
-        classes = {}
-        for v, f in enumerate(freqs):
-            classes.setdefault(f % period, []).append(v)
-        best = min(classes.values(), key=lambda c: (-len(c), c))
-        assert (size, witness) == (len(best), tuple(sorted(freqs[v] for v in best)))
-        if period == 1:
-            assert witness == tuple(range(-window, window + 1))
+        # every nonzero integer is 2^j times an odd number: the lattice graph
+        # is complete and the answer is the whole window
+        step = 1 / (2 * Fraction(float(Fraction(a))))  # the exact a of the float digit
+        lattice = sorted(k * step for k in range(-window, window + 1))
+        written = tuple(int(f) if f.denominator == 1 else float(f) for f in lattice)
+        assert (size, witness) == (2 * window + 1, written)
         if window == 200:
             return  # the reference takes seconds to minutes on these graphs
     with monkeypatch.context() as patch:

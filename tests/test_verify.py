@@ -47,13 +47,14 @@ class TestMaxClique:
             value, _ = fourier_mu(odd3_measure, [float(delta)])
             assert (abs(value) <= 1e-9) == three_free_part_is_odd(delta)
 
-    def test_edgeless_graph(self):
-        # zeros of the mask sit at half-integers times 3: never integers
+    def test_non_integer_lattice_pair(self):
+        # zeros of the mask sit at half-integers times 3: never integers, but
+        # on the lattice (1/(2a)) Z the pair (0, 1.5) is orthogonal
         s = make_system(3.0, [0.0, 1.0 / 3.0], [0.0, 1.5])
         m = FractalMeasure(s)
         size, witness = max_orthogonal_clique(m, 15)
-        assert size == 1
-        assert witness == (0,)
+        assert size == 2
+        assert witness == (0, 1.5)
 
     def test_even_scale_contains_spectrum(self, cantor4, cantor4_measure):
         size, witness = max_orthogonal_clique(cantor4_measure, 21)
@@ -70,10 +71,9 @@ class TestMaxClique:
         sizes = [max_orthogonal_clique(cantor4_measure, M)[0] for M in (5, 10, 21)]
         assert sizes[0] <= sizes[1] <= sizes[2]
 
-    def test_monotone_in_tolerance(self, odd3_measure):
-        tight, _ = max_orthogonal_clique(odd3_measure, 20, zero_tol=1e-12)
-        loose, _ = max_orthogonal_clique(odd3_measure, 20, zero_tol=1e-2)
-        assert tight <= loose
+    def test_takes_no_zero_tol(self, odd3_measure):
+        with pytest.raises(TypeError):
+            max_orthogonal_clique(odd3_measure, 5, zero_tol=1e-9)
 
     def test_window_budget(self, odd3_measure):
         with pytest.raises(BudgetError):
@@ -86,6 +86,19 @@ class TestMaxClique:
     def test_dimension_guard(self, quad2d):
         with pytest.raises(ValidationError):
             max_orthogonal_clique(FractalMeasure(quad2d), 5)
+
+    @pytest.mark.parametrize(
+        "R, B, L",
+        [
+            (12, [0, "1/4", "1/2", "3/4"], [0, 1, 2, 7]),  # N = 4
+            ("5/2", ["1/2", 1], [0, 1]),  # 0 not in B
+            ("5/2", [0, "1/2"], [0, 1]),  # R not an integer
+        ],
+        ids=["N=4", "zero-not-a-digit", "R=5/2"],
+    )
+    def test_system_outside_the_lattice_rule(self, R, B, L):
+        with pytest.raises(ValidationError, match="^clique search needs"):
+            max_orthogonal_clique(FractalMeasure(make_system(R, B, L)), 5)
 
 
 class TestDichotomy:
@@ -203,6 +216,38 @@ class TestParityTheorem:
         rows = edge[np.abs(np.subtract.outer(vertices, vertices))]
         adj = [int(sum(1 << j for j in np.flatnonzero(row))) for row in rows]
         assert len(verify._CliqueSolver(adj).max_clique()) == 2
+
+
+# (R, a, window): integer gaps 1..400 for a = 1/2, lattice gaps 1..200 for the other digits
+LATTICE_GRID = [(R, Fraction(1, 2), 200) for R in (2, 3, 4, 5, 6, 7, 8, -2, -3, -4, -5, -6, -7, -8)] + [
+    (R, a, 100)
+    for a in (Fraction(1, 4), Fraction(1, 3), Fraction(2, 7), Fraction(3, 2))
+    for R in (2, -2, 3, -3, 4, -4, 5, 6, -6)
+]
+
+
+@pytest.mark.parametrize("R, a, window", LATTICE_GRID, ids=lambda v: str(v))
+def test_lattice_edges_match_mu_hat(monkeypatch, R, a, window):
+    """The clique graph's integer edge rule against the float oracle: an edge
+    exactly where |mu-hat| <= 1e-9 at the lattice gap."""
+    seen = []
+
+    class Recording(verify._CliqueSolver):
+        def __init__(self, adj):
+            seen.append(adj)
+            super().__init__(adj)
+
+        def max_clique(self):
+            return [0]
+
+    monkeypatch.setattr(verify, "_CliqueSolver", Recording)
+    m = FractalMeasure(systems.two_digit_system(R, a))
+    max_orthogonal_clique(m, window)
+    gaps = np.arange(1, 2 * window + 1) * float(1 / (2 * a))
+    edge = np.concatenate([[False], fourier_abs_many(m, gaps.reshape(-1, 1)) <= 1e-9])
+    ks = [0] + [k for j in range(1, window + 1) for k in (j, -j)]
+    rows = edge[np.abs(np.subtract.outer(ks, ks))]
+    assert seen == [[sum(1 << int(j) for j in np.flatnonzero(row)) for row in rows]]
 
 
 class TestScalingSweep:
